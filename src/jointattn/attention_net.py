@@ -1,13 +1,26 @@
 """Recurrent visual-attention agent.
 
-Pipeline per step: a 3x3 conv (ReLU) extracts features from the 3-channel
+Pipeline per step: a 3x3 conv (ReLU) extracts features F from the 3-channel
 grid observation; a fixed sinusoidal spatial basis is appended along
-channels; 1x1 linear layers produce per-position keys and values for m
-heads; queries come from the previous LSTM state, so attention at step t
-depends on (obs_t, h_{t-1}) only. Per-head softmax over all positions gives
-the attention maps; contracting them against the values gives the filtered
-output O, which enters the LSTM together with an embedded pose vector.
-Policy and value heads sit on top of the LSTM and share no parameters.
+channels; queries q for m heads come from the previous LSTM state, so
+attention at step t depends on (obs_t, h_{t-1}) only. Each head's keys and
+values are affine maps of the features, K_m = F Wk_m + bk_m and
+V_m = F Wv_m + bv_m, but they are never formed: the contractions fold the
+projections into the query and the read-out instead,
+
+    logits[p, m] = F[p] . (Wk_m q_m) + bk_m . q_m
+    O_m          = (sum_p w[p, m] F[p]) Wv_m + bv_m sum_p w[p, m],
+
+with w the per-head softmax over all positions (the attention maps). O
+enters the LSTM together with an embedded pose vector. Policy and value
+heads sit on top of the LSTM and share no parameters.
+
+The forward pass has three pieces: ``encode`` (frame-only: conv, basis,
+pose embedding), ``recurrent_step`` (query -> attention -> LSTM) and
+``heads`` (policy and value from h). ``agent_step`` runs them for one step;
+``unroll`` replays a stored chunk under a tape, encoding all of its frames
+at once, stepping only the recurrent piece, and running the heads once
+over the stacked states.
 
 With ``use_attention=False`` the conv features are globally mean-pooled and
 fed to the LSTM directly; no maps are produced and no attention parameters
@@ -15,8 +28,6 @@ exist.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -82,7 +93,7 @@ class AttentionMaps:
     ``per_head`` is (m, h, w) or (batch, m, h, w); ``mean_map`` drops the
     head axis. ``head_logits`` keeps the pre-softmax scores for the clipped
     incentive variant. These are detached copies: the differentiable path
-    to the policy stays on the tape inside ``agent_step``.
+    to the policy stays on the tape inside the forward pass.
     """
 
     __slots__ = ("per_head", "mean_map", "head_logits")
@@ -102,18 +113,17 @@ class AgentCore:
     """Parameters and forward passes for one agent.
 
     All parameters live in ``self.params`` (name -> Tensor with
-    requires_grad). ``forward_calls`` counts ``agent_step`` invocations so
-    training can prove the incentive adds no extra network passes.
+    requires_grad). ``forward_calls`` counts acting passes, the
+    ``agent_step`` calls, so training can prove the incentive adds no extra
+    network passes; the PPO replay goes through ``unroll``, which is not an
+    ``agent_step`` and is not counted.
     """
 
     def __init__(self, height: int, width: int, num_actions: int = 7,
                  obs_channels: int = 3, conv_filters: int = 64,
                  basis_depth: int = 8, num_heads: int = 4, head_depth: int = 16,
                  cell_size: int = 64, scalar_embed: int = 5,
-                 use_attention: bool = True, kv_activation: str = "none",
-                 seed: int = 0):
-        if kv_activation not in ("none", "relu"):
-            raise ValueError(f"kv_activation must be 'none' or 'relu', got {kv_activation!r}")
+                 use_attention: bool = True, seed: int = 0):
         self.height = height
         self.width = width
         self.num_actions = num_actions
@@ -125,7 +135,6 @@ class AgentCore:
         self.cell_size = cell_size
         self.scalar_embed = scalar_embed
         self.use_attention = use_attention
-        self.kv_activation = kv_activation
         self.forward_calls = 0
 
         self.basis = build_spatial_basis(height, width, basis_depth if use_attention else 0)
@@ -168,7 +177,7 @@ class AgentCore:
             p[f"{head}/out_b"] = zeros(out_dim)
         self.params = p
 
-    # -- pieces -------------------------------------------------------------
+    # -- layers ---------------------------------------------------------------
 
     def initial_state(self, batch: int | None = None) -> RecurrentState:
         if batch is None:
@@ -217,20 +226,13 @@ class AgentCore:
         if not batched:
             f = nm.reshape(f, (1,) + f.shape)
             q = nm.reshape(q, (1,) + q.shape)
-        b, h, w, d = f.shape
+        b, h, w, _ = f.shape
         m, c = self.num_heads, self.head_depth
-        pos = h * w
-        flat = nm.reshape(f, (b * pos, d))
-        keys = nm.dense(flat, self.params["keys/w"], self.params["keys/b"])
-        values = nm.dense(flat, self.params["values/w"], self.params["values/b"])
-        if self.kv_activation == "relu":
-            keys = nm.relu(keys)
-            values = nm.relu(values)
-        keys = nm.reshape(keys, (b, pos, m, c))
-        values = nm.reshape(values, (b, pos, m, c))
-        logits = nm.attention_scores(keys, q)          # (b, m, pos)
+        logits = nm.attention_scores(f, q, self.params["keys/w"],
+                                     self.params["keys/b"])       # (b, m, pos)
         weights = nm.softmax(logits)
-        out = nm.attention_apply(weights, values)      # (b, m, c)
+        out = nm.attention_apply(weights, f, self.params["values/w"],
+                                 self.params["values/b"])         # (b, m, c)
         per_head = weights.data.reshape(b, m, h, w).copy()
         head_logits = logits.data.reshape(b, m, h, w).copy()
         if not batched:
@@ -238,14 +240,60 @@ class AgentCore:
             out = nm.reshape(out, (m, c))
         return AttentionMaps(per_head, head_logits), out
 
-    # -- full step ----------------------------------------------------------
+    # -- the three pieces of a step -------------------------------------------
+
+    def encode(self, obs, p) -> tuple:
+        """Frame-only work for a batch of frames: (features, frame_in).
+
+        obs is (n, h, w, channels) and p the (n, 6) pose matrix. features
+        are the (n, h, w, d) attention features, or None when attention is
+        off; frame_in is the part of the LSTM input that depends on the
+        frame alone: the embedded pose, after the pooled conv features when
+        attention is off.
+        """
+        features = self.encode_features(obs)
+        embedded = nm.dense(p, self.params["embed/w"], self.params["embed/b"])
+        if self.use_attention:
+            return features, embedded
+        return None, nm.concat_last(nm.spatial_mean(features), embedded)
+
+    def recurrent_step(self, features, frame_in, state: RecurrentState) -> tuple:
+        """Query from h_{t-1}, attention over this frame's features, then the
+        LSTM: (maps, new_state). maps is None when attention is off."""
+        h_prev = state.h if isinstance(state.h, Tensor) else Tensor(state.h)
+        c_prev = state.c if isinstance(state.c, Tensor) else Tensor(state.c)
+        if self.use_attention:
+            queries = self.query_from_state(h_prev)
+            maps, attended = self.compute_attention(features, queries)
+            summary = nm.reshape(attended, (attended.shape[0],
+                                            self.num_heads * self.head_depth))
+            lstm_in = nm.concat_last(summary, frame_in)
+        else:
+            maps, lstm_in = None, frame_in
+        h_new, c_new = nm.lstm_step(lstm_in, h_prev, c_prev,
+                                    self.params["lstm/w"], self.params["lstm/b"])
+        return maps, RecurrentState(h_new, c_new)
+
+    def heads(self, h) -> tuple:
+        """Policy logits (n, actions) and values (n,) from LSTM states (n, cell)."""
+
+        def head(name: str) -> Tensor:
+            z = nm.relu(nm.dense(h, self.params[f"{name}/w1"],
+                                 self.params[f"{name}/b1"]))
+            z = nm.relu(nm.dense(z, self.params[f"{name}/w2"],
+                                 self.params[f"{name}/b2"]))
+            return nm.dense(z, self.params[f"{name}/out_w"],
+                            self.params[f"{name}/out_b"])
+
+        return head("policy"), nm.reshape(head("value"), (h.shape[0],))
+
+    # -- acting and replay ----------------------------------------------------
 
     def agent_step(self, obs, p, state: RecurrentState):
         """One network pass: (action_logits, value, maps, new_state).
 
         obs is (batch, h, w, channels), p is the (batch, 6) pose matrix,
-        state holds (batch, cell) h and c (arrays or tensors; tensors keep
-        gradient flow through time during training replay). maps is None
+        state holds (batch, cell) h and c (arrays or tensors). maps is None
         when attention is off.
         """
         self.forward_calls += 1
@@ -255,35 +303,45 @@ class AgentCore:
             raise nm.ShapeError(
                 f"agent_step expects batched inputs, got obs {x.shape}, p {pv.shape}"
             )
-        h_prev = state.h if isinstance(state.h, Tensor) else Tensor(state.h)
-        c_prev = state.c if isinstance(state.c, Tensor) else Tensor(state.c)
+        features, frame_in = self.encode(x, pv)
+        maps, new_state = self.recurrent_step(features, frame_in, state)
+        action_logits, value = self.heads(new_state.h)
+        return action_logits, value, maps, new_state
 
-        features = self.encode_features(x)
-        if self.use_attention:
-            queries = self.query_from_state(h_prev)
-            maps, attended = self.compute_attention(features, queries)
-            m, c = self.num_heads, self.head_depth
-            summary = nm.reshape(attended, (x.shape[0], m * c))
-        else:
-            maps = None
-            summary = nm.spatial_mean(features)
+    def unroll(self, obs, p, state: RecurrentState, resets) -> tuple:
+        """Replay T steps of B stored sequences: (action_logits, values).
 
-        embedded = nm.dense(pv, self.params["embed/w"], self.params["embed/b"])
-        lstm_in = nm.concat_last(summary, embedded)
-        h_new, c_new = nm.lstm_step(lstm_in, h_prev, c_prev,
-                                    self.params["lstm/w"], self.params["lstm/b"])
-
-        def head(name: str) -> Tensor:
-            z = nm.relu(nm.dense(h_new, self.params[f"{name}/w1"],
-                                 self.params[f"{name}/b1"]))
-            z = nm.relu(nm.dense(z, self.params[f"{name}/w2"],
-                                 self.params[f"{name}/b2"]))
-            return nm.dense(z, self.params[f"{name}/out_w"],
-                            self.params[f"{name}/out_b"])
-
-        action_logits = head("policy")
-        value = nm.reshape(head("value"), (x.shape[0],))
-        return action_logits, value, maps, RecurrentState(h_new, c_new)
+        obs is (T, B, h, w, channels), p (T, B, 6), state the (B, cell)
+        state before step 0, and resets a (T, B) bool mask: where set at
+        t > 0 the state is zeroed before step t, as the rollout did at an
+        episode start. Matches T chained ``agent_step`` calls up to
+        rounding, but the frame work and the heads each run once over all
+        T*B frames; outputs are stacked time-major, (T*B, actions) and
+        (T*B,).
+        """
+        obs = np.asarray(obs, dtype=np.float64)
+        p = np.asarray(p, dtype=np.float64)
+        if obs.ndim != 5 or p.ndim != 3 or obs.shape[:2] != p.shape[:2]:
+            raise nm.ShapeError(
+                f"unroll expects (T, B, ...) inputs, got obs {obs.shape}, p {p.shape}"
+            )
+        T, B = obs.shape[:2]
+        features, frame_in = self.encode(obs.reshape((T * B,) + obs.shape[2:]),
+                                         p.reshape(T * B, p.shape[2]))
+        frame_steps = nm.unstack(nm.reshape(frame_in, (T, B, frame_in.shape[1])))
+        feature_steps = [None] * T if features is None else \
+            nm.unstack(nm.reshape(features, (T, B) + features.shape[1:]))
+        hs = []
+        for t in range(T):
+            if t > 0 and resets[t].any():
+                keep = Tensor(np.repeat((1.0 - resets[t])[:, None],
+                                        self.cell_size, axis=1))
+                state = RecurrentState(nm.mul(state.h, keep),
+                                       nm.mul(state.c, keep))
+            _, state = self.recurrent_step(feature_steps[t], frame_steps[t],
+                                           state)
+            hs.append(state.h)
+        return self.heads(nm.reshape(nm.stack(hs), (T * B, self.cell_size)))
 
 
 def act(action_logits, mode: str, rng: np.random.Generator | None = None):
@@ -316,45 +374,3 @@ def act(action_logits, mode: str, rng: np.random.Generator | None = None):
     if single:
         return int(actions[0]), float(picked[0])
     return actions.astype(np.int64), picked
-
-
-# ---------------------------------------------------------------------------
-# attention-map export records (consumed by the renderer)
-
-_MAP_HEADER = struct.Struct("<3q")
-
-
-def write_map_record(f, maps: AttentionMaps) -> None:
-    """Append one unbatched AttentionMaps to a binary stream.
-
-    Record layout: (h, w, m) as little-endian int64, then the m head maps,
-    then the mean map, all flat little-endian float64.
-    """
-    if maps.per_head.ndim != 3:
-        raise ValueError("map records are per agent per timestep; pass maps.sample(i)")
-    m, h, w = maps.per_head.shape
-    f.write(_MAP_HEADER.pack(h, w, m))
-    f.write(np.ascontiguousarray(maps.per_head, dtype="<f8").tobytes())
-    f.write(np.ascontiguousarray(maps.mean_map, dtype="<f8").tobytes())
-
-
-def read_map_records(path: str) -> list[dict]:
-    """Read every record written by ``write_map_record`` from a file."""
-    records = []
-    with open(path, "rb") as f:
-        while True:
-            head = f.read(_MAP_HEADER.size)
-            if not head:
-                break
-            if len(head) < _MAP_HEADER.size:
-                raise ValueError("truncated attention-map record header")
-            h, w, m = _MAP_HEADER.unpack(head)
-            body = f.read(8 * (m * h * w + h * w))
-            if len(body) < 8 * (m * h * w + h * w):
-                raise ValueError("truncated attention-map record body")
-            per_head = np.frombuffer(body, dtype="<f8", count=m * h * w).reshape(m, h, w)
-            mean_map = np.frombuffer(body, dtype="<f8", offset=8 * m * h * w,
-                                     count=h * w).reshape(h, w)
-            records.append({"per_head": per_head.astype(np.float64),
-                            "mean_map": mean_map.astype(np.float64)})
-    return records

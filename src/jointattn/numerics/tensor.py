@@ -129,6 +129,17 @@ class Tape:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def clear(self) -> None:
+        """Drop every recorded node, and with them the arrays the ops saved
+        for backward; the tape then counts as consumed.
+
+        Each output tensor points back at its tape, so a tape that is never
+        cleared keeps its whole graph alive until the cyclic garbage
+        collector runs. ``backward`` clears the tape it consumes.
+        """
+        self._nodes = []
+        self.consumed = True
+
 
 _ACTIVE: Tape | None = None
 
@@ -153,7 +164,8 @@ def backward(loss: Tensor) -> None:
 
     The loss must be a scalar recorded on a tape; the tape is consumed and a
     second call raises ``TapeError``. Adjoints of interior tensors live only
-    for the duration of the sweep; leaf grads accumulate additively.
+    for the duration of the sweep, and each node is dropped once it has run
+    (``Tape.clear``); leaf grads accumulate additively.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -162,10 +174,14 @@ def backward(loss: Tensor) -> None:
         raise TapeError("loss was not recorded on an active tape")
     if tape.consumed:
         raise TapeError("backward called twice on a consumed tape")
-    tape.consumed = True
+    nodes = tape._nodes
+    tape.clear()
 
+    # adjoints are never updated in place (a sum makes a new array), so an
+    # op's input gradient is stored as it comes, even when it is a view
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(tape._nodes):
+    while nodes:
+        node = nodes.pop()
         gouts = [adjoint.pop(id(o), None) for o in node.outputs]
         if all(g is None for g in gouts):
             continue
@@ -178,11 +194,9 @@ def backward(loss: Tensor) -> None:
             if not needed or g is None:
                 continue
             if t.tape is tape:
-                acc = adjoint.get(id(t))
-                if acc is None:
-                    adjoint[id(t)] = g.copy()
-                else:
-                    acc += g
+                key = id(t)
+                acc = adjoint.get(key)
+                adjoint[key] = g if acc is None else acc + g
             elif t.requires_grad:
                 if t.grad is None:
                     t.grad = np.zeros_like(t.data)
@@ -339,12 +353,10 @@ def minimum(a, b) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    out = np.empty_like(x)
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +378,37 @@ def reshape(a, shape) -> Tensor:
 
     _record((out,), (a,), fn)
     return out
+
+
+def stack(tensors) -> Tensor:
+    """Stack equal-shape tensors along a new leading axis; one tape node."""
+    ts = tuple(_astensor(t) for t in tensors)
+    if not ts:
+        raise ShapeError("stack of no tensors")
+    for t in ts[1:]:
+        _same_shape(ts[0], t, "stack")
+    out = Tensor(np.stack([t.data for t in ts]))
+
+    def fn(gouts, need):
+        (g,) = gouts
+        return tuple(g)
+
+    _record((out,), ts, fn)
+    return out
+
+
+def unstack(a) -> tuple:
+    """Split along the leading axis into a[0], a[1], ...; one tape node."""
+    a = _astensor(a)
+    if a.data.ndim < 1 or a.data.shape[0] == 0:
+        raise ShapeError(f"unstack needs a non-empty leading axis, got {a.data.shape}")
+    outs = tuple(Tensor(x) for x in a.data)
+
+    def fn(gouts, need):
+        return (np.stack(gouts),)
+
+    _record(outs, (a,), fn)
+    return outs
 
 
 def concat_last(a, b) -> Tensor:
@@ -624,10 +667,11 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
 
     xh = np.concatenate([xd, hd], axis=1)
     z = xh @ weights.data + bias.data
-    i = _sigmoid(z[:, :cell])
-    f = _sigmoid(z[:, cell:2 * cell])
+    gates = _sigmoid(z)                 # the candidate block is unused
+    i = gates[:, :cell]
+    f = gates[:, cell:2 * cell]
     g = np.tanh(z[:, 2 * cell:3 * cell])
-    o = _sigmoid(z[:, 3 * cell:])
+    o = gates[:, 3 * cell:]
     c_new = f * cd + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
@@ -672,45 +716,117 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
 
 # ---------------------------------------------------------------------------
 # attention contractions
+#
+# Keys and values are affine in the features: K_m = F W_m + b_m, where W_m
+# (d, depth) and b_m (depth,) are head m's columns of the projection. So both
+# contractions fold the projection into the small side and never form the
+# per-position keys or values:
+#   logits[b,m,p] = F[b,p] . (W_m q[b,m]) + b_m . q[b,m]
+#   out[b,m]      = (sum_p a[b,m,p] F[b,p]) W_m + b_m sum_p a[b,m,p]
 
 
-def attention_scores(keys, queries) -> Tensor:
-    """Per-head inner products: (batch, pos, heads, depth) x (batch, heads, depth)
-    -> logits (batch, heads, pos)."""
-    keys, queries = _astensor(keys), _astensor(queries)
-    kd, qd = keys.data, queries.data
-    if kd.ndim != 4 or qd.ndim != 3:
-        raise ShapeError(f"attention_scores: keys {kd.shape}, queries {qd.shape}")
-    if kd.shape[0] != qd.shape[0] or kd.shape[2:] != qd.shape[1:]:
-        raise ShapeError(f"attention_scores: keys {kd.shape} vs queries {qd.shape}")
-    out = Tensor(np.einsum("bpmc,bmc->bmp", kd, qd))
+def _attention_operands(features, proj_w, proj_b, heads: int, op: str):
+    """Flat (batch, pos, d) features, the projection per head (heads, d,
+    depth) and its bias (heads, depth); views, no copies."""
+    fd, wd, bd = features.data, proj_w.data, proj_b.data
+    if fd.ndim < 3:
+        raise ShapeError(f"{op}: features must be (batch, ..., d), got {fd.shape}")
+    d = fd.shape[-1]
+    if wd.ndim != 2 or wd.shape[0] != d or wd.shape[1] % heads != 0:
+        raise ShapeError(f"{op}: projection {wd.shape} vs features {fd.shape} "
+                         f"and {heads} heads")
+    if bd.shape != (wd.shape[1],):
+        raise ShapeError(f"{op}: bias {bd.shape}, expected ({wd.shape[1]},)")
+    depth = wd.shape[1] // heads
+    return (fd.reshape(fd.shape[0], -1, d),
+            wd.reshape(d, heads, depth).transpose(1, 0, 2),
+            bd.reshape(heads, depth))
+
+
+def _per_head(x, w):
+    """x (batch, heads, k) times w (heads, k, n) -> (batch, heads, n)."""
+    return (x.transpose(1, 0, 2) @ w).transpose(1, 0, 2)
+
+
+def _sum_batch_outer(x, y, shape):
+    """sum_b x[b, m, k] y[b, m, n] as a (k, heads * n) projection gradient."""
+    return (x.transpose(1, 2, 0) @ y.transpose(1, 0, 2)).transpose(1, 0, 2) \
+        .reshape(shape)
+
+
+def attention_scores(features, queries, key_w, key_b) -> Tensor:
+    """Per-head logits of the affine keys ``features @ key_w + key_b`` against
+    the queries, without forming the keys.
+
+    features (batch, ..., d) with any spatial axes between; queries (batch,
+    heads, depth); key_w (d, heads*depth), key_b (heads*depth,). Returns
+    logits (batch, heads, pos) with the spatial axes flattened.
+    """
+    features, queries = _astensor(features), _astensor(queries)
+    key_w, key_b = _astensor(key_w), _astensor(key_b)
+    qd = queries.data
+    if qd.ndim != 3 or qd.shape[0] != features.data.shape[0]:
+        raise ShapeError(f"attention_scores: queries {qd.shape} vs features "
+                         f"{features.data.shape}")
+    f, w, bias = _attention_operands(features, key_w, key_b, qd.shape[1],
+                                     "attention_scores")
+    if w.shape[2] != qd.shape[2]:
+        raise ShapeError(f"attention_scores: key depth {w.shape[2]} vs "
+                         f"queries {qd.shape}")
+    wq = _per_head(qd, w.transpose(0, 2, 1))        # W_m q[b,m]: (b, m, d)
+    bq = (qd * bias).sum(axis=-1)                   # b_m . q[b,m]
+    out = Tensor(wq @ f.transpose(0, 2, 1) + bq[:, :, None])
+    f_shape = features.data.shape
 
     def fn(gouts, need):
         (g,) = gouts
-        gk = np.einsum("bmp,bmc->bpmc", g, qd) if need[0] else None
-        gq = np.einsum("bmp,bpmc->bmc", g, kd) if need[1] else None
-        return (gk, gq)
+        gwq = g @ f if (need[1] or need[2]) else None
+        gbq = g.sum(axis=-1)
+        gf = (g.transpose(0, 2, 1) @ wq).reshape(f_shape) if need[0] else None
+        gq = _per_head(gwq, w) + gbq[:, :, None] * bias if need[1] else None
+        gw = _sum_batch_outer(gwq, qd, key_w.data.shape) if need[2] else None
+        gb = (gbq[:, :, None] * qd).sum(axis=0).reshape(-1) if need[3] else None
+        return (gf, gq, gw, gb)
 
-    _record((out,), (keys, queries), fn)
+    _record((out,), (features, queries, key_w, key_b), fn)
     return out
 
 
-def attention_apply(weights, values) -> Tensor:
-    """Contract attention weights against values: (batch, heads, pos) x
-    (batch, pos, heads, depth) -> (batch, heads, depth)."""
-    weights, values = _astensor(weights), _astensor(values)
-    ad, vd = weights.data, values.data
-    if ad.ndim != 3 or vd.ndim != 4:
-        raise ShapeError(f"attention_apply: weights {ad.shape}, values {vd.shape}")
-    if ad.shape[0] != vd.shape[0] or ad.shape[1] != vd.shape[2] or ad.shape[2] != vd.shape[1]:
-        raise ShapeError(f"attention_apply: weights {ad.shape} vs values {vd.shape}")
-    out = Tensor(np.einsum("bmp,bpmc->bmc", ad, vd))
+def attention_apply(weights, features, value_w, value_b) -> Tensor:
+    """Contract attention weights against the affine values
+    ``features @ value_w + value_b``, without forming the values.
+
+    weights (batch, heads, pos); features (batch, ..., d) with pos spatial
+    cells; value_w (d, heads*depth), value_b (heads*depth,). Returns
+    (batch, heads, depth).
+    """
+    weights, features = _astensor(weights), _astensor(features)
+    value_w, value_b = _astensor(value_w), _astensor(value_b)
+    ad = weights.data
+    if ad.ndim != 3 or ad.shape[0] != features.data.shape[0]:
+        raise ShapeError(f"attention_apply: weights {ad.shape} vs features "
+                         f"{features.data.shape}")
+    f, w, bias = _attention_operands(features, value_w, value_b, ad.shape[1],
+                                     "attention_apply")
+    if ad.shape[2] != f.shape[1]:
+        raise ShapeError(f"attention_apply: weights {ad.shape} vs features "
+                         f"{features.data.shape}")
+    read = ad @ f                                   # sum_p a[b,m,p] F[b,p]
+    mass = ad.sum(axis=-1)                          # sum_p a[b,m,p]
+    out = Tensor(_per_head(read, w) + mass[:, :, None] * bias)
+    f_shape = features.data.shape
 
     def fn(gouts, need):
         (g,) = gouts
-        ga = np.einsum("bmc,bpmc->bmp", g, vd) if need[0] else None
-        gv = np.einsum("bmp,bmc->bpmc", ad, g) if need[1] else None
-        return (ga, gv)
+        gread = _per_head(g, w.transpose(0, 2, 1)) if (need[0] or need[1]) \
+            else None
+        ga = gread @ f.transpose(0, 2, 1) + (g * bias).sum(axis=-1)[:, :, None] \
+            if need[0] else None
+        gf = (ad.transpose(0, 2, 1) @ gread).reshape(f_shape) if need[1] \
+            else None
+        gw = _sum_batch_outer(read, g, value_w.data.shape) if need[2] else None
+        gb = (mass[:, :, None] * g).sum(axis=0).reshape(-1) if need[3] else None
+        return (ga, gf, gw, gb)
 
-    _record((out,), (weights, values), fn)
+    _record((out,), (weights, features, value_w, value_b), fn)
     return out

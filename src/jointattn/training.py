@@ -25,7 +25,7 @@ import numpy as np
 
 from . import numerics as nm
 from .numerics import Tensor
-from .attention_net import AgentCore, act, pose_vector
+from .attention_net import AgentCore, RecurrentState, act, pose_vector
 from .gridworlds import ENCODING_VERSION, encode_observation, make_config, reset, step
 from .ja_reward import (IncentiveConfig, beta_schedule, joint_attention_reward,
                         jsd, kl_divergence, clipped_jsd)
@@ -369,14 +369,15 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
     """Clipped-surrogate PPO over chunked recurrent minibatches.
 
     Chunks replay from the stored state snapshots; episode boundaries
-    inside a chunk re-zero the state exactly as the rollout did. A
+    inside a chunk re-zero the state exactly as the rollout did. Each
+    minibatch is one time-batched pass (``AgentCore.unroll``), and the
+    losses are computed once over its stacked chunk*B samples. A
     non-finite loss aborts the update before any parameter step.
     """
     T, E = buffer.T, buffer.E
     chunk = ppo.chunk_length
     chunks = [(e, start) for e in range(E) for start in range(0, T, chunk)]
     per_batch = max(1, ppo.batch_size // chunk)
-    cell = agent.core.cell_size
     stats = {"policy_loss": [], "value_loss": [], "entropy": []}
 
     for _ in range(ppo.epochs):
@@ -395,40 +396,27 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
             h0 = np.stack([buffer.h0[k][s, e] for e, s in sel])
             c0 = np.stack([buffer.c0[k][s, e] for e, s in sel])
 
-            with nm.Tape():
-                state = agent.core.initial_state(B)
-                state.h, state.c = Tensor(h0), Tensor(c0)
-                surr_sum = None
-                value_sum = None
-                ent_sum = None
-                for t in range(chunk):
-                    if t > 0 and resets[t].any():
-                        keep = np.repeat((1.0 - resets[t])[:, None], cell, axis=1)
-                        state.h = nm.mul(state.h, Tensor(keep))
-                        state.c = nm.mul(state.c, Tensor(keep))
-                    logits, value, _, state = agent.core.agent_step(
-                        obs[t], pose[t], state)
-                    logp_all = nm.log_softmax(logits)
-                    logp_a = nm.gather_last(logp_all, acts[t])
-                    ratio = nm.exp(logp_a - Tensor(old_logp[t]))
-                    clipped = nm.clip(ratio, 1.0 - ppo.clip_ratio,
-                                      1.0 + ppo.clip_ratio)
-                    adv_t = Tensor(adv[t])
-                    surr = nm.minimum(nm.mul(ratio, adv_t), nm.mul(clipped, adv_t))
-                    diff = value - Tensor(rets[t])
-                    probs = nm.softmax(logits)
-                    s_t = nm.sum_all(surr)
-                    v_t = nm.sum_all(nm.mul(diff, diff))
-                    e_t = nm.sum_all(nm.mul(probs, logp_all))
-                    surr_sum = s_t if surr_sum is None else surr_sum + s_t
-                    value_sum = v_t if value_sum is None else value_sum + v_t
-                    ent_sum = e_t if ent_sum is None else ent_sum + e_t
-                policy_loss = nm.scale(surr_sum, -1.0 / n_samples)
-                value_loss = nm.scale(value_sum, 1.0 / n_samples)
-                neg_entropy = nm.scale(ent_sum, 1.0 / n_samples)
+            with nm.Tape() as tape:
+                logits, value = agent.core.unroll(
+                    obs, pose, RecurrentState(Tensor(h0), Tensor(c0)), resets)
+                logp_all = nm.log_softmax(logits)
+                logp_a = nm.gather_last(logp_all, acts.reshape(-1))
+                ratio = nm.exp(logp_a - Tensor(old_logp.reshape(-1)))
+                clipped = nm.clip(ratio, 1.0 - ppo.clip_ratio,
+                                  1.0 + ppo.clip_ratio)
+                adv_t = Tensor(adv.reshape(-1))
+                surr = nm.minimum(nm.mul(ratio, adv_t), nm.mul(clipped, adv_t))
+                diff = value - Tensor(rets.reshape(-1))
+                probs = nm.softmax(logits)
+                policy_loss = nm.scale(nm.sum_all(surr), -1.0 / n_samples)
+                value_loss = nm.scale(nm.sum_all(nm.mul(diff, diff)),
+                                      1.0 / n_samples)
+                neg_entropy = nm.scale(nm.sum_all(nm.mul(probs, logp_all)),
+                                       1.0 / n_samples)
                 loss = policy_loss + nm.scale(value_loss, ppo.value_coef) \
                     + nm.scale(neg_entropy, ppo.entropy_coef)
                 if not np.isfinite(loss.data).all():
+                    tape.clear()
                     return {"aborted": True,
                             "reason": f"non-finite loss {loss.item()!r}",
                             "policy_loss": None, "value_loss": None,

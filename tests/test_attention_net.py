@@ -2,7 +2,6 @@
 and gradient flow, each against direct scalar oracles where a value is
 asserted."""
 
-import io
 import math
 
 import numpy as np
@@ -11,12 +10,10 @@ import pytest
 import jointattn.numerics as nm
 from jointattn.attention_net import (
     AgentCore,
-    AttentionMaps,
+    RecurrentState,
     act,
     build_spatial_basis,
     pose_vector,
-    read_map_records,
-    write_map_record,
 )
 from jointattn.numerics import Tape, Tensor, backward
 
@@ -247,6 +244,104 @@ class TestAgentStep:
             assert np.array_equal(maps.per_head, expected)
 
 
+class TestUnroll:
+    """The time-batched replay against T chained ``agent_step`` calls."""
+
+    T, B = 5, 3
+
+    def _inputs(self, core, seed):
+        rng = np.random.default_rng(seed)
+        obs = rng.normal(size=(self.T, self.B, core.height, core.width, 3))
+        poses = np.stack([np.stack([pose_vector(rng.integers(core.width),
+                                                rng.integers(core.height),
+                                                rng.integers(4))
+                                    for _ in range(self.B)])
+                          for _ in range(self.T)])
+        resets = np.zeros((self.T, self.B), dtype=bool)
+        resets[2, 1] = True                       # an episode starts mid-chunk
+        resets[0, 0] = True                       # ignored at t = 0
+        h0 = rng.normal(size=(self.B, core.cell_size)) * 0.5
+        c0 = rng.normal(size=(self.B, core.cell_size)) * 0.5
+        w_logits = rng.normal(size=(self.T * self.B, core.num_actions))
+        w_values = rng.normal(size=self.T * self.B)
+        return obs, poses, resets, h0, c0, w_logits, w_values
+
+    def _loss(self, logits, values, w_logits, w_values):
+        return nm.add(nm.sum_all(nm.mul(logits, Tensor(w_logits))),
+                      nm.sum_all(nm.mul(values, Tensor(w_values))))
+
+    def _grads(self, core):
+        grads = {n: p.grad.copy() for n, p in core.params.items()}
+        for p in core.params.values():
+            p.zero_grad()
+        return grads
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_matches_chained_agent_steps(self, use_attention):
+        core = AgentCore(4, 5, conv_filters=6, basis_depth=4, num_heads=2,
+                         head_depth=3, cell_size=8,
+                         use_attention=use_attention, seed=41)
+        obs, poses, resets, h0, c0, w_l, w_v = self._inputs(core, 42)
+
+        with Tape():
+            state = RecurrentState(Tensor(h0), Tensor(c0))
+            logits, values, loss = [], [], None
+            for t in range(self.T):
+                if t > 0 and resets[t].any():
+                    keep = Tensor(np.repeat((1.0 - resets[t])[:, None],
+                                            core.cell_size, axis=1))
+                    state = RecurrentState(nm.mul(state.h, keep),
+                                           nm.mul(state.c, keep))
+                lo, va, _, state = core.agent_step(obs[t], poses[t], state)
+                rows = slice(t * self.B, (t + 1) * self.B)
+                term = self._loss(lo, va, w_l[rows], w_v[rows])
+                loss = term if loss is None else nm.add(loss, term)
+                logits.append(lo.data)
+                values.append(va.data)
+        backward(loss)
+        ref_logits = np.concatenate(logits)
+        ref_values = np.concatenate(values)
+        ref_grads = self._grads(core)
+
+        calls = core.forward_calls
+        with Tape():
+            got_logits, got_values = core.unroll(
+                obs, poses, RecurrentState(Tensor(h0), Tensor(c0)), resets)
+            loss = self._loss(got_logits, got_values, w_l, w_v)
+        backward(loss)
+        got_grads = self._grads(core)
+
+        assert core.forward_calls == calls        # replay is not an act pass
+        assert np.max(np.abs(got_logits.data - ref_logits)) <= 1e-12
+        assert np.max(np.abs(got_values.data - ref_values)) <= 1e-12
+        assert got_grads.keys() == ref_grads.keys() == core.params.keys()
+        overall = max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            if name == "keys/b":
+                # bk_m . q_m shifts all of head m's logits alike, which the
+                # softmax ignores: the exact gradient is zero, both are noise
+                assert np.max(np.abs(ref)) <= 1e-14 * overall
+                assert np.max(np.abs(got_grads[name])) <= 1e-14 * overall
+                continue
+            scale = np.max(np.abs(ref))
+            assert scale > 0.0, name
+            assert np.max(np.abs(got_grads[name] - ref)) <= 1e-10 * scale, name
+
+    def test_reset_cuts_the_state(self):
+        core = AgentCore(4, 4, conv_filters=4, basis_depth=4, num_heads=2,
+                         head_depth=2, cell_size=6, seed=43)
+        obs, poses, resets, h0, c0, _, _ = self._inputs(core, 44)
+        a_logits, _ = core.unroll(obs, poses, RecurrentState(h0, c0), resets)
+        b_logits, _ = core.unroll(obs, poses, RecurrentState(-h0, c0 * 3.0),
+                                  resets)
+        a = a_logits.data.reshape(self.T, self.B, -1)
+        b = b_logits.data.reshape(self.T, self.B, -1)
+        # after the reset at t = 2, sequence 1 no longer sees its start state
+        assert np.array_equal(a[2:, 1], b[2:, 1])
+        assert not np.allclose(a[:2, 1], b[:2, 1])
+        assert not np.allclose(a[:, 0], b[:, 0])
+
+
 class TestHeadSeparation:
     def test_value_perturbation_leaves_logits(self):
         core = AgentCore(4, 4, seed=27)
@@ -382,20 +477,3 @@ class TestAct:
         ref = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         for i in range(6):
             assert abs(logp[i] - ref[i, actions[i]]) < 1e-12
-
-
-class TestMapRecords:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(41)
-        raw = rng.random(size=(4, 5, 6)) + 0.01
-        raw /= raw.reshape(4, -1).sum(axis=1)[:, None, None]
-        maps = AttentionMaps(raw, rng.normal(size=(4, 5, 6)))
-        path = tmp_path / "maps.bin"
-        with open(path, "wb") as f:
-            write_map_record(f, maps)
-            write_map_record(f, maps)
-        records = read_map_records(str(path))
-        assert len(records) == 2
-        for rec in records:
-            assert np.array_equal(rec["per_head"], maps.per_head)
-            assert np.array_equal(rec["mean_map"], maps.mean_map)

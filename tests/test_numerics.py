@@ -5,7 +5,9 @@ code with the tape: nested-loop convolution, scalar gate equations for the
 LSTM, central finite differences for gradients, and a scalar Adam reference.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -316,6 +318,40 @@ class TestBackward:
         with pytest.raises(TapeError):
             backward(loss)
 
+    def test_backward_frees_saved_arrays_without_the_collector(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                y = nm.exp(p)                   # exp saves its output array
+                loss = nm.sum_all(y)
+            saved = weakref.ref(y.data)
+            del y
+            backward(loss)
+            assert saved() is None
+            assert len(tape) == 0
+        finally:
+            gc.enable()
+        assert np.allclose(p.grad, np.e, atol=1e-12)
+
+    def test_cleared_tape_frees_and_counts_as_consumed(self):
+        p = Tensor(np.ones(3), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            with Tape() as tape:
+                y = nm.exp(p)
+                loss = nm.sum_all(y)
+            saved = weakref.ref(y.data)
+            del y
+            tape.clear()
+            assert saved() is None
+        finally:
+            gc.enable()
+        with pytest.raises(TapeError):
+            backward(loss)
+
     def test_unrecorded_loss_raises(self):
         loss = nm.sum_all(Tensor([1.0, 2.0]))
         with pytest.raises(TapeError):
@@ -374,21 +410,33 @@ class TestBackward:
     @pytest.mark.parametrize("seed", range(5))
     def test_attention_path_matches_finite_differences(self, seed):
         rng = np.random.default_rng(100 + seed)
+        m, c, d = 2, 2, 3
         arrays = {
-            "keys_w": rng.normal(size=(3, 2 * 2), scale=0.5),
-            "keys_b": rng.normal(size=4, scale=0.5),
-            "q": rng.normal(size=(1, 2, 2), scale=0.5),
+            "feat": rng.normal(size=(2, 2, 3, d)),   # batch 2, 2x3 grid
+            "q": rng.normal(size=(2, m, c), scale=0.5),
+            "keys_w": rng.normal(size=(d, m * c), scale=0.5),
+            "keys_b": rng.normal(size=m * c, scale=0.5),
+            "values_w": rng.normal(size=(d, m * c), scale=0.5),
+            "values_b": rng.normal(size=m * c, scale=0.5),
+            # unnormalized weights reach the read-out's bias-mass term,
+            # which softmax weights (mass 1) never exercise
+            "raw": rng.random(size=(2, m, 6)),
         }
-        feat = rng.normal(size=(1, 2, 3, 3))  # batch 1, 2x3 grid, 3 channels
+        r_logits = rng.normal(size=(2, m, 6))
+        r_raw = rng.normal(size=(2, m, c))
 
         def forward(a, record=False):
             ts = {n: Tensor(v, requires_grad=record) for n, v in a.items()}
-            flat = nm.reshape(Tensor(feat), (6, 3))
-            keys = nm.reshape(nm.dense(flat, ts["keys_w"], ts["keys_b"]), (1, 6, 2, 2))
-            logits = nm.attention_scores(keys, ts["q"])
+            logits = nm.attention_scores(ts["feat"], ts["q"], ts["keys_w"],
+                                         ts["keys_b"])
             weights = nm.softmax(logits)
-            mixed = nm.attention_apply(weights, keys)
-            return nm.sum_all(nm.mul(mixed, mixed)), ts
+            mixed = nm.attention_apply(weights, ts["feat"], ts["values_w"],
+                                       ts["values_b"])
+            raw = nm.attention_apply(ts["raw"], ts["feat"], ts["values_w"],
+                                     ts["values_b"])
+            loss = nm.add(nm.sum_all(nm.mul(mixed, mixed)),
+                          nm.sum_all(nm.mul(logits, Tensor(r_logits))))
+            return nm.add(loss, nm.sum_all(nm.mul(raw, Tensor(r_raw)))), ts
 
         with Tape():
             loss, ts = forward(arrays, record=True)
@@ -396,6 +444,32 @@ class TestBackward:
         numeric = fd_grads(lambda a: forward(a)[0].item(), arrays)
         for name in arrays:
             assert_close_to_fd(ts[name].grad, numeric[name])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_attention_ops_match_explicit_keys_and_values(self, seed):
+        # oracle: form every position's keys and values, then contract
+        rng = np.random.default_rng(200 + seed)
+        b, h, w, d, m, c = 3, 2, 4, 5, 3, 2
+        feat = rng.normal(size=(b, h, w, d))
+        q = rng.normal(size=(b, m, c))
+        kw, kb = rng.normal(size=(d, m * c)), rng.normal(size=m * c)
+        vw, vb = rng.normal(size=(d, m * c)), rng.normal(size=m * c)
+        a = rng.random(size=(b, m, h * w))
+        flat = feat.reshape(b, h * w, d)
+        logits_ref = np.zeros((b, m, h * w))
+        out_ref = np.zeros((b, m, c))
+        for i in range(b):
+            for p in range(h * w):
+                keys = (flat[i, p] @ kw + kb).reshape(m, c)
+                values = (flat[i, p] @ vw + vb).reshape(m, c)
+                for j in range(m):
+                    logits_ref[i, j, p] = keys[j] @ q[i, j]
+                    out_ref[i, j] += a[i, j, p] * values[j]
+        logits = nm.attention_scores(feat, q, kw, kb).data
+        out = nm.attention_apply(a, feat, vw, vb).data
+        assert logits.shape == (b, m, h * w) and out.shape == (b, m, c)
+        assert np.max(np.abs(logits - logits_ref)) < 1e-12
+        assert np.max(np.abs(out - out_ref)) < 1e-12
 
     def test_elementwise_ops_match_finite_differences(self):
         rng = np.random.default_rng(13)
@@ -414,6 +488,27 @@ class TestBackward:
         backward(loss)
         numeric = fd_grads(lambda a: forward(a)[0].item(), arrays)
         assert_close_to_fd(t.grad, numeric["v"])
+
+    def test_stack_and_unstack_match_finite_differences(self):
+        rng = np.random.default_rng(15)
+        arrays = {"a": rng.normal(size=(3, 2, 4)), "b": rng.normal(size=(2, 4))}
+        r = rng.normal(size=(2, 2, 4))
+
+        def forward(a, record=False):
+            ts = {n: Tensor(v, requires_grad=record) for n, v in a.items()}
+            steps = nm.unstack(ts["a"])
+            assert len(steps) == 3
+            # step 1 is left unused: its gradient slice must come back zero
+            both = nm.stack([nm.mul(steps[2], steps[0]), ts["b"]])
+            return nm.sum_all(nm.mul(both, Tensor(r))), ts
+
+        with Tape():
+            loss, ts = forward(arrays, record=True)
+        backward(loss)
+        numeric = fd_grads(lambda a: forward(a)[0].item(), arrays)
+        for name in arrays:
+            assert_close_to_fd(ts[name].grad, numeric[name])
+        assert np.array_equal(ts["a"].grad[1], np.zeros((2, 4)))
 
     def test_gather_and_log_softmax_match_finite_differences(self):
         rng = np.random.default_rng(14)

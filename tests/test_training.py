@@ -2,6 +2,7 @@
 decentralization, determinism, checkpoints, and the social-learning mode."""
 
 import copy
+import gc
 import os
 
 import numpy as np
@@ -372,6 +373,23 @@ class TestPPOUpdate:
         assert "non-finite" in stats["reason"]
         for n, data in snapshot.items():
             assert np.array_equal(agent.core.params[n].data, data)
+
+    def test_aborted_update_drops_its_tape(self):
+        agent = self._agent(seed=4)
+        buf, _ = bandit_buffer(agent, action=3)
+        buf.advantages[0][:] = np.nan
+        cfg = PPOConfig(chunk_length=4, batch_size=8, segment_length=4,
+                        epochs=1)
+        gc.collect()
+        gc.disable()
+        try:
+            stats = ppo_update(agent, buf, 0, cfg, np.random.default_rng(0))
+            live = [o for o in gc.get_objects()
+                    if isinstance(o, nm.Tape) and len(o) > 0]
+        finally:
+            gc.enable()
+        assert stats["aborted"]
+        assert live == []
 
     def test_update_depends_only_on_own_lane_and_shared_bonus(self):
         tr = small_trainer(["joint_attention", "joint_attention"], seed=8)
