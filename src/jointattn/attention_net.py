@@ -16,11 +16,15 @@ enters the LSTM together with an embedded pose vector. Policy and value
 heads sit on top of the LSTM and share no parameters.
 
 The forward pass has three pieces: ``encode`` (frame-only: conv, basis,
-pose embedding), ``recurrent_step`` (query -> attention -> LSTM) and
-``heads`` (policy and value from h). ``agent_step`` runs them for one step;
-``unroll`` replays a stored chunk under a tape, encoding all of its frames
-at once, stepping only the recurrent piece, and running the heads once
-over the stacked states.
+pose embedding), ``recurrent_step`` (query -> attention -> LSTM for T
+steps) and ``heads`` (policy and value from h). The recurrence is the
+single tape op ``nm.attention_lstm``, whose backward runs through time by
+hand. ``agent_step`` runs the three pieces for one step (T = 1); ``unroll``
+replays a stored chunk under a tape: it encodes all of its frames at once,
+runs the whole recurrence as one node, and runs the heads once over the
+stacked states. ``query_from_state`` and ``compute_attention`` build the
+same query and attention from the composed tape ops; they are the
+reference the fused recurrence is tested against.
 
 With ``use_attention=False`` the conv features are globally mean-pooled and
 fed to the LSTM directly; no maps are produced and no attention parameters
@@ -92,8 +96,9 @@ class AttentionMaps:
 
     ``per_head`` is (m, h, w) or (batch, m, h, w); ``mean_map`` drops the
     head axis. ``head_logits`` keeps the pre-softmax scores for the clipped
-    incentive variant. These are detached copies: the differentiable path
-    to the policy stays on the tape inside the forward pass.
+    incentive variant. These are plain arrays off the tape, to be read, not
+    written: the differentiable path to the policy stays inside the forward
+    pass.
     """
 
     __slots__ = ("per_head", "mean_map", "head_logits")
@@ -102,11 +107,6 @@ class AttentionMaps:
         self.per_head = per_head
         self.head_logits = head_logits
         self.mean_map = per_head.mean(axis=-3)
-
-    def sample(self, i: int) -> "AttentionMaps":
-        if self.per_head.ndim != 4:
-            raise ValueError("sample() needs a batched AttentionMaps")
-        return AttentionMaps(self.per_head[i].copy(), self.head_logits[i].copy())
 
 
 class AgentCore:
@@ -257,22 +257,27 @@ class AgentCore:
             return features, embedded
         return None, nm.concat_last(nm.spatial_mean(features), embedded)
 
-    def recurrent_step(self, features, frame_in, state: RecurrentState) -> tuple:
-        """Query from h_{t-1}, attention over this frame's features, then the
-        LSTM: (maps, new_state). maps is None when attention is off."""
-        h_prev = state.h if isinstance(state.h, Tensor) else Tensor(state.h)
-        c_prev = state.c if isinstance(state.c, Tensor) else Tensor(state.c)
+    def recurrent_step(self, features, frame_in, state: RecurrentState,
+                       keep) -> tuple:
+        """T steps of query from h_{t-1} -> attention over frame t's
+        features -> LSTM, for B sequences, as one tape node
+        (``nm.attention_lstm``): (hs, c_T, weights, logits).
+
+        features and frame_in are the (T*B, ...) time-major output of
+        ``encode``; state holds the (B, cell) h and c before step 0; keep is
+        the (T, B) 0/1 mask that multiplies the state before each step. hs
+        is the (T, B, cell) tensor of every step's h and c_T the final cell
+        state; weights and logits are the (T, B, heads, h*w) attention maps
+        as plain arrays, or None when attention is off.
+        """
+        p = self.params
+        attention = None
         if self.use_attention:
-            queries = self.query_from_state(h_prev)
-            maps, attended = self.compute_attention(features, queries)
-            summary = nm.reshape(attended, (attended.shape[0],
-                                            self.num_heads * self.head_depth))
-            lstm_in = nm.concat_last(summary, frame_in)
-        else:
-            maps, lstm_in = None, frame_in
-        h_new, c_new = nm.lstm_step(lstm_in, h_prev, c_prev,
-                                    self.params["lstm/w"], self.params["lstm/b"])
-        return maps, RecurrentState(h_new, c_new)
+            attention = (features, p["query/w"], p["query/b"], p["keys/w"],
+                         p["keys/b"], p["values/w"], p["values/b"])
+        return nm.attention_lstm(frame_in, state.h, state.c, keep,
+                                 p["lstm/w"], p["lstm/b"], attention,
+                                 self.num_heads)
 
     def heads(self, h) -> tuple:
         """Policy logits (n, actions) and values (n,) from LSTM states (n, cell)."""
@@ -303,10 +308,18 @@ class AgentCore:
             raise nm.ShapeError(
                 f"agent_step expects batched inputs, got obs {x.shape}, p {pv.shape}"
             )
+        B = x.shape[0]
         features, frame_in = self.encode(x, pv)
-        maps, new_state = self.recurrent_step(features, frame_in, state)
-        action_logits, value = self.heads(new_state.h)
-        return action_logits, value, maps, new_state
+        hs, c, weights, logits = self.recurrent_step(features, frame_in, state,
+                                                     np.ones((1, B)))
+        h = nm.reshape(hs, (B, self.cell_size))
+        maps = None
+        if weights is not None:
+            grid = (B, self.num_heads, self.height, self.width)
+            maps = AttentionMaps(weights[0].reshape(grid),
+                                 logits[0].reshape(grid))
+        action_logits, value = self.heads(h)
+        return action_logits, value, maps, RecurrentState(h, c)
 
     def unroll(self, obs, p, state: RecurrentState, resets) -> tuple:
         """Replay T steps of B stored sequences: (action_logits, values).
@@ -316,8 +329,8 @@ class AgentCore:
         t > 0 the state is zeroed before step t, as the rollout did at an
         episode start. Matches T chained ``agent_step`` calls up to
         rounding, but the frame work and the heads each run once over all
-        T*B frames; outputs are stacked time-major, (T*B, actions) and
-        (T*B,).
+        T*B frames and the T recurrent steps are one tape node; outputs are
+        stacked time-major, (T*B, actions) and (T*B,).
         """
         obs = np.asarray(obs, dtype=np.float64)
         p = np.asarray(p, dtype=np.float64)
@@ -328,20 +341,10 @@ class AgentCore:
         T, B = obs.shape[:2]
         features, frame_in = self.encode(obs.reshape((T * B,) + obs.shape[2:]),
                                          p.reshape(T * B, p.shape[2]))
-        frame_steps = nm.unstack(nm.reshape(frame_in, (T, B, frame_in.shape[1])))
-        feature_steps = [None] * T if features is None else \
-            nm.unstack(nm.reshape(features, (T, B) + features.shape[1:]))
-        hs = []
-        for t in range(T):
-            if t > 0 and resets[t].any():
-                keep = Tensor(np.repeat((1.0 - resets[t])[:, None],
-                                        self.cell_size, axis=1))
-                state = RecurrentState(nm.mul(state.h, keep),
-                                       nm.mul(state.c, keep))
-            _, state = self.recurrent_step(feature_steps[t], frame_steps[t],
-                                           state)
-            hs.append(state.h)
-        return self.heads(nm.reshape(nm.stack(hs), (T * B, self.cell_size)))
+        keep = 1.0 - np.asarray(resets, dtype=np.float64)
+        keep[0] = 1.0
+        hs, _, _, _ = self.recurrent_step(features, frame_in, state, keep)
+        return self.heads(nm.reshape(hs, (T * B, self.cell_size)))
 
 
 def act(action_logits, mode: str, rng: np.random.Generator | None = None):

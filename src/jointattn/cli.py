@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import sys
 import traceback
 
@@ -445,13 +446,25 @@ def build_agents_from_checkpoint(ckdir: str, cfg: ExperimentConfig) -> list:
 
 def _save_run_checkpoint(trainer: Trainer, outdir: str, cfg: ExperimentConfig,
                          manifest: Manifest) -> str:
-    rel = os.path.join("checkpoints", f"step{trainer.global_step:09d}")
+    """Save the current step's checkpoint unless it exists; returns its path
+    relative to ``outdir``.
+
+    The directory, config.cfg included, is written under a name that
+    ``_checkpoint_steps`` ignores and then renamed into place, so a save
+    that dies part-way leaves no ``stepNNN`` directory to be taken for a
+    whole checkpoint; the next save of that step removes the leftover.
+    """
+    name = f"step{trainer.global_step:09d}"
+    rel = os.path.join("checkpoints", name)
     path = os.path.join(outdir, rel)
     if not os.path.isdir(path):
-        save_checkpoint(path, trainer.agents, trainer.global_step,
+        partial = os.path.join(outdir, "checkpoints", f"partial-{name}")
+        shutil.rmtree(partial, ignore_errors=True)
+        save_checkpoint(partial, trainer.agents, trainer.global_step,
                         trainer.episodes, config_hash(cfg))
-        with open(os.path.join(path, "config.cfg"), "w") as f:
+        with open(os.path.join(partial, "config.cfg"), "w") as f:
             f.write(serialize_config(cfg))
+        os.replace(partial, path)
         manifest.add("checkpoints", rel)
     return rel
 

@@ -40,33 +40,32 @@ class IncentiveConfig:
 
 
 def kl_divergence(p, q) -> float:
-    """Sum of p * log(p/q), natural log, over matching probability fields."""
+    """Sum of p * log(p/q), natural log, over matching probability fields.
+
+    A cell with p = 0 adds 0 (0 * log 0 = 0); a cell with q = 0 < p makes the
+    divergence +inf. Negative entries are rejected.
+    """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"field shapes differ: {p.shape} vs {q.shape}")
-    if p.min() <= 0.0 or q.min() <= 0.0:
-        raise ValueError("kl_divergence needs strictly positive fields "
-                         "(softmax outputs)")
-    return float(np.sum(p * (np.log(p) - np.log(q))))
+    p_min, q_min = p.min(), q.min()
+    if p_min < 0.0 or q_min < 0.0:
+        raise ValueError("kl_divergence needs non-negative fields")
+    if p_min > 0.0 and q_min > 0.0:     # softmax fields: no zero to mask
+        return float(np.sum(p * (np.log(p) - np.log(q))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * (np.log(p) - np.log(q))
+    return float(np.sum(np.where(p == 0.0, 0.0, terms)))
 
 
 def jsd(p, q) -> float:
-    """0.5*KL(p, m) + 0.5*KL(q, m) with m the pointwise mean; in [0, ln 2]."""
+    """0.5*KL(p, m) + 0.5*KL(q, m) with m the pointwise mean; in [0, ln 2].
+    Zero cells are allowed: m > 0 wherever p or q is."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     m = 0.5 * (p + q)
     return 0.5 * kl_divergence(p, m) + 0.5 * kl_divergence(q, m)
-
-
-def _jsd_allow_zeros(p, q) -> float:
-    # 0*log(0) taken as 0; m > 0 wherever p or q is
-    m = 0.5 * (p + q)
-    out = 0.0
-    for field in (p, q):
-        mask = field > 0.0
-        out += 0.5 * float(np.sum(field[mask] * (np.log(field[mask]) - np.log(m[mask]))))
-    return out
 
 
 def clipped_jsd(p_logits, q_logits, threshold: float) -> float:
@@ -93,7 +92,7 @@ def clipped_jsd(p_logits, q_logits, threshold: float) -> float:
         e = np.exp(z)
         return e / e.sum()
 
-    return _jsd_allow_zeros(renorm(p_logits), renorm(q_logits))
+    return jsd(renorm(p_logits), renorm(q_logits))
 
 
 def joint_attention_reward(mean_maps, cfg: IncentiveConfig,

@@ -2,8 +2,10 @@
 
 Everything is dense, row-major and 64-bit. The op set is exactly what the
 agent networks and the PPO losses need; most ops accept an optional leading
-batch axis. Recording happens only while a ``Tape`` is active, so rollout-time
-forward passes pay nothing beyond a flag check per op.
+batch axis. ``lstm_step``, ``attention_scores`` and ``attention_apply`` are
+the composed form of the recurrence ``attention_lstm`` runs as one node, kept
+as its test reference. Recording happens only while a ``Tape`` is active, so
+rollout-time forward passes pay nothing beyond a flag check per op.
 
 Typical use::
 
@@ -378,37 +380,6 @@ def reshape(a, shape) -> Tensor:
 
     _record((out,), (a,), fn)
     return out
-
-
-def stack(tensors) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis; one tape node."""
-    ts = tuple(_astensor(t) for t in tensors)
-    if not ts:
-        raise ShapeError("stack of no tensors")
-    for t in ts[1:]:
-        _same_shape(ts[0], t, "stack")
-    out = Tensor(np.stack([t.data for t in ts]))
-
-    def fn(gouts, need):
-        (g,) = gouts
-        return tuple(g)
-
-    _record((out,), ts, fn)
-    return out
-
-
-def unstack(a) -> tuple:
-    """Split along the leading axis into a[0], a[1], ...; one tape node."""
-    a = _astensor(a)
-    if a.data.ndim < 1 or a.data.shape[0] == 0:
-        raise ShapeError(f"unstack needs a non-empty leading axis, got {a.data.shape}")
-    outs = tuple(Tensor(x) for x in a.data)
-
-    def fn(gouts, need):
-        return (np.stack(gouts),)
-
-    _record(outs, (a,), fn)
-    return outs
 
 
 def concat_last(a, b) -> Tensor:
@@ -830,3 +801,195 @@ def attention_apply(weights, features, value_w, value_b) -> Tensor:
 
     _record((out,), (weights, features, value_w, value_b), fn)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the attention-LSTM recurrence as one node
+
+
+def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
+                   heads: int) -> tuple:
+    """T steps of query -> attention logits -> softmax -> read-out -> LSTM
+    over B sequences, recorded as a single tape node.
+
+    keep is a (T, B) 0/1 array: before step t the state is multiplied by
+    keep[t], so a 0 starts a new episode. frame_in is (T*B, n) time-major;
+    h0 and c0 are the (B, cell) states before step 0. attention is None, when
+    the LSTM input is frame_in alone, or the tuple (features, query_w,
+    query_b, key_w, key_b, value_w, value_b): features (T*B, ..., d)
+    time-major, the query ``h @ query_w + query_b`` split into ``heads``
+    heads, and the keys and values affine in the features as in
+    ``attention_scores`` and ``attention_apply``. The LSTM input of step t
+    is [read-out, frame_in], then h, as in ``lstm_step``.
+
+    Returns (hs, c_T, weights, logits): hs the (T, B, cell) tensor of every
+    step's h, c_T the (B, cell) final cell state, and the attention weights
+    and logits as (T, B, heads, pos) plain arrays (None without attention).
+    The forward repeats the expressions of the composed ops, so it matches
+    them bit for bit; the backward runs the recurrent chain step by step
+    and forms every parameter gradient once over all T*B rows.
+    """
+    frame_in, h0, c0 = _astensor(frame_in), _astensor(h0), _astensor(c0)
+    lstm_w, lstm_b = _astensor(lstm_w), _astensor(lstm_b)
+    keep = np.asarray(keep, dtype=np.float64)
+    if keep.ndim != 2:
+        raise ShapeError(f"attention_lstm: keep must be (T, B), got {keep.shape}")
+    T, B = keep.shape
+    hd, cd = h0.data, c0.data
+    if hd.ndim != 2 or hd.shape[0] != B or cd.shape != hd.shape:
+        raise ShapeError(f"attention_lstm: states h{hd.shape} c{cd.shape} "
+                         f"vs keep {keep.shape}")
+    cell = hd.shape[1]
+    xd = frame_in.data
+    if xd.ndim != 2 or xd.shape[0] != T * B:
+        raise ShapeError(f"attention_lstm: frame_in {xd.shape} vs keep {keep.shape}")
+    inputs = (frame_in, h0, c0, lstm_w, lstm_b)
+    n_sum = 0
+    if attention is not None:
+        features, query_w, query_b, key_w, key_b, value_w, value_b = \
+            (_astensor(a) for a in attention)
+        inputs += (features, query_w, query_b, key_w, key_b, value_w, value_b)
+        f, wk, bk = _attention_operands(features, key_w, key_b, heads,
+                                        "attention_lstm")
+        _, wv, bv = _attention_operands(features, value_w, value_b, heads,
+                                        "attention_lstm")
+        n_sum = key_w.data.shape[1]
+        qw, qb = query_w.data, query_b.data
+        if f.shape[0] != T * B or value_w.data.shape[1] != n_sum \
+                or qw.shape != (cell, n_sum) or qb.shape != (n_sum,):
+            raise ShapeError(
+                f"attention_lstm: features {features.data.shape}, query "
+                f"{qw.shape}, keys {key_w.data.shape}, values "
+                f"{value_w.data.shape} vs keep {keep.shape}, cell {cell}")
+        P, d = f.shape[1:]
+        m, depth = heads, n_sum // heads
+        fs = f.reshape(T, B, P, d)
+        wk_t, wv_t = wk.transpose(0, 2, 1), wv.transpose(0, 2, 1)
+    n_x = n_sum + xd.shape[1]
+    lw, lb = lstm_w.data, lstm_b.data
+    if lw.shape != (n_x + cell, 4 * cell) or lb.shape != (4 * cell,):
+        raise ShapeError(f"attention_lstm: lstm weights {lw.shape}, bias "
+                         f"{lb.shape}, expected {(n_x + cell, 4 * cell)}")
+
+    # saved for backward; xh holds each step's whole LSTM input row, whose
+    # last cell columns are the kept h_{t-1}
+    xh = np.empty((T, B, n_x + cell))
+    xh[:, :, n_sum:n_x] = xd.reshape(T, B, -1)
+    c_kept = np.empty((T, B, cell))
+    gates = np.empty((T, B, 4 * cell))      # i, f, tanh candidate, o
+    tcs = np.empty((T, B, cell))
+    hs = np.empty((T, B, cell))
+    weights = logits = None
+    if attention is not None:
+        q = np.empty((T, B, m, depth))
+        logits = np.empty((T, B, m, P))
+        # per step, a2 holds [dlogits (backward); weights (forward)] and v2
+        # [W_m q (forward); read-out gradient (backward)], so that the
+        # feature gradient is one batched product over all T*B rows
+        a2 = np.empty((T, B, 2 * m, P))
+        v2 = np.empty((T, B, 2 * m, d))
+        read = np.empty((T, B, m, d))
+        mass = np.empty((T, B, m))
+        weights = a2[:, :, m:]
+
+    # the ops write into the saved arrays (out=) where the composed ops
+    # made a fresh one; the values are the same
+    h, c = hd, cd
+    for t in range(T):
+        kt = keep[t][:, None]
+        hk = np.multiply(h, kt, out=xh[t, :, n_x:])
+        ck = np.multiply(c, kt, out=c_kept[t])
+        if attention is not None:
+            qt = q[t]
+            np.add(hk @ qw, qb, out=qt.reshape(B, n_sum))
+            wq = _per_head(qt, wk_t)
+            v2[t, :, :m] = wq
+            lt = np.add(wq @ fs[t].transpose(0, 2, 1),
+                        (qt * bk).sum(axis=-1)[:, :, None], out=logits[t])
+            e = np.exp(lt - lt.max(axis=-1, keepdims=True))
+            s = e / e.sum(axis=-1, keepdims=True)
+            a2[t, :, m:] = s
+            rd = np.matmul(s, fs[t], out=read[t])
+            ms = np.sum(s, axis=-1, out=mass[t])
+            xh[t, :, :n_sum] = (_per_head(rd, wv) + ms[:, :, None] * bv) \
+                .reshape(B, n_sum)
+        z = xh[t] @ lw + lb
+        g_all = gates[t]
+        g_all[...] = _sigmoid(z)
+        np.tanh(z[:, 2 * cell:3 * cell], out=g_all[:, 2 * cell:3 * cell])
+        i, f_g = g_all[:, :cell], g_all[:, cell:2 * cell]
+        g, o = g_all[:, 2 * cell:3 * cell], g_all[:, 3 * cell:]
+        c = f_g * ck + i * g
+        h = np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t])
+
+    hs_out, c_out = Tensor(hs), Tensor(c)
+
+    def fn(gouts, need):
+        g_hs, g_c = gouts
+        dz = np.empty((T, B, 4 * cell))
+        dxh = np.empty((T, B, n_x + cell))
+        if attention is not None:
+            gq = np.empty((T, B, m, depth))
+            gwq = np.empty((T, B, m, d))
+            gbq = np.empty((T, B, m))
+        # the local derivatives of every step at once: dc/dh, dz/dc for
+        # the input, forget and candidate gate columns, and dz/dh for the
+        # output gate's
+        i, f_g, g, o = (gates[:, :, k * cell:(k + 1) * cell] for k in range(4))
+        dc_dh = o * (1.0 - tcs * tcs)
+        dz_dc = np.stack([g * i * (1.0 - i), c_kept * f_g * (1.0 - f_g),
+                          i * (1.0 - g * g)], axis=2)
+        dz_dh = tcs * o * (1.0 - o)
+        dh, dc = 0.0, g_c
+        for t in reversed(range(T)):
+            dh = g_hs[t] + dh
+            dc = dc + dh * dc_dh[t]
+            dzt = dz[t].reshape(B, 4, cell)
+            np.multiply(dc[:, None, :], dz_dc[t], out=dzt[:, :3])
+            np.multiply(dh, dz_dh[t], out=dzt[:, 3])
+            dx = dxh[t]
+            np.matmul(dz[t], lw.T, out=dx)
+            dc = dc * f_g[t]
+            dh = dx[:, n_x:]
+            if attention is not None:
+                go = dx[:, :n_sum].reshape(B, m, depth)
+                gread = _per_head(go, wv_t)
+                v2[t, :, m:] = gread
+                s = a2[t, :, m:]
+                ga = gread @ fs[t].transpose(0, 2, 1) \
+                    + (go * bv).sum(axis=-1)[:, :, None]
+                dl = (ga - (ga * s).sum(axis=-1, keepdims=True)) * s
+                a2[t, :, :m] = dl
+                gw = gwq[t]
+                np.matmul(dl, fs[t], out=gw)
+                gb = gbq[t]
+                gb[...] = dl.sum(axis=-1)
+                gqt = gq[t]
+                gqt[...] = _per_head(gw, wk) + gb[:, :, None] * bk
+                dh = dh + gqt.reshape(B, n_sum) @ qw.T
+            kt = keep[t][:, None]
+            dh = dh * kt
+            dc = dc * kt
+
+        n = T * B
+        dz = dz.reshape(n, 4 * cell)
+        grads = (dxh[:, :, n_sum:n_x].reshape(n, -1), dh, dc,
+                 xh.reshape(n, -1).T @ dz, dz.sum(axis=0))
+        if attention is None:
+            return grads
+        gq = gq.reshape(n, n_sum)
+        go = dxh[:, :, :n_sum].reshape(n, m, depth)
+        q2 = q.reshape(n, m, depth)
+        gf = a2.reshape(n, 2 * m, P).transpose(0, 2, 1) @ v2.reshape(n, 2 * m, d)
+        return grads + (
+            gf.reshape(features.data.shape),
+            xh[:, :, n_x:].reshape(n, cell).T @ gq,
+            gq.sum(axis=0),
+            _sum_batch_outer(gwq.reshape(n, m, d), q2, key_w.data.shape),
+            (gbq.reshape(n, m, 1) * q2).sum(axis=0).reshape(-1),
+            _sum_batch_outer(read.reshape(n, m, d), go, value_w.data.shape),
+            (mass.reshape(n, m, 1) * go).sum(axis=0).reshape(-1),
+        )
+
+    _record((hs_out, c_out), inputs, fn)
+    return hs_out, c_out, weights, logits

@@ -7,18 +7,23 @@ import shutil
 import numpy as np
 import pytest
 
+import jointattn.numerics as nm
 from jointattn.cli import (
     ConfigError,
     ExperimentConfig,
+    Manifest,
+    _checkpoint_steps,
+    _save_run_checkpoint,
     apply_overrides,
     config_hash,
     main,
     mutual_cells,
     parse_config_text,
+    read_checkpoint_config,
     serialize_config,
 )
 from jointattn.ja_reward import IncentiveConfig
-from jointattn.training import PPOConfig
+from jointattn.training import AgentSpec, PopulationSpec, PPOConfig, Trainer
 
 TINY_MEETUP = """\
 env.kind = meetup
@@ -247,6 +252,44 @@ class TestTrainCommand:
         base = json.loads(
             (train_run["outdir"] / "manifest.json").read_text())
         assert ours["config_hash"] != base["config_hash"]
+
+
+class TestRunCheckpoint:
+    def test_save_that_dies_leaves_no_step_directory(self, tmp_path,
+                                                     monkeypatch):
+        cfg = parse_config_text(TINY_MEETUP)
+        pop = PopulationSpec([AgentSpec(v) for v in cfg.population],
+                             cfg.incentive)
+        trainer = Trainer(cfg.env_kind, cfg.env_variant, pop, cfg.ppo,
+                          seed=cfg.seed, env_overrides=cfg.env_overrides)
+        manifest = Manifest(str(tmp_path), "train", config_hash(cfg),
+                            [cfg.seed])
+        ckroot = tmp_path / "checkpoints"
+        save_params = nm.save_params
+
+        def dies_on_second_agent(blob_path, index_path, params):
+            if os.path.basename(blob_path) == "agent1.blob":
+                raise OSError("disk gone")
+            save_params(blob_path, index_path, params)
+
+        monkeypatch.setattr(nm, "save_params", dies_on_second_agent)
+        with pytest.raises(OSError):
+            _save_run_checkpoint(trainer, str(tmp_path), cfg, manifest)
+        assert not [n for n in os.listdir(ckroot) if n.startswith("step")]
+        assert _checkpoint_steps(str(ckroot)) == []
+        assert manifest.data["checkpoints"] == []
+
+        monkeypatch.setattr(nm, "save_params", save_params)
+        rel = _save_run_checkpoint(trainer, str(tmp_path), cfg, manifest)
+        name = os.path.basename(rel)
+        assert os.listdir(ckroot) == [name]
+        assert _checkpoint_steps(str(ckroot)) == [name]
+        assert set(os.listdir(ckroot / name)) == {
+            "checkpoint.json", "config.cfg", "agent0.blob", "agent0.json",
+            "agent0_adam.blob", "agent0_adam.json", "agent1.blob",
+            "agent1.json", "agent1_adam.blob", "agent1_adam.json"}
+        assert read_checkpoint_config(str(ckroot / name)) == cfg
+        assert manifest.data["checkpoints"] == [rel]
 
 
 class TestEvalCommand:

@@ -50,11 +50,17 @@ class TestKl:
         assert abs(kl_divergence(q, p) - 0.14384) < 1e-5
         assert kl_divergence(p, q) != kl_divergence(q, p)
 
-    def test_nonpositive_entry_rejected(self):
+    def test_zero_cells_and_negative_entry(self):
+        # 0 * log 0 = 0: only the p = 1 cell counts, 1 * log(1 / 0.5)
+        assert kl_divergence(np.array([1.0, 0.0]),
+                             np.array([0.5, 0.5])) == math.log(2.0)
+        # q = 0 where p > 0: no finite divergence
+        assert kl_divergence(np.array([0.5, 0.5]),
+                             np.array([1.0, 0.0])) == math.inf
         with pytest.raises(ValueError):
-            kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+            kl_divergence(np.array([1.25, -0.25]), np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
-            kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            kl_divergence(np.array([0.5, 0.5]), np.array([1.25, -0.25]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -73,6 +79,13 @@ class TestJsd:
         expected = 0.9 * math.log(1.8) + 0.1 * math.log(0.2)
         assert abs(jsd(p, q) - expected) < 1e-12
         assert abs(jsd(p, q) - 0.36806) < 1e-5
+
+    def test_zero_cells_allowed(self):
+        # disjoint supports reach the bound: 0.5 ln 2 + 0.5 ln 2
+        assert abs(jsd([1.0, 0.0], [0.0, 1.0]) - math.log(2.0)) < 1e-15
+        # a cell that is 0 in both fields adds nothing
+        assert jsd([0.9, 0.1, 0.0], [0.1, 0.9, 0.0]) == jsd([0.9, 0.1],
+                                                            [0.1, 0.9])
 
     def test_symmetry_on_random_pairs(self):
         rng = np.random.default_rng(2)

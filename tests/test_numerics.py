@@ -489,27 +489,6 @@ class TestBackward:
         numeric = fd_grads(lambda a: forward(a)[0].item(), arrays)
         assert_close_to_fd(t.grad, numeric["v"])
 
-    def test_stack_and_unstack_match_finite_differences(self):
-        rng = np.random.default_rng(15)
-        arrays = {"a": rng.normal(size=(3, 2, 4)), "b": rng.normal(size=(2, 4))}
-        r = rng.normal(size=(2, 2, 4))
-
-        def forward(a, record=False):
-            ts = {n: Tensor(v, requires_grad=record) for n, v in a.items()}
-            steps = nm.unstack(ts["a"])
-            assert len(steps) == 3
-            # step 1 is left unused: its gradient slice must come back zero
-            both = nm.stack([nm.mul(steps[2], steps[0]), ts["b"]])
-            return nm.sum_all(nm.mul(both, Tensor(r))), ts
-
-        with Tape():
-            loss, ts = forward(arrays, record=True)
-        backward(loss)
-        numeric = fd_grads(lambda a: forward(a)[0].item(), arrays)
-        for name in arrays:
-            assert_close_to_fd(ts[name].grad, numeric[name])
-        assert np.array_equal(ts["a"].grad[1], np.zeros((2, 4)))
-
     def test_gather_and_log_softmax_match_finite_differences(self):
         rng = np.random.default_rng(14)
         logits = rng.normal(size=(4, 5))
@@ -535,6 +514,168 @@ class TestBackward:
         backward(loss)
         assert x.grad is None
         assert np.array_equal(p.grad, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# attention_lstm
+
+
+class TestAttentionLstm:
+    """The one-node recurrence against a loop of the composed ops it fuses,
+    and against central differences."""
+
+    B, heads, depth, cell, n_frame, grid, d = 3, 2, 2, 4, 3, (2, 3), 3
+    ATTENTION = ("features", "query_w", "query_b", "key_w", "key_b",
+                 "value_w", "value_b")
+
+    def _arrays(self, T, attention, seed):
+        rng = np.random.default_rng(seed)
+        B, cell, kv = self.B, self.cell, self.heads * self.depth
+        n_x = self.n_frame + (kv if attention else 0)
+        a = {
+            "frame_in": rng.normal(size=(T * B, self.n_frame)),
+            "h0": rng.normal(size=(B, cell), scale=0.5),
+            "c0": rng.normal(size=(B, cell), scale=0.5),
+            "lstm_w": rng.normal(size=(n_x + cell, 4 * cell), scale=0.5),
+            "lstm_b": rng.normal(size=4 * cell, scale=0.5),
+        }
+        if attention:
+            a.update({
+                "features": rng.normal(size=(T * B,) + self.grid + (self.d,)),
+                "query_w": rng.normal(size=(cell, kv), scale=0.5),
+                "query_b": rng.normal(size=kv, scale=0.5),
+                "key_w": rng.normal(size=(self.d, kv), scale=0.5),
+                "key_b": rng.normal(size=kv, scale=0.5),
+                "value_w": rng.normal(size=(self.d, kv), scale=0.5),
+                "value_b": rng.normal(size=kv, scale=0.5),
+            })
+        keep = np.ones((T, B))
+        keep[0, 2] = 0.0                          # a reset before step 0
+        keep[T - 2, 1] = 0.0                      # and one mid-chunk
+        r_hs = rng.normal(size=(T, B, cell))
+        r_c = rng.normal(size=(B, cell))
+        return a, keep, r_hs, r_c
+
+    def _loss(self, hs, c, r_hs, r_c):
+        return nm.add(nm.sum_all(nm.mul(hs, Tensor(r_hs))),
+                      nm.sum_all(nm.mul(c, Tensor(r_c))))
+
+    def _fused(self, a, keep, record=False):
+        ts = {n: Tensor(v, requires_grad=record) for n, v in a.items()}
+        attention = tuple(ts[n] for n in self.ATTENTION) \
+            if "features" in ts else None
+        hs, c, weights, logits = nm.attention_lstm(
+            ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm_w"],
+            ts["lstm_b"], attention, self.heads)
+        return hs, c, weights, logits, ts
+
+    def _composed(self, a, keep):
+        """The composed ops step by step, each step's frame_in and features
+        slice its own leaf; returns the outputs, the leaves and the maps."""
+        T, B = keep.shape
+        ts = {n: Tensor(v, requires_grad=True) for n, v in a.items()
+              if n not in ("frame_in", "features")}
+        frames = [Tensor(x, requires_grad=True)
+                  for x in a["frame_in"].reshape(T, B, -1)]
+        feats = [Tensor(x, requires_grad=True) for x in
+                 a["features"].reshape((T, B) + a["features"].shape[1:])] \
+            if "features" in a else None
+        h, c = ts["h0"], ts["c0"]
+        hs, weights, logits = [], [], []
+        for t in range(T):
+            k = Tensor(np.repeat(keep[t][:, None], self.cell, axis=1))
+            h, c = nm.mul(h, k), nm.mul(c, k)
+            x = frames[t]
+            if feats is not None:
+                q = nm.reshape(nm.dense(h, ts["query_w"], ts["query_b"]),
+                               (B, self.heads, self.depth))
+                lo = nm.attention_scores(feats[t], q, ts["key_w"], ts["key_b"])
+                w = nm.softmax(lo)
+                out = nm.attention_apply(w, feats[t], ts["value_w"],
+                                         ts["value_b"])
+                x = nm.concat_last(nm.reshape(out, (B, -1)), x)
+                weights.append(w.data)
+                logits.append(lo.data)
+            h, c = nm.lstm_step(x, h, c, ts["lstm_w"], ts["lstm_b"])
+            hs.append(h)
+        return hs, c, ts, frames, feats, weights, logits
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_matches_composed_ops(self, attention):
+        T = 5
+        a, keep, r_hs, r_c = self._arrays(T, attention, 61)
+
+        with Tape():
+            hs, c, weights, logits, ts = self._fused(a, keep, record=True)
+            loss = self._loss(hs, c, r_hs, r_c)
+        backward(loss)
+
+        with Tape():
+            ref_hs, ref_c, ref_ts, frames, feats, ref_w, ref_lo = \
+                self._composed(a, keep)
+            terms = [nm.sum_all(nm.mul(h, Tensor(r_hs[t])))
+                     for t, h in enumerate(ref_hs)]
+            ref_loss = nm.sum_all(nm.mul(ref_c, Tensor(r_c)))
+            for term in terms:
+                ref_loss = nm.add(ref_loss, term)
+        backward(ref_loss)
+
+        assert hs.shape == (T, self.B, self.cell)
+        assert np.array_equal(hs.data, np.stack([h.data for h in ref_hs]))
+        assert np.array_equal(c.data, ref_c.data)
+        if attention:
+            shape = (T, self.B, self.heads, self.grid[0] * self.grid[1])
+            assert weights.shape == logits.shape == shape
+            assert np.array_equal(weights, np.stack(ref_w))
+            assert np.array_equal(logits, np.stack(ref_lo))
+        else:
+            assert weights is None and logits is None
+
+        ref_grads = {n: t.grad for n, t in ref_ts.items()}
+        ref_grads["frame_in"] = np.concatenate([f.grad for f in frames])
+        if attention:
+            ref_grads["features"] = np.concatenate([f.grad for f in feats])
+        assert ref_grads.keys() == ts.keys()
+        overall = max(np.max(np.abs(g)) for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            got = ts[name].grad
+            assert got.shape == ref.shape, name
+            if name == "key_b":
+                # bk_m . q_m shifts all of head m's logits alike, which the
+                # softmax ignores: the exact gradient is zero, both are noise
+                assert np.max(np.abs(ref)) <= 1e-14 * overall
+                assert np.max(np.abs(got)) <= 1e-14 * overall
+                continue
+            scale = np.max(np.abs(ref))
+            assert scale > 0.0, name
+            assert np.max(np.abs(got - ref)) <= 1e-10 * scale, name
+
+    @pytest.mark.parametrize("attention", [True, False])
+    def test_matches_finite_differences(self, attention):
+        a, keep, r_hs, r_c = self._arrays(3, attention, 62)
+
+        def loss_value(arrays):
+            hs, c, _, _, _ = self._fused(arrays, keep)
+            return float(np.sum(hs.data * r_hs) + np.sum(c.data * r_c))
+
+        with Tape():
+            hs, c, _, _, ts = self._fused(a, keep, record=True)
+            loss = self._loss(hs, c, r_hs, r_c)
+        backward(loss)
+        numeric = fd_grads(loss_value, a)
+        for name in a:
+            assert_close_to_fd(ts[name].grad, numeric[name])
+
+    def test_bad_shapes_raise(self):
+        a, keep, _, _ = self._arrays(2, True, 63)
+        attention = tuple(a[n] for n in self.ATTENTION)
+        with pytest.raises(ShapeError):
+            nm.attention_lstm(a["frame_in"], a["h0"], a["c0"], keep[:1],
+                              a["lstm_w"], a["lstm_b"], attention, self.heads)
+        with pytest.raises(ShapeError):
+            nm.attention_lstm(a["frame_in"], a["h0"], a["c0"], keep,
+                              a["lstm_w"][1:], a["lstm_b"], attention,
+                              self.heads)
 
 
 # ---------------------------------------------------------------------------
