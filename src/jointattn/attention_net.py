@@ -17,7 +17,9 @@ heads sit on top of the LSTM and share no parameters.
 
 The forward pass has three pieces: ``encode`` (frame-only: conv, basis,
 pose embedding), ``recurrent_step`` (query -> attention -> LSTM for T
-steps) and ``heads`` (policy and value from h). The recurrence is the
+steps) and ``heads`` (policy and value from h). The conv, its ReLU and the
+appended basis are the single tape op ``nm.frame_features``, for every
+arm (the basis has depth 0 without attention); the recurrence is the
 single tape op ``nm.attention_lstm``, whose backward runs through time by
 hand. ``agent_step`` runs the three pieces for one step (T = 1); ``unroll``
 replays a stored chunk under a tape: it encodes all of its frames at once,
@@ -195,23 +197,16 @@ class AgentCore:
         return nm.reshape(q, (q.shape[0], self.num_heads, self.head_depth))
 
     def encode_features(self, obs) -> Tensor:
-        """Conv + ReLU features with the spatial basis appended."""
+        """Conv + ReLU features of a batch of frames (n, h, w, channels),
+        with the spatial basis appended: one ``nm.frame_features`` node."""
         x = obs if isinstance(obs, Tensor) else Tensor(obs)
-        batched = x.ndim == 4
-        if x.shape[-3] != self.height or x.shape[-2] != self.width:
+        if x.ndim != 4 or x.shape[1:3] != (self.height, self.width):
             raise nm.ShapeError(
-                f"observation spatial size {x.shape} does not match the "
-                f"({self.height}, {self.width}) basis"
+                f"observations {x.shape} are not a batch of "
+                f"({self.height}, {self.width}) frames"
             )
-        feat = nm.relu(nm.conv2d(x, self.params["conv/k"], self.params["conv/b"]))
-        if not self.use_attention or self.basis_depth == 0:
-            return feat
-        if batched:
-            b = x.shape[0]
-            basis = np.broadcast_to(self.basis, (b,) + self.basis.shape)
-        else:
-            basis = self.basis
-        return nm.concat_last(feat, Tensor(np.ascontiguousarray(basis)))
+        return nm.frame_features(x, self.params["conv/k"],
+                                 self.params["conv/b"], self.basis)
 
     def compute_attention(self, features, queries) -> tuple:
         """Per-head maps and the filtered output O.

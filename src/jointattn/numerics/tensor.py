@@ -3,9 +3,24 @@
 Everything is dense, row-major and 64-bit. The op set is exactly what the
 agent networks and the PPO losses need; most ops accept an optional leading
 batch axis. ``lstm_step``, ``attention_scores`` and ``attention_apply`` are
-the composed form of the recurrence ``attention_lstm`` runs as one node, kept
-as its test reference. Recording happens only while a ``Tape`` is active, so
-rollout-time forward passes pay nothing beyond a flag check per op.
+the composed form of the recurrence ``attention_lstm`` runs as one node, and
+``conv2d`` (with ``relu`` and ``concat_last``) that of the encoder
+``frame_features``; they are kept as the fused ops' test reference.
+Recording happens only while a ``Tape`` is active, so rollout-time forward
+passes pay nothing beyond a flag check per op.
+
+Buffers lent from tape to tape: under a tape, ``frame_features`` and the
+backward of ``attention_lstm`` write their feature-map-sized arrays into
+arrays lent by a pool that keeps one array per key, so that a PPO
+minibatch does not allocate (and the allocator page in) them afresh. A
+key's array is held by one tape at a time and passes to the next tape that
+asks only once its holder has been consumed (``backward`` or
+``Tape.clear``) or garbage-collected; a live unconsumed holder keeps it,
+and a second request within the same tape gets a fresh array. So the
+outputs of a consumed tape may be overwritten by the next tape's ops: read
+what you need from a recorded forward pass before recording the next one. A request of a new shape replaces the key's array. Calls with no
+active tape get fresh arrays and leave the pool alone, so act-time forward
+passes still pay only the flag check.
 
 Typical use::
 
@@ -21,12 +36,14 @@ grads between steps (``p.grad = None``).
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class TapeError(RuntimeError):
-    """Backward called on an unrecorded loss or an already-consumed tape."""
+    """Backward called on an unrecorded loss or an already-consumed tape, or
+    a gradient asked of an input an op treats as a constant."""
 
 
 class ShapeError(ValueError):
@@ -110,7 +127,7 @@ class _Node:
 class Tape:
     """Ordered record of executed ops; replayed in reverse by ``backward``."""
 
-    __slots__ = ("_nodes", "consumed")
+    __slots__ = ("_nodes", "consumed", "__weakref__")
 
     def __init__(self):
         self._nodes: list[_Node] = []
@@ -159,6 +176,29 @@ def _record(outputs, inputs, fn) -> None:
     for o in outputs:
         o.tape = tape
     tape._nodes.append(_Node(outputs, inputs, fn, need))
+
+
+# key -> [array, weak reference to the tape that holds it]
+_POOL: dict[str, list] = {}
+
+
+def _lend(tape: Tape | None, key: str, shape: tuple, new=np.empty) -> np.ndarray:
+    """An array of ``shape`` for ``tape`` to hold, by the lending rule of
+    the module docstring; ``new(shape)`` makes a fresh one. A lent array
+    keeps what its previous holder wrote into it."""
+    if tape is None:
+        return new(shape)
+    entry = _POOL.get(key)
+    if entry is not None:
+        holder = entry[1]()
+        if holder is tape or (holder is not None and not holder.consumed):
+            return new(shape)
+        if entry[0].shape == shape:
+            entry[1] = weakref.ref(tape)
+            return entry[0]
+    arr = new(shape)
+    _POOL[key] = [arr, weakref.ref(tape)]
+    return arr
 
 
 def backward(loss: Tensor) -> None:
@@ -578,9 +618,8 @@ def conv2d(x, kernels, bias) -> Tensor:
         raise ShapeError("conv2d: spatial extents must be >= 1")
     b, h, w, _ = xd.shape
 
-    xp = np.pad(xd, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))      # (b, h, w, c_in, 3, 3)
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c_in)
+    cols = _im2col(xd, np.zeros((b, h + 2, w + 2, c_in)),
+                   np.empty((b * h * w, 9 * c_in)))
     kflat = kd.reshape(9 * c_in, c_out)
     od = (cols @ kflat + bias.data).reshape(b, h, w, c_out)
     out = Tensor(od if batched else od[0])
@@ -602,6 +641,75 @@ def conv2d(x, kernels, bias) -> Tensor:
         else:
             gx = None
         return (gx, gw, gb)
+
+    _record((out,), (x, kernels, bias), fn)
+    return out
+
+
+def _im2col(xd, xp, cols):
+    """Every 3x3 window of the frames xd (b, h, w, c), zero padded by one
+    cell, as the rows of cols (b*h*w, 9*c), ordered (kh, kw, c).
+
+    xp is a (b, h+2, w+2, c) array whose one-cell border is zero; its
+    interior receives xd and the windows are a strided view of it.
+    """
+    b, h, w, c = xd.shape
+    xp[:, 1:h + 1, 1:w + 1] = xd
+    sb, sh, sw, sc = xp.strides
+    win = np.ndarray((b, h, w, 3, 3, c), np.float64, xp, 0,
+                     (sb, sh, sw, sh, sw, sc))
+    np.copyto(cols.reshape(b, h, w, 3, 3, c), win)
+    return cols
+
+
+def frame_features(x, kernels, bias, basis) -> Tensor:
+    """``concat_last(relu(conv2d(x, kernels, bias)), basis)`` as one node.
+
+    x is a (b, h, w, c_in) batch of frames, kernels (3, 3, c_in, c_out),
+    bias (c_out,) and basis a fixed (h, w, c_s) array appended to every
+    frame's features (c_s may be 0). Returns (b, h, w, c_out + c_s), the
+    same values as the composed ops. Frames and basis are constants: a
+    gradient asked of either raises ``TapeError``. Under a tape the padded
+    frames, the columns, the pre-activation, the output and the masked
+    gradient are lent by the tape-to-tape pool (module docstring).
+    """
+    x, kernels, bias, basis = (_astensor(x), _astensor(kernels),
+                               _astensor(bias), _astensor(basis))
+    tape = _ACTIVE
+    if x.requires_grad or basis.requires_grad or \
+            (tape is not None and (x.tape is tape or basis.tape is tape)):
+        raise TapeError("frame_features differentiates only kernels and bias")
+    xd, kd, bd = x.data, kernels.data, bias.data
+    if xd.ndim != 4 or kd.ndim != 4 or kd.shape[:3] != (3, 3, xd.shape[-1]) \
+            or bd.shape != kd.shape[3:]:
+        raise ShapeError(f"frame_features: frames {xd.shape}, kernels "
+                         f"{kd.shape}, bias {bd.shape}")
+    b, h, w, c_in = xd.shape
+    c_out = kd.shape[3]
+    sd = basis.data
+    if sd.ndim != 3 or sd.shape[:2] != (h, w):
+        raise ShapeError(f"frame_features: basis {sd.shape} vs frames {xd.shape}")
+    n = b * h * w
+
+    cols = _im2col(xd, _lend(tape, "frame_features.padded",
+                             (b, h + 2, w + 2, c_in), np.zeros),
+                   _lend(tape, "frame_features.cols", (n, 9 * c_in)))
+    kflat = kd.reshape(9 * c_in, c_out)
+    pre = _lend(tape, "frame_features.pre", (n, c_out))
+    np.add(np.matmul(cols, kflat, out=pre), bd, out=pre)
+    od = _lend(tape, "frame_features.out", (b, h, w, c_out + sd.shape[2]))
+    np.maximum(pre.reshape(b, h, w, c_out), 0.0, out=od[..., :c_out])
+    od[..., c_out:] = sd
+    out = Tensor(od)
+
+    def fn(gouts, need):
+        (g,) = gouts
+        gpre = _lend(tape, "frame_features.masked_grad", (n, c_out))
+        np.multiply(g[..., :c_out], pre.reshape(b, h, w, c_out) > 0.0,
+                    out=gpre.reshape(b, h, w, c_out))
+        gw = (cols.T @ gpre).reshape(kd.shape) if need[1] else None
+        gb = gpre.sum(axis=0) if need[2] else None
+        return (None, gw, gb)
 
     _record((out,), (x, kernels, bias), fn)
     return out
@@ -923,6 +1031,7 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
         h = np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t])
 
     hs_out, c_out = Tensor(hs), Tensor(c)
+    tape = _ACTIVE
 
     def fn(gouts, need):
         g_hs, g_c = gouts
@@ -980,7 +1089,9 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
         gq = gq.reshape(n, n_sum)
         go = dxh[:, :, :n_sum].reshape(n, m, depth)
         q2 = q.reshape(n, m, depth)
-        gf = a2.reshape(n, 2 * m, P).transpose(0, 2, 1) @ v2.reshape(n, 2 * m, d)
+        gf = np.matmul(a2.reshape(n, 2 * m, P).transpose(0, 2, 1),
+                       v2.reshape(n, 2 * m, d),
+                       out=_lend(tape, "attention_lstm.feature_grad", (n, P, d)))
         return grads + (
             gf.reshape(features.data.shape),
             xh[:, :, n_x:].reshape(n, cell).T @ gq,

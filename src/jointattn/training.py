@@ -296,9 +296,9 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
             buf.values[k][t] = value.data
             if maps is not None:
                 step_maps[k] = maps.mean_map
-                step_logits[k] = maps.head_logits.mean(axis=1)
                 buf.mean_maps[k][t] = step_maps[k]
                 if store_logits:
+                    step_logits[k] = maps.head_logits.mean(axis=1)
                     buf.logit_maps[k][t] = step_logits[k]
 
         if buf.r_ja is not None and len(map_agents) >= 2:
@@ -473,6 +473,7 @@ def evaluate(agents: list, kind: str, variant: str, config, episodes: int,
     incentive = incentive or IncentiveConfig()
     rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
         if mode == "sample" else None
+    use_logits = incentive.metric == "clipped_jsd"
     collective = []
     successes = 0
     lengths = []
@@ -495,7 +496,8 @@ def evaluate(agents: list, kind: str, variant: str, config, episodes: int,
                 actions[k] = a[0]
                 if maps is not None:
                     step_maps[k] = maps.mean_map[0]
-                    step_logits[k] = maps.head_logits[0].mean(axis=0)
+                    if use_logits:
+                        step_logits[k] = maps.head_logits[0].mean(axis=0)
             if len(step_maps) >= 2:
                 div_values.append(_pairwise_divergence(
                     step_maps, incentive, step_logits))

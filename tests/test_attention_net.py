@@ -75,28 +75,32 @@ class TestEncodeFeatures:
     def test_zero_obs_zero_bias_leaves_basis(self):
         core = AgentCore(4, 5, seed=0)
         core.params["conv/b"].data[:] = 0.0
-        out = core.encode_features(np.zeros((4, 5, 3))).data
-        assert out.shape == (4, 5, 72)
-        assert np.array_equal(out[..., :64], np.zeros((4, 5, 64)))
-        assert np.array_equal(out[..., 64:], core.basis)
+        out = core.encode_features(np.zeros((2, 4, 5, 3))).data
+        assert out.shape == (2, 4, 5, 72)
+        assert np.array_equal(out[..., :64], np.zeros((2, 4, 5, 64)))
+        assert np.array_equal(out[0, ..., 64:], core.basis)
+        assert np.array_equal(out[1, ..., 64:], core.basis)
 
     def test_channel_count_with_defaults(self):
         core = AgentCore(6, 6, seed=1)
-        out = core.encode_features(np.zeros((6, 6, 3))).data
+        out = core.encode_features(np.zeros((1, 6, 6, 3))).data
         assert out.shape[-1] == 64 + 8
 
     def test_basis_channels_constant_across_inputs(self):
         core = AgentCore(5, 5, seed=2)
         rng = np.random.default_rng(3)
-        slabs = [core.encode_features(rng.normal(size=(5, 5, 3))).data[..., 64:]
+        slabs = [core.encode_features(rng.normal(size=(2, 5, 5, 3))).data[..., 64:]
                  for _ in range(4)]
         for s in slabs[1:]:
             assert np.array_equal(s, slabs[0])
+        assert np.array_equal(slabs[0][0], slabs[0][1])
 
     def test_wrong_spatial_size_raises(self):
         core = AgentCore(5, 5, seed=0)
         with pytest.raises(nm.ShapeError):
-            core.encode_features(np.zeros((4, 5, 3)))
+            core.encode_features(np.zeros((1, 4, 5, 3)))
+        with pytest.raises(nm.ShapeError):
+            core.encode_features(np.zeros((5, 5, 3)))       # unbatched
 
 
 class TestComputeAttention:

@@ -679,6 +679,147 @@ class TestAttentionLstm:
 
 
 # ---------------------------------------------------------------------------
+# frame_features and the buffers it borrows
+
+
+class TestFrameFeatures:
+    """The one-node encoder against the composed ops it fuses, and against
+    central differences, with and without a basis."""
+
+    def _arrays(self, depth, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, 3, 4, 2))
+        a = {"k": rng.normal(size=(3, 3, 2, 3), scale=0.5),
+             "b": rng.normal(size=3, scale=0.5)}
+        basis = rng.normal(size=(3, 4, depth))
+        weight = rng.normal(size=(2, 3, 4, 3 + depth))
+        return x, a, basis, weight
+
+    def _loss(self, out, weight):
+        return nm.sum_all(nm.mul(out, Tensor(weight)))
+
+    @pytest.mark.parametrize("depth", [8, 0])
+    def test_matches_composed_ops(self, depth):
+        x, a, basis, weight = self._arrays(depth, 71)
+        k, b = (Tensor(a[n], requires_grad=True) for n in ("k", "b"))
+        with Tape():
+            out = nm.frame_features(x, k, b, basis)
+            got = out.data.copy()
+            loss = self._loss(out, weight)
+        backward(loss)
+        rk, rb = (Tensor(a[n], requires_grad=True) for n in ("k", "b"))
+        with Tape():
+            ref = nm.concat_last(nm.relu(nm.conv2d(Tensor(x), rk, rb)),
+                                 Tensor(np.broadcast_to(basis, x.shape[:3]
+                                                        + (depth,))))
+            ref_loss = self._loss(ref, weight)
+        backward(ref_loss)
+        assert (ref.data > 0.0).any() and (ref.data[..., :3] == 0.0).any()
+        assert np.array_equal(got, ref.data)
+        assert np.array_equal(k.grad, rk.grad)
+        assert np.array_equal(b.grad, rb.grad)
+
+    @pytest.mark.parametrize("depth", [8, 0])
+    def test_matches_finite_differences(self, depth):
+        x, a, basis, weight = self._arrays(depth, 72)
+
+        def forward(arrays, record=False):
+            ts = {n: Tensor(v, requires_grad=record) for n, v in arrays.items()}
+            return self._loss(nm.frame_features(x, ts["k"], ts["b"], basis),
+                              weight), ts
+
+        with Tape():
+            loss, ts = forward(a, record=True)
+        backward(loss)
+        numeric = fd_grads(lambda arrays: forward(arrays)[0].item(), a)
+        for name in a:
+            assert_close_to_fd(ts[name].grad, numeric[name])
+
+    def test_frames_needing_a_gradient_raise(self):
+        x, a, basis, _ = self._arrays(8, 73)
+        k, b = Tensor(a["k"], requires_grad=True), Tensor(a["b"])
+        with pytest.raises(TapeError):
+            nm.frame_features(Tensor(x, requires_grad=True), k, b, basis)
+        with Tape():
+            recorded = nm.scale(Tensor(x, requires_grad=True), 1.0)
+            with pytest.raises(TapeError):
+                nm.frame_features(recorded, k, b, basis)
+
+    def test_bad_shapes_raise(self):
+        x, a, basis, _ = self._arrays(8, 74)
+        with pytest.raises(ShapeError):
+            nm.frame_features(x[0], a["k"], a["b"], basis)
+        with pytest.raises(ShapeError):
+            nm.frame_features(x, a["k"], a["b"][:2], basis)
+        with pytest.raises(ShapeError):
+            nm.frame_features(x, a["k"], a["b"], basis[1:])
+
+
+class TestLending:
+    """The pool that lends ``frame_features``' arrays from tape to tape."""
+
+    def _record(self, x, k, b):
+        """Record one node and its loss on a tape of its own."""
+        with Tape() as tape:
+            out = nm.frame_features(x, k, b, np.zeros(x.shape[1:3] + (1,)))
+            loss = nm.sum_all(nm.mul(out, out))
+        return tape, out, loss
+
+    def _params(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(2, 3, 4, 2)),
+                Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True),
+                Tensor(rng.normal(size=3), requires_grad=True))
+
+    def setup_method(self):
+        gc.collect()            # drop tapes that earlier tests left unconsumed
+
+    def test_next_tape_reuses_the_consumed_tapes_arrays(self):
+        x, k, b = self._params(81)
+        _, first, loss = self._record(x, k, b)
+        backward(loss)
+        _, second, _ = self._record(x, k, b)
+        assert np.shares_memory(first.data, second.data)
+
+    def test_unconsumed_tape_keeps_its_arrays(self):
+        xa, ka, ba = self._params(82)
+        xb, kb, bb = self._params(83)
+        _, out_a, loss_a = self._record(xa, ka, ba)
+        _, out_b, loss_b = self._record(xb, kb, bb)
+        assert not np.shares_memory(out_a.data, out_b.data)
+        backward(loss_b)
+        backward(loss_a)
+        for x, k, b in ((xa, ka, ba), (xb, kb, bb)):
+            rk = Tensor(k.data, requires_grad=True)
+            rb = Tensor(b.data, requires_grad=True)
+            backward(self._record(x, rk, rb)[2])
+            assert np.array_equal(k.grad, rk.grad)
+            assert np.array_equal(b.grad, rb.grad)
+
+    def test_untaped_calls_leave_the_pool_alone(self):
+        x, k, b = self._params(84)
+        _, first, loss = self._record(x, k, b)
+        backward(loss)
+        basis = np.zeros((3, 4, 1))
+        for frames in (x, x[:1]):
+            out = nm.frame_features(frames, k, b, basis)
+            assert not np.shares_memory(out.data, first.data)
+        _, second, _ = self._record(x, k, b)
+        assert np.shares_memory(first.data, second.data)
+
+    def test_dropped_tape_does_not_pin_the_pool(self):
+        x, k, b = self._params(85)
+        tape, out, loss = self._record(x, k, b)
+        lent = out.data
+        holder = weakref.ref(tape)
+        del tape, out, loss
+        gc.collect()
+        assert holder() is None
+        _, again, _ = self._record(x, k, b)
+        assert np.shares_memory(lent, again.data)
+
+
+# ---------------------------------------------------------------------------
 # adam
 
 
