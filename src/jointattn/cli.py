@@ -44,6 +44,7 @@ from .training import (
     generalization_eval,
     load_agent_params,
     load_checkpoint,
+    lockstep_episodes,
     save_checkpoint,
     social_learning_run,
 )
@@ -634,39 +635,22 @@ def cmd_render_attention(args) -> int:
     outdir = resolve_output_dir(args.output_dir, None, name)
     os.makedirs(outdir, exist_ok=True)
 
-    from .gridworlds import reset, step
-    from .training import observation_array, pose_vector
-    from .attention_net import act
-
     with OutputLock(outdir):
         manifest = Manifest(outdir, "render-attention", config_hash(cfg),
                             [args.seed])
         manifest.set("mutual_threshold", args.mutual_threshold)
         heat_dir = os.path.join(outdir, "heatmaps")
         os.makedirs(heat_dir, exist_ok=True)
-        ep_seed = int(np.random.SeedSequence(
-            [args.seed, 0]).generate_state(1)[0])
-        state, obs = reset(cfg.env_kind, cfg.env_variant, seed=ep_seed,
-                           config=env_config)
-        rec = [a.core.initial_state(1) for a in agents]
         dump_path = os.path.join(outdir, "maps.jsonl")
         n_files = 0
         with open(dump_path, "w") as dump:
             t = 0
-            while not state.done:
-                grid_ints = obs[0][0]
-                grid = observation_array(grid_ints)[None]
-                actions = np.zeros(env_config.agent_count, dtype=np.int64)
-                step_maps = {}
-                for k, agent in enumerate(agents):
-                    pose = pose_vector(*obs[k][1])[None]
-                    logits, _, maps, rec[k] = agent.core.agent_step(
-                        grid, pose, rec[k])
-                    rec[k] = rec[k].detach()
-                    a, _ = act(logits, "greedy", None)
-                    actions[k] = a[0]
-                    if maps is not None:
-                        step_maps[k] = maps.mean_map[0]
+            # one greedy episode, the first that `eval` plays at this seed
+            for st in lockstep_episodes(agents, cfg.env_kind,
+                                        cfg.env_variant, env_config, 1,
+                                        args.seed):
+                grid_ints = st.obs[0][0][0]
+                step_maps = {k: m.mean_map[0] for k, m in st.maps.items()}
                 dump.write(json.dumps(
                     {"t": t, "grid": np.asarray(grid_ints).tolist()}) + "\n")
                 for k, field in step_maps.items():
@@ -679,7 +663,6 @@ def cmd_render_attention(args) -> int:
                     {"t": t,
                      "mutual": mutual_cells(step_maps,
                                             args.mutual_threshold)}) + "\n")
-                state, _, obs = step(state, actions)
                 t += 1
         manifest.add("files", "maps.jsonl")
         manifest.add("files", "heatmaps")

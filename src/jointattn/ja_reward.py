@@ -9,7 +9,13 @@ maximum over the first part of training.
 Metrics: ``jsd`` (default), ``kl``, and ``clipped_jsd``. The clipped variant
 works on raw logit fields: logits below the threshold are sent to -inf
 before normalization, for the bonus computation only; the maps used by the
-policy are untouched.
+policy are untouched. A field with no logit at or above the threshold keeps
+the cells at its maximum instead.
+
+``pairwise_divergence`` is the one implementation the program runs: every
+ordered pair of K fields over E rows at once. The scalar ``kl_divergence``,
+``jsd`` and ``clipped_jsd`` are its oracles, and ``joint_attention_reward``
+is the kernel on a single row.
 """
 
 from __future__ import annotations
@@ -72,7 +78,8 @@ def clipped_jsd(p_logits, q_logits, threshold: float) -> float:
     """JSD of the two fields renormalized over logits >= threshold.
 
     Cells below the threshold get probability 0. Raises if either field has
-    no surviving cell (degenerate threshold).
+    no surviving cell: ``pairwise_divergence`` defines that case, and this
+    scalar form is its oracle where cells survive.
     """
     p_logits = np.asarray(p_logits, dtype=np.float64)
     q_logits = np.asarray(q_logits, dtype=np.float64)
@@ -95,14 +102,77 @@ def clipped_jsd(p_logits, q_logits, threshold: float) -> float:
     return jsd(renorm(p_logits), renorm(q_logits))
 
 
+def _clip_renormalize(logits: np.ndarray, threshold: float) -> np.ndarray:
+    """Probability fields over the cells of each logit row at or above
+    min(threshold, row max); the rest get 0."""
+    top = logits.max(axis=-1, keepdims=True)
+    z = np.where(logits >= np.minimum(threshold, top), logits, -np.inf)
+    e = np.exp(z - top)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _cell_sums(p: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    """Sum of p * log_ratio over the last axis, with 0 where p = 0."""
+    return np.where(p == 0.0, 0.0, p * log_ratio).sum(axis=-1)
+
+
+def pairwise_divergence(fields, metric: str,
+                        clip_threshold: float = 0.0) -> np.ndarray:
+    """Divergence summed over all ordered pairs of K fields, per row.
+
+    ``fields`` is (K, E, P): E independent rows (environments, episodes or
+    stored steps) of one field over P cells for each of K agents. For
+    ``jsd`` and ``kl`` the fields are probabilities; for ``clipped_jsd``
+    they are logits, each renormalized over its cells at or above the
+    threshold before the JSD. Returns the (E,) sums over the K(K-1) ordered
+    pairs (i, j), i != j, added j-outer, i-inner, each pair's term equal
+    bit for bit to ``kl_divergence(f_i, f_j)``, ``jsd(f_i, f_j)`` or
+    ``clipped_jsd(f_i, f_j, clip_threshold)`` on that row.
+
+    A cell with p = 0 adds 0 (0 * log 0 = 0); a KL cell with q = 0 < p
+    makes the pair's divergence +inf. A clipped field with no logit at or
+    above the threshold keeps the cells at its maximum: survivors are the
+    logits >= min(threshold, field max), the limit of the clipping rule as
+    the threshold falls to the field's largest logit. So every clipped
+    field has at least one survivor, and the result stays in
+    [0, K(K-1) ln 2].
+    """
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    fields = np.asarray(fields, dtype=np.float64)
+    if fields.ndim != 3 or fields.shape[0] == 0:
+        raise ValueError(f"fields must be (K >= 1, E, P), got {fields.shape}")
+    k = fields.shape[0]
+    if metric == "clipped_jsd":
+        fields = _clip_renormalize(fields, clip_threshold)
+    elif fields.size and fields.min() < 0.0:
+        raise ValueError("pairwise_divergence needs non-negative fields")
+    i, j = np.array([(a, b) for b in range(k) for a in range(k) if a != b],
+                    dtype=np.int64).reshape(-1, 2).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(fields)
+        if metric == "kl":
+            terms = _cell_sums(fields[i], logs[i] - logs[j])
+        else:
+            log_m = np.log(0.5 * (fields[i] + fields[j]))
+            terms = (0.5 * _cell_sums(fields[i], logs[i] - log_m)
+                     + 0.5 * _cell_sums(fields[j], logs[j] - log_m))
+    # pair by pair, in the scalar double loop's order
+    total = np.zeros(fields.shape[1])
+    for row in terms:
+        total += row
+    return total
+
+
 def joint_attention_reward(mean_maps, cfg: IncentiveConfig,
                            logit_maps=None) -> float:
-    """Shared per-step incentive: minus the double sum of the divergence
-    over all ordered agent pairs (each unordered pair counted twice).
+    """Shared incentive of one step in one environment: minus the double
+    sum of the divergence over all ordered agent pairs (each unordered pair
+    counted twice); ``pairwise_divergence`` on a single row.
 
     ``mean_maps`` holds one head-mean probability field per agent. The
-    clipped metric additionally needs ``logit_maps``, the per-agent
-    head-mean logit fields stored during the rollout.
+    clipped metric reads ``logit_maps`` instead, the per-agent head-mean
+    logit fields stored during the rollout.
     """
     maps = [np.asarray(m, dtype=np.float64) for m in mean_maps]
     if len(maps) == 0:
@@ -114,30 +184,16 @@ def joint_attention_reward(mean_maps, cfg: IncentiveConfig,
     k = len(maps)
     if k == 1:
         return 0.0
-
     if cfg.metric == "clipped_jsd":
         if logit_maps is None:
             raise ValueError("clipped_jsd needs the stored logit fields")
-        logits = [np.asarray(m, dtype=np.float64) for m in logit_maps]
-        if len(logits) != k:
-            raise ValueError("one logit field per agent is required")
-
-        def div(a, b):
-            return clipped_jsd(logits[a], logits[b], cfg.clip_threshold)
-    elif cfg.metric == "kl":
-        def div(a, b):
-            return kl_divergence(maps[a], maps[b])
-    else:
-        def div(a, b):
-            return jsd(maps[a], maps[b])
-
-    total = 0.0
-    for j in range(k):
-        for i in range(k):
-            if i == j:
-                continue
-            total += div(i, j)
-    return -total
+        maps = [np.asarray(m, dtype=np.float64) for m in logit_maps]
+        if len(maps) != k or any(m.shape != shape for m in maps):
+            raise ValueError("one logit field per agent, shaped like the "
+                             "maps, is required")
+    fields = np.stack(maps).reshape(k, 1, -1)
+    return -float(pairwise_divergence(fields, cfg.metric,
+                                      cfg.clip_threshold)[0])
 
 
 def beta_schedule(global_step: int, cfg: IncentiveConfig) -> float:

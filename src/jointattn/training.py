@@ -13,6 +13,13 @@ Population variants:
   - ``independent_ppo``: attention off, plain recurrent PPO.
   - ``frozen_expert``: attention on, greedy actions, never updated; its maps
     still count toward the bonus (the social-learning setting).
+
+Evaluation plays its episodes in lockstep, as one batch of rollouts
+(``lockstep_episodes``): one network step per agent over the live
+episodes, which leave the batch as they end. The bonus, its replay and the
+evaluation figure all take the pairwise divergence from one kernel,
+``ja_reward.pairwise_divergence``, over every environment or episode at
+once.
 """
 
 from __future__ import annotations
@@ -27,8 +34,9 @@ from . import numerics as nm
 from .numerics import Tensor
 from .attention_net import AgentCore, RecurrentState, act, pose_vector
 from .gridworlds import ENCODING_VERSION, encode_observation, make_config, reset, step
-from .ja_reward import (IncentiveConfig, beta_schedule, joint_attention_reward,
-                        jsd, kl_divergence, clipped_jsd)
+from .ja_reward import IncentiveConfig, beta_schedule, pairwise_divergence
+# not called here: perfbench/tracing.py wraps these names on this module
+from .ja_reward import joint_attention_reward, jsd, kl_divergence, clipped_jsd  # noqa: F401
 
 # observation channels are small non-negative ids; scale each to ~[0, 1]
 OBS_SCALE = np.array([11.0, 6.0, 3.0])
@@ -239,19 +247,29 @@ class RolloutBuffer:
         self.returns = [None] * n_agents
 
 
+def _divergence_fields(maps: dict, logits: dict | None,
+                      incentive: IncentiveConfig) -> np.ndarray:
+    """The (K, rows, h*w) fields ``pairwise_divergence`` reads, one per
+    map-producing agent in index order: the head-mean logit fields for
+    ``clipped_jsd``, the head-mean maps otherwise. ``maps`` and ``logits``
+    map agent index -> (..., h, w) fields; the leading axes become rows."""
+    if incentive.metric == "clipped_jsd":
+        if logits is None:
+            raise ValueError("clipped_jsd needs the stored logit fields")
+        maps = logits
+    fields = np.stack([maps[k] for k in sorted(maps)])
+    h, w = fields.shape[-2:]
+    return fields.reshape(fields.shape[0], -1, h * w)
+
+
 def recompute_r_ja(buffer: RolloutBuffer, incentive: IncentiveConfig) -> np.ndarray:
     """Bonus recomputed from stored maps alone (the replay contract)."""
     if buffer.r_ja is None:
         raise ValueError("buffer has no bonus lane (fewer than two map producers)")
-    out = np.zeros((buffer.T, buffer.E))
-    for t in range(buffer.T):
-        for e in range(buffer.E):
-            maps = [buffer.mean_maps[k][t, e] for k in buffer.map_agents]
-            logits = None
-            if buffer.logit_maps is not None:
-                logits = [buffer.logit_maps[k][t, e] for k in buffer.map_agents]
-            out[t, e] = joint_attention_reward(maps, incentive, logit_maps=logits)
-    return out
+    fields = _divergence_fields(buffer.mean_maps, buffer.logit_maps, incentive)
+    return -pairwise_divergence(fields, incentive.metric,
+                                incentive.clip_threshold).reshape(buffer.T,
+                                                                  buffer.E)
 
 
 def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
@@ -303,12 +321,9 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
 
         if buf.r_ja is not None and len(map_agents) >= 2:
             calls_before = sum(a.core.forward_calls for a in agents)
-            for e in range(E):
-                maps = [step_maps[k][e] for k in map_agents]
-                lg = [step_logits[k][e] for k in map_agents] if store_logits \
-                    else None
-                buf.r_ja[t, e] = joint_attention_reward(maps, incentive,
-                                                        logit_maps=lg)
+            fields = _divergence_fields(step_maps, step_logits, incentive)
+            buf.r_ja[t] = -pairwise_divergence(fields, incentive.metric,
+                                               incentive.clip_threshold)
             buf.no_rerun_forward_calls += \
                 sum(a.core.forward_calls for a in agents) - calls_before
 
@@ -441,23 +456,69 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _pairwise_divergence(maps: dict, incentive: IncentiveConfig,
-                         logits: dict | None = None) -> float:
-    keys = sorted(maps)
-    total, count = 0.0, 0
-    for i in range(len(keys)):
-        for j in range(len(keys)):
-            if i == j:
-                continue
-            if incentive.metric == "kl":
-                total += kl_divergence(maps[keys[i]], maps[keys[j]])
-            elif incentive.metric == "clipped_jsd" and logits is not None:
-                total += clipped_jsd(logits[keys[i]], logits[keys[j]],
-                                     incentive.clip_threshold)
-            else:
-                total += jsd(maps[keys[i]], maps[keys[j]])
-            count += 1
-    return total / count
+@dataclass
+class EpisodeStep:
+    """One lockstep step of the live episodes, in episode order.
+
+    ``live`` holds their episode indices, ascending; ``obs`` each one's
+    observations before the step (one ``(grid, pose)`` per agent, as
+    ``reset``/``step`` return them); ``actions`` the (live, agents) joint
+    actions taken; ``maps`` the ``AttentionMaps`` of each map-producing
+    agent over the live rows; ``rewards`` the (live, agents) environment
+    rewards.
+    """
+    live: np.ndarray
+    obs: list
+    actions: np.ndarray
+    maps: dict
+    rewards: np.ndarray
+
+
+def lockstep_episodes(agents: list, kind: str, variant: str, config,
+                      episodes: int, seed: int, mode: str = "greedy"):
+    """Play ``episodes`` episodes as one batch; yield an ``EpisodeStep`` per
+    step until every episode is done.
+
+    Episode ep is laid out from ``SeedSequence([seed, ep])``, as it would be
+    played alone, and all of them are reset up front. Each step runs one
+    ``agent_step`` per agent over the rows of the live episodes, each row
+    with its own recurrent state, then steps every live environment;
+    episodes that end leave the batch. ``mode="sample"`` draws every action
+    from one generator seeded from ``seed``, step-major: at each step, agent
+    by agent, one draw per live episode.
+    """
+    rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
+        if mode == "sample" else None
+    states, obs = [], []
+    for ep in range(episodes):
+        ep_seed = int(np.random.SeedSequence([seed, ep]).generate_state(1)[0])
+        state, first = reset(kind, variant, seed=ep_seed, config=config)
+        states.append(state)
+        obs.append(first)
+    live = np.arange(episodes)
+    rec = [a.core.initial_state(episodes) for a in agents]
+    while live.size:
+        seen = [obs[e] for e in live]
+        grids = np.stack([observation_array(o[0][0]) for o in seen])
+        actions = np.zeros((live.size, config.agent_count), dtype=np.int64)
+        maps = {}
+        for k, agent in enumerate(agents):
+            poses = np.stack([pose_vector(*o[k][1]) for o in seen])
+            logits, _, agent_maps, new_state = agent.core.agent_step(
+                grids, poses, rec[k])
+            rec[k] = new_state.detach()
+            actions[:, k], _ = act(logits, mode, rng)
+            if agent_maps is not None:
+                maps[k] = agent_maps
+        rewards = np.zeros((live.size, config.agent_count))
+        for row, e in enumerate(live):
+            states[e], outcome, obs[e] = step(states[e], actions[row])
+            rewards[row] = outcome.rewards
+        yield EpisodeStep(live, seen, actions, maps, rewards)
+        going = np.array([not states[e].done for e in live])
+        if not going.all():
+            live = live[going]
+            rec = [RecurrentState(r.h[going], r.c[going]) for r in rec]
 
 
 def evaluate(agents: list, kind: str, variant: str, config, episodes: int,
@@ -465,52 +526,37 @@ def evaluate(agents: list, kind: str, variant: str, config, episodes: int,
              mode: str = "greedy") -> dict:
     """Decentralized evaluation rollouts; no learning, no bonus in the reward.
 
-    The default mode is greedy execution. Reports mean collective
-    environment reward, success rate (episodes that terminate before the
-    step cap), mean episode length, and the mean pairwise divergence of the
-    map-producing agents.
+    The default mode is greedy execution. The episodes run in lockstep as
+    one batch (``lockstep_episodes``). Reports mean collective environment
+    reward, success rate (episodes that terminate before the step cap),
+    mean episode length, and the mean pairwise divergence of the
+    map-producing agents: per step the mean over ordered pairs, then the
+    mean over every step of every episode, taken in episode order.
     """
     incentive = incentive or IncentiveConfig()
-    rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
-        if mode == "sample" else None
     use_logits = incentive.metric == "clipped_jsd"
-    collective = []
-    successes = 0
-    lengths = []
-    div_values = []
-    for ep in range(episodes):
-        ep_seed = int(np.random.SeedSequence([seed, ep]).generate_state(1)[0])
-        state, obs = reset(kind, variant, seed=ep_seed, config=config)
-        rec = [a.core.initial_state(1) for a in agents]
-        ep_return = np.zeros(config.agent_count)
-        while not state.done:
-            grid = observation_array(obs[0][0])[None]
-            actions = np.zeros(config.agent_count, dtype=np.int64)
-            step_maps, step_logits = {}, {}
-            for k, agent in enumerate(agents):
-                pose = pose_vector(*obs[k][1])[None]
-                logits, _, maps, rec[k] = agent.core.agent_step(
-                    grid, pose, rec[k])
-                rec[k] = rec[k].detach()
-                a, _ = act(logits, mode, rng)
-                actions[k] = a[0]
-                if maps is not None:
-                    step_maps[k] = maps.mean_map[0]
-                    if use_logits:
-                        step_logits[k] = maps.head_logits[0].mean(axis=0)
-            if len(step_maps) >= 2:
-                div_values.append(_pairwise_divergence(
-                    step_maps, incentive, step_logits))
-            state, outcome, obs = step(state, actions)
-            ep_return += outcome.rewards
-        collective.append(float(ep_return.sum()))
-        lengths.append(state.step_count)
-        if state.step_count < config.episode_cap:
-            successes += 1
+    returns = np.zeros((episodes, config.agent_count))
+    lengths = np.zeros(episodes, dtype=np.int64)
+    div_values = [[] for _ in range(episodes)]
+    for st in lockstep_episodes(agents, kind, variant, config, episodes,
+                                seed, mode):
+        returns[st.live] += st.rewards
+        lengths[st.live] += 1
+        if len(st.maps) >= 2:
+            logits = {k: m.head_logits.mean(axis=1)
+                      for k, m in st.maps.items()} if use_logits else None
+            fields = _divergence_fields(
+                {k: m.mean_map for k, m in st.maps.items()}, logits, incentive)
+            pairs = len(st.maps) * (len(st.maps) - 1)
+            values = pairwise_divergence(fields, incentive.metric,
+                                         incentive.clip_threshold) / pairs
+            for e, v in zip(st.live, values):
+                div_values[e].append(v)
+    div_values = [v for per_episode in div_values for v in per_episode]
     return {
         "episodes": episodes,
-        "mean_collective_reward": float(np.mean(collective)),
-        "success_rate": successes / episodes,
+        "mean_collective_reward": float(np.mean(returns.sum(axis=1))),
+        "success_rate": int((lengths < config.episode_cap).sum()) / episodes,
         "mean_episode_length": float(np.mean(lengths)),
         "mean_pairwise_jsd": float(np.mean(div_values)) if div_values else None,
     }

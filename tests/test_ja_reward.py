@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jointattn.ja_reward import (
+    METRICS,
     IncentiveConfig,
     beta_schedule,
     clipped_jsd,
@@ -14,6 +15,7 @@ from jointattn.ja_reward import (
     joint_attention_reward,
     jsd,
     kl_divergence,
+    pairwise_divergence,
 )
 
 
@@ -132,6 +134,71 @@ class TestClippedJsd:
     def test_disjoint_survivors_still_finite(self):
         v = clipped_jsd(np.array([1.0, -9.0]), np.array([-9.0, 1.0]), 0.0)
         assert abs(v - math.log(2.0)) < 1e-12
+
+
+class TestPairwiseDivergence:
+    @staticmethod
+    def double_loop(fields, metric, threshold=0.0):
+        """The scalar divergences summed over ordered pairs, j-outer."""
+        scalar = {"jsd": jsd, "kl": kl_divergence,
+                  "clipped_jsd": lambda p, q: clipped_jsd(p, q, threshold)}
+        k, rows, _ = fields.shape
+        out = np.zeros(rows)
+        for e in range(rows):
+            total = 0.0
+            for j in range(k):
+                for i in range(k):
+                    if i != j:
+                        total += scalar[metric](fields[i, e], fields[j, e])
+            out[e] = total
+        return out
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_matches_scalar_double_loop(self, metric):
+        rng = np.random.default_rng(12)
+        for k, rows, cells in ((2, 1, 4), (3, 16, 100), (5, 7, 30)):
+            logits = rng.normal(size=(k, rows, cells))
+            if metric == "clipped_jsd":
+                fields, threshold = logits, -0.5
+                assert (fields.max(axis=-1) >= threshold).all()
+            else:
+                e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                fields, threshold = e / e.sum(axis=-1, keepdims=True), 0.0
+            got = pairwise_divergence(fields, metric, threshold)
+            assert got.shape == (rows,)
+            assert np.array_equal(got,
+                                  self.double_loop(fields, metric, threshold))
+
+    def test_zero_and_infinite_cells(self):
+        f0 = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
+        f1 = [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.0, 0.0, 1.0]]
+        fields = np.array([f0, f1])
+        kl = pairwise_divergence(fields, "kl")
+        assert np.array_equal(kl, self.double_loop(fields, "kl"))
+        assert kl[0] == 0.0 and kl[1] == kl[2] == math.inf
+        js = pairwise_divergence(fields, "jsd")
+        assert np.array_equal(js, self.double_loop(fields, "jsd"))
+        assert js[0] == 0.0 and np.isfinite(js).all()
+        assert abs(js[2] - 2.0 * math.log(2.0)) < 1e-15
+
+    def test_single_field_and_negative_entry(self):
+        field = np.full((1, 3, 4), 0.25)
+        assert np.array_equal(pairwise_divergence(field, "jsd"), np.zeros(3))
+        with pytest.raises(ValueError):
+            pairwise_divergence(np.array([[[1.5, -0.5]], [[0.5, 0.5]]]), "kl")
+        with pytest.raises(ValueError):
+            pairwise_divergence(np.full((2, 4), 0.25), "jsd")
+
+    def test_clipped_field_without_survivors_keeps_its_maximum(self):
+        logits = np.array([[[-3.0, -4.0, -3.0], [-2.0, -1.0, -5.0]],
+                           [[1.0, 2.0, -1.0], [-6.0, -1.0, -7.0]]])
+        got = pairwise_divergence(logits, "clipped_jsd", 0.0)
+        # row 0: field 0 keeps its two tied maxima, field 1 its logits >= 0
+        e = np.exp(np.array([1.0, 2.0]) - 2.0)
+        q = np.append(e / e.sum(), 0.0)
+        assert abs(got[0] - 2.0 * jsd([0.5, 0.0, 0.5], q)) < 1e-15
+        # row 1: both fields keep only their maximum, the same cell
+        assert got[1] == 0.0
 
 
 class TestJointAttentionReward:

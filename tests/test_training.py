@@ -8,9 +8,11 @@ import os
 import numpy as np
 import pytest
 
+import acceptance_runs
 from jointattn import numerics as nm
+from jointattn.attention_net import act, pose_vector
 from jointattn.gridworlds import make_config, reset, step
-from jointattn.ja_reward import IncentiveConfig, jsd
+from jointattn.ja_reward import IncentiveConfig, jsd, pairwise_divergence
 from jointattn.training import (
     AgentRunner,
     AgentSpec,
@@ -24,6 +26,7 @@ from jointattn.training import (
     evaluate,
     generalization_eval,
     load_checkpoint,
+    lockstep_episodes,
     observation_array,
     ppo_update,
     recompute_r_ja,
@@ -136,6 +139,27 @@ class TestCollect:
                            metric="clipped_jsd")
         buf = tr.collect_segment()
         assert buf.logit_maps is not None
+        assert np.array_equal(recompute_r_ja(buf, tr.incentive), buf.r_ja)
+
+    def test_clipped_metric_reference_segment_completes(self):
+        # the benchmark's reference segment with the clipped metric at its
+        # default threshold, which clips every logit of some fields away
+        pop = PopulationSpec([AgentSpec("joint_attention")] * 2,
+                             IncentiveConfig(metric="clipped_jsd",
+                                             **acceptance_runs.RUN_INCENTIVE))
+        tr = Trainer("meetup", "default", pop,
+                     PPOConfig(**acceptance_runs.RUN_PPO), seed=11,
+                     env_overrides=acceptance_runs.MEETUP_ENV)
+        buf = tr.collect_segment()
+        assert any((m.max(axis=(2, 3)) < 0.0).any()
+                   for m in buf.logit_maps.values())
+        stats = tr.update_from(buf)
+        assert stats["aborted_updates"] == 0
+        assert all(np.isfinite(stats[k])
+                   for k in ("policy_loss", "value_loss", "entropy"))
+        assert np.isfinite(buf.r_ja).all()
+        assert (buf.r_ja <= 0.0).all()
+        assert (buf.r_ja >= -2.0 * np.log(2.0) - 1e-12).all()
         assert np.array_equal(recompute_r_ja(buf, tr.incentive), buf.r_ja)
 
     def test_incentive_adds_no_forward_passes(self):
@@ -521,7 +545,102 @@ class TestCheckpoints:
         assert b1 == b2
 
 
+# Batched and batch-1 network steps round differently (by ~1e-16), and a
+# divergence between near-identical maps is small next to its terms, so
+# divergences are compared within 1e-12 relative or this absolute floor:
+# the float64 resolution of ln 2, the divergence's upper bound.
+JSD_FLOOR = np.finfo(np.float64).eps * np.log(2.0)
+
+
+def sequential_episodes(agents, kind, variant, config, episodes, seed):
+    """The reference for lockstep evaluation: the episodes one after another,
+    each at batch 1, with the divergence as the scalar double loop."""
+    out = []
+    for ep in range(episodes):
+        ep_seed = int(np.random.SeedSequence([seed, ep]).generate_state(1)[0])
+        state, obs = reset(kind, variant, seed=ep_seed, config=config)
+        rec = [a.core.initial_state(1) for a in agents]
+        actions, divergences = [], []
+        ret = np.zeros(config.agent_count)
+        while not state.done:
+            grid = observation_array(obs[0][0])[None]
+            joint = np.zeros(config.agent_count, dtype=np.int64)
+            maps = {}
+            for k, agent in enumerate(agents):
+                logits, _, m, new_state = agent.core.agent_step(
+                    grid, pose_vector(*obs[k][1])[None], rec[k])
+                rec[k] = new_state.detach()
+                joint[k] = act(logits, "greedy")[0][0]
+                if m is not None:
+                    maps[k] = m.mean_map[0]
+            if len(maps) >= 2:
+                total = sum(jsd(maps[i], maps[j])
+                            for j in maps for i in maps if i != j)
+                divergences.append(total / (len(maps) * (len(maps) - 1)))
+            actions.append(joint)
+            state, outcome, obs = step(state, joint)
+            ret += outcome.rewards
+        out.append({"actions": np.array(actions), "return": ret,
+                    "length": state.step_count, "divergences": divergences})
+    return out
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("variants", [["joint_attention"] * 3,
+                                          ["independent_ppo"] * 2])
+    def test_lockstep_matches_sequential_batch_one_episodes(self, variants):
+        # five landmarks on a 3x3 interior: some layouts end at once, so
+        # rows leave the middle of the batch while the others play on
+        tr = small_trainer(variants, seed=24, env_variant="multi_target",
+                           env_overrides={"interior": 3, "episode_cap": 15})
+        cfg, episodes, seed = tr.env_config, 6, 4
+        ref = sequential_episodes(tr.agents, "meetup", "multi_target", cfg,
+                                  episodes, seed)
+        lengths_ref = [r["length"] for r in ref]
+        assert min(lengths_ref[1:-1]) < cfg.episode_cap == max(lengths_ref)
+
+        actions = [[] for _ in range(episodes)]
+        returns = np.zeros((episodes, cfg.agent_count))
+        lengths = np.zeros(episodes, dtype=np.int64)
+        divergences = [[] for _ in range(episodes)]
+        for st in lockstep_episodes(tr.agents, "meetup", "multi_target", cfg,
+                                    episodes, seed):
+            returns[st.live] += st.rewards
+            lengths[st.live] += 1
+            values = None
+            if len(st.maps) >= 2:
+                fields = np.stack([st.maps[k].mean_map.reshape(len(st.live), -1)
+                                   for k in sorted(st.maps)])
+                pairs = len(st.maps) * (len(st.maps) - 1)
+                values = pairwise_divergence(fields, "jsd") / pairs
+            for row, e in enumerate(st.live):
+                actions[e].append(st.actions[row])
+                if values is not None:
+                    divergences[e].append(values[row])
+        for e, r in enumerate(ref):
+            assert np.array_equal(np.array(actions[e]), r["actions"]), e
+            assert np.array_equal(returns[e], r["return"]), e
+            assert lengths[e] == r["length"], e
+            assert len(divergences[e]) == len(r["divergences"])
+            if r["divergences"]:
+                assert np.allclose(divergences[e], r["divergences"],
+                                   rtol=1e-12, atol=JSD_FLOOR), e
+
+        summary = evaluate(tr.agents, "meetup", "multi_target", cfg, episodes,
+                           seed)
+        flat = [v for r in ref for v in r["divergences"]]
+        assert summary["mean_collective_reward"] == \
+            float(np.mean([r["return"].sum() for r in ref]))
+        assert summary["success_rate"] == \
+            sum(r["length"] < cfg.episode_cap for r in ref) / episodes
+        assert summary["mean_episode_length"] == \
+            float(np.mean([r["length"] for r in ref]))
+        if flat:
+            assert summary["mean_pairwise_jsd"] == \
+                pytest.approx(float(np.mean(flat)), rel=1e-12, abs=JSD_FLOOR)
+        else:
+            assert summary["mean_pairwise_jsd"] is None
+
     def test_greedy_evaluation_is_deterministic(self):
         tr = small_trainer(["joint_attention", "joint_attention"], seed=20)
         a = evaluate(tr.agents, "meetup", "default", tr.env_config, 3, seed=5)
