@@ -355,20 +355,20 @@ def act(action_logits, mode: str, rng: np.random.Generator | None = None):
         logits = logits[None]
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    log_probs_all = z - np.log(e.sum(axis=-1, keepdims=True))
+    total = e.sum(axis=-1, keepdims=True)
     if mode == "greedy":
         actions = np.argmax(logits, axis=-1)
     elif mode == "sample":
         if rng is None:
             raise ValueError("sampling requires an rng")
-        cum = np.cumsum(probs, axis=-1)
+        cum = np.cumsum(e / total, axis=-1)
         u = rng.random(logits.shape[0])
         actions = (cum < u[:, None]).sum(axis=-1)
         actions = np.minimum(actions, logits.shape[-1] - 1)
     else:
         raise ValueError(f"unknown action mode {mode!r}")
-    picked = log_probs_all[np.arange(logits.shape[0]), actions]
+    # the picked entries of the log-softmax, without forming the full table
+    picked = z[np.arange(logits.shape[0]), actions] - np.log(total[:, 0])
     if single:
         return int(actions[0]), float(picked[0])
     return actions.astype(np.int64), picked

@@ -169,6 +169,9 @@ class GridState:
     rng: np.random.Generator = None
     coin_tally: dict = field(default_factory=dict)
     subtasks: tuple = SUBTASKS
+    # meetup landmark cells, row-major; ``reset`` finds them once, since no
+    # meetup step changes a cell. None (a hand-built state) scans the cells.
+    landmarks: tuple | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +260,8 @@ def _build_layout(state: GridState) -> None:
 
 def reset(kind: str, variant: str = "default", seed: int = 0,
           config: EnvConfig | None = None):
-    """Build a fresh seeded episode; returns (GridState, observations)."""
+    """Build a fresh seeded episode; returns (GridState, observations),
+    one ``encode_observation`` per agent, all sharing one read-only grid."""
     cfg = config if config is not None else make_config(kind, variant)
     if kind not in ENV_KINDS:
         raise ValueError(f"unknown environment {kind!r}")
@@ -281,8 +285,9 @@ def reset(kind: str, variant: str = "default", seed: int = 0,
         _place_agents(state, cfg.agent_count, region=lambda c: c[0] < wall_x)
     else:
         _place_agents(state, cfg.agent_count)
-    obs = [encode_observation(state, i) for i in range(len(state.agents))]
-    return state, obs
+    if kind == "meetup":
+        state.landmarks = _landmarks(state)
+    return state, _observations(state)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +302,24 @@ def encode_observation(state: GridState, agent_index: int):
     """
     if not 0 <= agent_index < len(state.agents):
         raise IndexError(f"no agent {agent_index}")
+    me = state.agents[agent_index]
+    return _encode_grid(state), (me.x, me.y, me.direction)
+
+
+def _encode_grid(state: GridState) -> np.ndarray:
     grid = state.cells.copy()
     for i, a in enumerate(state.agents):
         if a.finished:
             continue            # finished agents have left the grid
         grid[a.y, a.x] = (_OBJ["agent"], _agent_color(i), 0)
-    me = state.agents[agent_index]
-    return grid, (me.x, me.y, me.direction)
+    return grid
+
+
+def _observations(state: GridState) -> list:
+    """Every agent's ``encode_observation``, with the grid encoded once."""
+    grid = _encode_grid(state)
+    grid.setflags(write=False)
+    return [(grid, (a.x, a.y, a.direction)) for a in state.agents]
 
 
 def _agent_color(index: int) -> int:
@@ -589,9 +605,12 @@ def _move_stags(state: GridState) -> None:
         state.movers[idx] = (nx, ny)
 
 
-def _landmarks(state: GridState) -> list:
+def _landmarks(state: GridState) -> tuple:
+    """Landmark cells (x, y) in row-major order."""
+    if state.landmarks is not None:
+        return state.landmarks
     ys, xs = np.nonzero(state.cells[:, :, 0] == _OBJ["landmark"])
-    return sorted(zip(xs.tolist(), ys.tolist()), key=lambda c: (c[1], c[0]))
+    return tuple(zip(xs.tolist(), ys.tolist()))
 
 
 def consensus_landmark(state: GridState) -> tuple:
@@ -669,7 +688,8 @@ def tasklist_rules(state: GridState, actions, events: list) -> None:
 
 
 def step(state: GridState, joint_action):
-    """Advance one step; returns (state, StepOutcome, observations)."""
+    """Advance one step; returns (state, StepOutcome, observations), the
+    observations as ``reset`` returns them."""
     if state.done:
         raise RuntimeError("episode is done; reset before stepping again")
     actions = list(joint_action)
@@ -723,5 +743,5 @@ def step(state: GridState, joint_action):
         done = True
     state.done = done
 
-    obs = [encode_observation(state, i) for i in range(n)]
-    return state, StepOutcome(rewards=rewards, done=done, info=info), obs
+    return state, StepOutcome(rewards=rewards, done=done, info=info), \
+        _observations(state)

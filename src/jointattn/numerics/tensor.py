@@ -18,9 +18,12 @@ asks only once its holder has been consumed (``backward`` or
 ``Tape.clear``) or garbage-collected; a live unconsumed holder keeps it,
 and a second request within the same tape gets a fresh array. So the
 outputs of a consumed tape may be overwritten by the next tape's ops: read
-what you need from a recorded forward pass before recording the next one. A request of a new shape replaces the key's array. Calls with no
+what you need from a recorded forward pass before recording the next
+one. A request of a new shape replaces the key's array. Calls with no
 active tape get fresh arrays and leave the pool alone, so act-time forward
-passes still pay only the flag check.
+passes still pay only the flag check. A backward may also write over a
+buffer it is the last reader of: ``frame_features`` puts its masked
+gradient in its pre-activation's array.
 
 Typical use::
 
@@ -670,8 +673,9 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     frame's features (c_s may be 0). Returns (b, h, w, c_out + c_s), the
     same values as the composed ops. Frames and basis are constants: a
     gradient asked of either raises ``TapeError``. Under a tape the padded
-    frames, the columns, the pre-activation, the output and the masked
-    gradient are lent by the tape-to-tape pool (module docstring).
+    frames, the columns, the pre-activation and the output are lent by the
+    tape-to-tape pool (module docstring); backward overwrites the
+    pre-activation with the masked gradient.
     """
     x, kernels, bias, basis = (_astensor(x), _astensor(kernels),
                                _astensor(bias), _astensor(basis))
@@ -704,7 +708,7 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
 
     def fn(gouts, need):
         (g,) = gouts
-        gpre = _lend(tape, "frame_features.masked_grad", (n, c_out))
+        gpre = pre      # the mask is the last read of pre: reuse its buffer
         np.multiply(g[..., :c_out], pre.reshape(b, h, w, c_out) > 0.0,
                     out=gpre.reshape(b, h, w, c_out))
         gw = (cols.T @ gpre).reshape(kd.shape) if need[1] else None

@@ -33,7 +33,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Tensor
 from .attention_net import AgentCore, RecurrentState, act, pose_vector
-from .gridworlds import ENCODING_VERSION, encode_observation, make_config, reset, step
+from .gridworlds import ENCODING_VERSION, make_config, reset, step
 from .ja_reward import IncentiveConfig, beta_schedule, pairwise_divergence
 # not called here: perfbench/tracing.py wraps these names on this module
 from .ja_reward import joint_attention_reward, jsd, kl_divergence, clipped_jsd  # noqa: F401
@@ -158,7 +158,7 @@ class EnvSet:
         self.base_seed = seed
         self.n_agents = config.agent_count
         self.states = [None] * n_envs
-        self.grids = [None] * n_envs      # float conv inputs, shared per env
+        self.grids = [None] * n_envs      # integer grids, one per env
         self.poses = [None] * n_envs      # per env: per agent (x, y, dir)
         self._episode_index = [0] * n_envs
         self.completed_episodes = 0
@@ -174,7 +174,7 @@ class EnvSet:
             [self.base_seed, e, j]).generate_state(1)[0])
 
     def _store_obs(self, e: int, obs) -> None:
-        self.grids[e] = observation_array(obs[0][0])
+        self.grids[e] = obs[0][0]
         self.poses[e] = [o[1] for o in obs]
 
     def _reset_env(self, e: int) -> None:
@@ -184,11 +184,23 @@ class EnvSet:
         self._store_obs(e, obs)
         self._running_env_return[e] = 0.0
 
+    def batch_ids(self) -> np.ndarray:
+        """Every env's observation grid as (n_envs, h, w, 3) uint8 ids, the
+        form the rollout store keeps; an id outside 0..255 raises."""
+        ids = np.stack(self.grids)
+        if ids.min() < 0 or ids.max() > 255:
+            raise ValueError(f"observation ids {ids.min()}..{ids.max()} do "
+                             f"not fit in uint8")
+        return ids.astype(np.uint8)
+
+    def batch_poses(self, agent_index: int) -> np.ndarray:
+        return np.stack([pose_vector(*self.poses[e][agent_index])
+                         for e in range(self.n_envs)])
+
     def batch_obs(self, agent_index: int):
-        grids = np.stack(self.grids)
-        poses = np.stack([pose_vector(*self.poses[e][agent_index])
-                          for e in range(self.n_envs)])
-        return grids, poses
+        """(float conv inputs, poses) of one agent over every env."""
+        return (observation_array(self.batch_ids()),
+                self.batch_poses(agent_index))
 
     def step(self, actions: np.ndarray):
         """actions (n_envs, n_agents) -> rewards (n_envs, n_agents), dones.
@@ -218,20 +230,30 @@ class EnvSet:
 # rollout storage
 
 class RolloutBuffer:
-    """On-policy segment store for every agent plus the shared bonus lane."""
+    """On-policy segment store for every agent plus the shared bonus lane.
+
+    Each lane is stored in its smallest exact form. ``obs[k]`` holds the
+    uint8 cell ids of the grids agent k saw (``observation_array`` of them
+    is what it acted on), and ``h0[k]``/``c0[k]`` its recurrent state at
+    each chunk start only, (T / chunk_length, E, cell): the replay starts
+    each chunk there and rebuilds the rest.
+    """
 
     def __init__(self, n_agents: int, T: int, E: int, h: int, w: int,
-                 cell: int, map_agents, store_logits: bool):
+                 cell: int, map_agents, store_logits: bool, chunk_length: int):
         self.T, self.E = T, E
+        self.chunk_length = chunk_length
         self.map_agents = tuple(map_agents)
-        self.obs = [np.zeros((T, E, h, w, 3)) for _ in range(n_agents)]
+        self.obs = [np.zeros((T, E, h, w, 3), dtype=np.uint8)
+                    for _ in range(n_agents)]
         self.pose = [np.zeros((T, E, 6)) for _ in range(n_agents)]
         self.actions = [np.zeros((T, E), dtype=np.int64) for _ in range(n_agents)]
         self.log_probs = [np.zeros((T, E)) for _ in range(n_agents)]
         self.values = [np.zeros((T, E)) for _ in range(n_agents)]
         self.r_env = [np.zeros((T, E)) for _ in range(n_agents)]
-        self.h0 = [np.zeros((T, E, cell)) for _ in range(n_agents)]
-        self.c0 = [np.zeros((T, E, cell)) for _ in range(n_agents)]
+        chunks = T // chunk_length
+        self.h0 = [np.zeros((chunks, E, cell)) for _ in range(n_agents)]
+        self.c0 = [np.zeros((chunks, E, cell)) for _ in range(n_agents)]
         self.reset_mask = np.zeros((T, E), dtype=bool)
         self.done = np.zeros((T, E), dtype=bool)
         self.mean_maps = {k: np.zeros((T, E, h, w)) for k in self.map_agents}
@@ -281,12 +303,12 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
     step is computed inside an instrumented block that must not add forward
     passes.
     """
-    T, E = ppo.segment_length, envset.n_envs
+    T, E, chunk = ppo.segment_length, envset.n_envs, ppo.chunk_length
     h, w = envset.states[0].height, envset.states[0].width
     map_agents = [k for k, a in enumerate(agents) if a.uses_attention]
     store_logits = incentive.metric == "clipped_jsd"
     buf = RolloutBuffer(len(agents), T, E, h, w, agents[0].core.cell_size,
-                        map_agents, store_logits)
+                        map_agents, store_logits, chunk)
     buf.base_step = base_step
 
     for t in range(T):
@@ -298,11 +320,14 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
         actions = np.zeros((E, len(agents)), dtype=np.int64)
         step_maps = {}
         step_logits = {}
+        ids = envset.batch_ids()
+        grids = observation_array(ids)
         for k, agent in enumerate(agents):
-            buf.h0[k][t] = rec_states[k].h
-            buf.c0[k][t] = rec_states[k].c
-            grids, poses = envset.batch_obs(k)
-            buf.obs[k][t] = grids
+            if t % chunk == 0:
+                buf.h0[k][t // chunk] = rec_states[k].h
+                buf.c0[k][t // chunk] = rec_states[k].c
+            poses = envset.batch_poses(k)
+            buf.obs[k][t] = ids
             buf.pose[k][t] = poses
             logits, value, maps, new_state = agent.core.agent_step(
                 grids, poses, rec_states[k])
@@ -385,12 +410,16 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
 
     Chunks replay from the stored state snapshots; episode boundaries
     inside a chunk re-zero the state exactly as the rollout did. Each
-    minibatch is one time-batched pass (``AgentCore.unroll``), and the
-    losses are computed once over its stacked chunk*B samples. A
-    non-finite loss aborts the update before any parameter step.
+    minibatch is one time-batched pass (``AgentCore.unroll``) over frames
+    scaled from the stored ids by ``observation_array``, as acting scaled
+    them, and the losses are computed once over its stacked chunk*B
+    samples. A non-finite loss aborts the update before any parameter step.
     """
     T, E = buffer.T, buffer.E
     chunk = ppo.chunk_length
+    if buffer.chunk_length != chunk:
+        raise ValueError(f"buffer was filled with chunk length "
+                         f"{buffer.chunk_length}, update uses {chunk}")
     chunks = [(e, start) for e in range(E) for start in range(0, T, chunk)]
     per_batch = max(1, ppo.batch_size // chunk)
     stats = {"policy_loss": [], "value_loss": [], "entropy": []}
@@ -401,15 +430,16 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
             sel = [chunks[i] for i in order[lo:lo + per_batch]]
             B = len(sel)
             n_samples = B * chunk
-            obs = np.stack([buffer.obs[k][s:s + chunk, e] for e, s in sel], axis=1)
+            obs = observation_array(np.stack(
+                [buffer.obs[k][s:s + chunk, e] for e, s in sel], axis=1))
             pose = np.stack([buffer.pose[k][s:s + chunk, e] for e, s in sel], axis=1)
             acts = np.stack([buffer.actions[k][s:s + chunk, e] for e, s in sel], axis=1)
             old_logp = np.stack([buffer.log_probs[k][s:s + chunk, e] for e, s in sel], axis=1)
             adv = np.stack([buffer.advantages[k][s:s + chunk, e] for e, s in sel], axis=1)
             rets = np.stack([buffer.returns[k][s:s + chunk, e] for e, s in sel], axis=1)
             resets = np.stack([buffer.reset_mask[s:s + chunk, e] for e, s in sel], axis=1)
-            h0 = np.stack([buffer.h0[k][s, e] for e, s in sel])
-            c0 = np.stack([buffer.c0[k][s, e] for e, s in sel])
+            h0 = np.stack([buffer.h0[k][s // chunk, e] for e, s in sel])
+            c0 = np.stack([buffer.c0[k][s // chunk, e] for e, s in sel])
 
             with nm.Tape() as tape:
                 logits, value = agent.core.unroll(
@@ -499,7 +529,7 @@ def lockstep_episodes(agents: list, kind: str, variant: str, config,
     rec = [a.core.initial_state(episodes) for a in agents]
     while live.size:
         seen = [obs[e] for e in live]
-        grids = np.stack([observation_array(o[0][0]) for o in seen])
+        grids = observation_array(np.stack([o[0][0] for o in seen]))
         actions = np.zeros((live.size, config.agent_count), dtype=np.int64)
         maps = {}
         for k, agent in enumerate(agents):

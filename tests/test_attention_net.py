@@ -481,3 +481,34 @@ class TestAct:
         ref = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         for i in range(6):
             assert abs(logp[i] - ref[i, actions[i]]) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_matches_full_log_softmax_table_bit_for_bit(self, mode):
+        # the expression act used before it stopped forming probs and the
+        # whole log-prob table: its actions and picked log-probs, exactly
+        def reference(logits, mode, rng):
+            z = logits - logits.max(axis=-1, keepdims=True)
+            e = np.exp(z)
+            probs = e / e.sum(axis=-1, keepdims=True)
+            table = z - np.log(e.sum(axis=-1, keepdims=True))
+            if mode == "greedy":
+                actions = np.argmax(logits, axis=-1)
+            else:
+                cum = np.cumsum(probs, axis=-1)
+                u = rng.random(logits.shape[0])
+                actions = np.minimum((cum < u[:, None]).sum(axis=-1),
+                                     logits.shape[-1] - 1)
+            return actions, table[np.arange(logits.shape[0]), actions]
+
+        rng = np.random.default_rng(41)
+        batches = [rng.normal(size=(64, 7)) * scale
+                   for scale in (1e-3, 1.0, 30.0, 400.0)]
+        batches.append(np.array([[2.0, 7.0, 7.0, -1e300, 0.0, 7.0, 1.0]]))
+        for seed, logits in enumerate(batches):
+            want_a, want_lp = reference(logits, mode,
+                                        np.random.default_rng(seed))
+            got_a, got_lp = act(logits, mode, np.random.default_rng(seed))
+            assert np.array_equal(got_a, want_a)
+            assert np.array_equal(got_lp, want_lp)
+            a, lp = act(logits[0], mode, np.random.default_rng(seed))
+            assert (a, lp) == (int(want_a[0]), float(want_lp[0]))

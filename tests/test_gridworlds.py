@@ -779,3 +779,40 @@ class TestStepContract:
                     assert s.cells[y, x, 0] in (OBJ["empty"], OBJ["goal"]) or (
                         s.cells[y, x, 0] == OBJ["door"]
                         and s.cells[y, x, 2] == ST["door-open"])
+
+
+class TestEpisodeInvariants:
+    @pytest.mark.parametrize("variant", ["default", "cluttered",
+                                         "single_target", "multi_target"])
+    def test_meetup_landmarks_stay_put_over_full_episodes(self, variant):
+        def scan(s):
+            ys, xs = np.nonzero(s.cells[:, :, 0] == OBJ["landmark"])
+            return sorted(zip(xs.tolist(), ys.tolist()),
+                          key=lambda c: (c[1], c[0]))
+
+        for seed in range(3):
+            s, _ = reset("meetup", variant, seed=seed)
+            found = scan(s)
+            assert list(s.landmarks) == found
+            assert len(found) == s.config.landmarks
+            arng = np.random.default_rng(100 + seed)
+            while not s.done:
+                s, _, _ = step(s, arng.integers(0, 7, size=len(s.agents)))
+                assert scan(s) == found
+                assert list(s.landmarks) == found
+
+    @pytest.mark.parametrize("kind", ["meetup", "colorgather", "staghunt",
+                                      "tasklist"])
+    def test_agents_share_one_read_only_grid(self, kind):
+        s, obs = reset(kind, "default", seed=42)
+        arng = np.random.default_rng(43)
+        for _ in range(30):
+            for i, (grid, pose) in enumerate(obs):
+                assert grid is obs[0][0]
+                assert not grid.flags.writeable
+                want_grid, want_pose = encode_observation(s, i)
+                assert np.array_equal(grid, want_grid)
+                assert pose == want_pose
+            if s.done:
+                break
+            s, _, obs = step(s, arng.integers(0, 7, size=len(s.agents)))

@@ -168,19 +168,65 @@ class TestCollect:
         assert buf.no_rerun_forward_calls == 0
 
     def test_boundary_bookkeeping(self):
-        tr = small_trainer(["joint_attention", "joint_attention"],
+        # T = 16 in chunks of 4 and a 3-step episode cap: resets fall both
+        # inside chunks and on a chunk start
+        tr = small_trainer(["joint_attention", "joint_attention"], T=16,
                            env_overrides={"interior": 5, "episode_cap": 3})
+        chunk = tr.ppo.chunk_length
+        seen = [[] for _ in tr.agents]      # (frames, h, c) per agent_step
+        for k, agent in enumerate(tr.agents):
+            def spy(obs, p, state, _step=agent.core.agent_step, _k=k):
+                seen[_k].append((np.array(obs), np.array(state.h),
+                                 np.array(state.c)))
+                return _step(obs, p, state)
+            agent.core.agent_step = spy
         buf = tr.collect_segment()
-        # an episode ends every 3 steps; the next step starts reset
+        # the next step after an episode ends starts reset
         for t in range(buf.T - 1):
             assert np.array_equal(buf.reset_mask[t + 1], buf.done[t])
-        assert buf.done.any()
-        # recurrent snapshots are zeroed exactly at reset steps
-        for t in range(buf.T):
-            for e in range(buf.E):
-                if buf.reset_mask[t, e]:
-                    assert np.array_equal(buf.h0[0][t, e],
-                                          np.zeros_like(buf.h0[0][t, e]))
+        reset_steps = set(np.nonzero(buf.reset_mask.any(axis=1))[0].tolist())
+        assert reset_steps & set(range(0, buf.T, chunk))
+        assert reset_steps - set(range(0, buf.T, chunk))
+        cell = tr.agents[0].core.cell_size
+        assert buf.h0[0].shape == (buf.T // chunk, buf.E, cell)
+        for k in range(len(tr.agents)):
+            assert len(seen[k]) == buf.T + 1       # plus the bootstrap pass
+            for t in range(buf.T):
+                frames, h, c = seen[k][t]
+                # the state each step acted from is zero at every reset...
+                for e in np.nonzero(buf.reset_mask[t])[0]:
+                    assert not h[e].any() and not c[e].any()
+                # ...and is the stored snapshot at every chunk start
+                if t % chunk == 0:
+                    assert np.array_equal(buf.h0[k][t // chunk], h)
+                    assert np.array_equal(buf.c0[k][t // chunk], c)
+                # the stored ids scale back to the frames it acted on
+                assert np.array_equal(observation_array(buf.obs[k][t]),
+                                      frames)
+
+    def test_lane_dtypes_and_sizes_at_colorgather_shapes(self):
+        # train_colorgather_wide's segment: 3 agents, 16 envs, 10x10 grids
+        ppo = PPOConfig(n_envs=16)
+        K, T, E, side = 3, ppo.segment_length, ppo.n_envs, 10
+        cell = AgentRunner(AgentSpec(), side, side, ppo, 0).core.cell_size
+        buf = RolloutBuffer(K, T, E, side, side, cell, range(K), False,
+                            ppo.chunk_length)
+        for k in range(K):
+            assert buf.obs[k].dtype == np.uint8
+            assert buf.obs[k].nbytes == T * E * side * side * 3 == 614_400
+            for snapshots in (buf.h0[k], buf.c0[k]):
+                assert snapshots.dtype == np.float64
+                assert snapshots.shape == (T // ppo.chunk_length, E, cell)
+                assert snapshots.nbytes == 8 * 16 * cell * 8 == 65_536
+
+    def test_out_of_range_cell_id_raises(self):
+        for bad in (256, -1):
+            tr = small_trainer(["joint_attention", "joint_attention"])
+            grid = np.array(tr.envset.grids[1])
+            grid[0, 0, 1] = bad
+            tr.envset.grids[1] = grid
+            with pytest.raises(ValueError, match="uint8"):
+                tr.collect_segment()
 
     def test_pending_reset_crosses_segments(self):
         tr = small_trainer(["joint_attention", "joint_attention"],
@@ -205,7 +251,7 @@ class TestCollect:
 
 
 def manual_buffer(T, E, rewards, values, bootstrap, dones=None):
-    buf = RolloutBuffer(1, T, E, 3, 3, 4, [], False)
+    buf = RolloutBuffer(1, T, E, 3, 3, 4, [], False, T)
     buf.r_env[0] = np.asarray(rewards, dtype=np.float64)
     buf.values[0] = np.asarray(values, dtype=np.float64)
     buf.bootstrap[0] = np.asarray(bootstrap, dtype=np.float64)
@@ -283,18 +329,20 @@ class TestAdvantages:
 
 
 def bandit_buffer(agent, action, T=4, E=2, advantage=1.0):
-    """Fixed-observation buffer pushing one action with a set advantage."""
+    """Fixed-observation buffer of one T-step chunk pushing one action with
+    a set advantage; returns it with the float frame the agent saw."""
     h = agent.core.height
-    buf = RolloutBuffer(1, T, E, h, h, agent.core.cell_size, [], False)
+    buf = RolloutBuffer(1, T, E, h, h, agent.core.cell_size, [], False, T)
     rng = np.random.default_rng(7)
-    obs = observation_array(rng.integers(0, 3, size=(h, h, 3)))
-    buf.obs[0][:] = obs
+    ids = rng.integers(0, 3, size=(h, h, 3))
+    obs = observation_array(ids)
+    buf.obs[0][:] = ids
     buf.pose[0][:] = 0.0
     buf.actions[0][:] = action
     state = agent.core.initial_state(E)
+    buf.h0[0][0] = state.h
+    buf.c0[0][0] = state.c
     for t in range(T):
-        buf.h0[0][t] = state.h
-        buf.c0[0][t] = state.c
         logits, value, _, state = agent.core.agent_step(
             np.repeat(obs[None], E, axis=0), np.zeros((E, 6)), state)
         state = state.detach()
@@ -372,7 +420,8 @@ class TestPPOUpdate:
             total = None
             for t in range(4):
                 logits, _, _, state = twin.core.agent_step(
-                    buf.obs[0][t][:1], np.zeros((1, 6)), state)
+                    observation_array(buf.obs[0][t][:1]), np.zeros((1, 6)),
+                    state)
                 lp = nm.gather_last(nm.log_softmax(logits), [0])
                 total = lp if total is None else total + lp
             nm.backward(nm.scale(nm.sum_all(total), -1.0 / 4.0))
@@ -395,6 +444,17 @@ class TestPPOUpdate:
         stats = ppo_update(agent, buf, 0, cfg, np.random.default_rng(0))
         assert stats["aborted"]
         assert "non-finite" in stats["reason"]
+        for n, data in snapshot.items():
+            assert np.array_equal(agent.core.params[n].data, data)
+
+    def test_chunk_length_mismatch_raises(self):
+        agent = self._agent(seed=5)
+        buf, _ = bandit_buffer(agent, action=3)
+        snapshot = {n: p.data.copy() for n, p in agent.core.params.items()}
+        cfg = PPOConfig(chunk_length=2, batch_size=8, segment_length=4,
+                        epochs=1)
+        with pytest.raises(ValueError, match="chunk length"):
+            ppo_update(agent, buf, 0, cfg, np.random.default_rng(0))
         for n, data in snapshot.items():
             assert np.array_equal(agent.core.params[n].data, data)
 
