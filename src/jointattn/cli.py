@@ -563,6 +563,8 @@ def cmd_eval(args) -> int:
     episodes = args.episodes
     if episodes is None:
         episodes = 30 if args.generalize else 10
+    if episodes < 1:
+        raise ConfigError(f"--episodes must be at least 1, got {episodes}")
 
     if args.generalize:
         applicable = [v for v, kinds in VARIANTS.items()

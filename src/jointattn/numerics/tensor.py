@@ -20,10 +20,20 @@ and a second request within the same tape gets a fresh array. So the
 outputs of a consumed tape may be overwritten by the next tape's ops: read
 what you need from a recorded forward pass before recording the next
 one. A request of a new shape replaces the key's array. Calls with no
-active tape get fresh arrays and leave the pool alone, so act-time forward
-passes still pay only the flag check. A backward may also write over a
-buffer it is the last reader of: ``frame_features`` puts its masked
-gradient in its pre-activation's array.
+active tape leave the pool alone. A backward may also write over a buffer
+it is the last reader of: ``frame_features`` puts its masked gradient in
+its pre-activation's array.
+
+Scratch for untaped calls: with no active tape (acting, evaluation,
+rendering), ``frame_features`` writes its padded frames, columns and
+pre-activation into one scratch array per key, kept apart from the pool
+and reused by every untaped call, because those arrays die inside the
+call. A request of a new shape replaces the key's scratch array. The
+output is a fresh array on every untaped call, so nothing a caller holds
+is ever overwritten, and no taped call is handed a scratch array. Without
+it, a wide act-time batch allocates (and the allocator pages in) these
+arrays afresh on every step. Pool and scratch are process-wide and assume
+one thread.
 
 Typical use::
 
@@ -183,14 +193,20 @@ def _record(outputs, inputs, fn) -> None:
 
 # key -> [array, weak reference to the tape that holds it]
 _POOL: dict[str, list] = {}
+# key -> the array every untaped call reuses for what dies inside it
+_SCRATCH: dict[str, np.ndarray] = {}
 
 
 def _lend(tape: Tape | None, key: str, shape: tuple, new=np.empty) -> np.ndarray:
     """An array of ``shape`` for ``tape`` to hold, by the lending rule of
-    the module docstring; ``new(shape)`` makes a fresh one. A lent array
-    keeps what its previous holder wrote into it."""
+    the module docstring, or with no tape the key's scratch array;
+    ``new(shape)`` makes a fresh one. A lent or scratch array keeps what
+    its previous user wrote into it."""
     if tape is None:
-        return new(shape)
+        arr = _SCRATCH.get(key)
+        if arr is None or arr.shape != shape:
+            arr = _SCRATCH[key] = new(shape)
+        return arr
     entry = _POOL.get(key)
     if entry is not None:
         holder = entry[1]()
@@ -675,7 +691,8 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     gradient asked of either raises ``TapeError``. Under a tape the padded
     frames, the columns, the pre-activation and the output are lent by the
     tape-to-tape pool (module docstring); backward overwrites the
-    pre-activation with the masked gradient.
+    pre-activation with the masked gradient. With no tape the first three
+    are scratch arrays and the output is fresh.
     """
     x, kernels, bias, basis = (_astensor(x), _astensor(kernels),
                                _astensor(bias), _astensor(basis))
@@ -701,7 +718,9 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     kflat = kd.reshape(9 * c_in, c_out)
     pre = _lend(tape, "frame_features.pre", (n, c_out))
     np.add(np.matmul(cols, kflat, out=pre), bd, out=pre)
-    od = _lend(tape, "frame_features.out", (b, h, w, c_out + sd.shape[2]))
+    out_shape = (b, h, w, c_out + sd.shape[2])
+    od = np.empty(out_shape) if tape is None else \
+        _lend(tape, "frame_features.out", out_shape)
     np.maximum(pre.reshape(b, h, w, c_out), 0.0, out=od[..., :c_out])
     od[..., c_out:] = sd
     out = Tensor(od)

@@ -16,8 +16,10 @@ Population variants:
 
 Evaluation plays its episodes in lockstep, as one batch of rollouts
 (``lockstep_episodes``): one network step per agent over the live
-episodes, which leave the batch as they end. The bonus, its replay and the
-evaluation figure all take the pairwise divergence from one kernel,
+episodes, which leave the batch as they end. A generalization table is one
+such batch too, episodes x variants rows, split into one summary per
+variant by ``evaluate``. The bonus, its replay and the evaluation figure
+all take the pairwise divergence from one kernel,
 ``ja_reward.pairwise_divergence``, over every environment or episode at
 once.
 """
@@ -488,9 +490,10 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
 
 @dataclass
 class EpisodeStep:
-    """One lockstep step of the live episodes, in episode order.
+    """One lockstep step of the live episodes, in row order.
 
-    ``live`` holds their episode indices, ascending; ``obs`` each one's
+    ``live`` holds their row indices, ascending (``lockstep_episodes``
+    numbers the rows); ``obs`` each one's
     observations before the step (one ``(grid, pose)`` per agent, as
     ``reset``/``step`` return them); ``actions`` the (live, agents) joint
     actions taken; ``maps`` the ``AttentionMaps`` of each map-producing
@@ -504,33 +507,66 @@ class EpisodeStep:
     rewards: np.ndarray
 
 
-def lockstep_episodes(agents: list, kind: str, variant: str, config,
-                      episodes: int, seed: int, mode: str = "greedy"):
-    """Play ``episodes`` episodes as one batch; yield an ``EpisodeStep`` per
-    step until every episode is done.
+def _layouts(variant, config, episodes: int) -> list:
+    """The (variant, config) pairs of an evaluation batch, checked.
 
-    Episode ep is laid out from ``SeedSequence([seed, ep])``, as it would be
-    played alone, and all of them are reset up front. Each step runs one
-    ``agent_step`` per agent over the rows of the live episodes, each row
-    with its own recurrent state, then steps every live environment;
-    episodes that end leave the batch. ``mode="sample"`` draws every action
-    from one generator seeded from ``seed``, step-major: at each step, agent
-    by agent, one draw per live episode.
+    ``variant`` and ``config`` are one variant name and its config, or
+    equal-length lists of them. Their layouts must share the grid shape and
+    the agent count, so that their rows stack into one batch.
     """
+    if episodes < 1:
+        raise ValueError(f"episodes must be at least 1, got {episodes}")
+    if isinstance(variant, str):
+        layouts = [(variant, config)]
+    else:
+        layouts = list(zip(variant, config, strict=True))
+    if not layouts:
+        raise ValueError("no variant to evaluate")
+    if len({v for v, _ in layouts}) < len(layouts):
+        raise ValueError(f"a variant is listed twice: {list(variant)}")
+    shapes = {(cfg.interior, cfg.agent_count) for _, cfg in layouts}
+    if len(shapes) > 1:
+        raise ValueError(f"layouts differ in (interior, agent count): "
+                         f"{sorted(shapes)}; their rows cannot share a batch")
+    return layouts
+
+
+def lockstep_episodes(agents: list, kind: str, variant, config,
+                      episodes: int, seed: int, mode: str = "greedy"):
+    """Play ``episodes`` episodes of every layout as one batch; yield an
+    ``EpisodeStep`` per step until every episode is done.
+
+    ``variant`` and ``config`` name one layout, or are equal-length lists of
+    layouts with one grid shape and agent count (``ValueError`` otherwise,
+    or for ``episodes < 1``). Rows are layout-major: row i * episodes + ep
+    is episode ep of layout i, and ``EpisodeStep.live`` holds these row
+    indices. Episode ep of every layout is laid out from
+    ``SeedSequence([seed, ep])``, as it would be played alone, and all of
+    them are reset up front. Each step runs one ``agent_step`` per agent
+    over the live rows, each with its own recurrent state, then steps every
+    live environment; episodes that end leave the batch. ``mode="sample"``
+    draws every action from one generator seeded from ``seed``,
+    step-major: at each step, agent by agent, one draw per live row. With
+    several layouts the draws therefore differ from separate runs.
+    """
+    layouts = _layouts(variant, config, episodes)
+    agent_count = layouts[0][1].agent_count
     rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
         if mode == "sample" else None
+    ep_seeds = [agent_seed(seed, ep) for ep in range(episodes)]
     states, obs = [], []
-    for ep in range(episodes):
-        ep_seed = int(np.random.SeedSequence([seed, ep]).generate_state(1)[0])
-        state, first = reset(kind, variant, seed=ep_seed, config=config)
-        states.append(state)
-        obs.append(first)
-    live = np.arange(episodes)
-    rec = [a.core.initial_state(episodes) for a in agents]
+    for layout_variant, layout_config in layouts:
+        for ep_seed in ep_seeds:
+            state, first = reset(kind, layout_variant, seed=ep_seed,
+                                 config=layout_config)
+            states.append(state)
+            obs.append(first)
+    live = np.arange(len(states))
+    rec = [a.core.initial_state(len(states)) for a in agents]
     while live.size:
         seen = [obs[e] for e in live]
         grids = observation_array(np.stack([o[0][0] for o in seen]))
-        actions = np.zeros((live.size, config.agent_count), dtype=np.int64)
+        actions = np.zeros((live.size, agent_count), dtype=np.int64)
         maps = {}
         for k, agent in enumerate(agents):
             poses = np.stack([pose_vector(*o[k][1]) for o in seen])
@@ -540,7 +576,7 @@ def lockstep_episodes(agents: list, kind: str, variant: str, config,
             actions[:, k], _ = act(logits, mode, rng)
             if agent_maps is not None:
                 maps[k] = agent_maps
-        rewards = np.zeros((live.size, config.agent_count))
+        rewards = np.zeros((live.size, agent_count))
         for row, e in enumerate(live):
             states[e], outcome, obs[e] = step(states[e], actions[row])
             rewards[row] = outcome.rewards
@@ -551,23 +587,31 @@ def lockstep_episodes(agents: list, kind: str, variant: str, config,
             rec = [RecurrentState(r.h[going], r.c[going]) for r in rec]
 
 
-def evaluate(agents: list, kind: str, variant: str, config, episodes: int,
+def evaluate(agents: list, kind: str, variant, config, episodes: int,
              seed: int, incentive: IncentiveConfig | None = None,
-             mode: str = "greedy") -> dict:
+             mode: str = "greedy"):
     """Decentralized evaluation rollouts; no learning, no bonus in the reward.
 
     The default mode is greedy execution. The episodes run in lockstep as
-    one batch (``lockstep_episodes``). Reports mean collective environment
-    reward, success rate (episodes that terminate before the step cap),
-    mean episode length, and the mean pairwise divergence of the
-    map-producing agents: per step the mean over ordered pairs, then the
-    mean over every step of every episode, taken in episode order.
+    one batch (``lockstep_episodes``); given lists of variants and configs,
+    the batch holds ``episodes`` rows of each variant, layout-major, and the
+    result is ``{variant: summary}``, each summary built from its own rows
+    only. In greedy mode each equals what ``evaluate`` of that variant alone
+    gives, up to BLAS rounding at the wider batch; in sample mode the draws
+    are spread over every row, so they differ. A summary reports mean
+    collective environment reward, success rate (episodes that terminate
+    before the step cap), mean episode length, and the mean pairwise
+    divergence of the map-producing agents: per step the mean over ordered
+    pairs, then the mean over every step of every episode, taken in episode
+    order.
     """
     incentive = incentive or IncentiveConfig()
+    layouts = _layouts(variant, config, episodes)
     use_logits = incentive.metric == "clipped_jsd"
-    returns = np.zeros((episodes, config.agent_count))
-    lengths = np.zeros(episodes, dtype=np.int64)
-    div_values = [[] for _ in range(episodes)]
+    rows = len(layouts) * episodes
+    returns = np.zeros((rows, layouts[0][1].agent_count))
+    lengths = np.zeros(rows, dtype=np.int64)
+    div_values = [[] for _ in range(rows)]
     for st in lockstep_episodes(agents, kind, variant, config, episodes,
                                 seed, mode):
         returns[st.live] += st.rewards
@@ -582,27 +626,40 @@ def evaluate(agents: list, kind: str, variant: str, config, episodes: int,
                                          incentive.clip_threshold) / pairs
             for e, v in zip(st.live, values):
                 div_values[e].append(v)
-    div_values = [v for per_episode in div_values for v in per_episode]
-    return {
-        "episodes": episodes,
-        "mean_collective_reward": float(np.mean(returns.sum(axis=1))),
-        "success_rate": int((lengths < config.episode_cap).sum()) / episodes,
-        "mean_episode_length": float(np.mean(lengths)),
-        "mean_pairwise_jsd": float(np.mean(div_values)) if div_values else None,
-    }
+    summaries = {}
+    for i, (layout_variant, layout_config) in enumerate(layouts):
+        own = slice(i * episodes, (i + 1) * episodes)
+        divs = [v for per_episode in div_values[own] for v in per_episode]
+        summaries[layout_variant] = {
+            "episodes": episodes,
+            "mean_collective_reward": float(np.mean(returns[own].sum(axis=1))),
+            "success_rate": int((lengths[own] < layout_config.episode_cap)
+                                .sum()) / episodes,
+            "mean_episode_length": float(np.mean(lengths[own])),
+            "mean_pairwise_jsd": float(np.mean(divs)) if divs else None,
+        }
+    return summaries[variant] if isinstance(variant, str) else summaries
 
 
 def generalization_eval(agents: list, kind: str, variants: list,
                         base_config, episodes: int = 30, seed: int = 0) -> dict:
-    """Zero-shot greedy evaluation across environment variants."""
-    out = {}
-    for variant in variants:
-        config = make_config(kind, variant,
-                             interior=base_config.interior,
-                             agent_count=base_config.agent_count,
-                             episode_cap=base_config.episode_cap)
-        out[variant] = evaluate(agents, kind, variant, config, episodes, seed)
-    return out
+    """Zero-shot greedy evaluation across environment variants.
+
+    Every variant takes ``base_config``'s interior, agent count and step
+    cap. One ``evaluate`` call plays episodes x variants rows as one
+    lockstep batch, layout-major (variant by variant, episodes in order
+    within each), and returns ``{variant: summary}``. Episode ep of every
+    variant is laid out from ``SeedSequence([seed, ep])``, so each summary
+    is what ``evaluate`` of that variant alone gives, up to BLAS rounding
+    at the wider batch. A variant listed twice is evaluated once; an
+    unknown one raises ``ValueError``.
+    """
+    variants = list(dict.fromkeys(variants))
+    configs = [make_config(kind, variant, interior=base_config.interior,
+                           agent_count=base_config.agent_count,
+                           episode_cap=base_config.episode_cap)
+               for variant in variants]
+    return evaluate(agents, kind, variants, configs, episodes, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,17 @@ class TestEvalCommand:
                      "--generalize", "no_stag"])
         assert code == 2
 
+    @pytest.mark.parametrize("extra", [["--episodes", "0"],
+                                       ["--episodes", "-3",
+                                        "--generalize", "all"]])
+    def test_episode_count_below_one_exits_2(self, train_run, capsys, extra):
+        code = main(["eval", "--checkpoint", str(train_run["outdir"])]
+                    + extra)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --episodes must be at least 1")
+        assert len(err.strip().splitlines()) == 1
+
     def test_tampered_config_hash_detected(self, train_run, tmp_path):
         ck = train_run["outdir"] / "checkpoints"
         step = sorted(os.listdir(ck))[-1]

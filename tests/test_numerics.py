@@ -756,7 +756,8 @@ class TestFrameFeatures:
 
 
 class TestLending:
-    """The pool that lends ``frame_features``' arrays from tape to tape."""
+    """The pool that lends ``frame_features``' arrays from tape to tape, and
+    the scratch its untaped calls reuse."""
 
     def _record(self, x, k, b):
         """Record one node and its loss on a tape of its own."""
@@ -817,6 +818,71 @@ class TestLending:
         assert holder() is None
         _, again, _ = self._record(x, k, b)
         assert np.shares_memory(lent, again.data)
+
+    # untaped calls: scratch arrays inside the call, a fresh output
+
+    @staticmethod
+    def _composed(x, k, b, basis):
+        """The composed ops, every array fresh."""
+        basis = np.broadcast_to(basis, x.shape[:3] + basis.shape[2:])
+        return nm.concat_last(nm.relu(nm.conv2d(Tensor(x), k, b)),
+                              Tensor(basis)).data
+
+    def test_untaped_outputs_are_fresh_and_kept(self):
+        xa, k, b = self._params(86)
+        xb = np.random.default_rng(87).normal(size=xa.shape)
+        basis = np.random.default_rng(88).normal(size=(3, 4, 2))
+        out_a = nm.frame_features(xa, k, b, basis)
+        kept = out_a.data.copy()
+        out_b = nm.frame_features(xb, k, b, basis)
+        assert not np.shares_memory(out_a.data, out_b.data)
+        assert np.array_equal(out_a.data, kept)
+        assert np.array_equal(out_a.data, self._composed(xa, k, b, basis))
+        assert np.array_equal(out_b.data, self._composed(xb, k, b, basis))
+
+    def test_padded_border_stays_zero_across_shape_changes(self):
+        x, k, b = self._params(89)
+        rng = np.random.default_rng(90)
+        # every frame cell far from zero, so a stale border would show
+        small = np.abs(x) + 5.0
+        large = rng.uniform(5.0, 9.0, size=(3, 5, 6, 2))
+        for frames in (small, large, small, small[:1], large[:2], small):
+            basis = np.zeros(frames.shape[1:3] + (1,))
+            out = nm.frame_features(frames, k, b, basis)
+            assert np.array_equal(out.data,
+                                  self._composed(frames, k, b, basis))
+
+    def test_untaped_calls_between_taped_ones_keep_lending_the_pool(self):
+        x, k, b = self._params(91)
+        _, first, loss = self._record(x, k, b)
+        backward(loss)
+        basis = np.zeros((3, 4, 1))
+        outs = [nm.frame_features(x, k, b, basis) for _ in range(2)]
+        _, second, _ = self._record(x, k, b)
+        assert np.shares_memory(first.data, second.data)
+        assert not any(np.shares_memory(o.data, second.data) for o in outs)
+
+    def test_taped_call_does_not_alias_the_scratch(self):
+        x, k, b = self._params(92)
+        other = np.random.default_rng(93).normal(size=x.shape)
+        basis = np.zeros((3, 4, 1))
+        nm.frame_features(x, k, b, basis)       # the scratch holds x's arrays
+        _, out, loss = self._record(x, k, b)
+        kept = out.data.copy()
+        # an untaped call between the taped forward and its backward writes
+        # the scratch; the tape's columns and pre-activation must not move
+        nm.frame_features(other, k, b, basis)
+        backward(loss)
+        assert np.array_equal(out.data, kept)
+        rk = Tensor(k.data, requires_grad=True)
+        rb = Tensor(b.data, requires_grad=True)
+        with Tape():
+            ref = nm.concat_last(nm.relu(nm.conv2d(Tensor(x), rk, rb)),
+                                 Tensor(np.broadcast_to(basis, (2, 3, 4, 1))))
+            ref_loss = nm.sum_all(nm.mul(ref, ref))
+        backward(ref_loss)
+        assert np.array_equal(k.grad, rk.grad)
+        assert np.array_equal(b.grad, rb.grad)
 
 
 # ---------------------------------------------------------------------------

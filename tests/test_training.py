@@ -10,6 +10,7 @@ import pytest
 
 import acceptance_runs
 from jointattn import numerics as nm
+from jointattn import training
 from jointattn.attention_net import act, pose_vector
 from jointattn.gridworlds import make_config, reset, step
 from jointattn.ja_reward import IncentiveConfig, jsd, pairwise_divergence
@@ -701,6 +702,19 @@ class TestEvaluate:
         else:
             assert summary["mean_pairwise_jsd"] is None
 
+    @pytest.mark.parametrize("episodes", [0, -3])
+    def test_episode_count_below_one_raises(self, episodes):
+        tr = small_trainer(["joint_attention", "joint_attention"], seed=19)
+        cfg = tr.env_config
+        with pytest.raises(ValueError, match="at least 1"):
+            evaluate(tr.agents, "meetup", "default", cfg, episodes, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            next(lockstep_episodes(tr.agents, "meetup", "default", cfg,
+                                   episodes, seed=1))
+        with pytest.raises(ValueError, match="at least 1"):
+            generalization_eval(tr.agents, "meetup", ["default", "cluttered"],
+                                cfg, episodes=episodes, seed=1)
+
     def test_greedy_evaluation_is_deterministic(self):
         tr = small_trainer(["joint_attention", "joint_attention"], seed=20)
         a = evaluate(tr.agents, "meetup", "default", tr.env_config, 3, seed=5)
@@ -828,3 +842,65 @@ class TestGeneralization:
         with pytest.raises(ValueError):
             generalization_eval(tr.agents, "meetup", ["no_such_variant"],
                                 tr.env_config, episodes=1, seed=0)
+
+    @pytest.mark.parametrize("variants, seed", [(["joint_attention"] * 3, 24),
+                                                (["independent_ppo"] * 2, 25)])
+    def test_one_batch_matches_evaluate_per_variant(self, variants, seed,
+                                                    monkeypatch):
+        # a 3x3 interior and a short cap: some layouts end at once and others
+        # play to the cap, so rows of every variant leave the batch mid-run
+        overrides = {"interior": 3, "episode_cap": 10}
+        tr = small_trainer(variants, seed=seed, env_overrides=overrides)
+        names = ["default", "single_target", "multi_target"]
+        episodes, ev_seed = 5, 4
+        calls = []
+        one_call = training.evaluate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return one_call(*args, **kwargs)
+
+        monkeypatch.setattr(training, "evaluate", counted)
+        table = generalization_eval(tr.agents, "meetup", names, tr.env_config,
+                                    episodes=episodes, seed=ev_seed)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert list(table) == names
+
+        ref = {}
+        for name in names:
+            cfg = make_config("meetup", name, agent_count=len(variants),
+                              **overrides)
+            ref[name] = evaluate(tr.agents, "meetup", name, cfg, episodes,
+                                 ev_seed)
+        successes = [ref[n]["success_rate"] for n in names]
+        assert max(successes) > 0.0 and min(successes) < 1.0
+        assert len({ref[n]["mean_episode_length"] for n in names}) > 1
+        for name in names:
+            got, want = table[name], ref[name]
+            assert got.keys() == want.keys()
+            for key in want:
+                if key != "mean_pairwise_jsd":
+                    assert got[key] == want[key], (name, key)
+            if want["mean_pairwise_jsd"] is None:
+                assert got["mean_pairwise_jsd"] is None
+            else:
+                assert got["mean_pairwise_jsd"] == pytest.approx(
+                    want["mean_pairwise_jsd"], rel=1e-12, abs=JSD_FLOOR), name
+
+    def test_layouts_of_other_shapes_rejected(self):
+        tr = small_trainer(["joint_attention", "joint_attention"], seed=38)
+        base = tr.env_config
+        names = ["default", "single_target"]
+        wider = make_config("meetup", "single_target", agent_count=2,
+                            interior=base.interior + 1,
+                            episode_cap=base.episode_cap)
+        crowded = make_config("meetup", "single_target", agent_count=3,
+                              interior=base.interior,
+                              episode_cap=base.episode_cap)
+        for other in (wider, crowded):
+            with pytest.raises(ValueError, match="cannot share a batch"):
+                evaluate(tr.agents, "meetup", names, [base, other], 2, seed=0)
+            with pytest.raises(ValueError, match="cannot share a batch"):
+                next(lockstep_episodes(tr.agents, "meetup", names,
+                                       [base, other], 2, seed=0))
