@@ -15,6 +15,10 @@ with w the per-head softmax over all positions (the attention maps). O
 enters the LSTM together with an embedded pose vector. Policy and value
 heads sit on top of the LSTM and share no parameters.
 
+Every entry point acts on a batch: frames are (batch, h, w, 3), recurrent
+states (batch, cell) and action logits (batch, actions); an unbatched input
+raises ``ShapeError``.
+
 The forward pass has three pieces: ``encode`` (frame-only: conv, basis,
 pose embedding), ``recurrent_step`` (query -> attention -> LSTM for T
 steps) and ``heads`` (policy and value from h). The conv, its ReLU and the
@@ -96,11 +100,11 @@ class RecurrentState:
 class AttentionMaps:
     """Per-head attention fields and their head-mean, as plain arrays.
 
-    ``per_head`` is (m, h, w) or (batch, m, h, w); ``mean_map`` drops the
-    head axis. ``head_logits`` keeps the pre-softmax scores for the clipped
-    incentive variant. These are plain arrays off the tape, to be read, not
-    written: the differentiable path to the policy stays inside the forward
-    pass.
+    ``per_head`` is (batch, m, h, w) and ``mean_map`` (batch, h, w), the
+    head axis averaged out. ``head_logits`` keeps the pre-softmax scores,
+    shaped as ``per_head``, for the clipped incentive variant. These are
+    plain arrays off the tape, to be read, not written: the differentiable
+    path to the policy stays inside the forward pass.
     """
 
     __slots__ = ("per_head", "mean_map", "head_logits")
@@ -108,7 +112,7 @@ class AttentionMaps:
     def __init__(self, per_head: np.ndarray, head_logits: np.ndarray):
         self.per_head = per_head
         self.head_logits = head_logits
-        self.mean_map = per_head.mean(axis=-3)
+        self.mean_map = per_head.mean(axis=1)
 
 
 class AgentCore:
@@ -181,19 +185,15 @@ class AgentCore:
 
     # -- layers ---------------------------------------------------------------
 
-    def initial_state(self, batch: int | None = None) -> RecurrentState:
-        if batch is None:
-            shape = (self.cell_size,)
-        else:
-            shape = (batch, self.cell_size)
+    def initial_state(self, batch: int) -> RecurrentState:
+        """Zero h and c for ``batch`` sequences, each (batch, cell)."""
+        shape = (batch, self.cell_size)
         return RecurrentState(np.zeros(shape), np.zeros(shape))
 
     def query_from_state(self, h_prev) -> Tensor:
-        """Queries for the next frame from the previous LSTM state."""
-        h = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
-        q = nm.dense(h, self.params["query/w"], self.params["query/b"])
-        if h.ndim == 1:
-            return nm.reshape(q, (self.num_heads, self.head_depth))
+        """Queries (batch, m, c_m) for the next frames from the previous
+        LSTM states h_prev (batch, cell)."""
+        q = nm.dense(h_prev, self.params["query/w"], self.params["query/b"])
         return nm.reshape(q, (q.shape[0], self.num_heads, self.head_depth))
 
     def encode_features(self, obs) -> Tensor:
@@ -211,29 +211,21 @@ class AgentCore:
     def compute_attention(self, features, queries) -> tuple:
         """Per-head maps and the filtered output O.
 
-        features: (h, w, d) or (batch, h, w, d); queries (m, c_m) or
-        (batch, m, c_m). Returns (AttentionMaps, O tensor) with O of shape
-        (m, c_m) or (batch, m, c_m) to match.
+        features are (batch, h, w, d) and queries (batch, m, c_m). Returns
+        (AttentionMaps, O tensor) with O of shape (batch, m, c_m).
         """
         f = features if isinstance(features, Tensor) else Tensor(features)
-        q = queries if isinstance(queries, Tensor) else Tensor(queries)
-        batched = f.ndim == 4
-        if not batched:
-            f = nm.reshape(f, (1,) + f.shape)
-            q = nm.reshape(q, (1,) + q.shape)
+        if f.ndim != 4:
+            raise nm.ShapeError(f"features {f.shape} are not (batch, h, w, d)")
         b, h, w, _ = f.shape
-        m, c = self.num_heads, self.head_depth
-        logits = nm.attention_scores(f, q, self.params["keys/w"],
+        grid = (b, self.num_heads, h, w)
+        logits = nm.attention_scores(f, queries, self.params["keys/w"],
                                      self.params["keys/b"])       # (b, m, pos)
         weights = nm.softmax(logits)
         out = nm.attention_apply(weights, f, self.params["values/w"],
                                  self.params["values/b"])         # (b, m, c)
-        per_head = weights.data.reshape(b, m, h, w).copy()
-        head_logits = logits.data.reshape(b, m, h, w).copy()
-        if not batched:
-            per_head, head_logits = per_head[0], head_logits[0]
-            out = nm.reshape(out, (m, c))
-        return AttentionMaps(per_head, head_logits), out
+        return AttentionMaps(weights.data.reshape(grid).copy(),
+                             logits.data.reshape(grid).copy()), out
 
     # -- the three pieces of a step -------------------------------------------
 
@@ -345,14 +337,13 @@ class AgentCore:
 def act(action_logits, mode: str, rng: np.random.Generator | None = None):
     """Pick actions from logits.
 
-    greedy: argmax, ties to the lowest index. sample: categorical draw from
-    softmax(logits) using ``rng``. Returns (actions, log_probs) as arrays
-    for batched logits or scalars for a single logit vector.
+    action_logits is (batch, actions). greedy: argmax, ties to the lowest
+    index. sample: categorical draw from softmax(logits) using ``rng``, one
+    uniform per row. Returns (actions, log_probs), both (batch,) arrays.
     """
     logits = action_logits.data if isinstance(action_logits, Tensor) else np.asarray(action_logits, dtype=np.float64)
-    single = logits.ndim == 1
-    if single:
-        logits = logits[None]
+    if logits.ndim != 2:
+        raise nm.ShapeError(f"act expects (batch, actions) logits, got {logits.shape}")
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=-1, keepdims=True)
@@ -369,6 +360,4 @@ def act(action_logits, mode: str, rng: np.random.Generator | None = None):
         raise ValueError(f"unknown action mode {mode!r}")
     # the picked entries of the log-softmax, without forming the full table
     picked = z[np.arange(logits.shape[0]), actions] - np.log(total[:, 0])
-    if single:
-        return int(actions[0]), float(picked[0])
     return actions.astype(np.int64), picked

@@ -45,6 +45,7 @@ from .training import (
     load_agent_params,
     load_checkpoint,
     lockstep_episodes,
+    metrics_record,
     save_checkpoint,
     social_learning_run,
 )
@@ -473,30 +474,16 @@ def _save_run_checkpoint(trainer: Trainer, outdir: str, cfg: ExperimentConfig,
 # ---------------------------------------------------------------------------
 # commands
 
-def _start_record(cfg: ExperimentConfig) -> dict:
-    return {
-        "event": "start",
-        "global_step": 0,
-        "episodes": 0,
-        "mean_collective_reward": None,
-        "mean_pairwise_jsd": None,
-        "beta": beta_schedule(0, cfg.incentive),
-        "policy_loss": None,
-        "value_loss": None,
-        "entropy": None,
-        "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
-    }
+def _start_record(cfg: ExperimentConfig, seed: int, **extra) -> dict:
+    return metrics_record("start", 0, 0, beta_schedule(0, cfg.incentive),
+                          config_hash=config_hash(cfg), seed=seed, **extra)
 
 
 def cmd_train(args) -> int:
     cfg = load_config_file(args.config)
     cfg = apply_overrides(cfg, args.set or [])
     if args.seed is not None:
-        values = {k: v for k, v in config_items(cfg) if v is not None}
-        values["population.variants"] = cfg.population
-        values["run.seed"] = args.seed
-        cfg = build_config(values)
+        cfg = apply_overrides(cfg, [f"run.seed={args.seed}"])
     stem = os.path.splitext(os.path.basename(args.config))[0]
     outdir = resolve_output_dir(args.output_dir, cfg.output_dir,
                                 f"{stem}_s{cfg.seed}")
@@ -531,7 +518,7 @@ def cmd_train(args) -> int:
                                "beta": beta_schedule(trainer.global_step,
                                                      cfg.incentive)})
             else:
-                metrics.write(_start_record(cfg))
+                metrics.write(_start_record(cfg, cfg.seed))
             summary = trainer.run(
                 max_env_steps=cfg.max_env_steps,
                 total_episodes=cfg.total_episodes,
@@ -719,10 +706,7 @@ def cmd_social(args) -> int:
             rel = f"metrics_{tag}.jsonl"
             metrics = MetricsWriter(os.path.join(outdir, rel))
             manifest.add("metrics", rel)
-            start = _start_record(expert_cfg)
-            start["seed"] = args.seed
-            start["arm"] = tag
-            metrics.write(start)
+            metrics.write(_start_record(expert_cfg, args.seed, arm=tag))
             try:
                 summary = trainer.run(
                     max_env_steps=max_steps,

@@ -203,8 +203,3 @@ def beta_schedule(global_step: int, cfg: IncentiveConfig) -> float:
     frac = min(1.0, global_step / cfg.beta_rampup_steps)
     return cfg.beta_max * frac
 
-
-def combine_rewards(r_env, r_ja: float, beta: float) -> np.ndarray:
-    """Per-agent totals r_env[k] + beta * r_ja; the bonus term is shared."""
-    r_env = np.asarray(r_env, dtype=np.float64)
-    return r_env + beta * r_ja

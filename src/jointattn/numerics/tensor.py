@@ -1,11 +1,13 @@
 """float64 tensors with a reverse-mode tape.
 
 Everything is dense, row-major and 64-bit. The op set is exactly what the
-agent networks and the PPO losses need; most ops accept an optional leading
-batch axis. ``lstm_step``, ``attention_scores`` and ``attention_apply`` are
-the composed form of the recurrence ``attention_lstm`` runs as one node, and
-``conv2d`` (with ``relu`` and ``concat_last``) that of the encoder
-``frame_features``; they are kept as the fused ops' test reference.
+agent networks and the PPO losses need. The affine, convolution and
+recurrent ops take a batch only, as a required leading axis; an unbatched
+input raises ``ShapeError``. ``lstm_step``, ``attention_scores`` and
+``attention_apply`` are the composed form of the recurrence
+``attention_lstm`` runs as one node, and ``conv2d`` (with ``relu`` and
+``concat_last``) that of the encoder ``frame_features``; they are kept as
+the fused ops' test reference.
 Recording happens only while a ``Tape`` is active, so rollout-time forward
 passes pay nothing beyond a flag check per op.
 
@@ -38,8 +40,8 @@ one thread.
 Typical use::
 
     with Tape() as tape:
-        out = dense(x, w, b)
-        loss = mean_all(mul(out, out))
+        out = dense(x, w, b)            # x is (batch, n)
+        loss = sum_all(mul(out, out))
     backward(loss)          # populates w.grad, b.grad
 
 A tape can be consumed by ``backward`` exactly once. Gradients accumulate
@@ -87,40 +89,19 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of size {self.data.size}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __add__(self, other):
         return add(self, other)
 
     def __sub__(self, other):
         return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -356,32 +337,6 @@ def relu(a) -> Tensor:
     return out
 
 
-def sigmoid(a) -> Tensor:
-    a = _astensor(a)
-    out = Tensor(_sigmoid(a.data))
-    od = out.data
-
-    def fn(gouts, need):
-        (g,) = gouts
-        return (g * od * (1.0 - od),)
-
-    _record((out,), (a,), fn)
-    return out
-
-
-def tanh(a) -> Tensor:
-    a = _astensor(a)
-    out = Tensor(np.tanh(a.data))
-    od = out.data
-
-    def fn(gouts, need):
-        (g,) = gouts
-        return (g * (1.0 - od * od),)
-
-    _record((out,), (a,), fn)
-    return out
-
-
 def clip(a, lo: float, hi: float) -> Tensor:
     """Clamp to [lo, hi]; gradient passes only where the input was inside."""
     a = _astensor(a)
@@ -497,33 +452,6 @@ def sum_all(a) -> Tensor:
     return out
 
 
-def mean_all(a) -> Tensor:
-    a = _astensor(a)
-    out = Tensor(a.data.mean())
-    src_shape = a.data.shape
-    n = a.data.size
-
-    def fn(gouts, need):
-        (g,) = gouts
-        return (np.broadcast_to(g / n, src_shape).copy(),)
-
-    _record((out,), (a,), fn)
-    return out
-
-
-def sum_last(a) -> Tensor:
-    a = _astensor(a)
-    out = Tensor(a.data.sum(axis=-1))
-    n = a.data.shape[-1]
-
-    def fn(gouts, need):
-        (g,) = gouts
-        return (np.repeat(g[..., None], n, axis=-1),)
-
-    _record((out,), (a,), fn)
-    return out
-
-
 def spatial_mean(a) -> Tensor:
     """Mean over the two spatial axes of a (batch, h, w, c) tensor."""
     a = _astensor(a)
@@ -586,28 +514,23 @@ def log_softmax(a) -> Tensor:
 
 
 def dense(x, weights, bias) -> Tensor:
-    """Affine map ``x @ weights + bias``; x is (n,) or (batch, n)."""
+    """Affine map ``x @ weights + bias``; x is (batch, n)."""
     x, weights, bias = _astensor(x), _astensor(weights), _astensor(bias)
     if weights.data.ndim != 2:
         raise ShapeError(f"dense: weights must be 2-d, got {weights.data.shape}")
     n, m = weights.data.shape
     if bias.data.shape != (m,):
         raise ShapeError(f"dense: bias shape {bias.data.shape}, expected ({m},)")
-    if x.data.ndim not in (1, 2) or x.data.shape[-1] != n:
+    if x.data.ndim != 2 or x.data.shape[1] != n:
         raise ShapeError(f"dense: input shape {x.data.shape} vs weights {weights.data.shape}")
     xd, wd = x.data, weights.data
     out = Tensor(xd @ wd + bias.data)
-    batched = xd.ndim == 2
 
     def fn(gouts, need):
         (g,) = gouts
-        gx = g @ wd.T if need[0] else None
-        if need[1]:
-            gw = xd.T @ g if batched else np.outer(xd, g)
-        else:
-            gw = None
-        gb = (g.sum(axis=0) if batched else g) if need[2] else None
-        return (gx, gw, gb)
+        return (g @ wd.T if need[0] else None,
+                xd.T @ g if need[1] else None,
+                g.sum(axis=0) if need[2] else None)
 
     _record((out,), (x, weights, bias), fn)
     return out
@@ -616,7 +539,7 @@ def dense(x, weights, bias) -> Tensor:
 def conv2d(x, kernels, bias) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (output keeps the spatial size).
 
-    x is (h, w, c_in) or (batch, h, w, c_in); kernels (3, 3, c_in, c_out).
+    x is (batch, h, w, c_in); kernels (3, 3, c_in, c_out).
     """
     x, kernels, bias = _astensor(x), _astensor(kernels), _astensor(bias)
     kd = kernels.data
@@ -626,11 +549,8 @@ def conv2d(x, kernels, bias) -> Tensor:
     if bias.data.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {bias.data.shape}, expected ({c_out},)")
     xd = x.data
-    batched = xd.ndim == 4
-    if not batched:
-        if xd.ndim != 3:
-            raise ShapeError(f"conv2d: input must be (h, w, c_in) or (batch, h, w, c_in), got {xd.shape}")
-        xd = xd[None]
+    if xd.ndim != 4:
+        raise ShapeError(f"conv2d: input must be (batch, h, w, c_in), got {xd.shape}")
     if xd.shape[3] != c_in:
         raise ShapeError(f"conv2d: input channels {xd.shape[3]} vs kernel c_in {c_in}")
     if xd.shape[1] < 1 or xd.shape[2] < 1:
@@ -640,14 +560,14 @@ def conv2d(x, kernels, bias) -> Tensor:
     cols = _im2col(xd, np.zeros((b, h + 2, w + 2, c_in)),
                    np.empty((b * h * w, 9 * c_in)))
     kflat = kd.reshape(9 * c_in, c_out)
-    od = (cols @ kflat + bias.data).reshape(b, h, w, c_out)
-    out = Tensor(od if batched else od[0])
+    out = Tensor((cols @ kflat + bias.data).reshape(b, h, w, c_out))
 
     def fn(gouts, need):
         (g,) = gouts
         gf = g.reshape(b * h * w, c_out)
         gw = (cols.T @ gf).reshape(3, 3, c_in, c_out) if need[1] else None
         gb = gf.sum(axis=0) if need[2] else None
+        gx = None
         if need[0]:
             dcols = (gf @ kflat.T).reshape(b, h, w, 3, 3, c_in)
             gpad = np.zeros((b, h + 2, w + 2, c_in))
@@ -655,10 +575,6 @@ def conv2d(x, kernels, bias) -> Tensor:
                 for kw in range(3):
                     gpad[:, kh:kh + h, kw:kw + w, :] += dcols[:, :, :, kh, kw, :]
             gx = gpad[:, 1:h + 1, 1:w + 1, :]
-            if not batched:
-                gx = gx[0]
-        else:
-            gx = None
         return (gx, gw, gb)
 
     _record((out,), (x, kernels, bias), fn)
@@ -739,27 +655,24 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
 
 
 def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
-    """One LSTM cell step; returns (h, c).
+    """One LSTM cell step over a batch; returns (h, c).
 
     Gate order along the weight columns is input, forget, candidate, output:
     c = f*c_prev + i*g and h = o*tanh(c), with sigmoid gates and tanh
-    candidate. weights is (n_in + cell, 4*cell); x and the states are (n_in,)
-    and (cell,) or batched with a shared leading axis.
+    candidate. x is (batch, n_in), the states (batch, cell) and weights
+    (n_in + cell, 4*cell).
     """
     x, h_prev, c_prev = _astensor(x), _astensor(h_prev), _astensor(c_prev)
     weights, bias = _astensor(weights), _astensor(bias)
     xd, hd, cd = x.data, h_prev.data, c_prev.data
-    batched = xd.ndim == 2
-    if xd.ndim != hd.ndim or xd.ndim != cd.ndim or xd.ndim not in (1, 2):
+    if xd.ndim != 2 or hd.ndim != 2 or cd.shape != hd.shape \
+            or xd.shape[0] != hd.shape[0]:
         raise ShapeError(
-            f"lstm_step: inconsistent ranks x{xd.shape} h{hd.shape} c{cd.shape}"
+            f"lstm_step: expected (batch, n) inputs, got x{xd.shape} "
+            f"h{hd.shape} c{cd.shape}"
         )
-    if not batched:
-        xd, hd, cd = xd[None], hd[None], cd[None]
     n_in = xd.shape[1]
     cell = hd.shape[1]
-    if cd.shape[1] != cell:
-        raise ShapeError(f"lstm_step: h cell {cell} vs c cell {cd.shape[1]}")
     if weights.data.shape != (n_in + cell, 4 * cell):
         raise ShapeError(
             f"lstm_step: weights {weights.data.shape}, expected {(n_in + cell, 4 * cell)}"
@@ -776,16 +689,11 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
     o = gates[:, 3 * cell:]
     c_new = f * cd + i * g
     tc = np.tanh(c_new)
-    h_new = o * tc
-
-    h_out = Tensor(h_new if batched else h_new[0])
-    c_out = Tensor(c_new if batched else c_new[0])
+    h_out, c_out = Tensor(o * tc), Tensor(c_new)
     wd = weights.data
 
     def fn(gouts, need):
         gh, gc = gouts
-        if not batched:
-            gh, gc = gh[None], gc[None]
         dc = gc + gh * o * (1.0 - tc * tc)
         do = gh * tc
         di = dc * g
@@ -806,10 +714,6 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
         gc_prev = dc * f if need[2] else None
         gw = xh.T @ dz if need[3] else None
         gb = dz.sum(axis=0) if need[4] else None
-        if not batched:
-            gx = gx[0] if gx is not None else None
-            gh_prev = gh_prev[0] if gh_prev is not None else None
-            gc_prev = gc_prev[0] if gc_prev is not None else None
         return (gx, gh_prev, gc_prev, gw, gb)
 
     _record((h_out, c_out), (x, h_prev, c_prev, weights, bias), fn)

@@ -832,18 +832,10 @@ class Trainer:
             mean_jsd = None
             if buf.r_ja is not None and n_prod >= 2:
                 mean_jsd = float(-buf.r_ja.mean() / (n_prod * (n_prod - 1)))
-            record = {
-                "event": "update",
-                "global_step": self.global_step,
-                "episodes": self.episodes,
-                "mean_collective_reward":
-                    float(np.mean(seg_returns)) if seg_returns else None,
-                "mean_pairwise_jsd": mean_jsd,
-                "beta": beta,
-                "policy_loss": stats["policy_loss"],
-                "value_loss": stats["value_loss"],
-                "entropy": stats["entropy"],
-            }
+            record = metrics_record(
+                "update", self.global_step, self.episodes, beta,
+                float(np.mean(seg_returns)) if seg_returns else None,
+                mean_jsd, stats)
             if stats["aborted_updates"]:
                 record["aborted_updates"] = stats["aborted_updates"]
             if on_record:
@@ -851,19 +843,11 @@ class Trainer:
             while self.episodes >= next_eval:
                 last_eval = self.evaluate_now(eval_episodes)
                 if on_record:
-                    on_record({
-                        "event": "eval",
-                        "global_step": self.global_step,
-                        "episodes": self.episodes,
-                        "mean_collective_reward":
-                            last_eval["mean_collective_reward"],
-                        "mean_pairwise_jsd": last_eval["mean_pairwise_jsd"],
-                        "beta": beta,
-                        "policy_loss": None,
-                        "value_loss": None,
-                        "entropy": None,
-                        "success_rate": last_eval["success_rate"],
-                    })
+                    on_record(metrics_record(
+                        "eval", self.global_step, self.episodes, beta,
+                        last_eval["mean_collective_reward"],
+                        last_eval["mean_pairwise_jsd"],
+                        success_rate=last_eval["success_rate"]))
                 if on_checkpoint:
                     on_checkpoint(self)
                 next_eval += eval_interval
@@ -872,20 +856,29 @@ class Trainer:
                 break
         final = self.evaluate_now(eval_episodes)
         if on_record:
-            on_record({
-                "event": "final_eval",
-                "global_step": self.global_step,
-                "episodes": self.episodes,
-                "mean_collective_reward": final["mean_collective_reward"],
-                "mean_pairwise_jsd": final["mean_pairwise_jsd"],
-                "beta": beta_schedule(self.global_step, self.incentive),
-                "policy_loss": None,
-                "value_loss": None,
-                "entropy": None,
-                "success_rate": final["success_rate"],
-            })
+            on_record(metrics_record(
+                "final_eval", self.global_step, self.episodes,
+                beta_schedule(self.global_step, self.incentive),
+                final["mean_collective_reward"], final["mean_pairwise_jsd"],
+                success_rate=final["success_rate"]))
         return {"global_step": self.global_step, "episodes": self.episodes,
                 "final_eval": final}
+
+
+def metrics_record(event: str, global_step: int, episodes: int, beta: float,
+                   mean_collective_reward: float | None = None,
+                   mean_pairwise_jsd: float | None = None,
+                   losses: dict | None = None, **extra) -> dict:
+    """One ``metrics.jsonl`` record: the fields every event carries, in one
+    fixed order, then ``extra`` in the order given. ``losses`` supplies
+    policy_loss, value_loss and entropy (None where absent)."""
+    losses = losses or {}
+    return {"event": event, "global_step": global_step, "episodes": episodes,
+            "mean_collective_reward": mean_collective_reward,
+            "mean_pairwise_jsd": mean_pairwise_jsd, "beta": beta,
+            **{k: losses.get(k) for k in ("policy_loss", "value_loss",
+                                          "entropy")},
+            **extra}
 
 
 def social_learning_run(kind: str = "tasklist", n_novices: int = 2,

@@ -117,32 +117,32 @@ class TestComputeAttention:
         core.params["keys/b"].data[:] = 0.0
         core.params["values/w"].data[:] = [[2.0], [4.0]]
         core.params["values/b"].data[:] = 0.0
-        features = np.array([[[1.0, 0.0], [0.0, 1.0]]])  # one-hot per cell
-        maps, out = core.compute_attention(features, np.array([[1.0]]))
-        assert np.allclose(maps.per_head[0].reshape(-1), [0.25, 0.75], atol=1e-12)
-        assert abs(out.data[0, 0] - 3.5) < 1e-12
+        features = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])  # one-hot per cell
+        maps, out = core.compute_attention(features, np.array([[[1.0]]]))
+        assert np.allclose(maps.per_head[0, 0].reshape(-1), [0.25, 0.75], atol=1e-12)
+        assert abs(out.data[0, 0, 0] - 3.5) < 1e-12
 
     def test_zero_query_uniform_and_mean_value(self):
         core = AgentCore(3, 4, seed=5)
         rng = np.random.default_rng(6)
-        features = rng.normal(size=(3, 4, 72))
-        maps, out = core.compute_attention(features, np.zeros((4, 16)))
+        features = rng.normal(size=(1, 3, 4, 72))
+        maps, out = core.compute_attention(features, np.zeros((1, 4, 16)))
         assert np.allclose(maps.per_head, 1.0 / 12.0, atol=1e-12)
         # oracle: values via direct affine evaluation, then their spatial mean
         vw = core.params["values/w"].data
         vb = core.params["values/b"].data
         values = (features.reshape(12, 72) @ vw + vb).reshape(12, 4, 16)
-        assert np.allclose(out.data, values.mean(axis=0), atol=1e-10)
+        assert np.allclose(out.data[0], values.mean(axis=0), atol=1e-10)
 
     def test_single_cell_grid(self):
         core = AgentCore(1, 1, seed=7)
         rng = np.random.default_rng(8)
-        features = rng.normal(size=(1, 1, 72))
-        maps, out = core.compute_attention(features, rng.normal(size=(4, 16)))
+        features = rng.normal(size=(1, 1, 1, 72))
+        maps, out = core.compute_attention(features, rng.normal(size=(1, 4, 16)))
         assert np.allclose(maps.per_head, 1.0, atol=1e-12)
         vw = core.params["values/w"].data
         vb = core.params["values/b"].data
-        values = (features.reshape(1, 72) @ vw + vb).reshape(4, 16)
+        values = (features.reshape(1, 72) @ vw + vb).reshape(1, 4, 16)
         assert np.allclose(out.data, values, atol=1e-10)
 
     def test_map_normalization_random(self):
@@ -156,31 +156,40 @@ class TestComputeAttention:
         mean_sums = maps.mean_map.reshape(6, -1).sum(axis=-1)
         assert np.max(np.abs(mean_sums - 1.0)) < 1e-6
 
+    def test_unbatched_inputs_raise(self):
+        core = AgentCore(3, 3, seed=9)
+        rng = np.random.default_rng(11)
+        with pytest.raises(nm.ShapeError):
+            core.compute_attention(rng.normal(size=(3, 3, 72)),
+                                   rng.normal(size=(4, 16)))
+        with pytest.raises(nm.ShapeError):
+            core.query_from_state(np.zeros(64))
+
 
 class TestQueryFromState:
     def test_zero_parameters_give_uniform_attention(self):
         core = AgentCore(3, 3, seed=11)
         core.params["query/w"].data[:] = 0.0
         core.params["query/b"].data[:] = 0.0
-        q = core.query_from_state(np.zeros(64))
-        assert np.array_equal(q.data, np.zeros((4, 16)))
+        q = core.query_from_state(np.zeros((1, 64)))
+        assert np.array_equal(q.data, np.zeros((1, 4, 16)))
         rng = np.random.default_rng(12)
-        maps, _ = core.compute_attention(rng.normal(size=(3, 3, 72)), q)
+        maps, _ = core.compute_attention(rng.normal(size=(1, 3, 3, 72)), q)
         assert np.allclose(maps.per_head, 1.0 / 9.0, atol=1e-12)
 
     def test_repeated_calls_identical(self):
         core = AgentCore(3, 3, seed=13)
-        h = np.random.default_rng(14).normal(size=64)
+        h = np.random.default_rng(14).normal(size=(1, 64))
         a = core.query_from_state(h).data
         b = core.query_from_state(h).data
         assert np.array_equal(a, b)
 
     def test_matches_affine_oracle(self):
         core = AgentCore(3, 3, seed=15)
-        h = np.random.default_rng(16).normal(size=64)
+        h = np.random.default_rng(16).normal(size=(1, 64))
         q = core.query_from_state(h).data
         ref = (h @ core.params["query/w"].data + core.params["query/b"].data)
-        assert np.allclose(q, ref.reshape(4, 16), atol=1e-12)
+        assert np.allclose(q, ref.reshape(1, 4, 16), atol=1e-12)
 
 
 class TestAgentStep:
@@ -388,7 +397,7 @@ class TestGradientFlow:
         state.h = rng.normal(size=(2, 8)) * 0.1
         with Tape():
             logits, _, _, _ = core.agent_step(obs, poses, state)
-            loss = nm.mean_all(nm.mul(logits, logits))
+            loss = nm.scale(nm.sum_all(nm.mul(logits, logits)), 1.0 / 14)
         backward(loss)
         for name in ("conv/k", "keys/w", "values/w", "query/w", "lstm/w",
                      "policy/w1"):
@@ -418,7 +427,7 @@ class TestGradientFlow:
         with Tape():
             logits, _, _, _ = core.agent_step(obs, poses, state)
             diff = nm.sub(logits, Tensor(target))
-            loss = nm.mean_all(nm.mul(diff, diff))
+            loss = nm.scale(nm.sum_all(nm.mul(diff, diff)), 1.0 / 7)
         backward(loss)
 
         step = 1e-4
@@ -447,20 +456,25 @@ class TestGradientFlow:
 
 class TestAct:
     def test_greedy_argmax(self):
-        action, _ = act(np.array([5.0, 1.0, 1.0]), "greedy")
-        assert action == 0
+        actions, _ = act(np.array([[5.0, 1.0, 1.0]]), "greedy")
+        assert actions.tolist() == [0]
 
     def test_greedy_tie_lowest_index(self):
-        action, _ = act(np.array([2.0, 7.0, 7.0]), "greedy")
-        assert action == 1
+        actions, _ = act(np.array([[2.0, 7.0, 7.0]]), "greedy")
+        assert actions.tolist() == [1]
 
     def test_greedy_shift_invariant(self):
         rng = np.random.default_rng(38)
         for _ in range(20):
-            logits = rng.normal(size=7)
+            logits = rng.normal(size=(1, 7))
             a0, _ = act(logits, "greedy")
             a1, _ = act(logits + 55.5, "greedy")
-            assert a0 == a1
+            assert np.array_equal(a0, a1)
+
+    @pytest.mark.parametrize("mode", ["greedy", "sample"])
+    def test_unbatched_logits_raise(self, mode):
+        with pytest.raises(nm.ShapeError):
+            act(np.array([5.0, 1.0, 1.0]), mode, np.random.default_rng(0))
 
     def test_uniform_sampling_frequencies(self):
         rng = np.random.default_rng(39)
@@ -510,5 +524,6 @@ class TestAct:
             got_a, got_lp = act(logits, mode, np.random.default_rng(seed))
             assert np.array_equal(got_a, want_a)
             assert np.array_equal(got_lp, want_lp)
-            a, lp = act(logits[0], mode, np.random.default_rng(seed))
-            assert (a, lp) == (int(want_a[0]), float(want_lp[0]))
+            a, lp = act(logits[:1], mode, np.random.default_rng(seed))
+            assert np.array_equal(a, want_a[:1])
+            assert np.array_equal(lp, want_lp[:1])

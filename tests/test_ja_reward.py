@@ -11,7 +11,6 @@ from jointattn.ja_reward import (
     IncentiveConfig,
     beta_schedule,
     clipped_jsd,
-    combine_rewards,
     joint_attention_reward,
     jsd,
     kl_divergence,
@@ -309,24 +308,6 @@ class TestBetaSchedule:
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
             beta_schedule(-1, IncentiveConfig())
-
-
-class TestCombineRewards:
-    def test_beta_zero_identity(self):
-        r = combine_rewards([1.5, -2.0, 0.0], -3.7, 0.0)
-        assert np.array_equal(r, [1.5, -2.0, 0.0])
-
-    def test_worked_value(self):
-        r = combine_rewards([1.0, 0.0], -0.5, 1e-2)
-        assert np.allclose(r, [0.995, -0.005], atol=1e-15)
-
-    def test_shared_bonus_cancels_in_differences(self):
-        rng = np.random.default_rng(10)
-        r_env = rng.normal(size=4)
-        total = combine_rewards(r_env, rng.normal(), rng.random())
-        for j in range(4):
-            for k in range(4):
-                assert abs((total[j] - total[k]) - (r_env[j] - r_env[k])) < 1e-12
 
 
 class TestConfigValidation:

@@ -101,24 +101,24 @@ def assert_close_to_fd(analytic, numeric, tol=1e-4):
 
 class TestConv2d:
     def test_zero_input_gives_bias(self):
-        x = np.zeros((4, 5, 3))
+        x = np.zeros((1, 4, 5, 3))
         k = np.random.default_rng(0).normal(size=(3, 3, 3, 2))
         b = np.array([1.5, -2.0])
         out = nm.conv2d(Tensor(x), Tensor(k), Tensor(b)).data
-        assert np.array_equal(out[..., 0], np.full((4, 5), 1.5))
-        assert np.array_equal(out[..., 1], np.full((4, 5), -2.0))
+        assert np.array_equal(out[..., 0], np.full((1, 4, 5), 1.5))
+        assert np.array_equal(out[..., 1], np.full((1, 4, 5), -2.0))
 
     def test_identity_kernel(self):
-        x = np.array([[[3.7]]])
+        x = np.array([[[[3.7]]]])
         k = np.zeros((3, 3, 1, 1))
         k[1, 1, 0, 0] = 1.0
         out = nm.conv2d(Tensor(x), Tensor(k), Tensor(np.zeros(1))).data
-        assert out.shape == (1, 1, 1)
-        assert out[0, 0, 0] == 3.7
+        assert out.shape == (1, 1, 1, 1)
+        assert out[0, 0, 0, 0] == 3.7
 
     def test_identity_kernel_is_identity_map(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(6, 7, 4))
+        x = rng.normal(size=(1, 6, 7, 4))
         k = np.zeros((3, 3, 4, 4))
         for c in range(4):
             k[1, 1, c, c] = 1.0
@@ -128,7 +128,7 @@ class TestConv2d:
     def test_two_by_two_all_ones_kernel(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1)
         k = np.ones((3, 3, 1, 1))
-        out = nm.conv2d(Tensor(x), Tensor(k), Tensor(np.zeros(1))).data
+        out = nm.conv2d(Tensor(x[None]), Tensor(k), Tensor(np.zeros(1))).data[0]
         # every 3x3 window clipped by padding covers the whole 2x2 input
         assert out[0, 0, 0] == 10.0
         expected = conv_oracle(x, k, np.zeros(1))
@@ -140,7 +140,7 @@ class TestConv2d:
         x = rng.normal(size=(5, 4, 3))
         k = rng.normal(size=(3, 3, 3, 2))
         b = rng.normal(size=2)
-        out = nm.conv2d(Tensor(x), Tensor(k), Tensor(b)).data
+        out = nm.conv2d(Tensor(x[None]), Tensor(k), Tensor(b)).data[0]
         assert np.allclose(out, conv_oracle(x, k, b), atol=1e-10)
 
     def test_batched_matches_per_sample(self):
@@ -150,13 +150,13 @@ class TestConv2d:
         b = rng.normal(size=3)
         batched = nm.conv2d(Tensor(xs), Tensor(k), Tensor(b)).data
         for i in range(4):
-            single = nm.conv2d(Tensor(xs[i]), Tensor(k), Tensor(b)).data
-            assert np.max(np.abs(batched[i] - single)) < 1e-12
+            single = nm.conv2d(Tensor(xs[i:i + 1]), Tensor(k), Tensor(b)).data
+            assert np.max(np.abs(batched[i] - single[0])) < 1e-12
 
     def test_linearity_in_input(self):
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(4, 4, 2))
-        y = rng.normal(size=(4, 4, 2))
+        x = rng.normal(size=(1, 4, 4, 2))
+        y = rng.normal(size=(1, 4, 4, 2))
         k = rng.normal(size=(3, 3, 2, 3))
         zb = Tensor(np.zeros(3))
         a, bcoef = 0.7, -1.3
@@ -167,7 +167,10 @@ class TestConv2d:
 
     def test_channel_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            nm.conv2d(Tensor(np.zeros((3, 3, 2))), Tensor(np.zeros((3, 3, 5, 1))),
+            nm.conv2d(Tensor(np.zeros((1, 3, 3, 2))), Tensor(np.zeros((3, 3, 5, 1))),
+                      Tensor(np.zeros(1)))
+        with pytest.raises(ShapeError):          # unbatched (h, w, c_in) frames
+            nm.conv2d(Tensor(np.zeros((3, 3, 5))), Tensor(np.zeros((3, 3, 5, 1))),
                       Tensor(np.zeros(1)))
 
 
@@ -177,24 +180,27 @@ class TestConv2d:
 
 class TestDense:
     def test_zero_weights_give_bias(self):
-        out = nm.dense(Tensor([1.0, 2.0, 3.0]), Tensor(np.zeros((3, 2))),
+        out = nm.dense(Tensor([[1.0, 2.0, 3.0]]), Tensor(np.zeros((3, 2))),
                        Tensor([5.0, -1.0])).data
-        assert np.array_equal(out, [5.0, -1.0])
+        assert np.array_equal(out, [[5.0, -1.0]])
 
     def test_identity_weights(self):
-        x = np.array([0.5, -2.0, 7.0])
+        x = np.array([[0.5, -2.0, 7.0]])
         out = nm.dense(Tensor(x), Tensor(np.eye(3)), Tensor(np.zeros(3))).data
         assert np.array_equal(out, x)
 
     def test_direct_product_oracle(self):
         a, b, c, d = 1.5, -0.5, 2.0, 3.5
-        out = nm.dense(Tensor([1.0, 2.0]), Tensor([[a, b], [c, d]]),
+        out = nm.dense(Tensor([[1.0, 2.0]]), Tensor([[a, b], [c, d]]),
                        Tensor(np.zeros(2))).data
-        assert np.allclose(out, [a + 2 * c, b + 2 * d], atol=1e-12)
+        assert np.allclose(out, [[a + 2 * c, b + 2 * d]], atol=1e-12)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            nm.dense(Tensor([1.0, 2.0]), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+            nm.dense(Tensor([[1.0, 2.0]]), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):          # an unbatched (n,) input
+            nm.dense(Tensor([1.0, 2.0, 3.0]), Tensor(np.zeros((3, 2))),
+                     Tensor(np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +212,17 @@ class TestLstmStep:
         v = np.array([0.3, -1.2, 0.0, 2.5])
         w = np.zeros((6 + 4, 16))
         b = np.zeros(16)
-        h, c = nm.lstm_step(Tensor(np.zeros(6)), Tensor(np.zeros(4)), Tensor(v),
-                            Tensor(w), Tensor(b))
-        assert np.allclose(c.data, 0.5 * v, atol=1e-12)
-        assert np.allclose(h.data, 0.5 * np.tanh(0.5 * v), atol=1e-12)
+        h, c = nm.lstm_step(Tensor(np.zeros((1, 6))), Tensor(np.zeros((1, 4))),
+                            Tensor(v[None]), Tensor(w), Tensor(b))
+        assert np.allclose(c.data[0], 0.5 * v, atol=1e-12)
+        assert np.allclose(h.data[0], 0.5 * np.tanh(0.5 * v), atol=1e-12)
 
     def test_all_zero(self):
         w = np.zeros((5, 8))
-        h, c = nm.lstm_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)),
-                            Tensor(np.zeros(2)), Tensor(w), Tensor(np.zeros(8)))
-        assert np.array_equal(h.data, np.zeros(2))
-        assert np.array_equal(c.data, np.zeros(2))
+        h, c = nm.lstm_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))),
+                            Tensor(np.zeros((1, 2))), Tensor(w), Tensor(np.zeros(8)))
+        assert np.array_equal(h.data, np.zeros((1, 2)))
+        assert np.array_equal(c.data, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("seed", [0, 7, 42])
     def test_matches_gate_equation_oracle(self, seed):
@@ -226,10 +232,11 @@ class TestLstmStep:
         c0 = rng.normal(size=3)
         w = rng.normal(size=(8, 12), scale=0.5)
         b = rng.normal(size=12, scale=0.5)
-        h, c = nm.lstm_step(Tensor(x), Tensor(h0), Tensor(c0), Tensor(w), Tensor(b))
+        h, c = nm.lstm_step(Tensor(x[None]), Tensor(h0[None]), Tensor(c0[None]),
+                            Tensor(w), Tensor(b))
         h_ref, c_ref = lstm_oracle(x, h0, c0, w, b)
-        assert np.max(np.abs(h.data - h_ref)) < 1e-10
-        assert np.max(np.abs(c.data - c_ref)) < 1e-10
+        assert np.max(np.abs(h.data[0] - h_ref)) < 1e-10
+        assert np.max(np.abs(c.data[0] - c_ref)) < 1e-10
 
     def test_batched_matches_per_sample(self):
         rng = np.random.default_rng(9)
@@ -240,10 +247,20 @@ class TestLstmStep:
         b = rng.normal(size=16)
         hb, cb = nm.lstm_step(Tensor(xs), Tensor(hs), Tensor(cs), Tensor(w), Tensor(b))
         for i in range(3):
-            hi, ci = nm.lstm_step(Tensor(xs[i]), Tensor(hs[i]), Tensor(cs[i]),
-                                  Tensor(w), Tensor(b))
-            assert np.max(np.abs(hb.data[i] - hi.data)) < 1e-12
-            assert np.max(np.abs(cb.data[i] - ci.data)) < 1e-12
+            rows = slice(i, i + 1)
+            hi, ci = nm.lstm_step(Tensor(xs[rows]), Tensor(hs[rows]),
+                                  Tensor(cs[rows]), Tensor(w), Tensor(b))
+            assert np.max(np.abs(hb.data[rows] - hi.data)) < 1e-12
+            assert np.max(np.abs(cb.data[rows] - ci.data)) < 1e-12
+
+    def test_bad_shapes_raise(self):
+        w, b = Tensor(np.zeros((5, 8))), Tensor(np.zeros(8))
+        with pytest.raises(ShapeError):          # ranks differ
+            nm.lstm_step(Tensor(np.zeros((1, 3))), Tensor(np.zeros(2)),
+                         Tensor(np.zeros((1, 2))), w, b)
+        with pytest.raises(ShapeError):          # unbatched (n,) input and states
+            nm.lstm_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)),
+                         Tensor(np.zeros(2)), w, b)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +414,7 @@ class TestBackward:
             h, _ = nm.lstm_step(z, Tensor(h0), Tensor(c0), ts["lw"], ts["lb"])
             probs = nm.softmax(h)
             diff = nm.sub(probs, Tensor(target[:, :3]))
-            return nm.mean_all(nm.mul(diff, diff)), ts
+            return nm.scale(nm.sum_all(nm.mul(diff, diff)), 1.0 / 6), ts
 
         with Tape():
             loss, ts = forward(arrays, record=True)
@@ -477,8 +494,8 @@ class TestBackward:
 
         def forward(a, record=False):
             t = Tensor(a["v"], requires_grad=record)
-            y = nm.add(nm.exp(nm.scale(t, 0.3)), nm.tanh(t))
-            y = nm.mul(y, nm.sigmoid(t))
+            y = nm.add(nm.exp(nm.scale(t, 0.3)), nm.mul(t, t))
+            y = nm.mul(y, nm.exp(nm.scale(t, -0.7)))
             y = nm.minimum(y, nm.clip(t, -0.5, 0.5))
             return nm.sum_all(y), t
 
@@ -497,7 +514,7 @@ class TestBackward:
         def forward(a, record=False):
             t = Tensor(a["l"], requires_grad=record)
             lp = nm.gather_last(nm.log_softmax(t), idx)
-            return nm.mean_all(lp), t
+            return nm.scale(nm.sum_all(lp), 0.25), t
 
         arrays = {"l": logits}
         with Tape():
@@ -969,7 +986,7 @@ class TestDeterminism:
         for _ in range(2):
             k = Tensor(kv, requires_grad=True)
             with Tape():
-                loss = nm.mean_all(nm.conv2d(Tensor(x), k, Tensor(np.zeros(3))))
+                loss = nm.sum_all(nm.conv2d(Tensor(x), k, Tensor(np.zeros(3))))
             backward(loss)
             grads.append(k.grad)
         assert np.array_equal(grads[0], grads[1])
