@@ -11,20 +11,26 @@ the fused ops' test reference.
 Recording happens only while a ``Tape`` is active, so rollout-time forward
 passes pay nothing beyond a flag check per op.
 
-Buffers lent from tape to tape: under a tape, ``frame_features`` and the
-backward of ``attention_lstm`` write their feature-map-sized arrays into
-arrays lent by a pool that keeps one array per key, so that a PPO
-minibatch does not allocate (and the allocator page in) them afresh. A
-key's array is held by one tape at a time and passes to the next tape that
-asks only once its holder has been consumed (``backward`` or
-``Tape.clear``) or garbage-collected; a live unconsumed holder keeps it,
-and a second request within the same tape gets a fresh array. So the
-outputs of a consumed tape may be overwritten by the next tape's ops: read
-what you need from a recorded forward pass before recording the next
-one. A request of a new shape replaces the key's array. Calls with no
-active tape leave the pool alone. A backward may also write over a buffer
-it is the last reader of: ``frame_features`` puts its masked gradient in
-its pre-activation's array.
+Buffers lent from tape to tape: under a tape, ``frame_features`` writes
+its feature-map-sized arrays into arrays lent by a pool that keeps one
+array per key, so that a PPO minibatch does not allocate (and the
+allocator page in) them afresh. A key's array is held by one tape at a
+time and passes to the next tape that asks only once its holder has been
+consumed (``backward`` or ``Tape.clear``) or garbage-collected; a live
+unconsumed holder keeps it, and a second request within the same tape gets
+a fresh array. So the outputs of a consumed tape may be overwritten by the
+next tape's ops: read what you need from a recorded forward pass before
+recording the next one. A request of a new shape replaces the key's array.
+Calls with no active tape leave the pool alone.
+
+A backward may also write over a buffer it is the last reader of.
+``frame_features`` puts its masked gradient in its pre-activation's array.
+``attention_lstm`` puts its feature gradient over the features' forward
+values when its node is their only consumer on the tape and their
+producer's backward never reads them (``Tensor.uses``; ``frame_features``'
+output under a tape); leaf features, and features with a second consumer,
+keep their values. So read the forward values you need before
+``backward``.
 
 Scratch for untaped calls: with no active tape (acting, evaluation,
 rendering), ``frame_features`` writes its padded frames, columns and
@@ -70,9 +76,12 @@ class Tensor:
 
     ``requires_grad`` marks leaves (parameters). Outputs of ops never require
     grad themselves; they carry a reference to the tape that recorded them.
+    ``uses`` counts the nodes recorded with this tensor as an input, kept
+    only for an op output whose own backward never reads it (the op sets it
+    to 0); it is None otherwise.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "tape")
+    __slots__ = ("data", "requires_grad", "grad", "tape", "uses")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=np.float64)
@@ -80,6 +89,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.tape: Tape | None = None
+        self.uses: int | None = None
 
     @property
     def shape(self) -> tuple:
@@ -167,6 +177,9 @@ def _record(outputs, inputs, fn) -> None:
     )
     if not any(need):
         return
+    for t, needed in zip(inputs, need):
+        if needed and t.uses is not None:
+            t.uses += 1
     for o in outputs:
         o.tape = tape
     tape._nodes.append(_Node(outputs, inputs, fn, need))
@@ -607,8 +620,10 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     gradient asked of either raises ``TapeError``. Under a tape the padded
     frames, the columns, the pre-activation and the output are lent by the
     tape-to-tape pool (module docstring); backward overwrites the
-    pre-activation with the masked gradient. With no tape the first three
-    are scratch arrays and the output is fresh.
+    pre-activation with the masked gradient and never reads the output, so
+    the output's one consumer may write its gradient there (``uses``, as
+    ``attention_lstm`` does). With no tape the first three are scratch
+    arrays and the output is fresh.
     """
     x, kernels, bias, basis = (_astensor(x), _astensor(kernels),
                                _astensor(bias), _astensor(basis))
@@ -640,6 +655,7 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     np.maximum(pre.reshape(b, h, w, c_out), 0.0, out=od[..., :c_out])
     od[..., c_out:] = sd
     out = Tensor(od)
+    out.uses = 0        # the backward below reads pre and cols, never od
 
     def fn(gouts, need):
         (g,) = gouts
@@ -862,7 +878,12 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
     and logits as (T, B, heads, pos) plain arrays (None without attention).
     The forward repeats the expressions of the composed ops, so it matches
     them bit for bit; the backward runs the recurrent chain step by step
-    and forms every parameter gradient once over all T*B rows.
+    and forms every parameter gradient once over all T*B rows. The
+    (T*B, ..., d) feature gradient is formed only when the features need
+    one, and is written over the features' own array when this node is
+    their only consumer on the tape and their producer allows it
+    (``Tensor.uses``, set by ``frame_features``); otherwise it is a fresh
+    array and the features keep their values.
     """
     frame_in, h0, c0 = _astensor(frame_in), _astensor(h0), _astensor(c0)
     lstm_w, lstm_b = _astensor(lstm_w), _astensor(lstm_b)
@@ -1016,11 +1037,17 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
         gq = gq.reshape(n, n_sum)
         go = dxh[:, :, :n_sum].reshape(n, m, depth)
         q2 = q.reshape(n, m, depth)
-        gf = np.matmul(a2.reshape(n, 2 * m, P).transpose(0, 2, 1),
-                       v2.reshape(n, 2 * m, d),
-                       out=_lend(tape, "attention_lstm.feature_grad", (n, P, d)))
+        gf = None
+        if need[5]:
+            # the loop above was the last read of the features; when this
+            # node is their only consumer their array takes the gradient
+            spent = features.tape is tape and features.uses == 1
+            gf = np.matmul(a2.reshape(n, 2 * m, P).transpose(0, 2, 1),
+                           v2.reshape(n, 2 * m, d),
+                           out=f if spent else None) \
+                .reshape(features.data.shape)
         return grads + (
-            gf.reshape(features.data.shape),
+            gf,
             xh[:, :, n_x:].reshape(n, cell).T @ gq,
             gq.sum(axis=0),
             _sum_batch_outer(gwq.reshape(n, m, d), q2, key_w.data.shape),

@@ -234,11 +234,13 @@ class EnvSet:
 class RolloutBuffer:
     """On-policy segment store for every agent plus the shared bonus lane.
 
-    Each lane is stored in its smallest exact form. ``obs[k]`` holds the
-    uint8 cell ids of the grids agent k saw (``observation_array`` of them
-    is what it acted on), and ``h0[k]``/``c0[k]`` its recurrent state at
-    each chunk start only, (T / chunk_length, E, cell): the replay starts
-    each chunk there and rebuilds the rest.
+    Each lane is stored in its smallest exact form. ``obs`` is one
+    (T, E, h, w, 3) uint8 array of the cell ids of every env's grid, which
+    every agent acts on (``observation_array`` of them is what each one
+    acted on, and every agent's update replays from it). ``h0[k]``/``c0[k]``
+    hold agent k's recurrent state at each chunk start only,
+    (T / chunk_length, E, cell): the replay starts each chunk there and
+    rebuilds the rest.
     """
 
     def __init__(self, n_agents: int, T: int, E: int, h: int, w: int,
@@ -246,8 +248,7 @@ class RolloutBuffer:
         self.T, self.E = T, E
         self.chunk_length = chunk_length
         self.map_agents = tuple(map_agents)
-        self.obs = [np.zeros((T, E, h, w, 3), dtype=np.uint8)
-                    for _ in range(n_agents)]
+        self.obs = np.zeros((T, E, h, w, 3), dtype=np.uint8)
         self.pose = [np.zeros((T, E, 6)) for _ in range(n_agents)]
         self.actions = [np.zeros((T, E), dtype=np.int64) for _ in range(n_agents)]
         self.log_probs = [np.zeros((T, E)) for _ in range(n_agents)]
@@ -323,13 +324,13 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
         step_maps = {}
         step_logits = {}
         ids = envset.batch_ids()
+        buf.obs[t] = ids
         grids = observation_array(ids)
         for k, agent in enumerate(agents):
             if t % chunk == 0:
                 buf.h0[k][t // chunk] = rec_states[k].h
                 buf.c0[k][t // chunk] = rec_states[k].c
             poses = envset.batch_poses(k)
-            buf.obs[k][t] = ids
             buf.pose[k][t] = poses
             logits, value, maps, new_state = agent.core.agent_step(
                 grids, poses, rec_states[k])
@@ -433,7 +434,7 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
             B = len(sel)
             n_samples = B * chunk
             obs = observation_array(np.stack(
-                [buffer.obs[k][s:s + chunk, e] for e, s in sel], axis=1))
+                [buffer.obs[s:s + chunk, e] for e, s in sel], axis=1))
             pose = np.stack([buffer.pose[k][s:s + chunk, e] for e, s in sel], axis=1)
             acts = np.stack([buffer.actions[k][s:s + chunk, e] for e, s in sel], axis=1)
             old_logp = np.stack([buffer.log_probs[k][s:s + chunk, e] for e, s in sel], axis=1)

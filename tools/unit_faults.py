@@ -1,4 +1,4 @@
-"""Minor page faults, system and wall seconds per benchmark unit.
+"""Minor page faults, system and wall seconds and peak RSS per benchmark unit.
 
     python3 tools/unit_faults.py WORKLOAD --seed S --units N
 
@@ -9,10 +9,13 @@ has them: the allocator's state, and with it the page faults, depends on
 that history. Only the loop over timed units is replaced: N units,
 alternating over the subjects as ``run.rotate`` does, each one bracketed by
 ``getrusage`` of this process. The benchmark's report comes first, then
-each unit's minor page faults, system seconds and wall seconds, and the
-median over the warm units (every unit but the first). Nothing under
-``perfbench/`` is changed, no allocator option is set and nothing is
-gated; the exit code is the benchmark's.
+each unit's minor page faults, system seconds and wall seconds, the
+process's peak resident size after it (``ru_maxrss`` in MB, as the
+benchmark reports ``peak_rss_mb``), so a memory change can be traced to
+the unit where the peak is reached, and the median over the warm units
+(every unit but the first). Nothing under ``perfbench/`` is changed, no
+allocator option is set and nothing is gated; the exit code is the
+benchmark's.
 """
 
 import argparse
@@ -52,7 +55,8 @@ def main(argv=None) -> int:
             wall = time.perf_counter() - t0
             after = resource.getrusage(resource.RUSAGE_SELF)
             rows.append((after.ru_minflt - before.ru_minflt,
-                         after.ru_stime - before.ru_stime, wall))
+                         after.ru_stime - before.ru_stime, wall,
+                         after.ru_maxrss / 1024.0))
             if units[-1].problems:
                 break
 
@@ -60,10 +64,11 @@ def main(argv=None) -> int:
     code = run.main(["--workload", args.workload, "--seed", str(args.seed),
                      "--seconds", "0", "--trace", "0"])
     print(f"\n{args.workload} seed={args.seed} (root {ROOT})")
-    print("unit   minflt    sys_s   wall_s")
-    for k, (faults, sys_s, wall) in enumerate(rows):
+    print("unit   minflt    sys_s   wall_s  maxrss_mb")
+    for k, (faults, sys_s, wall, rss_mb) in enumerate(rows):
         note = "  warm-up" if k == 0 else ""
-        print(f"{k:4d} {faults:8d} {sys_s:8.3f} {wall:8.3f}{note}")
+        print(f"{k:4d} {faults:8d} {sys_s:8.3f} {wall:8.3f} {rss_mb:10.2f}"
+              f"{note}")
     warm = rows[1:]
     if warm:
         print(f"warm median: minflt {statistics.median(r[0] for r in warm):g}"
