@@ -119,7 +119,10 @@ class AgentCore:
     """Parameters and forward passes for one agent.
 
     All parameters live in ``self.params`` (name -> Tensor with
-    requires_grad). ``forward_calls`` counts acting passes, the
+    requires_grad); their ``.data`` and ``.grad`` are views, in ``params``
+    order, into two float64 vectors, ``self.flat`` and ``self.grad``.
+    ``views`` alone knows the offsets; a copy binds its views again.
+    ``forward_calls`` counts acting passes, the
     ``agent_step`` calls, so training can prove the incentive adds no extra
     network passes; the PPO replay goes through ``unroll``, which is not an
     ``agent_step`` and is not counted.
@@ -182,6 +185,26 @@ class AgentCore:
             p[f"{head}/out_w"] = glorot((64, out_dim), 64, out_dim)
             p[f"{head}/out_b"] = zeros(out_dim)
         self.params = p
+        self.flat = np.concatenate([t.data.reshape(-1) for t in p.values()])
+        self.grad = np.zeros(self.flat.shape)
+        self._bind()
+
+    def views(self, vec: np.ndarray) -> dict:
+        """{name: view shaped as the parameter} of a vector laid out as ``flat``."""
+        out, offset = {}, 0
+        for name, t in self.params.items():
+            out[name] = vec[offset:offset + t.data.size].reshape(t.shape)
+            offset += t.data.size
+        return out
+
+    def _bind(self) -> None:
+        grads = self.views(self.grad)
+        for name, data in self.views(self.flat).items():
+            self.params[name].data, self.params[name].grad = data, grads[name]
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     # -- layers ---------------------------------------------------------------
 

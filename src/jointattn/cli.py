@@ -329,6 +329,15 @@ class OutputLock:
         return False
 
 
+def _write_json(path: str, obj) -> None:
+    """Write ``obj`` as indented JSON under a temporary name, then rename it
+    into place, so ``path`` never holds a partial file."""
+    with open(path + ".tmp", "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    os.replace(path + ".tmp", path)
+
+
 class Manifest:
     """Index of every artifact a command leaves in its output directory."""
 
@@ -362,11 +371,7 @@ class Manifest:
         self.write()
 
     def write(self) -> None:
-        path = os.path.join(self.outdir, "manifest.json")
-        with open(path + ".tmp", "w") as f:
-            json.dump(self.data, f, indent=2, sort_keys=True)
-            f.write("\n")
-        os.replace(path + ".tmp", path)
+        _write_json(os.path.join(self.outdir, "manifest.json"), self.data)
 
 
 class MetricsWriter:
@@ -446,27 +451,37 @@ def build_agents_from_checkpoint(ckdir: str, cfg: ExperimentConfig) -> list:
     return agents
 
 
-def _save_run_checkpoint(trainer: Trainer, outdir: str, cfg: ExperimentConfig,
-                         manifest: Manifest) -> str:
-    """Save the current step's checkpoint unless it exists; returns its path
-    relative to ``outdir``.
+def _save_checkpoint_dir(trainer: Trainer, outdir: str, name: str,
+                         cfg: ExperimentConfig, config_file: bool) -> str:
+    """Write ``checkpoints/<name>``, with config.cfg if ``config_file``;
+    returns its path relative to ``outdir``.
 
-    The directory, config.cfg included, is written under a name that
-    ``_checkpoint_steps`` ignores and then renamed into place, so a save
-    that dies part-way leaves no ``stepNNN`` directory to be taken for a
-    whole checkpoint; the next save of that step removes the leftover.
+    The directory is written under the name ``partial-<name>``, which
+    ``_checkpoint_steps`` ignores, and then renamed into place, so a save
+    that dies part-way leaves nothing under ``name`` to be taken for a
+    whole checkpoint; the next save of that name removes the leftover.
     """
-    name = f"step{trainer.global_step:09d}"
     rel = os.path.join("checkpoints", name)
-    path = os.path.join(outdir, rel)
-    if not os.path.isdir(path):
-        partial = os.path.join(outdir, "checkpoints", f"partial-{name}")
-        shutil.rmtree(partial, ignore_errors=True)
-        save_checkpoint(partial, trainer.agents, trainer.global_step,
-                        trainer.episodes, config_hash(cfg))
+    partial = os.path.join(outdir, "checkpoints", f"partial-{name}")
+    shutil.rmtree(partial, ignore_errors=True)
+    save_checkpoint(partial, trainer.agents, trainer.global_step,
+                    trainer.episodes, config_hash(cfg))
+    if config_file:
         with open(os.path.join(partial, "config.cfg"), "w") as f:
             f.write(serialize_config(cfg))
-        os.replace(partial, path)
+    os.replace(partial, os.path.join(outdir, rel))
+    return rel
+
+
+def _save_run_checkpoint(trainer: Trainer, outdir: str, cfg: ExperimentConfig,
+                         manifest: Manifest) -> str:
+    """Save the current step's checkpoint, config.cfg included, unless it
+    exists (``_save_checkpoint_dir``); returns its path relative to
+    ``outdir``."""
+    name = f"step{trainer.global_step:09d}"
+    rel = os.path.join("checkpoints", name)
+    if not os.path.isdir(os.path.join(outdir, rel)):
+        _save_checkpoint_dir(trainer, outdir, name, cfg, config_file=True)
         manifest.add("checkpoints", rel)
     return rel
 
@@ -531,9 +546,8 @@ def cmd_train(args) -> int:
             metrics.close()
         final_rel = _save_run_checkpoint(trainer, outdir, cfg, manifest)
         manifest.set("final_checkpoint", final_rel)
-        with open(os.path.join(outdir, "final_summary.json"), "w") as f:
-            json.dump(summary["final_eval"], f, indent=2, sort_keys=True)
-            f.write("\n")
+        _write_json(os.path.join(outdir, "final_summary.json"),
+                    summary["final_eval"])
         manifest.add("files", "final_summary.json")
     print(json.dumps({"output_dir": outdir,
                       "global_step": summary["global_step"],
@@ -583,9 +597,7 @@ def cmd_eval(args) -> int:
         os.makedirs(outdir, exist_ok=True)
         with OutputLock(outdir):
             manifest = Manifest(outdir, "eval", config_hash(cfg), [args.seed])
-            with open(os.path.join(outdir, "summary.json"), "w") as f:
-                json.dump(summary, f, indent=2, sort_keys=True)
-                f.write("\n")
+            _write_json(os.path.join(outdir, "summary.json"), summary)
             manifest.add("files", "summary.json")
             manifest.set("checkpoint_evaluated", os.path.abspath(ckdir))
             manifest.set("episodes", episodes)
@@ -665,6 +677,15 @@ def cmd_render_attention(args) -> int:
 def cmd_social(args) -> int:
     ckdir = resolve_checkpoint_dir(args.expert)
     expert_cfg = read_checkpoint_config(ckdir)
+    n_agents = len(expert_cfg.population)
+    if not 0 <= args.expert_index < n_agents:
+        raise ConfigError(f"--expert-index must be in 0..{n_agents - 1} for "
+                          f"this checkpoint, got {args.expert_index}")
+    if expert_cfg.population[args.expert_index] == "independent_ppo":
+        raise ConfigError(f"agent {args.expert_index} of the checkpoint is "
+                          f"independent_ppo; a frozen expert needs attention")
+    if args.novices < 1:
+        raise ConfigError(f"--novices must be at least 1, got {args.novices}")
     expert_params = load_agent_params(ckdir, args.expert_index)
     outdir = resolve_output_dir(
         args.output_dir, None,
@@ -716,10 +737,8 @@ def cmd_social(args) -> int:
                         _m.write({**r, "arm": _tag}))
             finally:
                 metrics.close()
-            rel_ck = os.path.join("checkpoints", f"{tag}_final")
-            save_checkpoint(os.path.join(outdir, rel_ck), trainer.agents,
-                            trainer.global_step, trainer.episodes,
-                            config_hash(expert_cfg))
+            rel_ck = _save_checkpoint_dir(trainer, outdir, f"{tag}_final",
+                                          expert_cfg, config_file=False)
             manifest.add("checkpoints", rel_ck)
             results[tag] = {"global_step": summary["global_step"],
                             "episodes": summary["episodes"],

@@ -1,58 +1,38 @@
-"""Bias-corrected Adam over named parameter dicts."""
+"""Bias-corrected Adam over one flat parameter vector."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor
-
 
 class AdamState:
-    """Per-parameter moment accumulators plus the shared step counter.
+    """Moment vectors ``m`` and ``v`` for ``size`` parameters, laid out as
+    the flat vector they update and starting at zero, and the step counter."""
 
-    Built from the parameter dict it will update; moment arrays mirror the
-    parameter shapes and start at zero.
-    """
-
-    def __init__(self, params: dict, lr: float = 1e-4, beta1: float = 0.9,
+    def __init__(self, size: int, lr: float = 1e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step = 0
-        self.m = {k: np.zeros_like(_data(p)) for k, p in params.items()}
-        self.v = {k: np.zeros_like(_data(p)) for k, p in params.items()}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
 
-def _data(p) -> np.ndarray:
-    return p.data if isinstance(p, Tensor) else np.asarray(p, dtype=np.float64)
-
-
-def adam_update(params: dict, grads: dict, state: AdamState) -> dict:
-    """Apply one Adam step in place; returns the same params dict.
-
-    Every key in ``params`` must have a gradient in ``grads`` (an ndarray of
-    matching shape, or 0.0 for an explicit zero gradient).
-    """
+def adam_update(flat: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One Adam step on ``flat`` in place, from ``grad`` of its shape."""
+    if grad.shape != flat.shape or state.m.shape != flat.shape:
+        raise ValueError(f"adam_update: grad {grad.shape}, moments "
+                         f"{state.m.shape}, params {flat.shape}")
     state.step += 1
     assert state.step < 2 ** 53, "step counter exceeded exact float range"
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for name, p in params.items():
-        g = grads[name]
-        data = _data(p)
-        if not np.isscalar(g):
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != data.shape:
-                raise ValueError(f"adam_update: grad shape {g.shape} vs param "
-                                 f"{data.shape} for '{name}'")
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-    return params
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grad
+    v *= b2
+    v += (1.0 - b2) * (grad * grad)
+    flat -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

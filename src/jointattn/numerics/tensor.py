@@ -50,9 +50,11 @@ Typical use::
         loss = sum_all(mul(out, out))
     backward(loss)          # populates w.grad, b.grad
 
-A tape can be consumed by ``backward`` exactly once. Gradients accumulate
-additively into ``.grad`` of every ``requires_grad`` leaf, so callers zero
-grads between steps (``p.grad = None``).
+A tape can be consumed by ``backward`` exactly once. A ``requires_grad``
+leaf is born with a zero ``.grad``, into which gradients accumulate; callers
+zero it in place between steps (``zero_grad``). Nothing rebinds an
+``AgentCore`` parameter's ``.data`` or ``.grad``: they are views into its
+flat vectors.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class Tensor:
         arr = np.ascontiguousarray(data, dtype=np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self.grad = np.zeros(arr.shape) if requires_grad else None
         self.tape: Tape | None = None
         self.uses: int | None = None
 
@@ -105,7 +107,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.grad.fill(0.0)
 
     def __add__(self, other):
         return add(self, other)
@@ -253,8 +255,6 @@ def backward(loss: Tensor) -> None:
                 acc = adjoint.get(key)
                 adjoint[key] = g if acc is None else acc + g
             elif t.requires_grad:
-                if t.grad is None:
-                    t.grad = np.zeros_like(t.data)
                 t.grad += g
 
 

@@ -86,16 +86,13 @@ class PPOConfig:
 @dataclass
 class AgentSpec:
     variant: str = "joint_attention"
-    checkpoint: str | None = None     # directory, for frozen experts
-    params: dict | None = None        # in-memory alternative to checkpoint
-    agent_index: int = 0              # which agent to load from the checkpoint
+    params: dict | None = None        # {name: array}, for frozen experts
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.variant == "frozen_expert" and self.checkpoint is None \
-                and self.params is None:
-            raise ValueError("frozen_expert needs a checkpoint or params")
+        if self.variant == "frozen_expert" and self.params is None:
+            raise ValueError("frozen_expert needs params")
 
 
 @dataclass
@@ -123,10 +120,8 @@ class AgentRunner:
         self.core = AgentCore(height, width,
                               use_attention=self.uses_attention, seed=seed)
         if spec.variant == "frozen_expert":
-            loaded = spec.params if spec.params is not None \
-                else load_agent_params(spec.checkpoint, spec.agent_index)
-            set_agent_params(self.core, loaded)
-        self.adam = nm.AdamState(self.core.params, lr=ppo.learning_rate) \
+            set_agent_params(self.core, spec.params)
+        self.adam = nm.AdamState(self.core.flat.size, lr=ppo.learning_rate) \
             if self.trainable else None
 
 
@@ -198,11 +193,6 @@ class EnvSet:
     def batch_poses(self, agent_index: int) -> np.ndarray:
         return np.stack([pose_vector(*self.poses[e][agent_index])
                          for e in range(self.n_envs)])
-
-    def batch_obs(self, agent_index: int):
-        """(float conv inputs, poses) of one agent over every env."""
-        return (observation_array(self.batch_ids()),
-                self.batch_poses(agent_index))
 
     def step(self, actions: np.ndarray):
         """actions (n_envs, n_agents) -> rewards (n_envs, n_agents), dones.
@@ -366,9 +356,10 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
         for st in rec_states:
             st.h[pending_reset] = 0.0
             st.c[pending_reset] = 0.0
+    grids = observation_array(envset.batch_ids())
     for k, agent in enumerate(agents):
-        grids, poses = envset.batch_obs(k)
-        _, value, _, _ = agent.core.agent_step(grids, poses, rec_states[k])
+        _, value, _, _ = agent.core.agent_step(grids, envset.batch_poses(k),
+                                               rec_states[k])
         buf.bootstrap[k] = value.data.copy()
     return buf, pending_reset
 
@@ -470,13 +461,8 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
                             "policy_loss": None, "value_loss": None,
                             "entropy": None}
                 nm.backward(loss)
-            grads = {}
-            for name, p in agent.core.params.items():
-                grads[name] = p.grad if p.grad is not None \
-                    else np.zeros_like(p.data)
-            nm.adam_update(agent.core.params, grads, agent.adam)
-            for p in agent.core.params.values():
-                p.zero_grad()
+            nm.adam_update(agent.core.flat, agent.core.grad, agent.adam)
+            agent.core.grad.fill(0.0)
             stats["policy_loss"].append(policy_loss.item())
             stats["value_loss"].append(value_loss.item())
             stats["entropy"].append(-neg_entropy.item())
@@ -682,10 +668,9 @@ def save_checkpoint(path: str, agents: list, global_step: int,
                        agent.core.params)
         entry = {"variant": agent.variant, "adam_step": None}
         if agent.adam is not None:
-            moments = {}
-            for name in agent.core.params:
-                moments[f"m/{name}"] = agent.adam.m[name]
-                moments[f"v/{name}"] = agent.adam.v[name]
+            moments = {f"{key}/{name}": view
+                       for key, vec in (("m", agent.adam.m), ("v", agent.adam.v))
+                       for name, view in agent.core.views(vec).items()}
             nm.save_params(os.path.join(path, f"agent{k}_adam.blob"),
                            os.path.join(path, f"agent{k}_adam.json"), moments)
             entry["adam_step"] = agent.adam.step
@@ -726,9 +711,9 @@ def load_checkpoint(path: str, agents: list) -> dict:
         if agent.adam is not None and meta["agents"][k]["adam_step"] is not None:
             moments = nm.load_params(os.path.join(path, f"agent{k}_adam.blob"),
                                      os.path.join(path, f"agent{k}_adam.json"))
-            for name in agent.core.params:
-                agent.adam.m[name][...] = moments[f"m/{name}"]
-                agent.adam.v[name][...] = moments[f"v/{name}"]
+            for key, vec in (("m", agent.adam.m), ("v", agent.adam.v)):
+                for name, view in agent.core.views(vec).items():
+                    view[...] = moments[f"{key}/{name}"]
             agent.adam.step = meta["agents"][k]["adam_step"]
     return meta
 

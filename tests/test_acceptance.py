@@ -133,8 +133,7 @@ def test_criterion_01_gradients_match_central_differences():
             name = names[int(rng.integers(len(names)))]
             p = core.params[name]
             flat = p.data.reshape(-1)
-            gflat = (p.grad if p.grad is not None
-                     else np.zeros_like(p.data)).reshape(-1)
+            gflat = p.grad.reshape(-1)
             i = int(rng.integers(flat.size))
             orig = flat[i]
 

@@ -373,7 +373,10 @@ class TestUnroll:
                               rng.normal(size=(T * B, core.num_actions)),
                               rng.normal(size=T * B))
         backward(loss)
-        assert all(p.grad is not None for p in core.params.values())
+        # keys/b adds the same logit at every position of a head, which the
+        # softmax cancels: its gradient is zero in exact arithmetic
+        for name, p in core.params.items():
+            assert name == "keys/b" or np.abs(p.grad).max() > 0.0, name
         assert tensor._POOL["frame_features.out"][0].shape == \
             (T * B, 10, 10, 64 + 8)
         assert "attention_lstm.feature_grad" not in tensor._POOL

@@ -14,6 +14,7 @@ from jointattn.cli import (
     Manifest,
     _checkpoint_steps,
     _save_run_checkpoint,
+    _write_json,
     apply_overrides,
     config_hash,
     main,
@@ -55,6 +56,21 @@ run.eval_interval = 4
 run.eval_episodes = 2
 run.max_env_steps = 16
 """
+
+
+@pytest.fixture(scope="module")
+def mixed_expert(tmp_path_factory):
+    """A tiny tasklist checkpoint whose agent 0 has attention and whose
+    agent 1 is independent_ppo."""
+    root = tmp_path_factory.mktemp("mixed_expert")
+    cfg_path = root / "mixed.cfg"
+    cfg_path.write_text(TINY_TASKLIST.replace(
+        "population.variants = attention_only",
+        "population.variants = attention_only, independent_ppo"))
+    outdir = root / "run"
+    assert main(["train", "--config", str(cfg_path), "--seed", "2",
+                 "--output-dir", str(outdir)]) == 0
+    return outdir
 
 
 class TestConfigFormat:
@@ -481,6 +497,52 @@ class TestSocialCommand:
                     "checkpoint.json").is_file()
         assert manifest["results"]["with_expert"]["global_step"] == 16
         assert manifest["results"]["alone"]["global_step"] == 16
+
+    @pytest.mark.parametrize("argv", [
+        ["--expert-index", "5"], ["--expert-index", "-1"],
+        ["--expert-index", "1"], ["--novices", "0"], ["--novices", "-2"]])
+    def test_usage_error_exits_2_before_any_output(self, mixed_expert,
+                                                    tmp_path, capsys, argv):
+        outdir = tmp_path / "social"
+        code = main(["social", "--expert", str(mixed_expert), "--seed", "4",
+                     "--max-env-steps", "8", "--output-dir", str(outdir),
+                     *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not outdir.exists()
+
+    def test_final_checkpoint_that_dies_leaves_nothing_in_place(
+            self, mixed_expert, tmp_path, monkeypatch):
+        save_params = nm.save_params
+
+        def dies_on_adam(blob_path, index_path, params):
+            save_params(blob_path, index_path, params)
+            if os.path.basename(blob_path) == "agent0_adam.blob":
+                raise OSError("disk gone")
+
+        monkeypatch.setattr(nm, "save_params", dies_on_adam)
+        outdir = tmp_path / "social"
+        code = main(["social", "--expert", str(mixed_expert), "--seed", "4",
+                     "--max-env-steps", "8", "--output-dir", str(outdir)])
+        assert code == 1
+        ckroot = outdir / "checkpoints"
+        assert os.listdir(ckroot) == ["partial-with_expert_final"]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["checkpoints"] == []
+
+
+class TestWriteJson:
+    def test_write_that_raises_leaves_nothing_under_the_name(self, tmp_path):
+        path = tmp_path / "summary.json"
+        # json.dump writes the first keys before it meets the bad value
+        with pytest.raises(TypeError):
+            _write_json(str(path), {"a": 1, "b": object()})
+        assert not path.exists()
+        _write_json(str(path), {"a": 1})
+        with pytest.raises(TypeError):
+            _write_json(str(path), {"a": 2, "b": object()})
+        assert path.read_text() == '{\n  "a": 1\n}\n'
 
 
 class TestListEnvs:

@@ -985,57 +985,65 @@ class TestLending:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        p = {"w": Tensor(np.array([1.0, -2.0]), requires_grad=True)}
-        st = AdamState(p, lr=1e-3)
-        before = p["w"].data.copy()
-        adam_update(p, {"w": np.zeros(2)}, st)
-        assert np.array_equal(p["w"].data, before)
+        flat = np.array([1.0, -2.0])
+        st = AdamState(2, lr=1e-3)
+        adam_update(flat, np.zeros(2), st)
+        assert np.array_equal(flat, [1.0, -2.0])
 
     def test_first_step_scalar_oracle(self):
         lr, b1, b2, eps = 1e-4, 0.9, 0.999, 1e-8
         g = 0.37
-        p = {"w": Tensor(np.array([2.0]), requires_grad=True)}
-        st = AdamState(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        adam_update(p, {"w": np.array([g])}, st)
+        flat = np.array([2.0])
+        st = AdamState(1, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        adam_update(flat, np.array([g]), st)
         m = (1 - b1) * g / (1 - b1)
         v = (1 - b2) * g * g / (1 - b2)
         expected = 2.0 - lr * m / (math.sqrt(v) + eps)
-        assert abs(p["w"].data[0] - expected) < 1e-15
+        assert abs(flat[0] - expected) < 1e-15
 
     def test_constant_gradient_monotone_decrease(self):
-        p = {"w": Tensor(np.array([0.0]), requires_grad=True)}
-        st = AdamState(p, lr=1e-4)
+        flat = np.array([0.0])
+        st = AdamState(1, lr=1e-4)
         prev = 0.0
         for _ in range(100):
-            adam_update(p, {"w": np.array([1.0])}, st)
-            assert p["w"].data[0] < prev
-            prev = p["w"].data[0]
+            adam_update(flat, np.array([1.0]), st)
+            assert flat[0] < prev
+            prev = flat[0]
 
     def test_matches_scalar_reference_over_steps(self):
         lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
         rng = np.random.default_rng(17)
-        p = {"w": Tensor(rng.normal(size=4), requires_grad=True)}
-        st = AdamState(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        ref = p["w"].data.copy()
+        flat = rng.normal(size=4)
+        st = AdamState(4, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        ref = flat.copy()
         m = np.zeros(4)
         v = np.zeros(4)
         for t in range(1, 21):
             g = rng.normal(size=4)
-            adam_update(p, {"w": g}, st)
+            adam_update(flat, g, st)
             for j in range(4):
                 m[j] = b1 * m[j] + (1 - b1) * g[j]
                 v[j] = b2 * v[j] + (1 - b2) * g[j] * g[j]
                 mh = m[j] / (1 - b1 ** t)
                 vh = v[j] / (1 - b2 ** t)
                 ref[j] -= lr * mh / (math.sqrt(vh) + eps)
-        assert np.max(np.abs(p["w"].data - ref)) < 1e-12
+        assert np.max(np.abs(flat - ref)) < 1e-12
 
     def test_step_counter_increases(self):
-        p = {"w": Tensor(np.zeros(1), requires_grad=True)}
-        st = AdamState(p)
+        flat = np.zeros(1)
+        st = AdamState(1)
         for expect in (1, 2, 3):
-            adam_update(p, {"w": np.zeros(1)}, st)
+            adam_update(flat, np.zeros(1), st)
             assert st.step == expect
+
+    @pytest.mark.parametrize("grad_size, state_size", [(3, 4), (4, 3)])
+    def test_shape_mismatch_raises(self, grad_size, state_size):
+        flat = np.ones(4)
+        st = AdamState(state_size)
+        with pytest.raises(ValueError, match="adam_update"):
+            adam_update(flat, np.ones(grad_size), st)
+        assert st.step == 0
+        assert np.array_equal(flat, np.ones(4))
 
 
 # ---------------------------------------------------------------------------

@@ -92,15 +92,16 @@ class TestEnvSet:
         b = EnvSet("meetup", "default", cfg, 3, seed=5)
         for e in range(3):
             assert np.array_equal(a.states[e].cells, b.states[e].cells)
-        grids_a, poses_a = a.batch_obs(0)
-        grids_b, poses_b = b.batch_obs(0)
+        grids_a = observation_array(a.batch_ids())
+        grids_b = observation_array(b.batch_ids())
         assert np.array_equal(grids_a, grids_b)
-        assert np.array_equal(poses_a, poses_b)
+        assert np.array_equal(a.batch_poses(0), b.batch_poses(0))
 
     def test_batch_obs_scaled_floats(self):
         cfg = make_config("meetup", agent_count=2, **SMALL_ENV)
         es = EnvSet("meetup", "default", cfg, 2, seed=1)
-        grids, poses = es.batch_obs(1)
+        grids = observation_array(es.batch_ids())
+        poses = es.batch_poses(1)
         assert grids.shape == (2, 7, 7, 3)
         assert grids.dtype == np.float64
         assert grids.max() <= 1.0
@@ -430,12 +431,36 @@ class TestPPOUpdate:
             nm.backward(nm.scale(nm.sum_all(total), -1.0 / 4.0))
         ppo_update(agent, buf, 0, cfg, np.random.default_rng(0))
         # compare the Adam direction implied by the vanilla gradient
-        grads = {n: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                 for n, p in twin.core.params.items()}
-        nm.adam_update(twin.core.params, grads, twin.adam)
+        nm.adam_update(twin.core.flat, twin.core.grad, twin.adam)
         for n in agent.core.params:
             assert np.allclose(agent.core.params[n].data,
                                twin.core.params[n].data, atol=1e-9), n
+
+    def test_params_stay_views_into_the_flat_vectors(self):
+        tr = small_trainer(["joint_attention"], seed=9)
+        buf = tr.collect_segment()
+        compute_advantages(buf, tr.agents, tr.incentive, tr.ppo)
+        agent = tr.agents[0]
+        stats = ppo_update(agent, buf, 0, tr.ppo, np.random.default_rng(1))
+        assert not stats["aborted"]
+        twin = copy.deepcopy(agent)
+        assert not np.shares_memory(twin.core.flat, agent.core.flat)
+        for core in (agent.core, twin.core):
+            assert not core.grad.any()
+            for vec, attr in ((core.flat, "data"), (core.grad, "grad")):
+                # the views tile the vector in params order, with no gap
+                start = vec.__array_interface__["data"][0]
+                offset = 0
+                views = core.views(vec)
+                assert list(views) == list(core.params)
+                for n, p in core.params.items():
+                    arr = getattr(p, attr)
+                    for a in (arr, views[n]):
+                        assert a.__array_interface__["data"][0] == \
+                            start + 8 * offset, (n, attr)
+                        assert a.shape == p.shape and a.flags.c_contiguous
+                    offset += arr.size
+                assert offset == vec.size
 
     def test_non_finite_loss_aborts_without_stepping(self):
         agent = self._agent(seed=4)
@@ -571,9 +596,39 @@ class TestCheckpoints:
             for n in tr.agents[k].core.params:
                 assert np.array_equal(fresh.agents[k].core.params[n].data,
                                       tr.agents[k].core.params[n].data)
-                assert np.array_equal(fresh.agents[k].adam.m[n],
-                                      tr.agents[k].adam.m[n])
+            assert np.array_equal(fresh.agents[k].core.flat,
+                                  tr.agents[k].core.flat)
+            assert np.array_equal(fresh.agents[k].adam.m, tr.agents[k].adam.m)
+            assert np.array_equal(fresh.agents[k].adam.v, tr.agents[k].adam.v)
             assert fresh.agents[k].adam.step == tr.agents[k].adam.step
+
+    def test_per_name_adam_blob_loads_into_flat_moments(self, tmp_path):
+        # the Adam blob as a per-name optimizer wrote it: one m/<name> and
+        # one v/<name> array per parameter, each of the parameter's shape
+        tr = small_trainer(["joint_attention"], seed=20)
+        path = str(tmp_path / "ck")
+        save_checkpoint(path, tr.agents, 0, 0)
+        rng = np.random.default_rng(21)
+        params = tr.agents[0].core.params
+        moments = {}
+        for n, p in params.items():
+            moments[f"m/{n}"] = rng.normal(size=p.shape)
+            moments[f"v/{n}"] = rng.uniform(size=p.shape)
+        nm.save_params(os.path.join(path, "agent0_adam.blob"),
+                       os.path.join(path, "agent0_adam.json"), moments)
+        fresh = small_trainer(["joint_attention"], seed=22)
+        load_checkpoint(path, fresh.agents)
+        adam = fresh.agents[0].adam
+        for key, vec in (("m", adam.m), ("v", adam.v)):
+            assert np.array_equal(vec, np.concatenate(
+                [moments[f"{key}/{n}"].reshape(-1) for n in params]))
+        # and the flat moments write the same files back
+        again = str(tmp_path / "again")
+        save_checkpoint(again, fresh.agents, 0, 0)
+        for name in ("agent0_adam.blob", "agent0_adam.json"):
+            with open(os.path.join(path, name), "rb") as f, \
+                    open(os.path.join(again, name), "rb") as g:
+                assert f.read() == g.read(), name
 
     def test_population_size_mismatch_rejected(self, tmp_path):
         tr = small_trainer(["joint_attention"], seed=17)
