@@ -331,11 +331,18 @@ class OutputLock:
 
 def _write_json(path: str, obj) -> None:
     """Write ``obj`` as indented JSON under a temporary name, then rename it
-    into place, so ``path`` never holds a partial file."""
-    with open(path + ".tmp", "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(path + ".tmp", path)
+    into place, so ``path`` never holds a partial file. A write or rename
+    that fails removes the temporary file and re-raises."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as f:
+            json.dump(obj, f, indent=2, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class Manifest:

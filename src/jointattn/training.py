@@ -3,8 +3,9 @@
 Each agent owns its parameters, optimizer, and value net; nothing is shared
 except the scalar attention-matching bonus, which is computed once per step
 from the maps every map-producing agent already emitted while acting. The
-rollout store keeps those maps, so the bonus never triggers another network
-pass (``RolloutBuffer.no_rerun_forward_calls`` proves it).
+rollout store keeps the field of those maps that the metric scores
+(``scored_field``), so the bonus never triggers another network pass
+(``RolloutBuffer.no_rerun_forward_calls`` proves it).
 
 Population variants:
   - ``joint_attention``: attention on, trains with the shaped bonus.
@@ -224,64 +225,61 @@ class EnvSet:
 class RolloutBuffer:
     """On-policy segment store for every agent plus the shared bonus lane.
 
-    Each lane is stored in its smallest exact form. ``obs`` is one
+    Every per-agent lane is one array with the agent on the leading axis:
+    ``pose`` (K, T, E, 6); ``actions``, ``log_probs``, ``values``,
+    ``r_env``, ``advantages`` and ``returns`` (K, T, E); ``bootstrap``
+    (K, E). Each lane is stored in its smallest exact form. ``obs`` is one
     (T, E, h, w, 3) uint8 array of the cell ids of every env's grid, which
     every agent acts on (``observation_array`` of them is what each one
-    acted on, and every agent's update replays from it). ``h0[k]``/``c0[k]``
-    hold agent k's recurrent state at each chunk start only,
-    (T / chunk_length, E, cell): the replay starts each chunk there and
-    rebuilds the rest.
+    acted on, and every agent's update replays from it). ``h0``/``c0`` hold
+    each agent's recurrent state at each chunk start only,
+    (K, T / chunk_length, E, cell): the replay starts each chunk there and
+    rebuilds the rest. ``fields`` (M, T, E, h*w) holds the field
+    ``scored_field`` picks for each of the M map-producing agents, rows in
+    ``map_agents`` order; the bonus and its replay score it.
     """
 
-    def __init__(self, n_agents: int, T: int, E: int, h: int, w: int,
-                 cell: int, map_agents, store_logits: bool, chunk_length: int):
+    def __init__(self, K: int, T: int, E: int, h: int, w: int, cell: int,
+                 map_agents, chunk_length: int):
         self.T, self.E = T, E
         self.chunk_length = chunk_length
         self.map_agents = tuple(map_agents)
         self.obs = np.zeros((T, E, h, w, 3), dtype=np.uint8)
-        self.pose = [np.zeros((T, E, 6)) for _ in range(n_agents)]
-        self.actions = [np.zeros((T, E), dtype=np.int64) for _ in range(n_agents)]
-        self.log_probs = [np.zeros((T, E)) for _ in range(n_agents)]
-        self.values = [np.zeros((T, E)) for _ in range(n_agents)]
-        self.r_env = [np.zeros((T, E)) for _ in range(n_agents)]
-        chunks = T // chunk_length
-        self.h0 = [np.zeros((chunks, E, cell)) for _ in range(n_agents)]
-        self.c0 = [np.zeros((chunks, E, cell)) for _ in range(n_agents)]
+        self.pose = np.zeros((K, T, E, 6))
+        self.actions = np.zeros((K, T, E), dtype=np.int64)
+        self.log_probs = np.zeros((K, T, E))
+        self.values = np.zeros((K, T, E))
+        self.r_env = np.zeros((K, T, E))
+        self.advantages = np.zeros((K, T, E))
+        self.returns = np.zeros((K, T, E))
+        self.h0 = np.zeros((K, T // chunk_length, E, cell))
+        self.c0 = np.zeros((K, T // chunk_length, E, cell))
+        self.bootstrap = np.zeros((K, E))
         self.reset_mask = np.zeros((T, E), dtype=bool)
         self.done = np.zeros((T, E), dtype=bool)
-        self.mean_maps = {k: np.zeros((T, E, h, w)) for k in self.map_agents}
-        self.logit_maps = {k: np.zeros((T, E, h, w))
-                           for k in self.map_agents} if store_logits else None
+        self.fields = np.zeros((len(self.map_agents), T, E, h * w))
         # one producer still gets the lane (identically zero, the degenerate
         # single-agent case); no producers at all means no lane
-        self.r_ja = np.zeros((T, E)) if len(self.map_agents) >= 1 else None
-        self.bootstrap = [np.zeros(E) for _ in range(n_agents)]
+        self.r_ja = np.zeros((T, E)) if self.map_agents else None
         self.base_step = 0
         self.no_rerun_forward_calls = 0
-        self.advantages = [None] * n_agents
-        self.returns = [None] * n_agents
 
 
-def _divergence_fields(maps: dict, logits: dict | None,
-                      incentive: IncentiveConfig) -> np.ndarray:
-    """The (K, rows, h*w) fields ``pairwise_divergence`` reads, one per
-    map-producing agent in index order: the head-mean logit fields for
-    ``clipped_jsd``, the head-mean maps otherwise. ``maps`` and ``logits``
-    map agent index -> (..., h, w) fields; the leading axes become rows."""
-    if incentive.metric == "clipped_jsd":
-        if logits is None:
-            raise ValueError("clipped_jsd needs the stored logit fields")
-        maps = logits
-    fields = np.stack([maps[k] for k in sorted(maps)])
-    h, w = fields.shape[-2:]
-    return fields.reshape(fields.shape[0], -1, h * w)
+def scored_field(maps, incentive: IncentiveConfig) -> np.ndarray:
+    """The (rows, h*w) field the divergence metric scores, one row per batch
+    row of ``maps`` (``AttentionMaps``): the head-mean logits for
+    ``clipped_jsd``, the head-mean map otherwise."""
+    field = maps.head_logits.mean(axis=1) \
+        if incentive.metric == "clipped_jsd" else maps.mean_map
+    return field.reshape(field.shape[0], -1)
 
 
 def recompute_r_ja(buffer: RolloutBuffer, incentive: IncentiveConfig) -> np.ndarray:
-    """Bonus recomputed from stored maps alone (the replay contract)."""
+    """Bonus recomputed from the stored fields alone (the replay contract)."""
     if buffer.r_ja is None:
         raise ValueError("buffer has no bonus lane (fewer than two map producers)")
-    fields = _divergence_fields(buffer.mean_maps, buffer.logit_maps, incentive)
+    fields = buffer.fields.reshape(len(buffer.map_agents),
+                                   buffer.T * buffer.E, -1)
     return -pairwise_divergence(fields, incentive.metric,
                                 incentive.clip_threshold).reshape(buffer.T,
                                                                   buffer.E)
@@ -293,15 +291,14 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
     """Roll ``segment_length`` vector steps; returns (buffer, pending_reset).
 
     ``rec_states`` (one per agent) are advanced in place. The bonus for each
-    step is computed inside an instrumented block that must not add forward
-    passes.
+    step is scored from the stored ``fields`` inside an instrumented block
+    that must not add forward passes.
     """
     T, E, chunk = ppo.segment_length, envset.n_envs, ppo.chunk_length
     h, w = envset.states[0].height, envset.states[0].width
     map_agents = [k for k, a in enumerate(agents) if a.uses_attention]
-    store_logits = incentive.metric == "clipped_jsd"
     buf = RolloutBuffer(len(agents), T, E, h, w, agents[0].core.cell_size,
-                        map_agents, store_logits, chunk)
+                        map_agents, chunk)
     buf.base_step = base_step
 
     for t in range(T):
@@ -310,44 +307,35 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
                 st.h[pending_reset] = 0.0
                 st.c[pending_reset] = 0.0
         buf.reset_mask[t] = pending_reset
-        actions = np.zeros((E, len(agents)), dtype=np.int64)
-        step_maps = {}
-        step_logits = {}
         ids = envset.batch_ids()
         buf.obs[t] = ids
         grids = observation_array(ids)
         for k, agent in enumerate(agents):
             if t % chunk == 0:
-                buf.h0[k][t // chunk] = rec_states[k].h
-                buf.c0[k][t // chunk] = rec_states[k].c
+                buf.h0[k, t // chunk] = rec_states[k].h
+                buf.c0[k, t // chunk] = rec_states[k].c
             poses = envset.batch_poses(k)
-            buf.pose[k][t] = poses
+            buf.pose[k, t] = poses
             logits, value, maps, new_state = agent.core.agent_step(
                 grids, poses, rec_states[k])
             rec_states[k] = new_state.detach()
-            a, logp = act(logits, agent.action_mode, rng)
-            actions[:, k] = a
-            buf.actions[k][t] = a
-            buf.log_probs[k][t] = logp
-            buf.values[k][t] = value.data
+            buf.actions[k, t], buf.log_probs[k, t] = act(
+                logits, agent.action_mode, rng)
+            buf.values[k, t] = value.data
             if maps is not None:
-                step_maps[k] = maps.mean_map
-                buf.mean_maps[k][t] = step_maps[k]
-                if store_logits:
-                    step_logits[k] = maps.head_logits.mean(axis=1)
-                    buf.logit_maps[k][t] = step_logits[k]
+                buf.fields[map_agents.index(k), t] = scored_field(maps,
+                                                                  incentive)
 
-        if buf.r_ja is not None and len(map_agents) >= 2:
+        if len(map_agents) >= 2:
             calls_before = sum(a.core.forward_calls for a in agents)
-            fields = _divergence_fields(step_maps, step_logits, incentive)
-            buf.r_ja[t] = -pairwise_divergence(fields, incentive.metric,
+            buf.r_ja[t] = -pairwise_divergence(buf.fields[:, t],
+                                               incentive.metric,
                                                incentive.clip_threshold)
             buf.no_rerun_forward_calls += \
                 sum(a.core.forward_calls for a in agents) - calls_before
 
-        rewards, dones = envset.step(actions)
-        for k in range(len(agents)):
-            buf.r_env[k][t] = rewards[:, k]
+        rewards, dones = envset.step(buf.actions[:, t].T)
+        buf.r_env[:, t] = rewards.T
         buf.done[t] = dones
         pending_reset = dones.copy()
 
@@ -360,7 +348,7 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
     for k, agent in enumerate(agents):
         _, value, _, _ = agent.core.agent_step(grids, envset.batch_poses(k),
                                                rec_states[k])
-        buf.bootstrap[k] = value.data.copy()
+        buf.bootstrap[k] = value.data
     return buf, pending_reset
 
 
@@ -402,38 +390,40 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
                ppo: PPOConfig, rng: np.random.Generator) -> dict:
     """Clipped-surrogate PPO over chunked recurrent minibatches.
 
-    Chunks replay from the stored state snapshots; episode boundaries
-    inside a chunk re-zero the state exactly as the rollout did. Each
-    minibatch is one time-batched pass (``AgentCore.unroll``) over frames
-    scaled from the stored ids by ``observation_array``, as acting scaled
-    them, and the losses are computed once over its stacked chunk*B
-    samples. A non-finite loss aborts the update before any parameter step.
+    Chunks are numbered env-major and start-minor; each epoch takes them in
+    ``rng.permutation`` order and gathers each minibatch from agent k's
+    lanes with one (chunk, B) pair of step and env index arrays. Chunks
+    replay from the stored state snapshots; episode boundaries inside a
+    chunk re-zero the state exactly as the rollout did. Each minibatch is
+    one time-batched pass (``AgentCore.unroll``) over frames scaled from the
+    stored ids by ``observation_array``, as acting scaled them, and the
+    losses are computed once over its stacked chunk*B samples. A non-finite
+    loss aborts the update before any parameter step.
     """
-    T, E = buffer.T, buffer.E
     chunk = ppo.chunk_length
     if buffer.chunk_length != chunk:
         raise ValueError(f"buffer was filled with chunk length "
                          f"{buffer.chunk_length}, update uses {chunk}")
-    chunks = [(e, start) for e in range(E) for start in range(0, T, chunk)]
-    per_batch = max(1, ppo.batch_size // chunk)
+    starts = buffer.T // chunk
+    per_batch = ppo.batch_size // chunk
+    offsets = np.arange(chunk)[:, None]
     stats = {"policy_loss": [], "value_loss": [], "entropy": []}
 
     for _ in range(ppo.epochs):
-        order = rng.permutation(len(chunks))
+        order = rng.permutation(buffer.E * starts)
         for lo in range(0, len(order), per_batch):
-            sel = [chunks[i] for i in order[lo:lo + per_batch]]
-            B = len(sel)
-            n_samples = B * chunk
-            obs = observation_array(np.stack(
-                [buffer.obs[s:s + chunk, e] for e, s in sel], axis=1))
-            pose = np.stack([buffer.pose[k][s:s + chunk, e] for e, s in sel], axis=1)
-            acts = np.stack([buffer.actions[k][s:s + chunk, e] for e, s in sel], axis=1)
-            old_logp = np.stack([buffer.log_probs[k][s:s + chunk, e] for e, s in sel], axis=1)
-            adv = np.stack([buffer.advantages[k][s:s + chunk, e] for e, s in sel], axis=1)
-            rets = np.stack([buffer.returns[k][s:s + chunk, e] for e, s in sel], axis=1)
-            resets = np.stack([buffer.reset_mask[s:s + chunk, e] for e, s in sel], axis=1)
-            h0 = np.stack([buffer.h0[k][s // chunk, e] for e, s in sel])
-            c0 = np.stack([buffer.c0[k][s // chunk, e] for e, s in sel])
+            es, first = np.divmod(order[lo:lo + per_batch], starts)
+            ts = first * chunk + offsets        # (chunk, B) step indices
+            n_samples = ts.size
+            obs = observation_array(buffer.obs[ts, es])
+            pose = buffer.pose[k, ts, es]
+            acts = buffer.actions[k, ts, es]
+            old_logp = buffer.log_probs[k, ts, es]
+            adv = buffer.advantages[k, ts, es]
+            rets = buffer.returns[k, ts, es]
+            resets = buffer.reset_mask[ts, es]
+            h0 = buffer.h0[k, first, es]
+            c0 = buffer.c0[k, first, es]
 
             with nm.Tape() as tape:
                 logits, value = agent.core.unroll(
@@ -594,7 +584,6 @@ def evaluate(agents: list, kind: str, variant, config, episodes: int,
     """
     incentive = incentive or IncentiveConfig()
     layouts = _layouts(variant, config, episodes)
-    use_logits = incentive.metric == "clipped_jsd"
     rows = len(layouts) * episodes
     returns = np.zeros((rows, layouts[0][1].agent_count))
     lengths = np.zeros(rows, dtype=np.int64)
@@ -604,10 +593,8 @@ def evaluate(agents: list, kind: str, variant, config, episodes: int,
         returns[st.live] += st.rewards
         lengths[st.live] += 1
         if len(st.maps) >= 2:
-            logits = {k: m.head_logits.mean(axis=1)
-                      for k, m in st.maps.items()} if use_logits else None
-            fields = _divergence_fields(
-                {k: m.mean_map for k, m in st.maps.items()}, logits, incentive)
+            fields = np.stack([scored_field(m, incentive)
+                               for m in st.maps.values()])
             pairs = len(st.maps) * (len(st.maps) - 1)
             values = pairwise_divergence(fields, incentive.metric,
                                          incentive.clip_threshold) / pairs

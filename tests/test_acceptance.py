@@ -466,9 +466,7 @@ def test_criterion_07_decentralized_updates_without_reruns():
                  buf_zeroed.log_probs, buf_zeroed.values, buf_zeroed.r_env,
                  buf_zeroed.h0, buf_zeroed.c0, buf_zeroed.bootstrap):
         lane[other][...] = 0
-    buf_zeroed.mean_maps[other][...] = 0.0
-    if buf_zeroed.logit_maps is not None:
-        buf_zeroed.logit_maps[other][...] = 0.0
+    buf_zeroed.fields[buf.map_agents.index(other)][...] = 0.0
 
     twins = build_population(pop, 7, 7, ppo, seed=902)
     for name, p in agents[0].core.params.items():

@@ -65,3 +65,20 @@ def test_names_the_workloads_patch_and_read_exist(perfbench_modules):
                  "training.EnvSet.step", "nm.adam_update",
                  "cli.generalization_eval"):
         assert name in checked
+
+
+def test_train_unit_runs_and_repeats(perfbench_modules, tmp_path):
+    # a tiny training workload through the benchmark's own unit: a lane the
+    # unit reads that is renamed or reshaped fails here, not only in
+    # perfbench/run.py
+    _, workloads = perfbench_modules
+    workload = workloads.TrainWorkload(
+        "meetup", 2, {"interior": 4, "episode_cap": 8},
+        dict(segment_length=8, n_envs=2, chunk_length=4, batch_size=8,
+             epochs=1))
+    units = [workload.run_unit(workload.make_subject(11, str(tmp_path)),
+                               probing=False) for _ in range(2)]
+    for unit in units:
+        assert unit.problems == []
+        assert unit.failed == 0
+    assert units[0].digest == units[1].digest

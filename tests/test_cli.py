@@ -535,14 +535,17 @@ class TestSocialCommand:
 class TestWriteJson:
     def test_write_that_raises_leaves_nothing_under_the_name(self, tmp_path):
         path = tmp_path / "summary.json"
+        tmp = tmp_path / "summary.json.tmp"
         # json.dump writes the first keys before it meets the bad value
         with pytest.raises(TypeError):
             _write_json(str(path), {"a": 1, "b": object()})
         assert not path.exists()
+        assert not tmp.exists()
         _write_json(str(path), {"a": 1})
         with pytest.raises(TypeError):
             _write_json(str(path), {"a": 2, "b": object()})
         assert path.read_text() == '{\n  "a": 1\n}\n'
+        assert not tmp.exists()
 
 
 class TestListEnvs:

@@ -11,9 +11,10 @@ import pytest
 import acceptance_runs
 from jointattn import numerics as nm
 from jointattn import training
-from jointattn.attention_net import act, pose_vector
+from jointattn.attention_net import AgentCore, act, pose_vector
 from jointattn.gridworlds import make_config, reset, step
-from jointattn.ja_reward import IncentiveConfig, jsd, pairwise_divergence
+from jointattn.ja_reward import (IncentiveConfig, clipped_jsd, jsd,
+                                 kl_divergence, pairwise_divergence)
 from jointattn.training import (
     AgentRunner,
     AgentSpec,
@@ -128,7 +129,7 @@ class TestCollect:
         tr = small_trainer(["independent_ppo", "independent_ppo"])
         buf = tr.collect_segment()
         assert buf.map_agents == ()
-        assert buf.mean_maps == {}
+        assert buf.fields.shape[0] == 0
         assert buf.r_ja is None
 
     def test_replay_reproduces_r_ja_bit_identically(self):
@@ -140,7 +141,8 @@ class TestCollect:
         tr = small_trainer(["joint_attention", "joint_attention"],
                            metric="clipped_jsd")
         buf = tr.collect_segment()
-        assert buf.logit_maps is not None
+        # the lane holds head-mean logits, not probability maps
+        assert (buf.fields < 0.0).any()
         assert np.array_equal(recompute_r_ja(buf, tr.incentive), buf.r_ja)
 
     def test_clipped_metric_reference_segment_completes(self):
@@ -153,8 +155,7 @@ class TestCollect:
                      PPOConfig(**acceptance_runs.RUN_PPO), seed=11,
                      env_overrides=acceptance_runs.MEETUP_ENV)
         buf = tr.collect_segment()
-        assert any((m.max(axis=(2, 3)) < 0.0).any()
-                   for m in buf.logit_maps.values())
+        assert (buf.fields.max(axis=-1) < 0.0).any()
         stats = tr.update_from(buf)
         assert stats["aborted_updates"] == 0
         assert all(np.isfinite(stats[k])
@@ -211,7 +212,7 @@ class TestCollect:
         ppo = PPOConfig(n_envs=16)
         K, T, E, side = 3, ppo.segment_length, ppo.n_envs, 10
         cell = AgentRunner(AgentSpec(), side, side, ppo, 0).core.cell_size
-        buf = RolloutBuffer(K, T, E, side, side, cell, range(K), False,
+        buf = RolloutBuffer(K, T, E, side, side, cell, range(K),
                             ppo.chunk_length)
         # one observation lane, shared by the K agents
         assert buf.obs.dtype == np.uint8
@@ -255,7 +256,7 @@ class TestCollect:
 
 
 def manual_buffer(T, E, rewards, values, bootstrap, dones=None):
-    buf = RolloutBuffer(1, T, E, 3, 3, 4, [], False, T)
+    buf = RolloutBuffer(1, T, E, 3, 3, 4, [], T)
     buf.r_env[0] = np.asarray(rewards, dtype=np.float64)
     buf.values[0] = np.asarray(values, dtype=np.float64)
     buf.bootstrap[0] = np.asarray(bootstrap, dtype=np.float64)
@@ -336,7 +337,7 @@ def bandit_buffer(agent, action, T=4, E=2, advantage=1.0):
     """Fixed-observation buffer of one T-step chunk pushing one action with
     a set advantage; returns it with the float frame the agent saw."""
     h = agent.core.height
-    buf = RolloutBuffer(1, T, E, h, h, agent.core.cell_size, [], False, T)
+    buf = RolloutBuffer(1, T, E, h, h, agent.core.cell_size, [], T)
     rng = np.random.default_rng(7)
     ids = rng.integers(0, 3, size=(h, h, 3))
     obs = observation_array(ids)
@@ -503,6 +504,50 @@ class TestPPOUpdate:
         assert stats["aborted"]
         assert live == []
 
+    def test_minibatches_gather_the_permuted_chunks(self, monkeypatch):
+        # three envs of three chunks each: an env-major numbering differs
+        # from a start-major one, and the nine chunks leave a one-chunk
+        # minibatch; the 3-step cap puts resets inside chunks
+        tr = small_trainer(["joint_attention", "joint_attention"], seed=10,
+                           T=12, E=3,
+                           env_overrides={"interior": 5, "episode_cap": 3})
+        buf = tr.collect_segment()
+        compute_advantages(buf, tr.agents, tr.incentive, tr.ppo)
+        k, chunk, seed = 1, tr.ppo.chunk_length, 5
+        assert buf.reset_mask[np.arange(buf.T) % chunk != 0].any()
+        calls = []
+        unroll = AgentCore.unroll
+
+        def spy(core, obs, p, state, resets):
+            calls.append((np.array(obs), np.array(p), np.array(state.h.data),
+                          np.array(state.c.data), np.array(resets)))
+            return unroll(core, obs, p, state, resets)
+
+        monkeypatch.setattr(AgentCore, "unroll", spy)
+        ppo_update(tr.agents[k], buf, k, tr.ppo, np.random.default_rng(seed))
+        monkeypatch.undo()
+
+        chunks = [(e, s) for e in range(buf.E) for s in range(0, buf.T, chunk)]
+        per_batch = tr.ppo.batch_size // chunk
+        rng = np.random.default_rng(seed)
+        expected = []
+        for _ in range(tr.ppo.epochs):
+            order = rng.permutation(len(chunks))
+            expected += [[chunks[i] for i in order[lo:lo + per_batch]]
+                         for lo in range(0, len(order), per_batch)]
+        assert len(calls) == len(expected)
+        assert len(expected[-1]) == 1
+        for (obs, p, h, c, resets), sel in zip(calls, expected):
+            def steps(lane):
+                return np.stack([lane[s:s + chunk, e] for e, s in sel], axis=1)
+            assert np.array_equal(obs, observation_array(steps(buf.obs)))
+            assert np.array_equal(p, steps(buf.pose[k]))
+            assert np.array_equal(resets, steps(buf.reset_mask))
+            assert np.array_equal(h, np.stack([buf.h0[k][s // chunk, e]
+                                               for e, s in sel]))
+            assert np.array_equal(c, np.stack([buf.c0[k][s // chunk, e]
+                                               for e, s in sel]))
+
     def test_update_depends_only_on_own_lane_and_shared_bonus(self):
         tr = small_trainer(["joint_attention", "joint_attention"], seed=8)
         buf = tr.collect_segment()
@@ -518,7 +563,7 @@ class TestPPOUpdate:
                      stripped.h0, stripped.c0, stripped.advantages,
                      stripped.returns):
             lane[1] = np.zeros_like(np.asarray(lane[1]))
-        stripped.mean_maps[1][:] = 0.0
+        stripped.fields[1][:] = 0.0
         ppo_update(agent_copy, stripped, 0, tr.ppo, np.random.default_rng(42))
         for n in tr.agents[0].core.params:
             assert np.array_equal(tr.agents[0].core.params[n].data,
@@ -760,6 +805,30 @@ class TestEvaluate:
         else:
             assert summary["mean_pairwise_jsd"] is None
 
+    @pytest.mark.parametrize("metric", ["jsd", "kl", "clipped_jsd"])
+    def test_divergence_scores_the_metric_field(self, metric):
+        # the scalar oracles on the field each metric scores: head-mean
+        # logits for clipped_jsd, head-mean maps otherwise
+        tr = small_trainer(["joint_attention"] * 3, seed=26, metric=metric)
+        cfg, episodes, seed = tr.env_config, 3, 6
+        threshold = tr.incentive.clip_threshold
+        score = {"jsd": jsd, "kl": kl_divergence,
+                 "clipped_jsd": lambda p, q: clipped_jsd(p, q, threshold)}
+        per_episode = [[] for _ in range(episodes)]
+        for st in lockstep_episodes(tr.agents, "meetup", "default", cfg,
+                                    episodes, seed):
+            fields = [m.head_logits.mean(axis=1) if metric == "clipped_jsd"
+                      else m.mean_map for m in st.maps.values()]
+            K = len(fields)
+            for row, e in enumerate(st.live):
+                total = sum(score[metric](fields[i][row], fields[j][row])
+                            for j in range(K) for i in range(K) if i != j)
+                per_episode[e].append(total / (K * (K - 1)))
+        want = float(np.mean([v for values in per_episode for v in values]))
+        summary = evaluate(tr.agents, "meetup", "default", cfg, episodes,
+                           seed, tr.incentive)
+        assert summary["mean_pairwise_jsd"] == want
+
     @pytest.mark.parametrize("episodes", [0, -3])
     def test_episode_count_below_one_raises(self, episodes):
         tr = small_trainer(["joint_attention", "joint_attention"], seed=19)
@@ -877,9 +946,8 @@ class TestSocial:
                            "tasklist_subtasks": 3})
         buf = tr.collect_segment()
         baseline = recompute_r_ja(buf, tr.incentive)
-        expert_k = buf.map_agents[-1]
-        novice_k = buf.map_agents[0]
-        buf.mean_maps[expert_k][:] = buf.mean_maps[novice_k]
+        # fields rows follow map_agents: the expert's is last
+        buf.fields[-1] = buf.fields[0]
         swapped = recompute_r_ja(buf, tr.incentive)
         assert np.all(swapped >= baseline - 1e-12)
         assert swapped.mean() > baseline.mean()
