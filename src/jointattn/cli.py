@@ -8,12 +8,15 @@ Commands
     list-envs         show environment kinds, variants, and defaults
 
 Configs are plain text, one ``key = value`` per line with dotted key
-sections (see DEFAULT_CONFIG_KEYS); unknown keys are rejected with the
+sections; the keys (CONFIG_KEYS) are read off the fields of ExperimentConfig
+and of its section dataclasses, and unknown keys are rejected with the
 offending line number. A run's output directory receives the effective
 config, a manifest that indexes every artifact, line-delimited JSON
 metrics, and immutable step-numbered checkpoints. Exit codes: 0 success,
 1 runtime failure, 2 usage or config error.
 """
+
+from __future__ import annotations
 
 import argparse
 import hashlib
@@ -22,6 +25,7 @@ import os
 import shutil
 import sys
 import traceback
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from . import __version__
 from .gridworlds import (
     ENCODING_VERSION,
     ENV_KINDS,
+    EnvConfig,
     VARIANTS,
     make_config,
 )
@@ -68,60 +73,27 @@ class RunFailure(CliError):
 # ---------------------------------------------------------------------------
 # experiment config: parse / serialize / hash
 
-_ENV_OVERRIDE_KEYS = ("interior", "episode_cap", "landmarks", "coin_colors",
-                      "coins_per_color", "berries", "stags",
-                      "tasklist_subtasks")
-_INCENTIVE_KEYS = ("metric", "clip_threshold", "beta_max", "beta_rampup_steps")
-_PPO_KEYS = ("learning_rate", "batch_size", "epochs", "clip_ratio", "gamma",
-             "gae_lambda", "entropy_coef", "value_coef", "chunk_length",
-             "segment_length", "n_envs")
-
-# full key schema: dotted key -> value type ("int", "float", "str",
-# "opt_int", "opt_str", "variants")
-DEFAULT_CONFIG_KEYS = {"env.kind": "str", "env.variant": "str",
-                       "population.variants": "variants"}
-for _k in _ENV_OVERRIDE_KEYS:
-    DEFAULT_CONFIG_KEYS[f"env.{_k}"] = "opt_int"
-for _k, _t in zip(_INCENTIVE_KEYS, ("str", "float", "float", "int")):
-    DEFAULT_CONFIG_KEYS[f"incentive.{_k}"] = _t
-for _k in _PPO_KEYS:
-    DEFAULT_CONFIG_KEYS[f"ppo.{_k}"] = (
-        "int" if _k in ("batch_size", "epochs", "chunk_length",
-                        "segment_length", "n_envs") else "float")
-DEFAULT_CONFIG_KEYS.update({
-    "run.seed": "int",
-    "run.eval_interval": "int",
-    "run.eval_episodes": "int",
-    "run.max_env_steps": "opt_int",
-    "run.total_episodes": "opt_int",
-    "run.output_dir": "opt_str",
-})
-
-
+@dataclass
 class ExperimentConfig:
-    """Everything a run needs; round-trips losslessly through text."""
+    """Everything a run needs; round-trips losslessly through text. The
+    text keys (CONFIG_KEYS) are read off these fields and the sections'."""
 
-    def __init__(self, env_kind="meetup", env_variant="default",
-                 population=("joint_attention", "joint_attention"),
-                 incentive=None, ppo=None, env_overrides=None, seed=0,
-                 eval_interval=3000, eval_episodes=10, max_env_steps=200_000,
-                 total_episodes=None, output_dir=None):
-        self.env_kind = env_kind
-        self.env_variant = env_variant
-        self.population = tuple(population)
-        self.incentive = incentive or IncentiveConfig()
-        self.ppo = ppo or PPOConfig()
-        self.env_overrides = dict(env_overrides or {})
-        self.seed = seed
-        self.eval_interval = eval_interval
-        self.eval_episodes = eval_episodes
-        self.max_env_steps = max_env_steps
-        self.total_episodes = total_episodes
-        self.output_dir = output_dir
+    env_kind: str = "meetup"
+    env_variant: str = "default"
+    population: tuple = ("joint_attention", "joint_attention")
+    incentive: IncentiveConfig = field(default_factory=IncentiveConfig)
+    ppo: PPOConfig = field(default_factory=PPOConfig)
+    env_overrides: dict = field(default_factory=dict)
+    seed: int = 0
+    eval_interval: int = 3000
+    eval_episodes: int = 10
+    max_env_steps: int | None = 200_000
+    total_episodes: int | None = None
+    output_dir: str | None = None
 
-    def __eq__(self, other):
-        return isinstance(other, ExperimentConfig) and \
-            serialize_config(self) == serialize_config(other)
+    def __post_init__(self):
+        self.population = tuple(self.population)
+        self.env_overrides = dict(self.env_overrides)
 
     def validate(self) -> None:
         if self.env_kind not in ENV_KINDS:
@@ -152,6 +124,29 @@ class ExperimentConfig:
             raise ConfigError(f"environment overrides rejected: {e}")
 
 
+def _key_type(f) -> str:
+    """A field's key type: its annotation, ``X | None`` read as ``opt_X``."""
+    if f.type.endswith(" | None"):
+        return "opt_" + f.type.removesuffix(" | None")
+    return f.type
+
+
+_RUN_FIELDS = fields(ExperimentConfig)[6:]    # the run.* keys: seed onwards
+
+# full key schema in text order: dotted key -> value type ("int", "float",
+# "str", "opt_int", "opt_str", "variants"); the program sets an
+# environment's agent_count and non_learning
+CONFIG_KEYS = {
+    "env.kind": "str", "env.variant": "str",
+    **{f"env.{f.name}": "opt_int" for f in fields(EnvConfig)
+       if f.name not in ("agent_count", "non_learning")},
+    "population.variants": "variants",
+    **{f"incentive.{f.name}": _key_type(f) for f in fields(IncentiveConfig)},
+    **{f"ppo.{f.name}": _key_type(f) for f in fields(PPOConfig)},
+    **{f"run.{f.name}": _key_type(f) for f in _RUN_FIELDS},
+}
+
+
 def _format_value(value) -> str:
     if value is None:
         return "none"
@@ -161,25 +156,16 @@ def _format_value(value) -> str:
 
 
 def config_items(cfg: ExperimentConfig) -> list:
-    """The canonical (key, value) sequence behind serialization and hashing."""
-    items = [("env.kind", cfg.env_kind), ("env.variant", cfg.env_variant)]
-    for k in _ENV_OVERRIDE_KEYS:
-        if k in cfg.env_overrides:
-            items.append((f"env.{k}", cfg.env_overrides[k]))
-    items.append(("population.variants", ", ".join(cfg.population)))
-    for k in _INCENTIVE_KEYS:
-        items.append((f"incentive.{k}", getattr(cfg.incentive, k)))
-    for k in _PPO_KEYS:
-        items.append((f"ppo.{k}", getattr(cfg.ppo, k)))
-    items += [
-        ("run.seed", cfg.seed),
-        ("run.eval_interval", cfg.eval_interval),
-        ("run.eval_episodes", cfg.eval_episodes),
-        ("run.max_env_steps", cfg.max_env_steps),
-        ("run.total_episodes", cfg.total_episodes),
-        ("run.output_dir", cfg.output_dir),
-    ]
-    return items
+    """The canonical (key, value) sequence behind serialization and hashing:
+    each key of CONFIG_KEYS that ``cfg`` holds, in table order."""
+    sections = {
+        "env": {**cfg.env_overrides, "kind": cfg.env_kind,
+                "variant": cfg.env_variant},
+        "population": {"variants": ", ".join(cfg.population)},
+        "incentive": vars(cfg.incentive), "ppo": vars(cfg.ppo),
+        "run": {f.name: getattr(cfg, f.name) for f in _RUN_FIELDS}}
+    return [(key, sections[s][name]) for key in CONFIG_KEYS
+            for s, name in [key.split(".")] if name in sections[s]]
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -191,10 +177,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def _parse_value(key: str, raw: str, where: str):
-    kind = DEFAULT_CONFIG_KEYS[key]
+    kind = CONFIG_KEYS[key]
     raw = raw.strip()
     try:
-        if kind in ("opt_int", "opt_str") and raw == "none":
+        if kind.startswith("opt_") and raw == "none":
             return None
         if kind in ("int", "opt_int"):
             return int(raw)
@@ -219,7 +205,7 @@ def parse_config_text(text: str, source: str = "config") -> ExperimentConfig:
                               f"value', got {stripped!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in DEFAULT_CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}, line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}, line {lineno}: duplicate key {key!r}")
@@ -227,37 +213,27 @@ def parse_config_text(text: str, source: str = "config") -> ExperimentConfig:
     return build_config(values)
 
 
-def build_config(values: dict) -> ExperimentConfig:
-    """Assemble an ExperimentConfig from a flat dotted-key dict."""
-    defaults = ExperimentConfig()
-
-    def get(key, fallback):
-        return values.get(key, fallback)
-
-    env_overrides = {k: values[f"env.{k}"] for k in _ENV_OVERRIDE_KEYS
-                     if values.get(f"env.{k}") is not None}
+def build_config(values: dict,
+                 base: ExperimentConfig | None = None) -> ExperimentConfig:
+    """``base`` (the defaults if omitted) with a flat dotted-key dict written
+    over it, validated. An ``env.*`` value of None drops that override."""
+    base = base or ExperimentConfig()
+    sections = {key.split(".")[0]: {} for key in CONFIG_KEYS}
+    for key, value in values.items():
+        section, name = key.split(".")
+        sections[section][name] = value
+    env = {**base.env_overrides, **sections["env"]}
     try:
-        incentive = IncentiveConfig(**{
-            k: get(f"incentive.{k}", getattr(defaults.incentive, k))
-            for k in _INCENTIVE_KEYS})
-        ppo = PPOConfig(**{k: get(f"ppo.{k}", getattr(defaults.ppo, k))
-                           for k in _PPO_KEYS})
+        cfg = replace(
+            base, env_kind=env.pop("kind", base.env_kind),
+            env_variant=env.pop("variant", base.env_variant),
+            env_overrides={k: v for k, v in env.items() if v is not None},
+            population=sections["population"].get("variants",
+                                                  base.population),
+            incentive=replace(base.incentive, **sections["incentive"]),
+            ppo=replace(base.ppo, **sections["ppo"]), **sections["run"])
     except ValueError as e:
         raise ConfigError(str(e))
-    cfg = ExperimentConfig(
-        env_kind=get("env.kind", defaults.env_kind),
-        env_variant=get("env.variant", defaults.env_variant),
-        population=get("population.variants", defaults.population),
-        incentive=incentive,
-        ppo=ppo,
-        env_overrides=env_overrides,
-        seed=get("run.seed", defaults.seed),
-        eval_interval=get("run.eval_interval", defaults.eval_interval),
-        eval_episodes=get("run.eval_episodes", defaults.eval_episodes),
-        max_env_steps=get("run.max_env_steps", defaults.max_env_steps),
-        total_episodes=get("run.total_episodes", defaults.total_episodes),
-        output_dir=get("run.output_dir", defaults.output_dir),
-    )
     cfg.validate()
     return cfg
 
@@ -270,24 +246,19 @@ def load_config_file(path: str) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs: list) -> ExperimentConfig:
-    """Apply --set key=value pairs on top of a parsed config."""
-    values = dict(config_items(cfg))
-    values = {k: v for k, v in values.items() if v is not None}
-    if "population.variants" in values:
-        values["population.variants"] = cfg.population
+    """Apply --set key=value pairs on top of a parsed config: the keys they
+    name change, every other value stays, and ``none`` unsets an optional
+    key."""
+    values = {}
     for n, pair in enumerate(pairs, start=1):
         if "=" not in pair:
             raise ConfigError(f"--set #{n}: expected key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
         key = key.strip()
-        if key not in DEFAULT_CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"--set #{n}: unknown key {key!r}")
-        value = _parse_value(key, raw, f"--set #{n}")
-        if value is None:
-            values.pop(key, None)
-        else:
-            values[key] = value
-    return build_config(values)
+        values[key] = _parse_value(key, raw, f"--set #{n}")
+    return build_config(values, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +473,9 @@ def _start_record(cfg: ExperimentConfig, seed: int, **extra) -> dict:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config_file(args.config)
-    cfg = apply_overrides(cfg, args.set or [])
-    if args.seed is not None:
-        cfg = apply_overrides(cfg, [f"run.seed={args.seed}"])
+    seed = [] if args.seed is None else [f"run.seed={args.seed}"]
+    cfg = apply_overrides(load_config_file(args.config),
+                          (args.set or []) + seed)
     stem = os.path.splitext(os.path.basename(args.config))[0]
     outdir = resolve_output_dir(args.output_dir, cfg.output_dir,
                                 f"{stem}_s{cfg.seed}")
@@ -559,7 +529,7 @@ def cmd_train(args) -> int:
     print(json.dumps({"output_dir": outdir,
                       "global_step": summary["global_step"],
                       "episodes": summary["episodes"],
-                      **summary["final_eval"]}))
+                      "final_eval": summary["final_eval"]}))
     return 0
 
 
@@ -749,7 +719,7 @@ def cmd_social(args) -> int:
             manifest.add("checkpoints", rel_ck)
             results[tag] = {"global_step": summary["global_step"],
                             "episodes": summary["episodes"],
-                            **summary["final_eval"]}
+                            "final_eval": summary["final_eval"]}
         manifest.set("results", results)
     print(json.dumps({"output_dir": outdir, **results}))
     return 0

@@ -277,7 +277,7 @@ def scored_field(maps, incentive: IncentiveConfig) -> np.ndarray:
 def recompute_r_ja(buffer: RolloutBuffer, incentive: IncentiveConfig) -> np.ndarray:
     """Bonus recomputed from the stored fields alone (the replay contract)."""
     if buffer.r_ja is None:
-        raise ValueError("buffer has no bonus lane (fewer than two map producers)")
+        raise ValueError("buffer has no bonus lane (no map producers)")
     fields = buffer.fields.reshape(len(buffer.map_agents),
                                    buffer.T * buffer.E, -1)
     return -pairwise_divergence(fields, incentive.metric,
@@ -357,7 +357,8 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
 
 def compute_advantages(buffer: RolloutBuffer, agents: list,
                        incentive: IncentiveConfig, ppo: PPOConfig) -> None:
-    """GAE per agent over the segment, normalized per agent.
+    """GAE per trainable agent over the segment, normalized per agent; a
+    frozen agent's ``advantages`` and ``returns`` rows stay zero.
 
     Rewards are the stored environment rewards plus, for bonus-using
     agents, beta(global step) times the shared bonus.
@@ -367,6 +368,8 @@ def compute_advantages(buffer: RolloutBuffer, agents: list,
                       for t in range(T)])
     nonterm = 1.0 - buffer.done.astype(np.float64)
     for k, agent in enumerate(agents):
+        if not agent.trainable:
+            continue
         rewards = buffer.r_env[k].copy()
         if agent.uses_bonus and buffer.r_ja is not None:
             rewards += betas[:, None] * buffer.r_ja

@@ -1,5 +1,7 @@
 """CLI tests: config round-trips, command exit codes, output artifacts."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -9,6 +11,7 @@ import pytest
 
 import jointattn.numerics as nm
 from jointattn.cli import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     Manifest,
@@ -71,6 +74,60 @@ def mixed_expert(tmp_path_factory):
     assert main(["train", "--config", str(cfg_path), "--seed", "2",
                  "--output-dir", str(outdir)]) == 0
     return outdir
+
+
+# the text schema, in text order: 32 keys with the types a config accepts
+SCHEMA = [
+    ("env.kind", "str"), ("env.variant", "str"),
+    ("env.interior", "opt_int"), ("env.episode_cap", "opt_int"),
+    ("env.landmarks", "opt_int"), ("env.coin_colors", "opt_int"),
+    ("env.coins_per_color", "opt_int"), ("env.berries", "opt_int"),
+    ("env.stags", "opt_int"), ("env.tasklist_subtasks", "opt_int"),
+    ("population.variants", "variants"),
+    ("incentive.metric", "str"), ("incentive.clip_threshold", "float"),
+    ("incentive.beta_max", "float"), ("incentive.beta_rampup_steps", "int"),
+    ("ppo.learning_rate", "float"), ("ppo.batch_size", "int"),
+    ("ppo.epochs", "int"), ("ppo.clip_ratio", "float"),
+    ("ppo.gamma", "float"), ("ppo.gae_lambda", "float"),
+    ("ppo.entropy_coef", "float"), ("ppo.value_coef", "float"),
+    ("ppo.chunk_length", "int"), ("ppo.segment_length", "int"),
+    ("ppo.n_envs", "int"),
+    ("run.seed", "int"), ("run.eval_interval", "int"),
+    ("run.eval_episodes", "int"), ("run.max_env_steps", "opt_int"),
+    ("run.total_episodes", "opt_int"), ("run.output_dir", "opt_str"),
+]
+
+
+class TestConfigSchema:
+    def test_key_table_read_off_the_dataclasses(self):
+        assert list(CONFIG_KEYS.items()) == SCHEMA
+
+    def test_hashes_of_saved_configs_are_stable(self):
+        # checkpoints record these hashes; a schema change that moved them
+        # would orphan every saved run
+        assert config_hash(parse_config_text("")) == (
+            "48d33652dd65432127f5c47cb502e686449ee44e5007ca924a3327fca042a449")
+        cfg = ExperimentConfig(env_kind="meetup",
+                               population=("joint_attention",) * 3,
+                               env_overrides={"interior": 8})
+        assert config_hash(cfg) == (
+            "60afd508cfdba9428098188c526faaa6d0b8115129a6807cc27a7cfdc3aa0732")
+
+    def test_set_keeps_an_unset_budget(self):
+        cfg = parse_config_text("run.max_env_steps = none\n"
+                                "run.total_episodes = 6\n")
+        again = apply_overrides(cfg, ["run.seed=4"])
+        assert again.seed == 4
+        assert again.max_env_steps is None
+        assert apply_overrides(cfg, []) == cfg
+
+    def test_set_none_unsets_an_optional_key(self):
+        cfg = parse_config_text("run.total_episodes = 6\nenv.interior = 7\n")
+        again = apply_overrides(cfg, ["run.max_env_steps=none",
+                                      "env.interior=none"])
+        assert again.max_env_steps is None
+        assert again.env_overrides == {}
+        assert "run.max_env_steps = none" in serialize_config(again)
 
 
 class TestConfigFormat:
@@ -165,10 +222,13 @@ def train_run(tmp_path_factory):
     cfg_path = root / "tiny.cfg"
     cfg_path.write_text(TINY_MEETUP)
     outdir = root / "run"
-    code = main(["train", "--config", str(cfg_path), "--seed", "3",
-                 "--output-dir", str(outdir)])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["train", "--config", str(cfg_path), "--seed", "3",
+                     "--output-dir", str(outdir)])
     assert code == 0
-    return {"root": root, "cfg_path": cfg_path, "outdir": outdir}
+    return {"root": root, "cfg_path": cfg_path, "outdir": outdir,
+            "printed": json.loads(stdout.getvalue())}
 
 
 class TestTrainCommand:
@@ -200,6 +260,30 @@ class TestTrainCommand:
         assert set(update) >= {"global_step", "episodes",
                                "mean_collective_reward", "mean_pairwise_jsd",
                                "beta", "policy_loss", "value_loss", "entropy"}
+
+    def test_printed_episodes_are_training_episodes(self, train_run):
+        lines = (train_run["outdir"] / "metrics.jsonl").read_text().splitlines()
+        last = json.loads(lines[-1])
+        printed = train_run["printed"]
+        assert printed["episodes"] == last["episodes"]
+        assert printed["global_step"] == last["global_step"]
+        final = json.loads(
+            (train_run["outdir"] / "final_summary.json").read_text())
+        assert printed["final_eval"] == final
+
+    def test_unset_budget_lands_in_saved_config(self, tmp_path):
+        cfg_path = tmp_path / "episodes.cfg"
+        cfg_path.write_text(TINY_MEETUP.replace(
+            "run.max_env_steps = 32",
+            "run.max_env_steps = none\nrun.total_episodes = 4"))
+        outdir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--seed", "3",
+                     "--output-dir", str(outdir)]) == 0
+        text = (outdir / "config.cfg").read_text()
+        assert "run.max_env_steps = none\n" in text
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["config_hash"] == config_hash(
+            parse_config_text(cfg_path.read_text() + "run.seed = 3\n"))
 
     def test_saved_config_round_trips(self, train_run):
         text = (train_run["outdir"] / "config.cfg").read_text()
@@ -495,6 +579,10 @@ class TestSocialCommand:
             assert records[-1]["event"] == "final_eval"
             assert (outdir / "checkpoints" / f"{tag}_final" /
                     "checkpoint.json").is_file()
+            # training episodes, not the final evaluation's count
+            assert manifest["results"][tag]["episodes"] == \
+                records[-1]["episodes"]
+            assert "success_rate" in manifest["results"][tag]["final_eval"]
         assert manifest["results"]["with_expert"]["global_step"] == 16
         assert manifest["results"]["alone"]["global_step"] == 16
 

@@ -132,6 +132,18 @@ class TestCollect:
         assert buf.fields.shape[0] == 0
         assert buf.r_ja is None
 
+    def test_recompute_r_ja_without_producers_raises(self):
+        buf = RolloutBuffer(2, 4, 2, 3, 3, 4, [], 4)
+        with pytest.raises(ValueError, match=r"\(no map producers\)"):
+            recompute_r_ja(buf, IncentiveConfig())
+
+    def test_recompute_r_ja_one_producer_is_zero(self):
+        buf = RolloutBuffer(2, 4, 2, 3, 3, 4, [0], 4)
+        buf.fields[0] = np.random.default_rng(0).dirichlet(np.ones(9),
+                                                           size=(4, 2))
+        assert np.array_equal(recompute_r_ja(buf, IncentiveConfig()),
+                              np.zeros((4, 2)))
+
     def test_replay_reproduces_r_ja_bit_identically(self):
         tr = small_trainer(["joint_attention", "attention_only"])
         buf = tr.collect_segment()
@@ -266,6 +278,8 @@ def manual_buffer(T, E, rewards, values, bootstrap, dones=None):
 
 
 class FlagAgent:
+    trainable = True
+
     def __init__(self, uses_bonus):
         self.uses_bonus = uses_bonus
 
@@ -935,6 +949,22 @@ class TestSocial:
         tr.run(max_env_steps=2 * 8 * 2, eval_interval=10 ** 9)
         for n, arr in params.items():
             assert np.array_equal(tr.agents[2].core.params[n].data, arr), n
+
+    def test_frozen_expert_gets_no_advantages(self):
+        tr = social_learning_run(
+            expert_params=self._expert_params(seed=34), seed=35,
+            ppo=PPOConfig(segment_length=8, n_envs=2, chunk_length=4,
+                          batch_size=8, epochs=1),
+            env_overrides={"interior": 6, "episode_cap": 8,
+                           "tasklist_subtasks": 3})
+        buf = tr.collect_segment()
+        novices_only = copy.deepcopy(buf)
+        tr.update_from(buf)
+        compute_advantages(novices_only, tr.agents[:2], tr.incentive, tr.ppo)
+        # the expert is last; its rows keep the buffer's zeros
+        assert not buf.advantages[2].any() and not buf.returns[2].any()
+        assert np.array_equal(buf.advantages[:2], novices_only.advantages[:2])
+        assert np.array_equal(buf.returns[:2], novices_only.returns[:2])
 
     def test_copying_expert_maps_raises_r_ja(self):
         params = self._expert_params(seed=34)
