@@ -12,36 +12,38 @@ Recording happens only while a ``Tape`` is active, so rollout-time forward
 passes pay nothing beyond a flag check per op.
 
 Buffers lent from tape to tape: under a tape, ``frame_features`` writes
-its feature-map-sized arrays into arrays lent by a pool that keeps one
-array per key, so that a PPO minibatch does not allocate (and the
-allocator page in) them afresh. A key's array is held by one tape at a
-time and passes to the next tape that asks only once its holder has been
-consumed (``backward`` or ``Tape.clear``) or garbage-collected; a live
-unconsumed holder keeps it, and a second request within the same tape gets
-a fresh array. So the outputs of a consumed tape may be overwritten by the
-next tape's ops: read what you need from a recorded forward pass before
-recording the next one. A request of a new shape replaces the key's array.
-Calls with no active tape leave the pool alone.
+its padded frames, columns, output and bool ReLU mask into arrays lent by
+a pool that keeps one array per key, so that a PPO minibatch does not
+allocate (and the allocator page in) them afresh. A key's array is held
+by one tape at a time and passes to the next tape that asks only once its
+holder has been consumed (``backward`` or ``Tape.clear``) or
+garbage-collected; a live unconsumed holder keeps it, and a second request
+within the same tape gets a fresh array. So the outputs of a consumed
+tape may be overwritten by the next tape's ops: read what you need from a
+recorded forward pass before recording the next one. A request of a new
+shape replaces the key's array. Calls with no active tape leave the pool
+alone.
 
-A backward may also write over a buffer it is the last reader of.
-``frame_features`` puts its masked gradient in its pre-activation's array.
+A backward may also write over a buffer no other node reads.
 ``attention_lstm`` puts its feature gradient over the features' forward
 values when its node is their only consumer on the tape and their
 producer's backward never reads them (``Tensor.uses``; ``frame_features``'
 output under a tape); leaf features, and features with a second consumer,
-keep their values. So read the forward values you need before
-``backward``.
+keep their values. ``frame_features`` then multiplies its mask into that
+gradient in place, but only when the gradient it is handed is its own
+output's array: any other gradient array may be shared (``add`` hands one
+array to both inputs), so it masks a copy. So read the forward values you
+need before ``backward``.
 
 Scratch for untaped calls: with no active tape (acting, evaluation,
-rendering), ``frame_features`` writes its padded frames, columns and
-pre-activation into one scratch array per key, kept apart from the pool
-and reused by every untaped call, because those arrays die inside the
-call. A request of a new shape replaces the key's scratch array. The
-output is a fresh array on every untaped call, so nothing a caller holds
-is ever overwritten, and no taped call is handed a scratch array. Without
-it, a wide act-time batch allocates (and the allocator pages in) these
-arrays afresh on every step. Pool and scratch are process-wide and assume
-one thread.
+rendering), ``frame_features`` writes its padded frames and columns into
+one scratch array per key, kept apart from the pool and reused by every
+untaped call, because those arrays die inside the call. A request of a
+new shape replaces the key's scratch array. The output is a fresh array
+on every untaped call, so nothing a caller holds is ever overwritten, and
+no taped call is handed a scratch array. Without it, a wide act-time
+batch allocates (and the allocator pages in) these arrays afresh on every
+step. Pool and scratch are process-wide and assume one thread.
 
 Typical use::
 
@@ -617,13 +619,18 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     bias (c_out,) and basis a fixed (h, w, c_s) array appended to every
     frame's features (c_s may be 0). Returns (b, h, w, c_out + c_s), the
     same values as the composed ops. Frames and basis are constants: a
-    gradient asked of either raises ``TapeError``. Under a tape the padded
-    frames, the columns, the pre-activation and the output are lent by the
-    tape-to-tape pool (module docstring); backward overwrites the
-    pre-activation with the masked gradient and never reads the output, so
-    the output's one consumer may write its gradient there (``uses``, as
-    ``attention_lstm`` does). With no tape the first three are scratch
-    arrays and the output is fresh.
+    gradient asked of either raises ``TapeError``. The conv writes straight
+    into the first c_out channels of the output's rows, and the bias and
+    ReLU run over whole rows, the basis written before them (so they read
+    only finite cells) and again after (so it stays unclipped). Under a
+    tape the padded frames, the columns, the output and a bool ReLU mask
+    are lent by the tape-to-tape pool (module docstring); backward reads
+    only the columns and the mask, never the output, so the output's one
+    consumer may write its gradient there (``uses``, as ``attention_lstm``
+    does). Backward multiplies the mask into that gradient in place when
+    it is the output's own array, and into a copy otherwise, since another
+    node may still read it. With no tape the padded frames and columns are
+    scratch arrays and the output is fresh.
     """
     x, kernels, bias, basis = (_astensor(x), _astensor(kernels),
                                _astensor(bias), _astensor(basis))
@@ -642,26 +649,36 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     if sd.ndim != 3 or sd.shape[:2] != (h, w):
         raise ShapeError(f"frame_features: basis {sd.shape} vs frames {xd.shape}")
     n = b * h * w
+    c_s = sd.shape[2]
 
     cols = _im2col(xd, _lend(tape, "frame_features.padded",
                              (b, h + 2, w + 2, c_in), np.zeros),
                    _lend(tape, "frame_features.cols", (n, 9 * c_in)))
-    kflat = kd.reshape(9 * c_in, c_out)
-    pre = _lend(tape, "frame_features.pre", (n, c_out))
-    np.add(np.matmul(cols, kflat, out=pre), bd, out=pre)
-    out_shape = (b, h, w, c_out + sd.shape[2])
+    out_shape = (b, h, w, c_out + c_s)
     od = np.empty(out_shape) if tape is None else \
         _lend(tape, "frame_features.out", out_shape)
-    np.maximum(pre.reshape(b, h, w, c_out), 0.0, out=od[..., :c_out])
-    od[..., c_out:] = sd
+    rows = od.reshape(n, c_out + c_s)
+    od[..., c_out:] = sd        # so the passes below read only finite cells
+    np.matmul(cols, kd.reshape(9 * c_in, c_out), out=rows[:, :c_out])
+    np.add(rows, np.concatenate([bd, np.zeros(c_s)]), out=rows)
+    if tape is not None:
+        mask = np.greater(rows[:, :c_out], 0.0, out=_lend(
+            tape, "frame_features.mask", (n, c_out),
+            lambda shape: np.empty(shape, bool)))
+    np.maximum(rows, 0.0, out=rows)
+    od[..., c_out:] = sd        # the basis unclipped
     out = Tensor(od)
-    out.uses = 0        # the backward below reads pre and cols, never od
+    out.uses = 0        # the backward below reads mask and cols, never od
 
     def fn(gouts, need):
         (g,) = gouts
-        gpre = pre      # the mask is the last read of pre: reuse its buffer
-        np.multiply(g[..., :c_out], pre.reshape(b, h, w, c_out) > 0.0,
-                    out=gpre.reshape(b, h, w, c_out))
+        if g.ctypes.data == od.ctypes.data and g.strides == od.strides:
+            # od itself, which no other node reads: mask it in place
+            gpre = g.reshape(n, c_out + c_s)[:, :c_out]
+            np.multiply(gpre, mask, out=gpre)
+        else:
+            gpre = np.multiply(g[..., :c_out],
+                               mask.reshape(b, h, w, c_out)).reshape(n, c_out)
         gw = (cols.T @ gpre).reshape(kd.shape) if need[1] else None
         gb = gpre.sum(axis=0) if need[2] else None
         return (None, gw, gb)

@@ -22,6 +22,7 @@ from jointattn.numerics import (
     adam_update,
     backward,
 )
+from jointattn.numerics import tensor
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +830,31 @@ class TestFrameFeatures:
         for name in a:
             assert_close_to_fd(ts[name].grad, numeric[name])
 
+    def test_shared_gradient_is_not_masked_in_place(self):
+        # add hands one gradient array to both inputs; the interior tensor
+        # recorded before the encoder runs backward after it, so masking
+        # that array in place would zero the interior's gradient cells
+        x, a, basis, weight = self._arrays(8, 75)
+        lead = np.random.default_rng(76).normal(size=weight.shape)
+
+        def run(features):
+            ts = {n: Tensor(v, requires_grad=True)
+                  for n, v in dict(a, lead=lead).items()}
+            with Tape():
+                interior = nm.scale(ts["lead"], 2.0)
+                out = features(ts["k"], ts["b"])
+                loss = self._loss(nm.add(interior, out), weight)
+            backward(loss)
+            return ts
+
+        got = run(lambda k, b: nm.frame_features(x, k, b, basis))
+        ref = run(lambda k, b: nm.concat_last(
+            nm.relu(nm.conv2d(Tensor(x), k, b)),
+            Tensor(np.broadcast_to(basis, x.shape[:3] + (8,)))))
+        assert np.array_equal(got["lead"].grad, 2.0 * weight)
+        for name in ("lead", "k", "b"):
+            assert np.array_equal(got[name].grad, ref[name].grad), name
+
     def test_frames_needing_a_gradient_raise(self):
         x, a, basis, _ = self._arrays(8, 73)
         k, b = Tensor(a["k"], requires_grad=True), Tensor(a["b"])
@@ -913,6 +939,34 @@ class TestLending:
         _, again, _ = self._record(x, k, b)
         assert np.shares_memory(lent, again.data)
 
+    def test_tape_keeps_columns_and_a_bool_mask(self, monkeypatch):
+        # the minibatch shape of train_colorgather_wide: 128 frames of
+        # 10x10x3, 64 filters, a basis of depth 8; no float (n, 64)
+        # pre-activation is kept, taped or not
+        monkeypatch.setattr(tensor, "_POOL", {})
+        monkeypatch.setattr(tensor, "_SCRATCH", {})
+        rng = np.random.default_rng(77)
+        x = rng.normal(size=(128, 10, 10, 3))
+        k = Tensor(rng.normal(size=(3, 3, 3, 64), scale=0.3), requires_grad=True)
+        b = Tensor(rng.normal(size=64, scale=0.3), requires_grad=True)
+        basis = rng.normal(size=(10, 10, 8))
+        with Tape():
+            loss = nm.sum_all(nm.frame_features(x, k, b, basis))
+        backward(loss)
+        kept = {key: entry[0] for key, entry in tensor._POOL.items()}
+        assert {key: (arr.shape, arr.dtype) for key, arr in kept.items()} == {
+            "frame_features.padded": ((128, 12, 12, 3), np.float64),
+            "frame_features.cols": ((12800, 27), np.float64),
+            "frame_features.out": ((128, 10, 10, 72), np.float64),
+            "frame_features.mask": ((12800, 64), np.bool_),
+        }
+        nm.frame_features(x, k, b, basis)
+        assert tensor._POOL.keys() == kept.keys()
+        assert {key: arr.shape for key, arr in tensor._SCRATCH.items()} == {
+            "frame_features.padded": (128, 12, 12, 3),
+            "frame_features.cols": (12800, 27),
+        }
+
     # untaped calls: scratch arrays inside the call, a fresh output
 
     @staticmethod
@@ -964,7 +1018,7 @@ class TestLending:
         _, out, loss = self._record(x, k, b)
         kept = out.data.copy()
         # an untaped call between the taped forward and its backward writes
-        # the scratch; the tape's columns and pre-activation must not move
+        # the scratch; the tape's columns and mask must not move
         nm.frame_features(other, k, b, basis)
         backward(loss)
         assert np.array_equal(out.data, kept)

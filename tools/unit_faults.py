@@ -13,7 +13,10 @@ each unit's minor page faults, system seconds and wall seconds, the
 process's peak resident size after it (``ru_maxrss`` in MB, as the
 benchmark reports ``peak_rss_mb``), so a memory change can be traced to
 the unit where the peak is reached, and the median over the warm units
-(every unit but the first). Nothing under ``perfbench/`` is changed, no
+(every unit but the first). Last come the bytes each key of
+``jointattn.numerics.tensor``'s buffer pool and untaped scratch holds
+after the units, read off those two dicts, so a memory change can be
+traced to an array too. Nothing under ``perfbench/`` is changed, no
 allocator option is set and nothing is gated; the exit code is the
 benchmark's.
 """
@@ -74,7 +77,22 @@ def main(argv=None) -> int:
         print(f"warm median: minflt {statistics.median(r[0] for r in warm):g}"
               f"  sys_s {statistics.median(r[1] for r in warm):.3f}"
               f"  wall_s {statistics.median(r[2] for r in warm):.3f}")
+    print_buffers(sys.modules.get("jointattn.numerics.tensor"))
     return code
+
+
+def print_buffers(tensor) -> None:
+    """The bytes, dtype and shape of each array the numerics' pool and
+    scratch hold; the module is the one the benchmark imported, if any."""
+    if tensor is None:
+        return
+    held = [("pool", key, entry[0]) for key, entry in tensor._POOL.items()]
+    held += [("scratch", key, arr) for key, arr in tensor._SCRATCH.items()]
+    print("\nheld by    key                             bytes  dtype    shape")
+    for where, key, arr in sorted(held, key=lambda r: r[:2]):
+        print(f"{where:8s} {key:28s} {arr.nbytes:12d}  {arr.dtype!s:7s}  "
+              f"{arr.shape}")
+    print(f"total {sum(r[2].nbytes for r in held)} bytes")
 
 
 if __name__ == "__main__":
