@@ -300,20 +300,27 @@ class OutputLock:
         return False
 
 
-def _write_json(path: str, obj) -> None:
-    """Write ``obj`` as indented JSON under a temporary name, then rename it
+def _replace_file(path: str, write) -> None:
+    """Call ``write(f)`` on a file under a temporary name, then rename it
     into place, so ``path`` never holds a partial file. A write or rename
     that fails removes the temporary file and re-raises."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as f:
-            json.dump(obj, f, indent=2, sort_keys=True)
-            f.write("\n")
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _write_json(path: str, obj) -> None:
+    """Write ``obj`` as indented JSON through ``_replace_file``."""
+    def write(f):
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    _replace_file(path, write)
 
 
 class Manifest:
@@ -367,8 +374,12 @@ class MetricsWriter:
 
 
 def _prepare_outdir(outdir: str, resume: bool, marker: str) -> None:
+    if resume:
+        if not os.path.isdir(outdir):
+            raise RunFailure(f"--resume: no run in {outdir}")
+        return
     os.makedirs(outdir, exist_ok=True)
-    if not resume and os.path.exists(os.path.join(outdir, marker)):
+    if os.path.exists(os.path.join(outdir, marker)):
         raise RunFailure(
             f"output directory {outdir} already holds a run ({marker} "
             "exists); use a fresh directory or --resume")
@@ -468,8 +479,31 @@ def _save_run_checkpoint(trainer: Trainer, outdir: str, cfg: ExperimentConfig,
 # commands
 
 def _start_record(cfg: ExperimentConfig, seed: int, **extra) -> dict:
+    # ``mean_pairwise_jsd`` holds the divergence ``metric`` names (KL too)
     return metrics_record("start", 0, 0, beta_schedule(0, cfg.incentive),
-                          config_hash=config_hash(cfg), seed=seed, **extra)
+                          config_hash=config_hash(cfg), seed=seed,
+                          metric=cfg.incentive.metric, **extra)
+
+
+def _resume_checkpoint(outdir: str, cfg: ExperimentConfig) -> str:
+    """The newest checkpoint of the run in ``outdir``, which must have been
+    trained with ``cfg``."""
+    steps = _checkpoint_steps(os.path.join(outdir, "checkpoints"))
+    if not steps:
+        raise RunFailure(f"--resume: no checkpoint in {outdir}")
+    ckdir = os.path.join(outdir, "checkpoints", steps[-1])
+    if read_checkpoint_config(ckdir) != cfg:
+        raise ConfigError("--resume: the directory's checkpoint was trained "
+                          "with a different config")
+    return ckdir
+
+
+def _keep_metrics_through(path: str, global_step: int) -> None:
+    """Drop the records of ``path`` past ``global_step``."""
+    with open(path) as f:
+        kept = [line for line in f
+                if json.loads(line)["global_step"] <= global_step]
+    _replace_file(path, lambda f: f.writelines(kept))
 
 
 def cmd_train(args) -> int:
@@ -481,36 +515,33 @@ def cmd_train(args) -> int:
                                 f"{stem}_s{cfg.seed}")
     _prepare_outdir(outdir, args.resume, "metrics.jsonl")
     with OutputLock(outdir):
-        manifest = Manifest(outdir, "train", config_hash(cfg), [cfg.seed])
-        with open(os.path.join(outdir, "config.cfg"), "w") as f:
-            f.write(serialize_config(cfg))
-        manifest.add("config", "config.cfg")
-
         pop = PopulationSpec([AgentSpec(v) for v in cfg.population],
                              cfg.incentive)
         trainer = Trainer(cfg.env_kind, cfg.env_variant, pop, cfg.ppo,
                           seed=cfg.seed, env_overrides=cfg.env_overrides)
-        metrics = MetricsWriter(os.path.join(outdir, "metrics.jsonl"))
+        manifest = Manifest(outdir, "train", config_hash(cfg), [cfg.seed])
+        metrics_path = os.path.join(outdir, "metrics.jsonl")
+        # a resume reads and checks the checkpoint before it writes anything
+        if args.resume:
+            meta = load_checkpoint(_resume_checkpoint(outdir, cfg),
+                                   trainer.agents)
+            trainer.global_step = meta["global_step"]
+            trainer.envset.completed_episodes = meta["episodes"]
+            _keep_metrics_through(metrics_path, trainer.global_step)
+            manifest.data["checkpoints"] = [
+                os.path.join("checkpoints", name) for name in
+                _checkpoint_steps(os.path.join(outdir, "checkpoints"))]
+
+        with open(os.path.join(outdir, "config.cfg"), "w") as f:
+            f.write(serialize_config(cfg))
+        manifest.add("config", "config.cfg")
+        metrics = MetricsWriter(metrics_path)
         manifest.add("metrics", "metrics.jsonl")
         try:
-            if args.resume:
-                steps = _checkpoint_steps(os.path.join(outdir, "checkpoints"))
-                if not steps:
-                    raise RunFailure(f"--resume: no checkpoint in {outdir}")
-                ckdir = os.path.join(outdir, "checkpoints", steps[-1])
-                if read_checkpoint_config(ckdir) != cfg:
-                    raise ConfigError("--resume: the directory's checkpoint "
-                                      "was trained with a different config")
-                meta = load_checkpoint(ckdir, trainer.agents)
-                trainer.global_step = meta["global_step"]
-                trainer.envset.completed_episodes = meta["episodes"]
-                metrics.write({"event": "resume",
-                               "global_step": trainer.global_step,
-                               "episodes": trainer.episodes,
-                               "beta": beta_schedule(trainer.global_step,
-                                                     cfg.incentive)})
-            else:
-                metrics.write(_start_record(cfg, cfg.seed))
+            metrics.write(metrics_record(
+                "resume", trainer.global_step, trainer.episodes,
+                beta_schedule(trainer.global_step, cfg.incentive))
+                if args.resume else _start_record(cfg, cfg.seed))
             summary = trainer.run(
                 max_env_steps=cfg.max_env_steps,
                 total_episodes=cfg.total_episodes,

@@ -5,6 +5,8 @@ encoding per cell (object, color, state), agents with a facing direction and
 a one-slot inventory, simultaneous moves with a deterministic collision
 protocol, and seed-reproducible layouts. Interactions (pickup/drop/toggle)
 are resolved in agent-index order after movement; dynamic stags move last.
+``step`` returns what the trainer reads: one reward per agent and a done
+flag.
 
 Episode rules:
   meetup       every agent is rewarded each step by how much closer it moved
@@ -151,7 +153,6 @@ class AgentState:
 class StepOutcome:
     rewards: np.ndarray
     done: bool
-    info: list
 
 
 @dataclass
@@ -189,33 +190,25 @@ def _free_cells(state: GridState) -> list:
     return out
 
 
+def _draw_free_cell(state: GridState, what: str, region=None) -> tuple:
+    """One uniform draw from the free cells that ``region`` accepts."""
+    free = _free_cells(state)
+    if region is not None:
+        free = [c for c in free if region(c)]
+    if not free:
+        raise ValueError(f"grid too small: no free cell for {what} in "
+                         f"{state.kind}")
+    return free[int(state.rng.integers(len(free)))]
+
+
 def _place(state: GridState, obj: str, color: str, n: int,
-           state_id: int = 0, region=None) -> list:
+           region=None) -> list:
     placed = []
     for _ in range(n):
-        free = _free_cells(state)
-        if region is not None:
-            free = [c for c in free if region(c)]
-        if not free:
-            raise ValueError(
-                f"grid too small: no free cell for {obj} in {state.kind}"
-            )
-        x, y = free[int(state.rng.integers(len(free)))]
-        state.cells[y, x] = (_OBJ[obj], _COL[color], state_id)
+        x, y = _draw_free_cell(state, obj, region)
+        state.cells[y, x] = (_OBJ[obj], _COL[color], 0)
         placed.append((x, y))
     return placed
-
-
-def _place_agents(state: GridState, n: int, region=None) -> None:
-    for i in range(n):
-        free = _free_cells(state)
-        if region is not None:
-            free = [c for c in free if region(c)]
-        if not free:
-            raise ValueError(f"grid too small: no free cell for agent {i}")
-        x, y = free[int(state.rng.integers(len(free)))]
-        direction = int(state.rng.integers(4))
-        state.agents.append(AgentState(x, y, direction))
 
 
 def _build_layout(state: GridState) -> None:
@@ -280,18 +273,17 @@ def reset(kind: str, variant: str = "default", seed: int = 0,
         else ("pickup_key", "open_door", "reach_goal"),
     )
     _build_layout(state)
-    if kind == "tasklist":
-        wall_x = state.width // 2
-        _place_agents(state, cfg.agent_count, region=lambda c: c[0] < wall_x)
-    else:
-        _place_agents(state, cfg.agent_count)
+    region = (lambda c: c[0] < size // 2) if kind == "tasklist" else None
+    for i in range(cfg.agent_count):
+        x, y = _draw_free_cell(state, f"agent {i}", region)
+        state.agents.append(AgentState(x, y, int(state.rng.integers(4))))
     if kind == "meetup":
         state.landmarks = _landmarks(state)
     return state, _observations(state)
 
 
 # ---------------------------------------------------------------------------
-# observations and rendering
+# observations
 
 
 def encode_observation(state: GridState, agent_index: int):
@@ -324,77 +316,6 @@ def _observations(state: GridState) -> list:
 
 def _agent_color(index: int) -> int:
     return 1 + (index % 6)
-
-
-_OBJ_CHARS = {
-    _OBJ["empty"]: ".", _OBJ["wall"]: "#", _OBJ["landmark"]: "L",
-    _OBJ["coin"]: "c", _OBJ["berry"]: "b", _OBJ["stag"]: "S",
-    _OBJ["key"]: "k", _OBJ["ball"]: "o", _OBJ["box"]: "B",
-    _OBJ["goal"]: "G",
-}
-
-
-def render_ascii(state: GridState) -> str:
-    """One character per cell, agents as digits, then exact cell metadata.
-
-    The ``cells:`` lines list every non-empty cell's (object, color, state)
-    triple and the ``agents:`` lines the poses, so ``parse_ascii`` recovers
-    the cell grid and agent list exactly.
-    """
-    agent_at = {a.pos: i for i, a in enumerate(state.agents) if not a.finished}
-    lines = []
-    for y in range(state.height):
-        row = []
-        for x in range(state.width):
-            if (x, y) in agent_at:
-                row.append(str(agent_at[(x, y)] % 10))
-                continue
-            obj, _, st = state.cells[y, x]
-            if obj == _OBJ["door"]:
-                row.append({_ST["door-locked"]: "D", _ST["door-closed"]: "d",
-                            _ST["door-open"]: "/"}.get(int(st), "d"))
-            else:
-                row.append(_OBJ_CHARS.get(int(obj), "?"))
-        lines.append("".join(row))
-    lines.append(f"size: {state.width}x{state.height}")
-    for y in range(state.height):
-        for x in range(state.width):
-            obj, col, st = state.cells[y, x]
-            if obj != 0 or col != 0 or st != 0:
-                lines.append(f"cell: {x},{y} {obj},{col},{st}")
-    for i, a in enumerate(state.agents):
-        carry = f"{a.carry[0]},{a.carry[1]}" if a.carry else "-"
-        lines.append(f"agent: {i} {a.x},{a.y} dir={a.direction} "
-                     f"carry={carry} task={a.task_index} "
-                     f"finished={int(a.finished)}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_ascii(text: str):
-    """Inverse of render_ascii for the cell grid and agent poses."""
-    cells = None
-    agents = []
-    for line in text.splitlines():
-        if line.startswith("size: "):
-            w, h = line[len("size: "):].split("x")
-            cells = np.zeros((int(h), int(w), 3), dtype=np.int64)
-        elif line.startswith("cell: "):
-            coords, triple = line[len("cell: "):].split(" ")
-            x, y = (int(v) for v in coords.split(","))
-            cells[y, x] = tuple(int(v) for v in triple.split(","))
-        elif line.startswith("agent: "):
-            parts = line[len("agent: "):].split(" ")
-            x, y = (int(v) for v in parts[1].split(","))
-            direction = int(parts[2].split("=")[1])
-            carry_txt = parts[3].split("=")[1]
-            carry = (None if carry_txt == "-"
-                     else tuple(int(v) for v in carry_txt.split(",")))
-            task = int(parts[4].split("=")[1])
-            fin = bool(int(parts[5].split("=")[1]))
-            agents.append(AgentState(x, y, direction, carry, task, fin))
-    if cells is None:
-        raise ValueError("no size line in rendered text")
-    return cells, agents
 
 
 # ---------------------------------------------------------------------------
@@ -475,14 +396,15 @@ def _adjacent_agents(state: GridState, x: int, y: int) -> list:
     return out
 
 
-def _advance_task(state, agent: AgentState, events: list, idx: int,
+def _advance_task(state: GridState, rewards: np.ndarray, i: int,
                   subtask: str) -> None:
+    """+1 to agent ``i`` and on to its next subtask, if ``subtask`` is the
+    one it is on."""
+    agent = state.agents[i]
     if not agent.finished and agent.task_index < len(state.subtasks) \
             and state.subtasks[agent.task_index] == subtask:
         agent.task_index += 1
-        events.append({"kind": "subtask_completed", "agent": idx,
-                       "subtask": subtask, "index": agent.task_index - 1,
-                       "value": 1.0, "agents": [idx]})
+        rewards[i] += 1.0
 
 
 def colorgather_reward(color: str, tally: dict) -> float:
@@ -499,11 +421,8 @@ def colorgather_reward(color: str, tally: dict) -> float:
     return 1.0 if tally.get(color, 0) == top else 0.0
 
 
-def _interact(state: GridState, actions, events: list) -> None:
-    n = len(state.agents)
-    for i in range(n):
-        agent = state.agents[i]
-        act = actions[i]
+def _interact(state: GridState, actions, rewards: np.ndarray) -> None:
+    for i, (agent, act) in enumerate(zip(state.agents, actions)):
         if agent.finished or act not in (PICKUP, DROP, TOGGLE):
             continue
         fx, fy = _faced_cell(agent)
@@ -512,33 +431,25 @@ def _interact(state: GridState, actions, events: list) -> None:
         if act == PICKUP:
             if state.kind == "colorgather" and obj == _OBJ["coin"]:
                 color = _color_name(col)
-                value = colorgather_reward(color, state.coin_tally)
+                rewards += colorgather_reward(color, state.coin_tally)
                 state.coin_tally[color] = state.coin_tally.get(color, 0) + 1
                 state.cells[fy, fx] = (0, 0, 0)
-                _respawn_coin(state, col)
-                events.append({"kind": "coin_collected", "agent": i,
-                               "color": color, "value": value,
-                               "agents": list(range(n))})
+                _place(state, "coin", color, 1)         # respawn, same color
             elif state.kind == "staghunt" and obj == _OBJ["berry"]:
                 state.cells[fy, fx] = (0, 0, 0)
-                events.append({"kind": "berry_collected", "agent": i,
-                               "value": 1.0, "agents": [i]})
+                rewards[i] += 1.0
             elif state.kind == "staghunt" and obj == _OBJ["stag"]:
                 helpers = [j for j in _adjacent_agents(state, fx, fy) if j != i]
                 if helpers:
                     state.cells[fy, fx] = (0, 0, 0)
                     state.movers.remove((fx, fy))
-                    party = sorted([i] + helpers)
-                    events.append({"kind": "stag_captured", "agent": i,
-                                   "value": 5.0, "agents": party})
+                    rewards[[i] + helpers] += 5.0
             elif state.kind == "tasklist" and obj in (_OBJ["key"], _OBJ["ball"]):
                 if agent.carry is None:
                     agent.carry = (obj, col)
                     state.cells[fy, fx] = (0, 0, 0)
-                    name = "pickup_key" if obj == _OBJ["key"] else "pickup_ball"
-                    events.append({"kind": name, "agent": i, "value": 0.0,
-                                   "agents": [i]})
-                    _advance_task(state, agent, events, i, name)
+                    _advance_task(state, rewards, i, "pickup_key"
+                                  if obj == _OBJ["key"] else "pickup_ball")
 
         elif act == DROP:
             if state.kind == "tasklist" and agent.carry is not None \
@@ -549,9 +460,7 @@ def _interact(state: GridState, actions, events: list) -> None:
                 state.cells[fy, fx] = (dropped_obj, dropped_col, 0)
                 agent.carry = None
                 if dropped_obj == _OBJ["ball"]:
-                    events.append({"kind": "drop_ball", "agent": i,
-                                   "value": 0.0, "agents": [i]})
-                    _advance_task(state, agent, events, i, "drop_ball")
+                    _advance_task(state, rewards, i, "drop_ball")
 
         elif act == TOGGLE:
             if state.kind == "tasklist" and obj == _OBJ["door"]:
@@ -562,21 +471,9 @@ def _interact(state: GridState, actions, events: list) -> None:
                                  if st == _ST["door-open"] else _ST["door-open"])
                     state.cells[fy, fx, 2] = new_state
                     if new_state == _ST["door-open"]:
-                        events.append({"kind": "open_door", "agent": i,
-                                       "value": 0.0, "agents": [i]})
-                        _advance_task(state, agent, events, i, "open_door")
+                        _advance_task(state, rewards, i, "open_door")
             elif state.kind == "tasklist" and obj == _OBJ["box"]:
-                events.append({"kind": "open_box", "agent": i, "value": 0.0,
-                               "agents": [i]})
-                _advance_task(state, agent, events, i, "open_box")
-
-
-def _respawn_coin(state: GridState, color_id: int) -> None:
-    free = _free_cells(state)
-    if not free:
-        raise RuntimeError("no free cell to respawn a coin")
-    x, y = free[int(state.rng.integers(len(free)))]
-    state.cells[y, x] = (_OBJ["coin"], color_id, 0)
+                _advance_task(state, rewards, i, "open_box")
 
 
 def _color_name(color_id: int) -> str:
@@ -641,12 +538,6 @@ def meetup_reward(state_before: GridState, state_after: GridState,
     return float(d_before - d_after)
 
 
-def staghunt_rules(state: GridState, actions, events: list) -> None:
-    """Interaction + stag-movement phase for StagHunt (events appended)."""
-    _interact(state, actions, events)
-    _move_stags(state)
-
-
 def _shed_carry(state: GridState, agent: AgentState) -> None:
     """Leave a finishing agent's carried object on the grid: first empty,
     unoccupied neighbor of its cell (N/E/S/W order), else the first free
@@ -669,27 +560,15 @@ def _shed_carry(state: GridState, agent: AgentState) -> None:
     agent.carry = None
 
 
-def tasklist_rules(state: GridState, actions, events: list) -> None:
-    """Interaction + goal-arrival phase for TaskList (events appended).
-
-    An agent that completes its final subtask leaves the grid: it stops
-    blocking movement, disappears from observations and renders, and any
-    carried object is set down nearby so others can still use it.
-    """
-    _interact(state, actions, events)
-    for i, agent in enumerate(state.agents):
-        if agent.finished:
-            continue
-        obj = state.cells[agent.y, agent.x, 0]
-        if obj == _OBJ["goal"] and agent.task_index == len(state.subtasks) - 1:
-            _advance_task(state, agent, events, i, "reach_goal")
-            agent.finished = True
-            _shed_carry(state, agent)
-
-
 def step(state: GridState, joint_action):
     """Advance one step; returns (state, StepOutcome, observations), the
-    observations as ``reset`` returns them."""
+    outcome holding each agent's reward and the done flag, the observations
+    as ``reset`` returns them.
+
+    The phases run in order: turns and moves, interactions, the kind's own
+    phase (meetup's distance rewards, stag moves, or TaskList's goal
+    arrivals), then the done checks.
+    """
     if state.done:
         raise RuntimeError("episode is done; reset before stepping again")
     actions = list(joint_action)
@@ -697,51 +576,42 @@ def step(state: GridState, joint_action):
     if len(actions) != n:
         raise ValueError(f"need {n} actions, got {len(actions)}")
 
-    before_positions = [(a.x, a.y) for a in state.agents]
-    consensus = consensus_landmark(state) if state.kind == "meetup" else None
+    if state.kind == "meetup":
+        lx, ly = consensus_landmark(state)
+        before = [abs(a.x - lx) + abs(a.y - ly) for a in state.agents]
 
     _resolve_moves(state, actions)
-
-    events: list = []
-    if state.kind == "staghunt":
-        staghunt_rules(state, actions, events)
-    elif state.kind == "tasklist":
-        tasklist_rules(state, actions, events)
-    else:
-        _interact(state, actions, events)
+    rewards = np.zeros(n)
+    _interact(state, actions, rewards)
 
     done = False
     if state.kind == "meetup":
-        lx, ly = consensus
-        for i, a in enumerate(state.agents):
-            bx, by = before_positions[i]
-            delta = (abs(bx - lx) + abs(by - ly)) - (abs(a.x - lx) + abs(a.y - ly))
-            if delta != 0.0:
-                events.append({"kind": "meetup_delta", "agent": i,
-                               "value": float(delta), "agents": [i]})
-        for (mx, my) in _landmarks(state):
-            if all(abs(a.x - mx) + abs(a.y - my) == 1 for a in state.agents):
-                for i in range(n):
-                    events.append({"kind": "meetup_bonus", "agent": i,
-                                   "value": 1.0, "agents": [i]})
-                done = True
-                break
-    elif state.kind == "tasklist":
-        learners = [i for i in range(n) if i not in state.config.non_learning]
-        if learners and all(state.agents[i].finished for i in learners):
+        rewards += [d - (abs(a.x - lx) + abs(a.y - ly))
+                    for d, a in zip(before, state.agents)]
+        if any(all(abs(a.x - mx) + abs(a.y - my) == 1 for a in state.agents)
+               for (mx, my) in _landmarks(state)):
+            rewards += 1.0
             done = True
-
-    rewards = np.zeros(n)
-    info = [[] for _ in range(n)]
-    for ev in events:
-        for i in ev["agents"]:
-            rewards[i] += ev["value"]
-            info[i].append(ev)
+    elif state.kind == "staghunt":
+        _move_stags(state)
+    elif state.kind == "tasklist":
+        # an agent that completes its final subtask leaves the grid: it stops
+        # blocking movement, disappears from observations, and any carried
+        # object is set down nearby so others can still use it
+        for i, agent in enumerate(state.agents):
+            if not agent.finished \
+                    and state.cells[agent.y, agent.x, 0] == _OBJ["goal"] \
+                    and agent.task_index == len(state.subtasks) - 1:
+                _advance_task(state, rewards, i, "reach_goal")
+                agent.finished = True
+                _shed_carry(state, agent)
+        learners = [i for i in range(n) if i not in state.config.non_learning]
+        done = bool(learners) and all(state.agents[i].finished
+                                      for i in learners)
 
     state.step_count += 1
     if state.step_count >= state.config.episode_cap:
         done = True
     state.done = done
 
-    return state, StepOutcome(rewards=rewards, done=done, info=info), \
-        _observations(state)
+    return state, StepOutcome(rewards=rewards, done=done), _observations(state)

@@ -82,3 +82,18 @@ def test_train_unit_runs_and_repeats(perfbench_modules, tmp_path):
         assert unit.problems == []
         assert unit.failed == 0
     assert units[0].digest == units[1].digest
+
+
+def test_eval_unit_runs_and_repeats(perfbench_modules, tmp_path):
+    # one `jointattn eval --generalize all` through the benchmark's unit: the
+    # unit counts one `training.reset` per episode, so a change to how the
+    # greedy episodes reset or step fails here first
+    _, workloads = perfbench_modules
+    workload = workloads.EvalWorkload(
+        "meetup", 3, {"interior": 4, "episode_cap": 6}, episodes=1)
+    subject = workload.make_subject(11, str(tmp_path))
+    units = [workload.run_unit(subject, probing=False) for _ in range(2)]
+    for unit in units:
+        assert unit.problems == []
+        assert unit.failed == 0
+    assert units[0].digest == units[1].digest

@@ -255,6 +255,7 @@ class TestTrainCommand:
         assert records[0]["event"] == "start"
         assert records[0]["beta"] == 0.0
         assert records[0]["global_step"] == 0
+        assert records[0]["metric"] == "jsd"
         assert records[-1]["event"] == "final_eval"
         update = next(r for r in records if r["event"] == "update")
         assert set(update) >= {"global_step", "episodes",
@@ -328,6 +329,75 @@ class TestTrainCommand:
         assert "resume" in events
         assert events[0] == "start"
 
+    @staticmethod
+    def _snapshot(root):
+        return {os.path.relpath(os.path.join(d, name), root):
+                open(os.path.join(d, name), "rb").read()
+                for d, _, names in os.walk(root) for name in names}
+
+    def test_resume_without_checkpoint_writes_nothing(self, train_run,
+                                                      tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for outdir in (empty, tmp_path / "absent"):
+            code = main(["train", "--config", str(train_run["cfg_path"]),
+                         "--seed", "5", "--output-dir", str(outdir),
+                         "--resume"])
+            assert code == 1
+        assert os.listdir(empty) == []
+        assert not (tmp_path / "absent").exists()
+        # so a fresh run into the empty directory still starts
+        code = main(["train", "--config", str(train_run["cfg_path"]),
+                     "--seed", "5", "--output-dir", str(empty)])
+        assert code == 0
+
+    def test_resume_with_other_config_writes_nothing(self, train_run,
+                                                     tmp_path):
+        outdir = tmp_path / "run"
+        shutil.copytree(train_run["outdir"], outdir)
+        before = self._snapshot(outdir)
+        code = main(["train", "--config", str(train_run["cfg_path"]),
+                     "--output-dir", str(outdir), "--resume",
+                     "--set", "run.seed=9"])
+        assert code == 2
+        assert self._snapshot(outdir) == before
+
+    def test_resume_keeps_one_record_per_step_and_every_checkpoint(
+            self, train_run, tmp_path):
+        cfg_path = tmp_path / "long.cfg"
+        cfg_path.write_text(TINY_MEETUP.replace("run.max_env_steps = 32",
+                                                "run.max_env_steps = 256"))
+        outdir = tmp_path / "run"
+        argv = ["train", "--config", str(cfg_path), "--seed", "3",
+                "--output-dir", str(outdir)]
+        assert main(argv) == 0
+        ckroot = outdir / "checkpoints"
+        names = _checkpoint_steps(str(ckroot))
+        for name in names[-3:]:
+            shutil.rmtree(ckroot / name)
+        resumed_at = int(names[-4][len("step"):])
+        assert resumed_at < 256
+        assert main(argv + ["--resume"]) == 0
+
+        records = [json.loads(line) for line in
+                   (outdir / "metrics.jsonl").read_text().splitlines()]
+        events = [r["event"] for r in records]
+        assert events[0] == "start" and events.count("resume") == 1
+        resume = records[events.index("resume")]
+        assert resume["global_step"] == resumed_at
+        assert all(r["global_step"] <= resumed_at
+                   for r in records[:events.index("resume")])
+        assert set(resume) >= set(records[0]) - {"config_hash", "seed",
+                                                 "metric"}
+        updates = [r["global_step"] for r in records if r["event"] == "update"]
+        assert updates == list(range(16, 257, 16))
+        # the resume is not exact, so its checkpoints may land elsewhere
+        on_disk = _checkpoint_steps(str(ckroot))
+        assert on_disk[:len(names) - 3] == names[:-3]
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["checkpoints"] == [
+            os.path.join("checkpoints", name) for name in on_disk]
+
     def test_rerun_fresh_directory_is_bit_identical(self, train_run, tmp_path):
         outdir = tmp_path / "twin"
         code = main(["train", "--config", str(train_run["cfg_path"]),
@@ -352,6 +422,9 @@ class TestTrainCommand:
         base = json.loads(
             (train_run["outdir"] / "manifest.json").read_text())
         assert ours["config_hash"] != base["config_hash"]
+        start = json.loads(
+            (outdir / "metrics.jsonl").read_text().splitlines()[0])
+        assert start["metric"] == "kl"
 
 
 class TestRunCheckpoint:
@@ -576,6 +649,7 @@ class TestSocialCommand:
             records = [json.loads(line) for line in lines]
             assert all(r["arm"] == tag for r in records)
             assert records[0]["event"] == "start"
+            assert records[0]["metric"] == "jsd"
             assert records[-1]["event"] == "final_eval"
             assert (outdir / "checkpoints" / f"{tag}_final" /
                     "checkpoint.json").is_file()

@@ -26,8 +26,6 @@ from jointattn.gridworlds import (
     encode_observation,
     make_config,
     meetup_reward,
-    parse_ascii,
-    render_ascii,
     reset,
     step,
 )
@@ -348,10 +346,11 @@ class TestMeetup:
             before = copy.deepcopy(s)
             actions = arng.integers(0, 7, size=len(s.agents))
             s, out, _ = step(s, actions)
+            # the bonus is paid when every agent is 4-adjacent to one landmark
+            met = any(all(abs(a.x - mx) + abs(a.y - my) == 1 for a in s.agents)
+                      for (mx, my) in s.landmarks)
             for i in range(len(s.agents)):
-                bonus = sum(ev["value"] for ev in out.info[i]
-                            if ev["kind"] == "meetup_bonus")
-                assert out.rewards[i] - bonus == \
+                assert out.rewards[i] - float(met) == \
                     pytest.approx(meetup_reward(before, s, i))
 
 
@@ -610,17 +609,6 @@ class TestDespawn:
         assert grid[4, 1, 0] == OBJ["agent"]        # the live agent at (1,4)
         assert grid[2, 5, 0] == OBJ["goal"]         # not the finished one
 
-    def test_render_round_trip_keeps_finished_flag(self):
-        s = self._finish_first(self._relay_course())
-        text = render_ascii(s)
-        cells, agents = parse_ascii(text)
-        assert np.array_equal(cells, s.cells)
-        assert [(a.x, a.y, a.direction, a.carry, a.task_index, a.finished)
-                for a in agents] == \
-               [(a.x, a.y, a.direction, a.carry, a.task_index, a.finished)
-                for a in s.agents]
-        assert agents[0].finished and not agents[1].finished
-
     def test_finished_agent_ignores_actions_and_earns_nothing(self):
         s = self._finish_first(self._relay_course())
         pos = s.agents[0].pos
@@ -697,33 +685,6 @@ class TestObservations:
         assert len(p) == 3
 
 
-class TestRender:
-    def test_empty_three_by_three(self):
-        s = blank_state("meetup", 3)
-        text = render_ascii(s)
-        rows = text.splitlines()[:5]
-        assert rows == ["#####", "#...#", "#...#", "#...#", "#####"]
-
-    def test_round_trip_on_random_states(self):
-        for kind, variant in (("meetup", "cluttered"),
-                              ("colorgather", "default"),
-                              ("staghunt", "default"),
-                              ("tasklist", "default")):
-            s, _ = reset(kind, variant, seed=27)
-            arng = np.random.default_rng(28)
-            for _ in range(5):
-                if not s.done:
-                    s, _, _ = step(s, arng.integers(0, 7, size=len(s.agents)))
-            cells, agents = parse_ascii(render_ascii(s))
-            assert np.array_equal(cells, s.cells)
-            assert [(a.x, a.y, a.direction, a.carry) for a in agents] == \
-                   [(a.x, a.y, a.direction, a.carry) for a in s.agents]
-
-    def test_deterministic(self):
-        s, _ = reset("meetup", "default", seed=29)
-        assert render_ascii(s) == render_ascii(s)
-
-
 class TestStepContract:
     def test_done_state_refuses_steps(self):
         s = blank_state("meetup", 5, agent_count=3)
@@ -748,21 +709,30 @@ class TestStepContract:
             s, out, _ = step(s, [NOOP] * len(s.agents))
         assert out.done
 
-    @pytest.mark.parametrize("kind", ["meetup", "colorgather", "staghunt",
-                                      "tasklist"])
-    def test_reward_audit_against_info_tags(self, kind):
-        s, _ = reset(kind, "default", seed=37)
-        arng = np.random.default_rng(38)
-        returns = np.zeros(len(s.agents))
-        tag_sums = np.zeros(len(s.agents))
-        for _ in range(80):
+    @pytest.mark.parametrize("kind, overrides, returns, episodes", [
+        ("meetup", dict(landmarks=2), [-3, -16, -23], 31),
+        ("colorgather", {}, [177, 177, 177], 29),
+        ("staghunt", {}, [80, 83], 29),
+        ("tasklist", dict(tasklist_subtasks=3), [19], 29),
+    ])
+    def test_random_play_returns_are_golden(self, kind, overrides, returns,
+                                            episodes):
+        # 3,000 uniform random steps on a 4x4 interior, each finished episode
+        # restarted from the next seed. Every reward rule fires here except
+        # TaskList's goal arrival, which the TestTaskList courses cover.
+        cfg = make_config(kind, interior=4, **overrides)
+        arng = np.random.default_rng(5)
+        finished = 0
+        s, _ = reset(kind, seed=finished, config=cfg)
+        total = np.zeros(len(s.agents))
+        for _ in range(3000):
             if s.done:
-                break
+                finished += 1
+                s, _ = reset(kind, seed=finished, config=cfg)
             s, out, _ = step(s, arng.integers(0, 7, size=len(s.agents)))
-            returns += out.rewards
-            for i, tags in enumerate(out.info):
-                tag_sums[i] += sum(ev["value"] for ev in tags)
-        assert np.allclose(returns, tag_sums, atol=1e-12)
+            total += out.rewards
+        assert total.tolist() == returns
+        assert finished == episodes
 
     def test_agents_never_overlap_anything(self):
         for kind in ("meetup", "colorgather", "staghunt"):
