@@ -15,13 +15,25 @@ with w the per-head softmax over all positions (the attention maps). O
 enters the LSTM together with an embedded pose vector. Policy and value
 heads sit on top of the LSTM and share no parameters.
 
+Every bias of the conv, keys, values, query and LSTM is the last row of
+its weight's matrix: the bias follows the weight in ``AgentCore.flat``, so
+[W; b] is one view (``AgentCore.affine``), and each layer's input carries
+a trailing 1. The attention arms' features end in a constant-1 channel
+after the basis, so bk_m and bv_m are the last rows of [Wk; bk] and
+[Wv; bv] and the two contractions above are single products over F's
+channels; the bias terms are the ones channel's share, and sum_p w[p, m]
+is that channel of the read-out. keys/b's gradient is zero in exact
+arithmetic: bk_m . q_m adds the same logit at every position of head m,
+and the softmax over positions is shift-invariant, so what the last row
+of the key gradient holds is roundoff.
+
 Every entry point acts on a batch: frames are (batch, h, w, 3), recurrent
 states (batch, cell) and action logits (batch, actions); an unbatched input
 raises ``ShapeError``.
 
-The forward pass has three pieces: ``encode`` (frame-only: conv, basis,
-pose embedding), ``recurrent_step`` (query -> attention -> LSTM for T
-steps) and ``heads`` (policy and value from h). The conv, its ReLU and the
+The forward pass has three pieces: ``encode`` (frame-only: conv, basis
+and its ones channel, pose embedding), ``recurrent_step`` (query ->
+attention -> LSTM for T steps) and ``heads`` (policy and value from h). The conv, its ReLU and the
 appended basis are the single tape op ``nm.frame_features``, for every
 arm (the basis has depth 0 without attention); the recurrence is the
 single tape op ``nm.attention_lstm``, whose backward runs through time by
@@ -33,8 +45,8 @@ same query and attention from the composed tape ops; they are the
 reference the fused recurrence is tested against.
 
 With ``use_attention=False`` the conv features are globally mean-pooled and
-fed to the LSTM directly; no maps are produced and no attention parameters
-exist.
+fed to the LSTM directly; no maps are produced, no attention parameters
+exist, and the features have no ones channel.
 """
 
 from __future__ import annotations
@@ -115,13 +127,20 @@ class AttentionMaps:
         self.mean_map = per_head.mean(axis=1)
 
 
+# the layers whose bias directly follows its weight in ``AgentCore.flat``
+AFFINE = ("conv", "keys", "values", "query", "lstm")
+
+
 class AgentCore:
     """Parameters and forward passes for one agent.
 
     All parameters live in ``self.params`` (name -> Tensor with
     requires_grad); their ``.data`` and ``.grad`` are views, in ``params``
     order, into two float64 vectors, ``self.flat`` and ``self.grad``.
-    ``views`` alone knows the offsets; a copy binds its views again.
+    ``self.affine`` (layer -> Tensor) holds the [W; b] view of each layer
+    of ``AFFINE`` the network has, the one the layer's op reads and whose
+    gradient it writes. ``views`` alone knows the offsets; a copy binds its
+    views again.
     ``forward_calls`` counts acting passes, the
     ``agent_step`` calls, so training can prove the incentive adds no extra
     network passes; the PPO replay goes through ``unroll``, which is not an
@@ -147,6 +166,9 @@ class AgentCore:
         self.forward_calls = 0
 
         self.basis = build_spatial_basis(height, width, basis_depth if use_attention else 0)
+        if use_attention:       # the constant 1 of the affine keys and values
+            self.basis = np.concatenate([self.basis, np.ones((height, width, 1))],
+                                        axis=2)
         feat_dim = conv_filters + (basis_depth if use_attention else 0)
         kv_dim = num_heads * head_depth
         lstm_in = (kv_dim if use_attention else conv_filters) + scalar_embed
@@ -185,22 +207,35 @@ class AgentCore:
             p[f"{head}/out_w"] = glorot((64, out_dim), 64, out_dim)
             p[f"{head}/out_b"] = zeros(out_dim)
         self.params = p
+        self.affine = {layer: Tensor(0.0, requires_grad=True)
+                       for layer in AFFINE if f"{layer}/b" in p}
         self.flat = np.concatenate([t.data.reshape(-1) for t in p.values()])
         self.grad = np.zeros(self.flat.shape)
         self._bind()
 
-    def views(self, vec: np.ndarray) -> dict:
-        """{name: view shaped as the parameter} of a vector laid out as ``flat``."""
-        out, offset = {}, 0
+    def views(self, vec: np.ndarray, affine: bool = False) -> dict:
+        """{name: view shaped as the parameter} of a vector laid out as
+        ``flat``; with ``affine``, {layer: [W; b] view} for each layer of
+        ``AFFINE`` instead: its weight, as a (rows, cols) matrix with cols
+        the bias length, directly followed by its bias, one (rows + 1, cols)
+        view."""
+        out, start, offset = {}, 0, 0
         for name, t in self.params.items():
-            out[name] = vec[offset:offset + t.data.size].reshape(t.shape)
-            offset += t.data.size
+            end = offset + t.data.size
+            layer, part = name.split("/")
+            if not affine:
+                out[name] = vec[offset:end].reshape(t.shape)
+            elif part == "b" and layer in self.affine:
+                # the weight starts where the previous parameter did
+                out[layer] = vec[start:end].reshape(-1, t.data.size)
+            start, offset = offset, end
         return out
 
     def _bind(self) -> None:
-        grads = self.views(self.grad)
-        for name, data in self.views(self.flat).items():
-            self.params[name].data, self.params[name].grad = data, grads[name]
+        for affine, tensors in ((False, self.params), (True, self.affine)):
+            grads = self.views(self.grad, affine)
+            for name, data in self.views(self.flat, affine).items():
+                tensors[name].data, tensors[name].grad = data, grads[name]
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -215,26 +250,29 @@ class AgentCore:
 
     def query_from_state(self, h_prev) -> Tensor:
         """Queries (batch, m, c_m) for the next frames from the previous
-        LSTM states h_prev (batch, cell)."""
-        q = nm.dense(h_prev, self.params["query/w"], self.params["query/b"])
+        LSTM states h_prev (batch, cell): [h_prev, 1] @ [W; b]."""
+        h = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
+        q = nm.dense(nm.concat_last(h, np.ones((h.shape[0], 1))),
+                     self.affine["query"])
         return nm.reshape(q, (q.shape[0], self.num_heads, self.head_depth))
 
     def encode_features(self, obs) -> Tensor:
         """Conv + ReLU features of a batch of frames (n, h, w, channels),
-        with the spatial basis appended: one ``nm.frame_features`` node."""
+        with the spatial basis (and, with attention, its ones channel)
+        appended: one ``nm.frame_features`` node."""
         x = obs if isinstance(obs, Tensor) else Tensor(obs)
         if x.ndim != 4 or x.shape[1:3] != (self.height, self.width):
             raise nm.ShapeError(
                 f"observations {x.shape} are not a batch of "
                 f"({self.height}, {self.width}) frames"
             )
-        return nm.frame_features(x, self.params["conv/k"],
-                                 self.params["conv/b"], self.basis)
+        return nm.frame_features(x, self.affine["conv"], self.basis)
 
     def compute_attention(self, features, queries) -> tuple:
         """Per-head maps and the filtered output O.
 
-        features are (batch, h, w, d) and queries (batch, m, c_m). Returns
+        features are (batch, h, w, d) as ``encode_features`` gives them,
+        the last channel constant 1, and queries (batch, m, c_m). Returns
         (AttentionMaps, O tensor) with O of shape (batch, m, c_m).
         """
         f = features if isinstance(features, Tensor) else Tensor(features)
@@ -242,11 +280,9 @@ class AgentCore:
             raise nm.ShapeError(f"features {f.shape} are not (batch, h, w, d)")
         b, h, w, _ = f.shape
         grid = (b, self.num_heads, h, w)
-        logits = nm.attention_scores(f, queries, self.params["keys/w"],
-                                     self.params["keys/b"])       # (b, m, pos)
-        weights = nm.softmax(logits)
-        out = nm.attention_apply(weights, f, self.params["values/w"],
-                                 self.params["values/b"])         # (b, m, c)
+        logits = nm.attention_scores(f, queries, self.affine["keys"])
+        weights = nm.softmax(logits)                               # (b, m, pos)
+        out = nm.attention_apply(weights, f, self.affine["values"])  # (b, m, c)
         return AttentionMaps(weights.data.reshape(grid).copy(),
                              logits.data.reshape(grid).copy()), out
 
@@ -280,14 +316,12 @@ class AgentCore:
         state; weights and logits are the (T, B, heads, h*w) attention maps
         as plain arrays, or None when attention is off.
         """
-        p = self.params
+        a = self.affine
         attention = None
         if self.use_attention:
-            attention = (features, p["query/w"], p["query/b"], p["keys/w"],
-                         p["keys/b"], p["values/w"], p["values/b"])
-        return nm.attention_lstm(frame_in, state.h, state.c, keep,
-                                 p["lstm/w"], p["lstm/b"], attention,
-                                 self.num_heads)
+            attention = (features, a["query"], a["keys"], a["values"])
+        return nm.attention_lstm(frame_in, state.h, state.c, keep, a["lstm"],
+                                 attention, self.num_heads)
 
     def heads(self, h) -> tuple:
         """Policy logits (n, actions) and values (n,) from LSTM states (n, cell)."""

@@ -499,10 +499,12 @@ def _resume_checkpoint(outdir: str, cfg: ExperimentConfig) -> str:
 
 
 def _keep_metrics_through(path: str, global_step: int) -> None:
-    """Drop the records of ``path`` past ``global_step``."""
+    """Drop the records of ``path`` past ``global_step``, and a finished
+    run's ``final_eval`` at it: the resumed run writes its own."""
     with open(path) as f:
-        kept = [line for line in f
-                if json.loads(line)["global_step"] <= global_step]
+        records = [(line, json.loads(line)) for line in f]
+    kept = [line for line, r in records if r["global_step"] < global_step
+            or r["global_step"] == global_step and r["event"] != "final_eval"]
     _replace_file(path, lambda f: f.writelines(kept))
 
 

@@ -8,6 +8,19 @@ input raises ``ShapeError``. ``lstm_step``, ``attention_scores`` and
 ``attention_lstm`` runs as one node, and ``conv2d`` (with ``relu`` and
 ``concat_last``) that of the encoder ``frame_features``; they are kept as
 the fused ops' test reference.
+
+Bias as the last row: ``frame_features`` and ``attention_lstm`` take each
+affine layer as one [W; b] matrix, the bias as its last row, and give the
+layer's input a trailing 1 (the im2col columns' last column, the
+features' last channel, the 1 after h in the LSTM's input row). The bias
+is then added inside the layer's matrix product, and its gradient is the
+last row of the product that forms the matrix's gradient: no add pass and
+no reduction of its own. The composed ops do the same arithmetic, so the
+fused ops match them bit for bit: ``conv2d`` and ``lstm_step`` stack their
+weight and bias into one matrix, and ``attention_scores`` and
+``attention_apply`` are linear in features that carry the ones channel.
+``dense``, for the pose embedding and the heads, adds its bias.
+
 Recording happens only while a ``Tape`` is active, so rollout-time forward
 passes pay nothing beyond a flag check per op.
 
@@ -528,18 +541,21 @@ def log_softmax(a) -> Tensor:
 # affine / conv / recurrent
 
 
-def dense(x, weights, bias) -> Tensor:
-    """Affine map ``x @ weights + bias``; x is (batch, n)."""
-    x, weights, bias = _astensor(x), _astensor(weights), _astensor(bias)
+def dense(x, weights, bias=None) -> Tensor:
+    """Affine map ``x @ weights + bias``, or the linear ``x @ weights`` with
+    no bias; x is (batch, n)."""
+    x, weights = _astensor(x), _astensor(weights)
     if weights.data.ndim != 2:
         raise ShapeError(f"dense: weights must be 2-d, got {weights.data.shape}")
     n, m = weights.data.shape
-    if bias.data.shape != (m,):
-        raise ShapeError(f"dense: bias shape {bias.data.shape}, expected ({m},)")
+    if bias is not None:
+        bias = _astensor(bias)
+        if bias.data.shape != (m,):
+            raise ShapeError(f"dense: bias shape {bias.data.shape}, expected ({m},)")
     if x.data.ndim != 2 or x.data.shape[1] != n:
         raise ShapeError(f"dense: input shape {x.data.shape} vs weights {weights.data.shape}")
     xd, wd = x.data, weights.data
-    out = Tensor(xd @ wd + bias.data)
+    out = Tensor(xd @ wd if bias is None else xd @ wd + bias.data)
 
     def fn(gouts, need):
         (g,) = gouts
@@ -554,7 +570,9 @@ def dense(x, weights, bias) -> Tensor:
 def conv2d(x, kernels, bias) -> Tensor:
     """3x3 convolution, stride 1, zero padding 1 (output keeps the spatial size).
 
-    x is (batch, h, w, c_in); kernels (3, 3, c_in, c_out).
+    x is (batch, h, w, c_in); kernels (3, 3, c_in, c_out). The bias is the
+    last row of the (9*c_in + 1, c_out) [kernels; bias] matrix, against the
+    columns' trailing 1, as in ``frame_features``.
     """
     x, kernels, bias = _astensor(x), _astensor(kernels), _astensor(bias)
     kd = kernels.data
@@ -573,24 +591,24 @@ def conv2d(x, kernels, bias) -> Tensor:
     b, h, w, _ = xd.shape
 
     cols = _im2col(xd, np.zeros((b, h + 2, w + 2, c_in)),
-                   np.empty((b * h * w, 9 * c_in)))
-    kflat = kd.reshape(9 * c_in, c_out)
-    out = Tensor((cols @ kflat + bias.data).reshape(b, h, w, c_out))
+                   np.empty((b * h * w, 9 * c_in + 1)))
+    kflat = np.concatenate([kd.reshape(9 * c_in, c_out), bias.data[None]])
+    out = Tensor((cols @ kflat).reshape(b, h, w, c_out))
 
     def fn(gouts, need):
         (g,) = gouts
         gf = g.reshape(b * h * w, c_out)
-        gw = (cols.T @ gf).reshape(3, 3, c_in, c_out) if need[1] else None
-        gb = gf.sum(axis=0) if need[2] else None
+        gk = cols.T @ gf if (need[1] or need[2]) else None
         gx = None
         if need[0]:
-            dcols = (gf @ kflat.T).reshape(b, h, w, 3, 3, c_in)
+            dcols = (gf @ kflat[:-1].T).reshape(b, h, w, 3, 3, c_in)
             gpad = np.zeros((b, h + 2, w + 2, c_in))
             for kh in range(3):
                 for kw in range(3):
                     gpad[:, kh:kh + h, kw:kw + w, :] += dcols[:, :, :, kh, kw, :]
             gx = gpad[:, 1:h + 1, 1:w + 1, :]
-        return (gx, gw, gb)
+        return (gx, gk[:-1].reshape(kd.shape) if need[1] else None,
+                gk[-1] if need[2] else None)
 
     _record((out,), (x, kernels, bias), fn)
     return out
@@ -598,7 +616,8 @@ def conv2d(x, kernels, bias) -> Tensor:
 
 def _im2col(xd, xp, cols):
     """Every 3x3 window of the frames xd (b, h, w, c), zero padded by one
-    cell, as the rows of cols (b*h*w, 9*c), ordered (kh, kw, c).
+    cell, as the rows of cols (b*h*w, 9*c + 1), ordered (kh, kw, c), and a
+    last column of ones, the input of a kernel matrix's bias row.
 
     xp is a (b, h+2, w+2, c) array whose one-cell border is zero; its
     interior receives xd and the windows are a strided view of it.
@@ -608,22 +627,26 @@ def _im2col(xd, xp, cols):
     sb, sh, sw, sc = xp.strides
     win = np.ndarray((b, h, w, 3, 3, c), np.float64, xp, 0,
                      (sb, sh, sw, sh, sw, sc))
-    np.copyto(cols.reshape(b, h, w, 3, 3, c), win)
+    np.copyto(cols[:, :-1].reshape(b, h, w, 3, 3, c), win)
+    cols[:, -1] = 1.0
     return cols
 
 
-def frame_features(x, kernels, bias, basis) -> Tensor:
+def frame_features(x, kernel, basis) -> Tensor:
     """``concat_last(relu(conv2d(x, kernels, bias)), basis)`` as one node.
 
-    x is a (b, h, w, c_in) batch of frames, kernels (3, 3, c_in, c_out),
-    bias (c_out,) and basis a fixed (h, w, c_s) array appended to every
+    x is a (b, h, w, c_in) batch of frames, kernel the (9*c_in + 1, c_out)
+    [kernels; bias] matrix (the 3x3 kernels' rows in (kh, kw, c_in) order,
+    then the bias) and basis a fixed (h, w, c_s) array appended to every
     frame's features (c_s may be 0). Returns (b, h, w, c_out + c_s), the
     same values as the composed ops. Frames and basis are constants: a
-    gradient asked of either raises ``TapeError``. The conv writes straight
-    into the first c_out channels of the output's rows, and the bias and
-    ReLU run over whole rows, the basis written before them (so they read
-    only finite cells) and again after (so it stays unclipped). Under a
-    tape the padded frames, the columns, the output and a bool ReLU mask
+    gradient asked of either raises ``TapeError``. The conv is one product
+    of the columns, whose last column is 1, with the kernel, written straight
+    into the first c_out channels of the output's rows; the ReLU runs over
+    whole rows, the basis written before it (so it reads only finite cells)
+    and again after (so it stays unclipped). The kernel's gradient, bias row
+    included, is one product of the columns with the masked gradient. Under
+    a tape the padded frames, the columns, the output and a bool ReLU mask
     are lent by the tape-to-tape pool (module docstring); backward reads
     only the columns and the mask, never the output, so the output's one
     consumer may write its gradient there (``uses``, as ``attention_lstm``
@@ -632,19 +655,17 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
     node may still read it. With no tape the padded frames and columns are
     scratch arrays and the output is fresh.
     """
-    x, kernels, bias, basis = (_astensor(x), _astensor(kernels),
-                               _astensor(bias), _astensor(basis))
+    x, kernel, basis = _astensor(x), _astensor(kernel), _astensor(basis)
     tape = _ACTIVE
     if x.requires_grad or basis.requires_grad or \
             (tape is not None and (x.tape is tape or basis.tape is tape)):
-        raise TapeError("frame_features differentiates only kernels and bias")
-    xd, kd, bd = x.data, kernels.data, bias.data
-    if xd.ndim != 4 or kd.ndim != 4 or kd.shape[:3] != (3, 3, xd.shape[-1]) \
-            or bd.shape != kd.shape[3:]:
-        raise ShapeError(f"frame_features: frames {xd.shape}, kernels "
-                         f"{kd.shape}, bias {bd.shape}")
+        raise TapeError("frame_features differentiates only the kernel")
+    xd, kd = x.data, kernel.data
+    if xd.ndim != 4 or kd.ndim != 2 or kd.shape[0] != 9 * xd.shape[-1] + 1:
+        raise ShapeError(f"frame_features: frames {xd.shape}, kernel "
+                         f"{kd.shape}")
     b, h, w, c_in = xd.shape
-    c_out = kd.shape[3]
+    c_out = kd.shape[1]
     sd = basis.data
     if sd.ndim != 3 or sd.shape[:2] != (h, w):
         raise ShapeError(f"frame_features: basis {sd.shape} vs frames {xd.shape}")
@@ -653,14 +674,13 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
 
     cols = _im2col(xd, _lend(tape, "frame_features.padded",
                              (b, h + 2, w + 2, c_in), np.zeros),
-                   _lend(tape, "frame_features.cols", (n, 9 * c_in)))
+                   _lend(tape, "frame_features.cols", (n, 9 * c_in + 1)))
     out_shape = (b, h, w, c_out + c_s)
     od = np.empty(out_shape) if tape is None else \
         _lend(tape, "frame_features.out", out_shape)
     rows = od.reshape(n, c_out + c_s)
-    od[..., c_out:] = sd        # so the passes below read only finite cells
-    np.matmul(cols, kd.reshape(9 * c_in, c_out), out=rows[:, :c_out])
-    np.add(rows, np.concatenate([bd, np.zeros(c_s)]), out=rows)
+    od[..., c_out:] = sd        # so the ReLU below reads only finite cells
+    np.matmul(cols, kd, out=rows[:, :c_out])
     if tape is not None:
         mask = np.greater(rows[:, :c_out], 0.0, out=_lend(
             tape, "frame_features.mask", (n, c_out),
@@ -679,11 +699,9 @@ def frame_features(x, kernels, bias, basis) -> Tensor:
         else:
             gpre = np.multiply(g[..., :c_out],
                                mask.reshape(b, h, w, c_out)).reshape(n, c_out)
-        gw = (cols.T @ gpre).reshape(kd.shape) if need[1] else None
-        gb = gpre.sum(axis=0) if need[2] else None
-        return (None, gw, gb)
+        return (None, cols.T @ gpre)
 
-    _record((out,), (x, kernels, bias), fn)
+    _record((out,), (x, kernel), fn)
     return out
 
 
@@ -693,7 +711,9 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
     Gate order along the weight columns is input, forget, candidate, output:
     c = f*c_prev + i*g and h = o*tanh(c), with sigmoid gates and tanh
     candidate. x is (batch, n_in), the states (batch, cell) and weights
-    (n_in + cell, 4*cell).
+    (n_in + cell, 4*cell). The bias is the last row of the [weights; bias]
+    matrix, against a trailing 1 of the input row [x, h_prev, 1], as in
+    ``attention_lstm``.
     """
     x, h_prev, c_prev = _astensor(x), _astensor(h_prev), _astensor(c_prev)
     weights, bias = _astensor(weights), _astensor(bias)
@@ -713,8 +733,9 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
     if bias.data.shape != (4 * cell,):
         raise ShapeError(f"lstm_step: bias {bias.data.shape}, expected ({4 * cell},)")
 
-    xh = np.concatenate([xd, hd], axis=1)
-    z = xh @ weights.data + bias.data
+    xh = np.concatenate([xd, hd, np.ones((xd.shape[0], 1))], axis=1)
+    wd = weights.data
+    z = xh @ np.concatenate([wd, bias.data[None]])
     gates = _sigmoid(z)                 # the candidate block is unused
     i = gates[:, :cell]
     f = gates[:, cell:2 * cell]
@@ -723,7 +744,6 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
     c_new = f * cd + i * g
     tc = np.tanh(c_new)
     h_out, c_out = Tensor(o * tc), Tensor(c_new)
-    wd = weights.data
 
     def fn(gouts, need):
         gh, gc = gouts
@@ -745,9 +765,9 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
         gx = dxh[:, :n_in] if need[0] else None
         gh_prev = dxh[:, n_in:] if need[1] else None
         gc_prev = dc * f if need[2] else None
-        gw = xh.T @ dz if need[3] else None
-        gb = dz.sum(axis=0) if need[4] else None
-        return (gx, gh_prev, gc_prev, gw, gb)
+        gwb = xh.T @ dz if (need[3] or need[4]) else None
+        return (gx, gh_prev, gc_prev, gwb[:-1] if need[3] else None,
+                gwb[-1] if need[4] else None)
 
     _record((h_out, c_out), (x, h_prev, c_prev, weights, bias), fn)
     return h_out, c_out
@@ -756,30 +776,28 @@ def lstm_step(x, h_prev, c_prev, weights, bias) -> tuple:
 # ---------------------------------------------------------------------------
 # attention contractions
 #
-# Keys and values are affine in the features: K_m = F W_m + b_m, where W_m
-# (d, depth) and b_m (depth,) are head m's columns of the projection. So both
-# contractions fold the projection into the small side and never form the
-# per-position keys or values:
-#   logits[b,m,p] = F[b,p] . (W_m q[b,m]) + b_m . q[b,m]
-#   out[b,m]      = (sum_p a[b,m,p] F[b,p]) W_m + b_m sum_p a[b,m,p]
+# Keys and values are linear in the features: K_m = F W_m, where W_m (d,
+# depth) is head m's columns of the projection. An affine map is the same
+# thing with a constant-1 last feature channel and the bias as W's last row.
+# Both contractions fold the projection into the small side and never form
+# the per-position keys or values:
+#   logits[b,m,p] = F[b,p] . (W_m q[b,m])
+#   out[b,m]      = (sum_p a[b,m,p] F[b,p]) W_m
 
 
-def _attention_operands(features, proj_w, proj_b, heads: int, op: str):
-    """Flat (batch, pos, d) features, the projection per head (heads, d,
-    depth) and its bias (heads, depth); views, no copies."""
-    fd, wd, bd = features.data, proj_w.data, proj_b.data
+def _attention_operands(features, proj, heads: int, op: str):
+    """Flat (batch, pos, d) features and the projection per head (heads, d,
+    depth); views, no copies."""
+    fd, wd = features.data, proj.data
     if fd.ndim < 3:
         raise ShapeError(f"{op}: features must be (batch, ..., d), got {fd.shape}")
     d = fd.shape[-1]
     if wd.ndim != 2 or wd.shape[0] != d or wd.shape[1] % heads != 0:
         raise ShapeError(f"{op}: projection {wd.shape} vs features {fd.shape} "
                          f"and {heads} heads")
-    if bd.shape != (wd.shape[1],):
-        raise ShapeError(f"{op}: bias {bd.shape}, expected ({wd.shape[1]},)")
     depth = wd.shape[1] // heads
     return (fd.reshape(fd.shape[0], -1, d),
-            wd.reshape(d, heads, depth).transpose(1, 0, 2),
-            bd.reshape(heads, depth))
+            wd.reshape(d, heads, depth).transpose(1, 0, 2))
 
 
 def _per_head(x, w):
@@ -793,81 +811,72 @@ def _sum_batch_outer(x, y, shape):
         .reshape(shape)
 
 
-def attention_scores(features, queries, key_w, key_b) -> Tensor:
-    """Per-head logits of the affine keys ``features @ key_w + key_b`` against
-    the queries, without forming the keys.
+def attention_scores(features, queries, keys) -> Tensor:
+    """Per-head logits of the keys ``features @ keys`` against the queries,
+    without forming the keys.
 
     features (batch, ..., d) with any spatial axes between; queries (batch,
-    heads, depth); key_w (d, heads*depth), key_b (heads*depth,). Returns
-    logits (batch, heads, pos) with the spatial axes flattened.
+    heads, depth); keys (d, heads*depth). Returns logits (batch, heads, pos)
+    with the spatial axes flattened.
     """
-    features, queries = _astensor(features), _astensor(queries)
-    key_w, key_b = _astensor(key_w), _astensor(key_b)
+    features, queries, keys = (_astensor(features), _astensor(queries),
+                               _astensor(keys))
     qd = queries.data
     if qd.ndim != 3 or qd.shape[0] != features.data.shape[0]:
         raise ShapeError(f"attention_scores: queries {qd.shape} vs features "
                          f"{features.data.shape}")
-    f, w, bias = _attention_operands(features, key_w, key_b, qd.shape[1],
-                                     "attention_scores")
+    f, w = _attention_operands(features, keys, qd.shape[1], "attention_scores")
     if w.shape[2] != qd.shape[2]:
         raise ShapeError(f"attention_scores: key depth {w.shape[2]} vs "
                          f"queries {qd.shape}")
     wq = _per_head(qd, w.transpose(0, 2, 1))        # W_m q[b,m]: (b, m, d)
-    bq = (qd * bias).sum(axis=-1)                   # b_m . q[b,m]
-    out = Tensor(wq @ f.transpose(0, 2, 1) + bq[:, :, None])
+    out = Tensor(wq @ f.transpose(0, 2, 1))
     f_shape = features.data.shape
 
     def fn(gouts, need):
         (g,) = gouts
         gwq = g @ f if (need[1] or need[2]) else None
-        gbq = g.sum(axis=-1)
         gf = (g.transpose(0, 2, 1) @ wq).reshape(f_shape) if need[0] else None
-        gq = _per_head(gwq, w) + gbq[:, :, None] * bias if need[1] else None
-        gw = _sum_batch_outer(gwq, qd, key_w.data.shape) if need[2] else None
-        gb = (gbq[:, :, None] * qd).sum(axis=0).reshape(-1) if need[3] else None
-        return (gf, gq, gw, gb)
+        gq = _per_head(gwq, w) if need[1] else None
+        gw = _sum_batch_outer(gwq, qd, keys.data.shape) if need[2] else None
+        return (gf, gq, gw)
 
-    _record((out,), (features, queries, key_w, key_b), fn)
+    _record((out,), (features, queries, keys), fn)
     return out
 
 
-def attention_apply(weights, features, value_w, value_b) -> Tensor:
-    """Contract attention weights against the affine values
-    ``features @ value_w + value_b``, without forming the values.
+def attention_apply(weights, features, values) -> Tensor:
+    """Contract attention weights against the values ``features @ values``,
+    without forming the values.
 
     weights (batch, heads, pos); features (batch, ..., d) with pos spatial
-    cells; value_w (d, heads*depth), value_b (heads*depth,). Returns
-    (batch, heads, depth).
+    cells; values (d, heads*depth). Returns (batch, heads, depth).
     """
-    weights, features = _astensor(weights), _astensor(features)
-    value_w, value_b = _astensor(value_w), _astensor(value_b)
+    weights, features, values = (_astensor(weights), _astensor(features),
+                                 _astensor(values))
     ad = weights.data
     if ad.ndim != 3 or ad.shape[0] != features.data.shape[0]:
         raise ShapeError(f"attention_apply: weights {ad.shape} vs features "
                          f"{features.data.shape}")
-    f, w, bias = _attention_operands(features, value_w, value_b, ad.shape[1],
-                                     "attention_apply")
+    f, w = _attention_operands(features, values, ad.shape[1], "attention_apply")
     if ad.shape[2] != f.shape[1]:
         raise ShapeError(f"attention_apply: weights {ad.shape} vs features "
                          f"{features.data.shape}")
     read = ad @ f                                   # sum_p a[b,m,p] F[b,p]
-    mass = ad.sum(axis=-1)                          # sum_p a[b,m,p]
-    out = Tensor(_per_head(read, w) + mass[:, :, None] * bias)
+    out = Tensor(_per_head(read, w))
     f_shape = features.data.shape
 
     def fn(gouts, need):
         (g,) = gouts
         gread = _per_head(g, w.transpose(0, 2, 1)) if (need[0] or need[1]) \
             else None
-        ga = gread @ f.transpose(0, 2, 1) + (g * bias).sum(axis=-1)[:, :, None] \
-            if need[0] else None
+        ga = gread @ f.transpose(0, 2, 1) if need[0] else None
         gf = (ad.transpose(0, 2, 1) @ gread).reshape(f_shape) if need[1] \
             else None
-        gw = _sum_batch_outer(read, g, value_w.data.shape) if need[2] else None
-        gb = (mass[:, :, None] * g).sum(axis=0).reshape(-1) if need[3] else None
-        return (ga, gf, gw, gb)
+        gw = _sum_batch_outer(read, g, values.data.shape) if need[2] else None
+        return (ga, gf, gw)
 
-    _record((out,), (weights, features, value_w, value_b), fn)
+    _record((out,), (weights, features, values), fn)
     return out
 
 
@@ -875,20 +884,24 @@ def attention_apply(weights, features, value_w, value_b) -> Tensor:
 # the attention-LSTM recurrence as one node
 
 
-def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
+def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
                    heads: int) -> tuple:
     """T steps of query -> attention logits -> softmax -> read-out -> LSTM
     over B sequences, recorded as a single tape node.
 
     keep is a (T, B) 0/1 array: before step t the state is multiplied by
     keep[t], so a 0 starts a new episode. frame_in is (T*B, n) time-major;
-    h0 and c0 are the (B, cell) states before step 0. attention is None, when
-    the LSTM input is frame_in alone, or the tuple (features, query_w,
-    query_b, key_w, key_b, value_w, value_b): features (T*B, ..., d)
-    time-major, the query ``h @ query_w + query_b`` split into ``heads``
-    heads, and the keys and values affine in the features as in
-    ``attention_scores`` and ``attention_apply``. The LSTM input of step t
-    is [read-out, frame_in], then h, as in ``lstm_step``.
+    h0 and c0 are the (B, cell) states before step 0. The LSTM input row of
+    step t is [read-out, frame_in, h, 1] and lstm the (n_x + cell + 1,
+    4*cell) [weights; bias] matrix against it, gates as in ``lstm_step``.
+    attention is None, when there is no read-out, or the tuple (features,
+    query, keys, values): features (T*B, ..., d) time-major, whose last
+    channel is the constant 1 of the affine keys and values, query the
+    (cell + 1, heads*depth) [weights; bias] matrix against the row's [h, 1],
+    split into ``heads`` heads, and keys and values (d, heads*depth) as in
+    ``attention_scores`` and ``attention_apply``. So every bias is the last
+    row of its matrix, and its gradient the last row of the product that
+    forms the matrix's gradient.
 
     Returns (hs, c_T, weights, logits): hs the (T, B, cell) tensor of every
     step's h, c_T the (B, cell) final cell state, and the attention weights
@@ -902,8 +915,8 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
     (``Tensor.uses``, set by ``frame_features``); otherwise it is a fresh
     array and the features keep their values.
     """
-    frame_in, h0, c0 = _astensor(frame_in), _astensor(h0), _astensor(c0)
-    lstm_w, lstm_b = _astensor(lstm_w), _astensor(lstm_b)
+    frame_in, h0, c0, lstm = (_astensor(frame_in), _astensor(h0),
+                              _astensor(c0), _astensor(lstm))
     keep = np.asarray(keep, dtype=np.float64)
     if keep.ndim != 2:
         raise ShapeError(f"attention_lstm: keep must be (T, B), got {keep.shape}")
@@ -916,38 +929,38 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
     xd = frame_in.data
     if xd.ndim != 2 or xd.shape[0] != T * B:
         raise ShapeError(f"attention_lstm: frame_in {xd.shape} vs keep {keep.shape}")
-    inputs = (frame_in, h0, c0, lstm_w, lstm_b)
+    inputs = (frame_in, h0, c0, lstm)
     n_sum = 0
     if attention is not None:
-        features, query_w, query_b, key_w, key_b, value_w, value_b = \
-            (_astensor(a) for a in attention)
-        inputs += (features, query_w, query_b, key_w, key_b, value_w, value_b)
-        f, wk, bk = _attention_operands(features, key_w, key_b, heads,
-                                        "attention_lstm")
-        _, wv, bv = _attention_operands(features, value_w, value_b, heads,
-                                        "attention_lstm")
-        n_sum = key_w.data.shape[1]
-        qw, qb = query_w.data, query_b.data
-        if f.shape[0] != T * B or value_w.data.shape[1] != n_sum \
-                or qw.shape != (cell, n_sum) or qb.shape != (n_sum,):
+        features, query, keys, values = (_astensor(a) for a in attention)
+        inputs += (features, query, keys, values)
+        f, wk = _attention_operands(features, keys, heads, "attention_lstm")
+        _, wv = _attention_operands(features, values, heads, "attention_lstm")
+        n_sum = keys.data.shape[1]
+        qw = query.data
+        if f.shape[0] != T * B or values.data.shape[1] != n_sum \
+                or qw.shape != (cell + 1, n_sum):
             raise ShapeError(
                 f"attention_lstm: features {features.data.shape}, query "
-                f"{qw.shape}, keys {key_w.data.shape}, values "
-                f"{value_w.data.shape} vs keep {keep.shape}, cell {cell}")
+                f"{qw.shape}, keys {keys.data.shape}, values "
+                f"{values.data.shape} vs keep {keep.shape}, cell {cell}")
         P, d = f.shape[1:]
         m, depth = heads, n_sum // heads
         fs = f.reshape(T, B, P, d)
         wk_t, wv_t = wk.transpose(0, 2, 1), wv.transpose(0, 2, 1)
+        qw_t = qw[:cell].T
     n_x = n_sum + xd.shape[1]
-    lw, lb = lstm_w.data, lstm_b.data
-    if lw.shape != (n_x + cell, 4 * cell) or lb.shape != (4 * cell,):
-        raise ShapeError(f"attention_lstm: lstm weights {lw.shape}, bias "
-                         f"{lb.shape}, expected {(n_x + cell, 4 * cell)}")
+    lw = lstm.data
+    if lw.shape != (n_x + cell + 1, 4 * cell):
+        raise ShapeError(f"attention_lstm: lstm {lw.shape}, expected "
+                         f"{(n_x + cell + 1, 4 * cell)}")
+    lw_t = lw[:n_x + cell].T
 
     # saved for backward; xh holds each step's whole LSTM input row, whose
-    # last cell columns are the kept h_{t-1}
-    xh = np.empty((T, B, n_x + cell))
+    # last cell + 1 columns are the kept h_{t-1} and the 1
+    xh = np.empty((T, B, n_x + cell + 1))
     xh[:, :, n_sum:n_x] = xd.reshape(T, B, -1)
+    xh[:, :, -1] = 1.0
     c_kept = np.empty((T, B, cell))
     gates = np.empty((T, B, 4 * cell))      # i, f, tanh candidate, o
     tcs = np.empty((T, B, cell))
@@ -962,7 +975,6 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
         a2 = np.empty((T, B, 2 * m, P))
         v2 = np.empty((T, B, 2 * m, d))
         read = np.empty((T, B, m, d))
-        mass = np.empty((T, B, m))
         weights = a2[:, :, m:]
 
     # the ops write into the saved arrays (out=) where the composed ops
@@ -970,23 +982,20 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
     h, c = hd, cd
     for t in range(T):
         kt = keep[t][:, None]
-        hk = np.multiply(h, kt, out=xh[t, :, n_x:])
+        np.multiply(h, kt, out=xh[t, :, n_x:-1])
         ck = np.multiply(c, kt, out=c_kept[t])
         if attention is not None:
             qt = q[t]
-            np.add(hk @ qw, qb, out=qt.reshape(B, n_sum))
+            np.matmul(xh[t, :, n_x:], qw, out=qt.reshape(B, n_sum))
             wq = _per_head(qt, wk_t)
             v2[t, :, :m] = wq
-            lt = np.add(wq @ fs[t].transpose(0, 2, 1),
-                        (qt * bk).sum(axis=-1)[:, :, None], out=logits[t])
+            lt = np.matmul(wq, fs[t].transpose(0, 2, 1), out=logits[t])
             e = np.exp(lt - lt.max(axis=-1, keepdims=True))
             s = e / e.sum(axis=-1, keepdims=True)
             a2[t, :, m:] = s
             rd = np.matmul(s, fs[t], out=read[t])
-            ms = np.sum(s, axis=-1, out=mass[t])
-            xh[t, :, :n_sum] = (_per_head(rd, wv) + ms[:, :, None] * bv) \
-                .reshape(B, n_sum)
-        z = xh[t] @ lw + lb
+            xh[t, :, :n_sum] = _per_head(rd, wv).reshape(B, n_sum)
+        z = xh[t] @ lw
         g_all = gates[t]
         g_all[...] = _sigmoid(z)
         np.tanh(z[:, 2 * cell:3 * cell], out=g_all[:, 2 * cell:3 * cell])
@@ -1005,7 +1014,6 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
         if attention is not None:
             gq = np.empty((T, B, m, depth))
             gwq = np.empty((T, B, m, d))
-            gbq = np.empty((T, B, m))
         # the local derivatives of every step at once: dc/dh, dz/dc for
         # the input, forget and candidate gate columns, and dz/dh for the
         # output gate's
@@ -1022,25 +1030,20 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
             np.multiply(dc[:, None, :], dz_dc[t], out=dzt[:, :3])
             np.multiply(dh, dz_dh[t], out=dzt[:, 3])
             dx = dxh[t]
-            np.matmul(dz[t], lw.T, out=dx)
+            np.matmul(dz[t], lw_t, out=dx)
             dc = dc * f_g[t]
             dh = dx[:, n_x:]
             if attention is not None:
-                go = dx[:, :n_sum].reshape(B, m, depth)
-                gread = _per_head(go, wv_t)
+                gread = _per_head(dx[:, :n_sum].reshape(B, m, depth), wv_t)
                 v2[t, :, m:] = gread
                 s = a2[t, :, m:]
-                ga = gread @ fs[t].transpose(0, 2, 1) \
-                    + (go * bv).sum(axis=-1)[:, :, None]
+                ga = gread @ fs[t].transpose(0, 2, 1)
                 dl = (ga - (ga * s).sum(axis=-1, keepdims=True)) * s
                 a2[t, :, :m] = dl
-                gw = gwq[t]
-                np.matmul(dl, fs[t], out=gw)
-                gb = gbq[t]
-                gb[...] = dl.sum(axis=-1)
+                gw = np.matmul(dl, fs[t], out=gwq[t])
                 gqt = gq[t]
-                gqt[...] = _per_head(gw, wk) + gb[:, :, None] * bk
-                dh = dh + gqt.reshape(B, n_sum) @ qw.T
+                gqt[...] = _per_head(gw, wk)
+                dh = dh + gqt.reshape(B, n_sum) @ qw_t
             kt = keep[t][:, None]
             dh = dh * kt
             dc = dc * kt
@@ -1048,14 +1051,13 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
         n = T * B
         dz = dz.reshape(n, 4 * cell)
         grads = (dxh[:, :, n_sum:n_x].reshape(n, -1), dh, dc,
-                 xh.reshape(n, -1).T @ dz, dz.sum(axis=0))
+                 xh.reshape(n, -1).T @ dz)
         if attention is None:
             return grads
         gq = gq.reshape(n, n_sum)
         go = dxh[:, :, :n_sum].reshape(n, m, depth)
-        q2 = q.reshape(n, m, depth)
         gf = None
-        if need[5]:
+        if need[4]:
             # the loop above was the last read of the features; when this
             # node is their only consumer their array takes the gradient
             spent = features.tape is tape and features.uses == 1
@@ -1065,12 +1067,10 @@ def attention_lstm(frame_in, h0, c0, keep, lstm_w, lstm_b, attention,
                 .reshape(features.data.shape)
         return grads + (
             gf,
-            xh[:, :, n_x:].reshape(n, cell).T @ gq,
-            gq.sum(axis=0),
-            _sum_batch_outer(gwq.reshape(n, m, d), q2, key_w.data.shape),
-            (gbq.reshape(n, m, 1) * q2).sum(axis=0).reshape(-1),
-            _sum_batch_outer(read.reshape(n, m, d), go, value_w.data.shape),
-            (mass.reshape(n, m, 1) * go).sum(axis=0).reshape(-1),
+            xh[:, :, n_x:].reshape(n, cell + 1).T @ gq,
+            _sum_batch_outer(gwq.reshape(n, m, d), q.reshape(n, m, depth),
+                             keys.data.shape),
+            _sum_batch_outer(read.reshape(n, m, d), go, values.data.shape),
         )
 
     _record((hs_out, c_out), inputs, fn)

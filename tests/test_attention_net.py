@@ -2,6 +2,7 @@
 and gradient flow, each against direct scalar oracles where a value is
 asserted."""
 
+import copy
 import math
 
 import numpy as np
@@ -76,15 +77,19 @@ class TestEncodeFeatures:
         core = AgentCore(4, 5, seed=0)
         core.params["conv/b"].data[:] = 0.0
         out = core.encode_features(np.zeros((2, 4, 5, 3))).data
-        assert out.shape == (2, 4, 5, 72)
+        assert out.shape == (2, 4, 5, 73)
         assert np.array_equal(out[..., :64], np.zeros((2, 4, 5, 64)))
         assert np.array_equal(out[0, ..., 64:], core.basis)
         assert np.array_equal(out[1, ..., 64:], core.basis)
+        # the spatial basis, then the ones channel of the affine keys and
+        # values
+        assert np.array_equal(core.basis[..., :8], build_spatial_basis(4, 5, 8))
+        assert np.array_equal(core.basis[..., 8], np.ones((4, 5)))
 
     def test_channel_count_with_defaults(self):
         core = AgentCore(6, 6, seed=1)
         out = core.encode_features(np.zeros((1, 6, 6, 3))).data
-        assert out.shape[-1] == 64 + 8
+        assert out.shape[-1] == 64 + 8 + 1
 
     def test_basis_channels_constant_across_inputs(self):
         core = AgentCore(5, 5, seed=2)
@@ -103,10 +108,17 @@ class TestEncodeFeatures:
             core.encode_features(np.zeros((5, 5, 3)))       # unbatched
 
 
+def with_ones(features):
+    """Features as ``encode_features`` gives them: a last channel of ones."""
+    return np.concatenate([features, np.ones(features.shape[:-1] + (1,))],
+                          axis=-1)
+
+
 class TestComputeAttention:
     def _tiny_core(self):
         # one head of depth 1 over a 1x2 grid; basis disabled so the
         # key/value layers see exactly the 2 feature channels we control
+        # (and the ones channel)
         core = AgentCore(1, 2, conv_filters=2, basis_depth=0, num_heads=1,
                          head_depth=1, cell_size=4, seed=0)
         return core
@@ -117,7 +129,7 @@ class TestComputeAttention:
         core.params["keys/b"].data[:] = 0.0
         core.params["values/w"].data[:] = [[2.0], [4.0]]
         core.params["values/b"].data[:] = 0.0
-        features = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])  # one-hot per cell
+        features = with_ones(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))  # one-hot
         maps, out = core.compute_attention(features, np.array([[[1.0]]]))
         assert np.allclose(maps.per_head[0, 0].reshape(-1), [0.25, 0.75], atol=1e-12)
         assert abs(out.data[0, 0, 0] - 3.5) < 1e-12
@@ -126,7 +138,8 @@ class TestComputeAttention:
         core = AgentCore(3, 4, seed=5)
         rng = np.random.default_rng(6)
         features = rng.normal(size=(1, 3, 4, 72))
-        maps, out = core.compute_attention(features, np.zeros((1, 4, 16)))
+        maps, out = core.compute_attention(with_ones(features),
+                                           np.zeros((1, 4, 16)))
         assert np.allclose(maps.per_head, 1.0 / 12.0, atol=1e-12)
         # oracle: values via direct affine evaluation, then their spatial mean
         vw = core.params["values/w"].data
@@ -138,7 +151,8 @@ class TestComputeAttention:
         core = AgentCore(1, 1, seed=7)
         rng = np.random.default_rng(8)
         features = rng.normal(size=(1, 1, 1, 72))
-        maps, out = core.compute_attention(features, rng.normal(size=(1, 4, 16)))
+        maps, out = core.compute_attention(with_ones(features),
+                                           rng.normal(size=(1, 4, 16)))
         assert np.allclose(maps.per_head, 1.0, atol=1e-12)
         vw = core.params["values/w"].data
         vb = core.params["values/b"].data
@@ -148,7 +162,7 @@ class TestComputeAttention:
     def test_map_normalization_random(self):
         core = AgentCore(4, 5, seed=9)
         rng = np.random.default_rng(10)
-        features = rng.normal(size=(6, 4, 5, 72))
+        features = with_ones(rng.normal(size=(6, 4, 5, 72)))
         maps, _ = core.compute_attention(features, rng.normal(size=(6, 4, 16)))
         sums = maps.per_head.reshape(6, 4, -1).sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) < 1e-6
@@ -160,7 +174,7 @@ class TestComputeAttention:
         core = AgentCore(3, 3, seed=9)
         rng = np.random.default_rng(11)
         with pytest.raises(nm.ShapeError):
-            core.compute_attention(rng.normal(size=(3, 3, 72)),
+            core.compute_attention(rng.normal(size=(3, 3, 73)),
                                    rng.normal(size=(4, 16)))
         with pytest.raises(nm.ShapeError):
             core.query_from_state(np.zeros(64))
@@ -174,7 +188,8 @@ class TestQueryFromState:
         q = core.query_from_state(np.zeros((1, 64)))
         assert np.array_equal(q.data, np.zeros((1, 4, 16)))
         rng = np.random.default_rng(12)
-        maps, _ = core.compute_attention(rng.normal(size=(1, 3, 3, 72)), q)
+        maps, _ = core.compute_attention(
+            with_ones(rng.normal(size=(1, 3, 3, 72))), q)
         assert np.allclose(maps.per_head, 1.0 / 9.0, atol=1e-12)
 
     def test_repeated_calls_identical(self):
@@ -378,7 +393,7 @@ class TestUnroll:
         for name, p in core.params.items():
             assert name == "keys/b" or np.abs(p.grad).max() > 0.0, name
         assert tensor._POOL["frame_features.out"][0].shape == \
-            (T * B, 10, 10, 64 + 8)
+            (T * B, 10, 10, 64 + 8 + 1)
         assert "attention_lstm.feature_grad" not in tensor._POOL
 
 
@@ -411,6 +426,98 @@ class TestHeadSeparation:
         policy = {k for k in core.params if k.startswith("policy/")}
         value = {k for k in core.params if k.startswith("value/")}
         assert policy and value and not (policy & value)
+
+
+class TestAffineViews:
+    """Each affine layer's [W; b] matrix is one view into the flat vectors,
+    the weight's rows and then the bias row."""
+
+    LAYERS = {"conv": ("conv/k", "conv/b"), "keys": ("keys/w", "keys/b"),
+              "values": ("values/w", "values/b"),
+              "query": ("query/w", "query/b"), "lstm": ("lstm/w", "lstm/b")}
+
+    def _assert_aliased(self, core):
+        expected = set(self.LAYERS) if core.use_attention else {"conv", "lstm"}
+        assert set(core.affine) == expected
+        for layer, t in core.affine.items():
+            w_name, b_name = self.LAYERS[layer]
+            for vec, attr in ((core.flat, "data"), (core.grad, "grad")):
+                wb = getattr(t, attr)
+                w = getattr(core.params[w_name], attr)
+                b = getattr(core.params[b_name], attr)
+                assert wb.shape == (w.size // b.size + 1, b.size), layer
+                assert wb.base is vec, (layer, attr)
+                assert wb.__array_interface__["data"][0] == \
+                    w.__array_interface__["data"][0], (layer, attr)
+                assert np.array_equal(wb[:-1], w.reshape(-1, b.size))
+                assert np.array_equal(wb[-1], b)
+                # a write through the view lands in the parameter's cells
+                wb[-1, 0] += 1.5
+                assert b[0] == wb[-1, 0]
+                wb[-1, 0] -= 1.5
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_views_alias_flat_and_grad(self, use_attention):
+        core = AgentCore(4, 5, use_attention=use_attention, seed=47)
+        self._assert_aliased(core)
+
+    def test_copy_binds_its_own_views(self):
+        core = AgentCore(4, 5, seed=48)
+        twin = copy.deepcopy(core)
+        self._assert_aliased(twin)
+        for layer, t in twin.affine.items():
+            assert not np.shares_memory(t.data, core.flat), layer
+            assert not np.shares_memory(t.grad, core.grad), layer
+        # and the copy's gradients reach the copy's vector only
+        rng = np.random.default_rng(49)
+        obs = rng.normal(size=(2, 4, 5, 3))
+        poses = rng.normal(size=(2, 6))
+        with Tape():
+            logits, _, _, _ = twin.agent_step(obs, poses, twin.initial_state(2))
+            loss = nm.sum_all(nm.mul(logits, logits))
+        backward(loss)
+        assert twin.grad.any() and not core.grad.any()
+
+    def test_non_attention_arm_has_no_ones_channel(self):
+        core = AgentCore(4, 5, use_attention=False, seed=50)
+        assert core.basis.shape == (4, 5, 0)
+        assert core.params["lstm/w"].shape == (64 + 5 + 64, 256)
+        rng = np.random.default_rng(51)
+        obs = rng.normal(size=(3, 4, 5, 3))
+        poses = rng.normal(size=(3, 6))
+        features, frame_in = core.encode(Tensor(obs), Tensor(poses))
+        assert features is None
+        # the pooled conv features, then the embedded pose, as the
+        # composed ops give them
+        conv = nm.relu(nm.conv2d(Tensor(obs), core.params["conv/k"],
+                                 core.params["conv/b"]))
+        assert core.encode_features(obs).shape == (3, 4, 5, 64)
+        assert np.array_equal(frame_in.data[:, :64],
+                              nm.spatial_mean(conv).data)
+        assert np.array_equal(frame_in.data[:, 64:], nm.dense(
+            Tensor(poses), core.params["embed/w"], core.params["embed/b"]).data)
+
+    def test_key_bias_gradient_is_roundoff(self):
+        # keys/b adds bk_m . q_m to every logit of head m, and the softmax
+        # over positions is shift-invariant: the exact gradient is zero,
+        # what the bias row of the key gradient holds is roundoff
+        core = AgentCore(5, 5, seed=52)
+        rng = np.random.default_rng(53)
+        T, B = 4, 3
+        with Tape():
+            logits, values = core.unroll(
+                rng.uniform(size=(T, B, 5, 5, 3)), rng.normal(size=(T, B, 6)),
+                RecurrentState(Tensor(rng.normal(size=(B, 64))),
+                               Tensor(rng.normal(size=(B, 64)))),
+                np.zeros((T, B), dtype=bool))
+            loss = nm.add(nm.sum_all(nm.mul(logits, logits)),
+                          nm.sum_all(nm.mul(values, values)))
+        backward(loss)
+        key_grad = core.affine["keys"].grad
+        assert np.array_equal(key_grad[-1], core.params["keys/b"].grad)
+        overall = np.abs(core.grad).max()
+        assert np.abs(key_grad[:-1]).max() > 1e-6 * overall
+        assert np.abs(key_grad[-1]).max() <= 1e-14 * overall
 
 
 class TestGradientFlow:
@@ -458,8 +565,9 @@ class TestGradientFlow:
         backward(loss)
 
         step = 1e-4
-        for name in ("conv/k", "keys/w", "values/w", "query/w", "embed/w",
-                     "lstm/w", "policy/out_w"):
+        for name in ("conv/k", "conv/b", "keys/w", "values/w", "values/b",
+                     "query/w", "query/b", "embed/w", "lstm/w", "lstm/b",
+                     "policy/out_w"):
             data = core.params[name].data
             grad = core.params[name].grad
             flat = data.reshape(-1)

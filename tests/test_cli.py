@@ -398,6 +398,23 @@ class TestTrainCommand:
         assert manifest["checkpoints"] == [
             os.path.join("checkpoints", name) for name in on_disk]
 
+    def test_resume_of_a_finished_run_keeps_one_final_eval_per_step(
+            self, train_run, tmp_path):
+        outdir = tmp_path / "run"
+        shutil.copytree(train_run["outdir"], outdir)
+        assert main(["train", "--config", str(train_run["cfg_path"]),
+                     "--seed", "3", "--output-dir", str(outdir),
+                     "--resume"]) == 0
+        records = [json.loads(line) for line in
+                   (outdir / "metrics.jsonl").read_text().splitlines()]
+        events = [r["event"] for r in records]
+        assert events.count("resume") == 1
+        finals = [r["global_step"] for r in records
+                  if r["event"] == "final_eval"]
+        assert finals == [32]
+        # the finished run's own final_eval went; the resumed one is last
+        assert events[-2:] == ["resume", "final_eval"]
+
     def test_rerun_fresh_directory_is_bit_identical(self, train_run, tmp_path):
         outdir = tmp_path / "twin"
         code = main(["train", "--config", str(train_run["cfg_path"]),

@@ -66,6 +66,18 @@ def lstm_oracle(x, h, c, w, b):
     return h_new, c_new
 
 
+def with_bias_row(w, b):
+    """[w; b]: w as a (rows, len(b)) matrix with b as its last row, the form
+    the fused ops take an affine layer in."""
+    return np.concatenate([w.reshape(-1, b.size), b[None]])
+
+
+def with_ones_channel(f):
+    """f with a last channel of ones, which makes the keys and values of
+    the attention ops affine."""
+    return np.concatenate([f, np.ones(f.shape[:-1] + (1,))], axis=-1)
+
+
 def fd_grads(f, arrays, step=1e-4):
     """Central finite differences of a scalar function of named arrays."""
     grads = {}
@@ -195,6 +207,17 @@ class TestDense:
         out = nm.dense(Tensor([[1.0, 2.0]]), Tensor([[a, b], [c, d]]),
                        Tensor(np.zeros(2))).data
         assert np.allclose(out, [[a + 2 * c, b + 2 * d]], atol=1e-12)
+
+    def test_no_bias_is_the_linear_map(self):
+        rng = np.random.default_rng(5)
+        x, w = rng.normal(size=(4, 3)), rng.normal(size=(3, 2))
+        wt = Tensor(w, requires_grad=True)
+        with Tape():
+            out = nm.dense(Tensor(x), wt)
+            loss = nm.sum_all(out)
+        backward(loss)
+        assert np.array_equal(out.data, x @ w)
+        assert np.array_equal(wt.grad, x.T @ np.ones((4, 2)))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
@@ -430,14 +453,15 @@ class TestBackward:
         rng = np.random.default_rng(100 + seed)
         m, c, d = 2, 2, 3
         arrays = {
-            "feat": rng.normal(size=(2, 2, 3, d)),   # batch 2, 2x3 grid
+            # batch 2, 2x3 grid; the last channel is the ones of the
+            # affine keys and values, the last rows of keys and values
+            # their biases
+            "feat": with_ones_channel(rng.normal(size=(2, 2, 3, d))),
             "q": rng.normal(size=(2, m, c), scale=0.5),
-            "keys_w": rng.normal(size=(d, m * c), scale=0.5),
-            "keys_b": rng.normal(size=m * c, scale=0.5),
-            "values_w": rng.normal(size=(d, m * c), scale=0.5),
-            "values_b": rng.normal(size=m * c, scale=0.5),
-            # unnormalized weights reach the read-out's bias-mass term,
-            # which softmax weights (mass 1) never exercise
+            "keys": rng.normal(size=(d + 1, m * c), scale=0.5),
+            "values": rng.normal(size=(d + 1, m * c), scale=0.5),
+            # unnormalized weights reach the read-out's ones channel with a
+            # mass other than 1, which softmax weights never exercise
             "raw": rng.random(size=(2, m, 6)),
         }
         r_logits = rng.normal(size=(2, m, 6))
@@ -445,13 +469,10 @@ class TestBackward:
 
         def forward(a, record=False):
             ts = {n: Tensor(v, requires_grad=record) for n, v in a.items()}
-            logits = nm.attention_scores(ts["feat"], ts["q"], ts["keys_w"],
-                                         ts["keys_b"])
+            logits = nm.attention_scores(ts["feat"], ts["q"], ts["keys"])
             weights = nm.softmax(logits)
-            mixed = nm.attention_apply(weights, ts["feat"], ts["values_w"],
-                                       ts["values_b"])
-            raw = nm.attention_apply(ts["raw"], ts["feat"], ts["values_w"],
-                                     ts["values_b"])
+            mixed = nm.attention_apply(weights, ts["feat"], ts["values"])
+            raw = nm.attention_apply(ts["raw"], ts["feat"], ts["values"])
             loss = nm.add(nm.sum_all(nm.mul(mixed, mixed)),
                           nm.sum_all(nm.mul(logits, Tensor(r_logits))))
             return nm.add(loss, nm.sum_all(nm.mul(raw, Tensor(r_raw)))), ts
@@ -483,8 +504,9 @@ class TestBackward:
                 for j in range(m):
                     logits_ref[i, j, p] = keys[j] @ q[i, j]
                     out_ref[i, j] += a[i, j, p] * values[j]
-        logits = nm.attention_scores(feat, q, kw, kb).data
-        out = nm.attention_apply(a, feat, vw, vb).data
+        feat = with_ones_channel(feat)
+        logits = nm.attention_scores(feat, q, with_bias_row(kw, kb)).data
+        out = nm.attention_apply(a, feat, with_bias_row(vw, vb)).data
         assert logits.shape == (b, m, h * w) and out.shape == (b, m, c)
         assert np.max(np.abs(logits - logits_ref)) < 1e-12
         assert np.max(np.abs(out - out_ref)) < 1e-12
@@ -542,9 +564,10 @@ class TestAttentionLstm:
     """The one-node recurrence against a loop of the composed ops it fuses,
     and against central differences."""
 
+    # d counts the features' last channel, the constant 1 of the affine
+    # keys and values; every bias is the last row of its [W; b] matrix
     B, heads, depth, cell, n_frame, grid, d = 3, 2, 2, 4, 3, (2, 3), 3
-    ATTENTION = ("features", "query_w", "query_b", "key_w", "key_b",
-                 "value_w", "value_b")
+    ATTENTION = ("features", "query", "keys", "values")
 
     def _arrays(self, T, attention, seed):
         rng = np.random.default_rng(seed)
@@ -554,18 +577,15 @@ class TestAttentionLstm:
             "frame_in": rng.normal(size=(T * B, self.n_frame)),
             "h0": rng.normal(size=(B, cell), scale=0.5),
             "c0": rng.normal(size=(B, cell), scale=0.5),
-            "lstm_w": rng.normal(size=(n_x + cell, 4 * cell), scale=0.5),
-            "lstm_b": rng.normal(size=4 * cell, scale=0.5),
+            "lstm": rng.normal(size=(n_x + cell + 1, 4 * cell), scale=0.5),
         }
         if attention:
             a.update({
-                "features": rng.normal(size=(T * B,) + self.grid + (self.d,)),
-                "query_w": rng.normal(size=(cell, kv), scale=0.5),
-                "query_b": rng.normal(size=kv, scale=0.5),
-                "key_w": rng.normal(size=(self.d, kv), scale=0.5),
-                "key_b": rng.normal(size=kv, scale=0.5),
-                "value_w": rng.normal(size=(self.d, kv), scale=0.5),
-                "value_b": rng.normal(size=kv, scale=0.5),
+                "features": with_ones_channel(
+                    rng.normal(size=(T * B,) + self.grid + (self.d - 1,))),
+                "query": rng.normal(size=(cell + 1, kv), scale=0.5),
+                "keys": rng.normal(size=(self.d, kv), scale=0.5),
+                "values": rng.normal(size=(self.d, kv), scale=0.5),
             })
         keep = np.ones((T, B))
         keep[0, 2] = 0.0                          # a reset before step 0
@@ -583,16 +603,19 @@ class TestAttentionLstm:
         attention = tuple(ts[n] for n in self.ATTENTION) \
             if "features" in ts else None
         hs, c, weights, logits = nm.attention_lstm(
-            ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm_w"],
-            ts["lstm_b"], attention, self.heads)
+            ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm"], attention,
+            self.heads)
         return hs, c, weights, logits, ts
 
     def _composed(self, a, keep):
         """The composed ops step by step, each step's frame_in and features
-        slice its own leaf; returns the outputs, the leaves and the maps."""
+        slice its own leaf, and the LSTM's weights and bias are leaves of
+        their own; returns the outputs, the leaves and the maps."""
         T, B = keep.shape
         ts = {n: Tensor(v, requires_grad=True) for n, v in a.items()
-              if n not in ("frame_in", "features")}
+              if n not in ("frame_in", "features", "lstm")}
+        ts["lstm_w"] = Tensor(a["lstm"][:-1], requires_grad=True)
+        ts["lstm_b"] = Tensor(a["lstm"][-1], requires_grad=True)
         frames = [Tensor(x, requires_grad=True)
                   for x in a["frame_in"].reshape(T, B, -1)]
         feats = [Tensor(x, requires_grad=True) for x in
@@ -605,12 +628,12 @@ class TestAttentionLstm:
             h, c = nm.mul(h, k), nm.mul(c, k)
             x = frames[t]
             if feats is not None:
-                q = nm.reshape(nm.dense(h, ts["query_w"], ts["query_b"]),
+                hq = nm.concat_last(h, Tensor(np.ones((B, 1))))
+                q = nm.reshape(nm.dense(hq, ts["query"]),
                                (B, self.heads, self.depth))
-                lo = nm.attention_scores(feats[t], q, ts["key_w"], ts["key_b"])
+                lo = nm.attention_scores(feats[t], q, ts["keys"])
                 w = nm.softmax(lo)
-                out = nm.attention_apply(w, feats[t], ts["value_w"],
-                                         ts["value_b"])
+                out = nm.attention_apply(w, feats[t], ts["values"])
                 x = nm.concat_last(nm.reshape(out, (B, -1)), x)
                 weights.append(w.data)
                 logits.append(lo.data)
@@ -650,6 +673,8 @@ class TestAttentionLstm:
             assert weights is None and logits is None
 
         ref_grads = {n: t.grad for n, t in ref_ts.items()}
+        ref_grads["lstm"] = with_bias_row(ref_grads.pop("lstm_w"),
+                                          ref_grads.pop("lstm_b"))
         ref_grads["frame_in"] = np.concatenate([f.grad for f in frames])
         if attention:
             ref_grads["features"] = np.concatenate([f.grad for f in feats])
@@ -658,12 +683,13 @@ class TestAttentionLstm:
         for name, ref in ref_grads.items():
             got = ts[name].grad
             assert got.shape == ref.shape, name
-            if name == "key_b":
-                # bk_m . q_m shifts all of head m's logits alike, which the
-                # softmax ignores: the exact gradient is zero, both are noise
-                assert np.max(np.abs(ref)) <= 1e-14 * overall
-                assert np.max(np.abs(got)) <= 1e-14 * overall
-                continue
+            if name == "keys":
+                # the key bias row adds bk_m . q_m to all of head m's
+                # logits alike, which the softmax ignores: its exact
+                # gradient is zero, both are noise
+                assert np.max(np.abs(ref[-1])) <= 1e-14 * overall
+                assert np.max(np.abs(got[-1])) <= 1e-14 * overall
+                ref, got = ref[:-1], got[:-1]
             scale = np.max(np.abs(ref))
             assert scale > 0.0, name
             assert np.max(np.abs(got - ref)) <= 1e-10 * scale, name
@@ -696,22 +722,20 @@ class TestAttentionLstm:
         rng = np.random.default_rng(65)
         if producer == "frame_features":
             frames = rng.normal(size=(T * self.B,) + self.grid + (2,))
-            basis = rng.normal(size=self.grid + (1,))
+            basis = np.ones(self.grid + (1,))
             del a["features"]
-            a["conv_k"] = rng.normal(size=(3, 3, 2, self.d - 1), scale=0.5)
-            a["conv_b"] = rng.normal(size=self.d - 1, scale=0.5)
+            a["conv"] = rng.normal(size=(9 * 2 + 1, self.d - 1), scale=0.5)
         ts = {n: Tensor(v, requires_grad=True) for n, v in a.items()}
         with Tape():
             if producer == "frame_features":
-                features = nm.frame_features(frames, ts["conv_k"],
-                                             ts["conv_b"], basis)
+                features = nm.frame_features(frames, ts["conv"], basis)
             else:
                 features = nm.exp(ts["features"])
             forward = features.data.copy()
             attention = (features,) + tuple(ts[n] for n in self.ATTENTION[1:])
             hs, c, _, _ = nm.attention_lstm(
-                ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm_w"],
-                ts["lstm_b"], attention, self.heads)
+                ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm"],
+                attention, self.heads)
             loss = self._loss(hs, c, r_hs, r_c)
             if second_consumer:
                 # a second reader whose gradient is exactly zero
@@ -730,8 +754,7 @@ class TestAttentionLstm:
         assert np.array_equal(ref_features.data, ref_forward)
         assert ts.keys() == ref_ts.keys()
         for name, t in ts.items():
-            # key_b's exact gradient is zero (test_matches_composed_ops)
-            assert name == "key_b" or np.abs(t.grad).max() > 0.0, name
+            assert np.abs(t.grad).max() > 0.0, name
             assert np.array_equal(t.grad, ref_ts[name].grad), name
 
     def test_features_their_producer_reads_keep_their_values(self):
@@ -750,13 +773,13 @@ class TestAttentionLstm:
               for n, v in a.items()}
         with Tape() as tape:
             hs, c, _, _ = nm.attention_lstm(
-                ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm_w"],
-                ts["lstm_b"], tuple(ts[n] for n in self.ATTENTION), self.heads)
+                ts["frame_in"], ts["h0"], ts["c0"], keep, ts["lstm"],
+                tuple(ts[n] for n in self.ATTENTION), self.heads)
             (node,) = tape._nodes
             loss = self._loss(hs, c, r_hs, r_c)
         # features needing no gradient get none formed
         gins = node.fn([np.ones(hs.shape), np.ones(c.shape)], node.need)
-        assert (gins[5] is None) == (not needs_grad)
+        assert (gins[4] is None) == (not needs_grad)
         backward(loss)
         assert np.array_equal(ts["features"].data, forward)
         assert (ts["features"].grad is None) == (not needs_grad)
@@ -766,15 +789,31 @@ class TestAttentionLstm:
         attention = tuple(a[n] for n in self.ATTENTION)
         with pytest.raises(ShapeError):
             nm.attention_lstm(a["frame_in"], a["h0"], a["c0"], keep[:1],
-                              a["lstm_w"], a["lstm_b"], attention, self.heads)
-        with pytest.raises(ShapeError):
+                              a["lstm"], attention, self.heads)
+        with pytest.raises(ShapeError):         # no bias row
             nm.attention_lstm(a["frame_in"], a["h0"], a["c0"], keep,
-                              a["lstm_w"][1:], a["lstm_b"], attention,
-                              self.heads)
+                              a["lstm"][1:], attention, self.heads)
+        with pytest.raises(ShapeError):         # a query with no bias row
+            nm.attention_lstm(a["frame_in"], a["h0"], a["c0"], keep,
+                              a["lstm"], (attention[0], attention[1][1:])
+                              + attention[2:], self.heads)
 
 
 # ---------------------------------------------------------------------------
 # frame_features and the buffers it borrows
+
+
+def split_kernel(kernel, c_in):
+    """conv2d's leaves for a (9*c_in + 1, c_out) [kernels; bias] matrix:
+    (3, 3, c_in, c_out) kernels and the (c_out,) bias, as new leaves."""
+    return (Tensor(kernel[:-1].reshape(3, 3, c_in, -1), requires_grad=True),
+            Tensor(kernel[-1], requires_grad=True))
+
+
+def composed_features(x, k, b, basis):
+    """``frame_features`` as the composed ops."""
+    basis = np.broadcast_to(basis, x.shape[:3] + basis.shape[2:])
+    return nm.concat_last(nm.relu(nm.conv2d(Tensor(x), k, b)), Tensor(basis))
 
 
 class TestFrameFeatures:
@@ -784,8 +823,7 @@ class TestFrameFeatures:
     def _arrays(self, depth, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(2, 3, 4, 2))
-        a = {"k": rng.normal(size=(3, 3, 2, 3), scale=0.5),
-             "b": rng.normal(size=3, scale=0.5)}
+        a = {"kernel": rng.normal(size=(9 * 2 + 1, 3), scale=0.5)}
         basis = rng.normal(size=(3, 4, depth))
         weight = rng.normal(size=(2, 3, 4, 3 + depth))
         return x, a, basis, weight
@@ -796,23 +834,20 @@ class TestFrameFeatures:
     @pytest.mark.parametrize("depth", [8, 0])
     def test_matches_composed_ops(self, depth):
         x, a, basis, weight = self._arrays(depth, 71)
-        k, b = (Tensor(a[n], requires_grad=True) for n in ("k", "b"))
+        kernel = Tensor(a["kernel"], requires_grad=True)
         with Tape():
-            out = nm.frame_features(x, k, b, basis)
+            out = nm.frame_features(x, kernel, basis)
             got = out.data.copy()
             loss = self._loss(out, weight)
         backward(loss)
-        rk, rb = (Tensor(a[n], requires_grad=True) for n in ("k", "b"))
+        rk, rb = split_kernel(a["kernel"], 2)
         with Tape():
-            ref = nm.concat_last(nm.relu(nm.conv2d(Tensor(x), rk, rb)),
-                                 Tensor(np.broadcast_to(basis, x.shape[:3]
-                                                        + (depth,))))
+            ref = composed_features(x, rk, rb, basis)
             ref_loss = self._loss(ref, weight)
         backward(ref_loss)
         assert (ref.data > 0.0).any() and (ref.data[..., :3] == 0.0).any()
         assert np.array_equal(got, ref.data)
-        assert np.array_equal(k.grad, rk.grad)
-        assert np.array_equal(b.grad, rb.grad)
+        assert np.array_equal(kernel.grad, with_bias_row(rk.grad, rb.grad))
 
     @pytest.mark.parametrize("depth", [8, 0])
     def test_matches_finite_differences(self, depth):
@@ -820,7 +855,7 @@ class TestFrameFeatures:
 
         def forward(arrays, record=False):
             ts = {n: Tensor(v, requires_grad=record) for n, v in arrays.items()}
-            return self._loss(nm.frame_features(x, ts["k"], ts["b"], basis),
+            return self._loss(nm.frame_features(x, ts["kernel"], basis),
                               weight), ts
 
         with Tape():
@@ -837,200 +872,192 @@ class TestFrameFeatures:
         x, a, basis, weight = self._arrays(8, 75)
         lead = np.random.default_rng(76).normal(size=weight.shape)
 
-        def run(features):
-            ts = {n: Tensor(v, requires_grad=True)
-                  for n, v in dict(a, lead=lead).items()}
+        def run(features, kernel):
+            ts = {"lead": Tensor(lead, requires_grad=True), "kernel": kernel}
             with Tape():
                 interior = nm.scale(ts["lead"], 2.0)
-                out = features(ts["k"], ts["b"])
+                out = features()
                 loss = self._loss(nm.add(interior, out), weight)
             backward(loss)
             return ts
 
-        got = run(lambda k, b: nm.frame_features(x, k, b, basis))
-        ref = run(lambda k, b: nm.concat_last(
-            nm.relu(nm.conv2d(Tensor(x), k, b)),
-            Tensor(np.broadcast_to(basis, x.shape[:3] + (8,)))))
+        kernel = Tensor(a["kernel"], requires_grad=True)
+        got = run(lambda: nm.frame_features(x, kernel, basis), kernel)
+        rk, rb = split_kernel(a["kernel"], 2)
+        ref = run(lambda: composed_features(x, rk, rb, basis), None)
         assert np.array_equal(got["lead"].grad, 2.0 * weight)
-        for name in ("lead", "k", "b"):
-            assert np.array_equal(got[name].grad, ref[name].grad), name
+        assert np.array_equal(got["lead"].grad, ref["lead"].grad)
+        assert np.array_equal(kernel.grad, with_bias_row(rk.grad, rb.grad))
 
     def test_frames_needing_a_gradient_raise(self):
         x, a, basis, _ = self._arrays(8, 73)
-        k, b = Tensor(a["k"], requires_grad=True), Tensor(a["b"])
+        kernel = Tensor(a["kernel"], requires_grad=True)
         with pytest.raises(TapeError):
-            nm.frame_features(Tensor(x, requires_grad=True), k, b, basis)
+            nm.frame_features(Tensor(x, requires_grad=True), kernel, basis)
         with Tape():
             recorded = nm.scale(Tensor(x, requires_grad=True), 1.0)
             with pytest.raises(TapeError):
-                nm.frame_features(recorded, k, b, basis)
+                nm.frame_features(recorded, kernel, basis)
 
     def test_bad_shapes_raise(self):
         x, a, basis, _ = self._arrays(8, 74)
         with pytest.raises(ShapeError):
-            nm.frame_features(x[0], a["k"], a["b"], basis)
+            nm.frame_features(x[0], a["kernel"], basis)
+        with pytest.raises(ShapeError):         # no bias row
+            nm.frame_features(x, a["kernel"][:-1], basis)
         with pytest.raises(ShapeError):
-            nm.frame_features(x, a["k"], a["b"][:2], basis)
-        with pytest.raises(ShapeError):
-            nm.frame_features(x, a["k"], a["b"], basis[1:])
+            nm.frame_features(x, a["kernel"], basis[1:])
 
 
 class TestLending:
     """The pool that lends ``frame_features``' arrays from tape to tape, and
     the scratch its untaped calls reuse."""
 
-    def _record(self, x, k, b):
+    def _record(self, x, kernel):
         """Record one node and its loss on a tape of its own."""
         with Tape() as tape:
-            out = nm.frame_features(x, k, b, np.zeros(x.shape[1:3] + (1,)))
+            out = nm.frame_features(x, kernel, np.zeros(x.shape[1:3] + (1,)))
             loss = nm.sum_all(nm.mul(out, out))
         return tape, out, loss
 
     def _params(self, seed):
         rng = np.random.default_rng(seed)
         return (rng.normal(size=(2, 3, 4, 2)),
-                Tensor(rng.normal(size=(3, 3, 2, 3)), requires_grad=True),
-                Tensor(rng.normal(size=3), requires_grad=True))
+                Tensor(rng.normal(size=(9 * 2 + 1, 3)), requires_grad=True))
 
     def setup_method(self):
         gc.collect()            # drop tapes that earlier tests left unconsumed
 
     def test_next_tape_reuses_the_consumed_tapes_arrays(self):
-        x, k, b = self._params(81)
-        _, first, loss = self._record(x, k, b)
+        x, kernel = self._params(81)
+        _, first, loss = self._record(x, kernel)
         backward(loss)
-        _, second, _ = self._record(x, k, b)
+        _, second, _ = self._record(x, kernel)
         assert np.shares_memory(first.data, second.data)
 
     def test_unconsumed_tape_keeps_its_arrays(self):
-        xa, ka, ba = self._params(82)
-        xb, kb, bb = self._params(83)
-        _, out_a, loss_a = self._record(xa, ka, ba)
-        _, out_b, loss_b = self._record(xb, kb, bb)
+        xa, ka = self._params(82)
+        xb, kb = self._params(83)
+        _, out_a, loss_a = self._record(xa, ka)
+        _, out_b, loss_b = self._record(xb, kb)
         assert not np.shares_memory(out_a.data, out_b.data)
         backward(loss_b)
         backward(loss_a)
-        for x, k, b in ((xa, ka, ba), (xb, kb, bb)):
-            rk = Tensor(k.data, requires_grad=True)
-            rb = Tensor(b.data, requires_grad=True)
-            backward(self._record(x, rk, rb)[2])
-            assert np.array_equal(k.grad, rk.grad)
-            assert np.array_equal(b.grad, rb.grad)
+        for x, kernel in ((xa, ka), (xb, kb)):
+            ref = Tensor(kernel.data, requires_grad=True)
+            backward(self._record(x, ref)[2])
+            assert np.array_equal(kernel.grad, ref.grad)
 
     def test_untaped_calls_leave_the_pool_alone(self):
-        x, k, b = self._params(84)
-        _, first, loss = self._record(x, k, b)
+        x, kernel = self._params(84)
+        _, first, loss = self._record(x, kernel)
         backward(loss)
         basis = np.zeros((3, 4, 1))
         for frames in (x, x[:1]):
-            out = nm.frame_features(frames, k, b, basis)
+            out = nm.frame_features(frames, kernel, basis)
             assert not np.shares_memory(out.data, first.data)
-        _, second, _ = self._record(x, k, b)
+        _, second, _ = self._record(x, kernel)
         assert np.shares_memory(first.data, second.data)
 
     def test_dropped_tape_does_not_pin_the_pool(self):
-        x, k, b = self._params(85)
-        tape, out, loss = self._record(x, k, b)
+        x, kernel = self._params(85)
+        tape, out, loss = self._record(x, kernel)
         lent = out.data
         holder = weakref.ref(tape)
         del tape, out, loss
         gc.collect()
         assert holder() is None
-        _, again, _ = self._record(x, k, b)
+        _, again, _ = self._record(x, kernel)
         assert np.shares_memory(lent, again.data)
 
     def test_tape_keeps_columns_and_a_bool_mask(self, monkeypatch):
         # the minibatch shape of train_colorgather_wide: 128 frames of
-        # 10x10x3, 64 filters, a basis of depth 8; no float (n, 64)
-        # pre-activation is kept, taped or not
+        # 10x10x3, 64 filters, a basis of depth 8 and its ones channel; no
+        # float (n, 64) pre-activation is kept, taped or not
         monkeypatch.setattr(tensor, "_POOL", {})
         monkeypatch.setattr(tensor, "_SCRATCH", {})
         rng = np.random.default_rng(77)
         x = rng.normal(size=(128, 10, 10, 3))
-        k = Tensor(rng.normal(size=(3, 3, 3, 64), scale=0.3), requires_grad=True)
-        b = Tensor(rng.normal(size=64, scale=0.3), requires_grad=True)
-        basis = rng.normal(size=(10, 10, 8))
+        kernel = Tensor(rng.normal(size=(28, 64), scale=0.3),
+                        requires_grad=True)
+        basis = with_ones_channel(rng.normal(size=(10, 10, 8)))
         with Tape():
-            loss = nm.sum_all(nm.frame_features(x, k, b, basis))
+            loss = nm.sum_all(nm.frame_features(x, kernel, basis))
         backward(loss)
         kept = {key: entry[0] for key, entry in tensor._POOL.items()}
         assert {key: (arr.shape, arr.dtype) for key, arr in kept.items()} == {
             "frame_features.padded": ((128, 12, 12, 3), np.float64),
-            "frame_features.cols": ((12800, 27), np.float64),
-            "frame_features.out": ((128, 10, 10, 72), np.float64),
+            "frame_features.cols": ((12800, 28), np.float64),
+            "frame_features.out": ((128, 10, 10, 73), np.float64),
             "frame_features.mask": ((12800, 64), np.bool_),
         }
-        nm.frame_features(x, k, b, basis)
+        nm.frame_features(x, kernel, basis)
         assert tensor._POOL.keys() == kept.keys()
         assert {key: arr.shape for key, arr in tensor._SCRATCH.items()} == {
             "frame_features.padded": (128, 12, 12, 3),
-            "frame_features.cols": (12800, 27),
+            "frame_features.cols": (12800, 28),
         }
 
     # untaped calls: scratch arrays inside the call, a fresh output
 
     @staticmethod
-    def _composed(x, k, b, basis):
+    def _composed(x, kernel, basis):
         """The composed ops, every array fresh."""
-        basis = np.broadcast_to(basis, x.shape[:3] + basis.shape[2:])
-        return nm.concat_last(nm.relu(nm.conv2d(Tensor(x), k, b)),
-                              Tensor(basis)).data
+        return composed_features(x, *split_kernel(kernel.data, x.shape[3]),
+                                 basis).data
 
     def test_untaped_outputs_are_fresh_and_kept(self):
-        xa, k, b = self._params(86)
+        xa, kernel = self._params(86)
         xb = np.random.default_rng(87).normal(size=xa.shape)
         basis = np.random.default_rng(88).normal(size=(3, 4, 2))
-        out_a = nm.frame_features(xa, k, b, basis)
+        out_a = nm.frame_features(xa, kernel, basis)
         kept = out_a.data.copy()
-        out_b = nm.frame_features(xb, k, b, basis)
+        out_b = nm.frame_features(xb, kernel, basis)
         assert not np.shares_memory(out_a.data, out_b.data)
         assert np.array_equal(out_a.data, kept)
-        assert np.array_equal(out_a.data, self._composed(xa, k, b, basis))
-        assert np.array_equal(out_b.data, self._composed(xb, k, b, basis))
+        assert np.array_equal(out_a.data, self._composed(xa, kernel, basis))
+        assert np.array_equal(out_b.data, self._composed(xb, kernel, basis))
 
     def test_padded_border_stays_zero_across_shape_changes(self):
-        x, k, b = self._params(89)
+        x, kernel = self._params(89)
         rng = np.random.default_rng(90)
         # every frame cell far from zero, so a stale border would show
         small = np.abs(x) + 5.0
         large = rng.uniform(5.0, 9.0, size=(3, 5, 6, 2))
         for frames in (small, large, small, small[:1], large[:2], small):
             basis = np.zeros(frames.shape[1:3] + (1,))
-            out = nm.frame_features(frames, k, b, basis)
+            out = nm.frame_features(frames, kernel, basis)
             assert np.array_equal(out.data,
-                                  self._composed(frames, k, b, basis))
+                                  self._composed(frames, kernel, basis))
 
     def test_untaped_calls_between_taped_ones_keep_lending_the_pool(self):
-        x, k, b = self._params(91)
-        _, first, loss = self._record(x, k, b)
+        x, kernel = self._params(91)
+        _, first, loss = self._record(x, kernel)
         backward(loss)
         basis = np.zeros((3, 4, 1))
-        outs = [nm.frame_features(x, k, b, basis) for _ in range(2)]
-        _, second, _ = self._record(x, k, b)
+        outs = [nm.frame_features(x, kernel, basis) for _ in range(2)]
+        _, second, _ = self._record(x, kernel)
         assert np.shares_memory(first.data, second.data)
         assert not any(np.shares_memory(o.data, second.data) for o in outs)
 
     def test_taped_call_does_not_alias_the_scratch(self):
-        x, k, b = self._params(92)
+        x, kernel = self._params(92)
         other = np.random.default_rng(93).normal(size=x.shape)
         basis = np.zeros((3, 4, 1))
-        nm.frame_features(x, k, b, basis)       # the scratch holds x's arrays
-        _, out, loss = self._record(x, k, b)
+        nm.frame_features(x, kernel, basis)     # the scratch holds x's arrays
+        _, out, loss = self._record(x, kernel)
         kept = out.data.copy()
         # an untaped call between the taped forward and its backward writes
         # the scratch; the tape's columns and mask must not move
-        nm.frame_features(other, k, b, basis)
+        nm.frame_features(other, kernel, basis)
         backward(loss)
         assert np.array_equal(out.data, kept)
-        rk = Tensor(k.data, requires_grad=True)
-        rb = Tensor(b.data, requires_grad=True)
+        rk, rb = split_kernel(kernel.data, 2)
         with Tape():
-            ref = nm.concat_last(nm.relu(nm.conv2d(Tensor(x), rk, rb)),
-                                 Tensor(np.broadcast_to(basis, (2, 3, 4, 1))))
+            ref = composed_features(x, rk, rb, basis)
             ref_loss = nm.sum_all(nm.mul(ref, ref))
         backward(ref_loss)
-        assert np.array_equal(k.grad, rk.grad)
-        assert np.array_equal(b.grad, rb.grad)
+        assert np.array_equal(kernel.grad, with_bias_row(rk.grad, rb.grad))
 
 
 # ---------------------------------------------------------------------------

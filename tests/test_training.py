@@ -711,6 +711,28 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(path, tr.agents)
 
+    def test_checkpoint_at_init_keeps_its_bytes(self, tmp_path):
+        # the digests of the files this checkpoint had when every bias was
+        # its own parameter; carrying each affine bias as the last row of
+        # its weight's matrix left the names, shapes, order and values
+        import hashlib
+        tr = small_trainer(["joint_attention", "independent_ppo"], seed=16)
+        save_checkpoint(str(tmp_path), tr.agents, 0, 0)
+        digests = {name: hashlib.sha256(
+            (tmp_path / name).read_bytes()).hexdigest()[:16]
+            for name in sorted(os.listdir(tmp_path))}
+        assert digests == {
+            "agent0.blob": "659a01ad023f6fa2",
+            "agent0.json": "eb97b8ca596568f6",
+            "agent0_adam.blob": "9dd25206025ccbe1",
+            "agent0_adam.json": "cf5c989996518cd0",
+            "agent1.blob": "a1c9ce7c88174920",
+            "agent1.json": "791996d9a90d12be",
+            "agent1_adam.blob": "f9c579a0662ef825",
+            "agent1_adam.json": "a3582279e3b17afc",
+            "checkpoint.json": "bfe35939ce99a2d7",
+        }
+
     def test_saved_checkpoint_is_byte_deterministic(self, tmp_path):
         tr = small_trainer(["joint_attention"], seed=19)
         p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
