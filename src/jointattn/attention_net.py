@@ -84,12 +84,17 @@ def build_spatial_basis(h: int, w: int, c_s: int = 8) -> np.ndarray:
     return basis
 
 
-def pose_vector(x: int, y: int, direction: int) -> np.ndarray:
-    """Scalar inputs for one agent: (x, y, one-hot direction of 4)."""
-    v = np.zeros(6)
-    v[0] = float(x)
-    v[1] = float(y)
-    v[2 + int(direction)] = 1.0
+_ONE_HOT_DIRECTIONS = np.eye(4)
+
+
+def pose_vector(x, y, direction) -> np.ndarray:
+    """Scalar inputs for one agent: (x, y, one-hot direction of 4); given
+    equal-shape integer arrays, one such row per element, (..., 6)."""
+    x = np.asarray(x)
+    v = np.zeros(x.shape + (6,))
+    v[..., 0] = x
+    v[..., 1] = y
+    v[..., 2:] = _ONE_HOT_DIRECTIONS[direction]
     return v
 
 

@@ -660,10 +660,9 @@ def cmd_render_attention(args) -> int:
             for st in lockstep_episodes(agents, cfg.env_kind,
                                         cfg.env_variant, env_config, 1,
                                         args.seed):
-                grid_ints = st.obs[0][0][0]
                 step_maps = {k: m.mean_map[0] for k, m in st.maps.items()}
                 dump.write(json.dumps(
-                    {"t": t, "grid": np.asarray(grid_ints).tolist()}) + "\n")
+                    {"t": t, "grid": st.grids[0].tolist()}) + "\n")
                 for k, field in step_maps.items():
                     dump.write(json.dumps(
                         {"t": t, "agent": k, "map": field.tolist()}) + "\n")

@@ -38,10 +38,31 @@ for meetup/colorgather/staghunt), single_target / multi_target (1 or 5
 meetup landmarks), random_coins / random_colors (per-episode coin counts in
 [1,4] per color / color count in [2,4]), no_stag / all_stags (berries only /
 stags only).
+
+Batches. ``reset`` builds one episode as a ``GridState``; ``EnvBatch``
+stacks E episodes of one kind, grid shape and agent count as arrays:
+``cells`` (E, h, w, 3); ``x``, ``y``, ``direction``, ``finished`` and
+``task_index`` (E, K); ``carry`` (E, K, 2), the carried (object, color) or
+(0, 0); ``step_count``, ``cap`` and ``done`` (E,); and the meetup landmarks
+padded to (E, L, 2) with a mask, since one batch may mix landmark counts.
+Each row keeps Python references to what does not vectorise: its episode's
+generator, stag list, coin tally and subtask list. ``step`` runs over a
+batch. Turns, the collision protocol, meetup's rewards, the step cap and
+the done flags are array code over every row at once, and so is
+``EnvBatch.grids``, which paints the agents over the cells. The rules that
+draw from an episode's generator or touch an inventory (coin pickup and
+respawn, berries, stags and stag moves, TaskList interactions, goal
+arrivals and setting a carried object down) loop in Python over the (row,
+agent) pairs that trigger them, agent by agent within a row: one agent's
+pickup can change the cell the next one faces, and each episode must draw
+from its generator in the order it would alone. Meetup never enters these
+loops. Given a ``GridState``, ``step`` runs the same code as a batch of one
+and writes the result back, so the scalar oracles test the batched rules.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,6 +129,15 @@ class EnvConfig:
             raise ValueError("tasklist_subtasks must be 3 or 6")
         if self.interior < 2:
             raise ValueError("interior size must be at least 2")
+        for name in ("agent_count", "episode_cap", "landmarks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not 1 <= self.coin_colors <= len(_COIN_COLOR_POOL):
+            raise ValueError(f"coin_colors must be in "
+                             f"1..{len(_COIN_COLOR_POOL)}")
+        for name in ("coins_per_color", "berries", "stags"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must not be negative")
 
 
 def make_config(kind: str, variant: str = "default", **overrides) -> EnvConfig:
@@ -179,33 +209,35 @@ class GridState:
 # layout
 
 
-def _free_cells(state: GridState) -> list:
-    """Empty interior cells with no agent, in row-major order."""
-    occupied = {a.pos for a in state.agents if not a.finished}
-    out = []
-    for y in range(1, state.height - 1):
-        for x in range(1, state.width - 1):
-            if state.cells[y, x, 0] == _OBJ["empty"] and (x, y) not in occupied:
-                out.append((x, y))
-    return out
+def _free_cells(cells: np.ndarray, xs, ys) -> list:
+    """Empty interior cells (x, y) in row-major order, less those at the
+    given agent positions."""
+    free = cells[1:-1, 1:-1, 0] == _OBJ["empty"]
+    free[np.asarray(ys, dtype=np.int64) - 1,
+         np.asarray(xs, dtype=np.int64) - 1] = False
+    fy, fx = np.nonzero(free)
+    return list(zip((fx + 1).tolist(), (fy + 1).tolist()))
 
 
-def _draw_free_cell(state: GridState, what: str, region=None) -> tuple:
+def _draw_free_cell(cells: np.ndarray, xs, ys, rng, what: str,
+                    region=None) -> tuple:
     """One uniform draw from the free cells that ``region`` accepts."""
-    free = _free_cells(state)
+    free = _free_cells(cells, xs, ys)
     if region is not None:
         free = [c for c in free if region(c)]
     if not free:
-        raise ValueError(f"grid too small: no free cell for {what} in "
-                         f"{state.kind}")
-    return free[int(state.rng.integers(len(free)))]
+        raise ValueError(f"grid too small: no free cell for {what}")
+    return free[int(rng.integers(len(free)))]
 
 
 def _place(state: GridState, obj: str, color: str, n: int,
            region=None) -> list:
     placed = []
+    xs = [a.x for a in state.agents if not a.finished]
+    ys = [a.y for a in state.agents if not a.finished]
     for _ in range(n):
-        x, y = _draw_free_cell(state, obj, region)
+        x, y = _draw_free_cell(state.cells, xs, ys, state.rng,
+                               f"{obj} in {state.kind}", region)
         state.cells[y, x] = (_OBJ[obj], _COL[color], 0)
         placed.append((x, y))
     return placed
@@ -247,7 +279,7 @@ def _build_layout(state: GridState) -> None:
         _place(state, "goal", "green", 1, region=right)
 
     if state.variant == "cluttered":
-        n_walls = int(round(0.10 * len(_free_cells(state))))
+        n_walls = int(round(0.10 * len(_free_cells(state.cells, [], []))))
         _place(state, "wall", "none", n_walls)
 
 
@@ -275,11 +307,111 @@ def reset(kind: str, variant: str = "default", seed: int = 0,
     _build_layout(state)
     region = (lambda c: c[0] < size // 2) if kind == "tasklist" else None
     for i in range(cfg.agent_count):
-        x, y = _draw_free_cell(state, f"agent {i}", region)
+        x, y = _draw_free_cell(cells, [a.x for a in state.agents],
+                               [a.y for a in state.agents], state.rng,
+                               f"agent {i} in {kind}", region)
         state.agents.append(AgentState(x, y, int(state.rng.integers(4))))
     if kind == "meetup":
         state.landmarks = _landmarks(state)
-    return state, _observations(state)
+    return state, _observations(EnvBatch([state]).grids()[0], state.agents)
+
+
+# ---------------------------------------------------------------------------
+# batches
+
+
+class EnvBatch:
+    """E episodes of one kind, grid shape and agent count as arrays, stepped
+    together by ``step`` (the module docstring lists the fields).
+
+    ``EnvBatch(states)`` stacks ``GridState``s. The arrays are copies; the
+    per-row generator, stag list, coin tally and subtask list are the
+    states' own objects, which the batch's steps update in place.
+    """
+
+    # per-row arrays, the leading axis the row, and per-row Python objects
+    ARRAYS = ("cells", "x", "y", "direction", "finished", "task_index",
+              "carry", "step_count", "cap", "done", "learner")
+    REFS = ("rng", "movers", "coin_tally", "subtasks")
+
+    def __init__(self, states):
+        states = list(states)
+        if not states:
+            raise ValueError("a batch needs at least one episode")
+        first = states[0]
+        if any(s.kind != first.kind or s.cells.shape != first.cells.shape
+               or len(s.agents) != len(first.agents) for s in states):
+            raise ValueError("the episodes of a batch must share the kind, "
+                             "the grid shape and the agent count")
+        E, K = len(states), len(first.agents)
+        self.kind = first.kind
+        self.cells = np.stack([s.cells for s in states])
+        table = np.array([[(a.x, a.y, a.direction, a.task_index, a.finished)
+                           + (a.carry or (0, 0)) for a in s.agents]
+                          for s in states], dtype=np.int64).reshape(E, K, 7)
+        self.x, self.y, self.direction, self.task_index = (
+            table[:, :, j].copy() for j in range(4))
+        self.finished = table[:, :, 4] != 0
+        self.carry = table[:, :, 5:].copy()
+        self.step_count = np.array([s.step_count for s in states],
+                                   dtype=np.int64)
+        self.cap = np.array([s.config.episode_cap for s in states],
+                            dtype=np.int64)
+        self.done = np.array([s.done for s in states], dtype=bool)
+        self.learner = np.array([[i not in s.config.non_learning
+                                  for i in range(K)] for s in states],
+                                dtype=bool).reshape(E, K)
+        marks = [_landmarks(s) if s.kind == "meetup" else () for s in states]
+        self.landmarks = np.zeros((E, max(map(len, marks)), 2),
+                                  dtype=np.int64)
+        self.landmark_mask = np.zeros(self.landmarks.shape[:2], dtype=bool)
+        for e, m in enumerate(marks):
+            self.landmarks[e, :len(m)] = np.reshape(m, (-1, 2))
+            self.landmark_mask[e, :len(m)] = True
+        self.rng = [s.rng for s in states]
+        self.movers = [s.movers for s in states]
+        self.coin_tally = [s.coin_tally for s in states]
+        self.subtasks = [s.subtasks for s in states]
+        # what each agent looks like in an observation grid
+        self._paint = np.array([(_OBJ["agent"], _agent_color(i), 0)
+                                for i in range(K)],
+                               dtype=np.int64).reshape(K, 3)
+
+    def __len__(self) -> int:
+        return len(self.done)
+
+    def put(self, e: int, state: GridState) -> None:
+        """Write ``state`` into row e, in place of the episode there."""
+        if state.kind != self.kind:
+            raise ValueError(f"a {state.kind} episode cannot join a "
+                             f"{self.kind} batch")
+        one = EnvBatch([state])
+        for name in self.ARRAYS:
+            getattr(self, name)[e] = getattr(one, name)[0]
+        for name in self.REFS:
+            getattr(self, name)[e] = getattr(one, name)[0]
+        n = one.landmarks.shape[1]
+        self.landmarks[e, :n] = one.landmarks[0]
+        self.landmark_mask[e] = False
+        self.landmark_mask[e, :n] = True
+
+    def take(self, rows) -> "EnvBatch":
+        """A new batch of the given rows (indices or a boolean mask)."""
+        out = copy.copy(self)
+        for name in self.ARRAYS + ("landmarks", "landmark_mask"):
+            setattr(out, name, getattr(self, name)[rows])
+        kept = np.arange(len(self))[rows].tolist()
+        for name in self.REFS:
+            setattr(out, name, [getattr(self, name)[e] for e in kept])
+        return out
+
+    def grids(self) -> np.ndarray:
+        """Every row's observation grid, (E, h, w, 3) int64: the cells, with
+        each agent still on the grid drawn over its own."""
+        grid = self.cells.copy()
+        e, k = np.nonzero(~self.finished)
+        grid[e, self.y[e, k], self.x[e, k]] = self._paint[k]
+        return grid
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +426,15 @@ def encode_observation(state: GridState, agent_index: int):
     """
     if not 0 <= agent_index < len(state.agents):
         raise IndexError(f"no agent {agent_index}")
-    me = state.agents[agent_index]
-    return _encode_grid(state), (me.x, me.y, me.direction)
+    return _observations(EnvBatch([state]).grids()[0],
+                         state.agents)[agent_index]
 
 
-def _encode_grid(state: GridState) -> np.ndarray:
-    grid = state.cells.copy()
-    for i, a in enumerate(state.agents):
-        if a.finished:
-            continue            # finished agents have left the grid
-        grid[a.y, a.x] = (_OBJ["agent"], _agent_color(i), 0)
-    return grid
-
-
-def _observations(state: GridState) -> list:
-    """Every agent's ``encode_observation``, with the grid encoded once."""
-    grid = _encode_grid(state)
+def _observations(grid: np.ndarray, agents: list) -> list:
+    """Every agent's ``encode_observation``, all sharing ``grid``, which
+    becomes read-only."""
     grid.setflags(write=False)
-    return [(grid, (a.x, a.y, a.direction)) for a in state.agents]
+    return [(grid, (a.x, a.y, a.direction)) for a in agents]
 
 
 def _agent_color(index: int) -> int:
@@ -321,89 +444,53 @@ def _agent_color(index: int) -> int:
 # ---------------------------------------------------------------------------
 # stepping
 
+_DX = np.array([dx for dx, _ in DIR_VECTORS])
+_DY = np.array([dy for _, dy in DIR_VECTORS])
+# [object, state] -> an agent may stand there: empty and goal cells, open doors
+_WALKABLE = np.zeros((len(OBJECT_IDS), len(STATE_IDS)), dtype=bool)
+_WALKABLE[[_OBJ["empty"], _OBJ["goal"]]] = True
+_WALKABLE[_OBJ["door"], _ST["door-open"]] = True
 
-def _walkable(state: GridState, x: int, y: int) -> bool:
-    obj, _, st = state.cells[y, x]
-    if obj == _OBJ["empty"] or obj == _OBJ["goal"]:
-        return True
-    return obj == _OBJ["door"] and st == _ST["door-open"]
 
-
-def _resolve_moves(state: GridState, actions) -> None:
+def _move(b: EnvBatch, actions: np.ndarray) -> None:
     """Turns plus simultaneous forward moves with the collision protocol:
     same-target movers all stay, swapping pairs stay, moving into an agent
-    that stays means staying; chains and rotations are allowed."""
-    for a, act in zip(state.agents, actions):
-        if a.finished:
-            continue
-        if act == TURN_LEFT:
-            a.direction = (a.direction - 1) % 4
-        elif act == TURN_RIGHT:
-            a.direction = (a.direction + 1) % 4
-
-    targets = {}
-    for i, (a, act) in enumerate(zip(state.agents, actions)):
-        if a.finished or act != FORWARD:
-            continue
-        dx, dy = DIR_VECTORS[a.direction]
-        tx, ty = a.x + dx, a.y + dy
-        if _walkable(state, tx, ty):
-            targets[i] = (tx, ty)
-
-    # same target -> all stay
-    by_target = {}
-    for i, t in targets.items():
-        by_target.setdefault(t, []).append(i)
-    for t, movers in by_target.items():
-        if len(movers) > 1:
-            for i in movers:
-                targets.pop(i)
-    # swaps -> both stay (finished agents have left the grid and block nothing)
-    active = [i for i, a in enumerate(state.agents) if not a.finished]
-    pos = {i: state.agents[i].pos for i in active}
-    for i in list(targets):
-        for j in list(targets):
-            if i < j and targets.get(i) == pos[j] and targets.get(j) == pos[i]:
-                targets.pop(i, None)
-                targets.pop(j, None)
-    # moving into a stationary agent -> stay (fixpoint over chains)
-    changed = True
-    while changed:
-        changed = False
-        stationary = {pos[i] for i in active if i not in targets}
-        for i in list(targets):
-            if targets[i] in stationary:
-                targets.pop(i)
-                changed = True
-
-    for i, (tx, ty) in targets.items():
-        state.agents[i].x = tx
-        state.agents[i].y = ty
+    that stays means staying; chains and rotations are allowed. Finished
+    agents have left the grid: they neither act nor block."""
+    live = ~b.finished
+    turn = (actions == TURN_RIGHT).astype(np.int64) - (actions == TURN_LEFT)
+    b.direction = (b.direction + turn * live) % 4
+    moving = live & (actions == FORWARD)
+    if not moving.any():
+        return
+    # cells as flat row-major indices y * w + x
+    w = b.cells.shape[2]
+    here = b.y * w + b.x
+    there = here + (_DY * w + _DX)[b.direction]
+    target = b.cells.reshape(len(b), -1, 3)[np.arange(len(b))[:, None], there]
+    moving &= _WALKABLE[target[..., 0], target[..., 2]]
+    # (E, K, K): movers aiming at one cell all stay
+    same = (there[:, :, None] == there[:, None, :]) & moving[:, None, :]
+    moving &= same.sum(axis=2) == 1
+    # into[e, i, j]: agent i aims at live agent j's cell; swapping pairs stay
+    into = (there[:, :, None] == here[:, None, :]) & live[:, None, :]
+    moving &= ~(into & into.transpose(0, 2, 1) & moving[:, None, :]).any(2)
+    # refusing one move can stop the chain behind it: at most K rounds
+    for _ in range(b.x.shape[1]):
+        blocked = moving & (into & ~moving[:, None, :]).any(axis=2)
+        if not blocked.any():
+            break
+        moving &= ~blocked
+    b.y, b.x = np.divmod(np.where(moving, there, here), w)
 
 
-def _faced_cell(agent: AgentState) -> tuple:
-    dx, dy = DIR_VECTORS[agent.direction]
-    return agent.x + dx, agent.y + dy
-
-
-def _adjacent_agents(state: GridState, x: int, y: int) -> list:
-    out = []
-    for i, a in enumerate(state.agents):
-        if a.finished:
-            continue
-        if abs(a.x - x) + abs(a.y - y) == 1:
-            out.append(i)
-    return out
-
-
-def _advance_task(state: GridState, rewards: np.ndarray, i: int,
-                  subtask: str) -> None:
-    """+1 to agent ``i`` and on to its next subtask, if ``subtask`` is the
-    one it is on."""
-    agent = state.agents[i]
-    if not agent.finished and agent.task_index < len(state.subtasks) \
-            and state.subtasks[agent.task_index] == subtask:
-        agent.task_index += 1
+def _advance_task(b: EnvBatch, e: int, i: int, subtask: str,
+                  rewards: np.ndarray) -> None:
+    """+1 to agent i of row e and on to its next subtask, if ``subtask`` is
+    the one it is on; ``rewards`` is the row's."""
+    n, subtasks = b.task_index[e, i], b.subtasks[e]
+    if not b.finished[e, i] and n < len(subtasks) and subtasks[n] == subtask:
+        b.task_index[e, i] += 1
         rewards[i] += 1.0
 
 
@@ -421,59 +508,60 @@ def colorgather_reward(color: str, tally: dict) -> float:
     return 1.0 if tally.get(color, 0) == top else 0.0
 
 
-def _interact(state: GridState, actions, rewards: np.ndarray) -> None:
-    for i, (agent, act) in enumerate(zip(state.agents, actions)):
-        if agent.finished or act not in (PICKUP, DROP, TOGGLE):
-            continue
-        fx, fy = _faced_cell(agent)
-        obj, col, st = (int(v) for v in state.cells[fy, fx])
+def _interact(b: EnvBatch, e: int, i: int, act: int,
+              rewards: np.ndarray) -> None:
+    """Agent i of row e picks up, drops or toggles what it faces;
+    ``rewards`` is the row's."""
+    cells, live = b.cells[e], ~b.finished[e]
+    d = b.direction[e, i]
+    fx, fy = int(b.x[e, i] + _DX[d]), int(b.y[e, i] + _DY[d])
+    obj, col, st = cells[fy, fx].tolist()
+    carried = b.carry[e, i, 0]
 
-        if act == PICKUP:
-            if state.kind == "colorgather" and obj == _OBJ["coin"]:
-                color = _color_name(col)
-                rewards += colorgather_reward(color, state.coin_tally)
-                state.coin_tally[color] = state.coin_tally.get(color, 0) + 1
-                state.cells[fy, fx] = (0, 0, 0)
-                _place(state, "coin", color, 1)         # respawn, same color
-            elif state.kind == "staghunt" and obj == _OBJ["berry"]:
-                state.cells[fy, fx] = (0, 0, 0)
-                rewards[i] += 1.0
-            elif state.kind == "staghunt" and obj == _OBJ["stag"]:
-                helpers = [j for j in _adjacent_agents(state, fx, fy) if j != i]
-                if helpers:
-                    state.cells[fy, fx] = (0, 0, 0)
-                    state.movers.remove((fx, fy))
-                    rewards[[i] + helpers] += 5.0
-            elif state.kind == "tasklist" and obj in (_OBJ["key"], _OBJ["ball"]):
-                if agent.carry is None:
-                    agent.carry = (obj, col)
-                    state.cells[fy, fx] = (0, 0, 0)
-                    _advance_task(state, rewards, i, "pickup_key"
-                                  if obj == _OBJ["key"] else "pickup_ball")
+    if act == PICKUP:
+        if b.kind == "colorgather" and obj == _OBJ["coin"]:
+            color, tally = _color_name(col), b.coin_tally[e]
+            rewards += colorgather_reward(color, tally)
+            tally[color] = tally.get(color, 0) + 1
+            cells[fy, fx] = 0
+            x, y = _draw_free_cell(cells, b.x[e, live], b.y[e, live],
+                                   b.rng[e], "coin in colorgather")
+            cells[y, x] = (obj, col, 0)              # respawn, same color
+        elif b.kind == "staghunt" and obj == _OBJ["berry"]:
+            cells[fy, fx] = 0
+            rewards[i] += 1.0
+        elif b.kind == "staghunt" and obj == _OBJ["stag"]:
+            # the hunter faces the stag, so it is one of the adjacent agents
+            hunters = live & (np.abs(b.x[e] - fx) + np.abs(b.y[e] - fy) == 1)
+            if hunters.sum() > 1:
+                cells[fy, fx] = 0
+                b.movers[e].remove((fx, fy))
+                rewards[hunters] += 5.0
+        elif b.kind == "tasklist" and obj in (_OBJ["key"], _OBJ["ball"]):
+            if not carried:
+                b.carry[e, i] = (obj, col)
+                cells[fy, fx] = 0
+                _advance_task(b, e, i, "pickup_key" if obj == _OBJ["key"]
+                              else "pickup_ball", rewards)
 
-        elif act == DROP:
-            if state.kind == "tasklist" and agent.carry is not None \
-                    and obj == _OBJ["empty"] \
-                    and not any(a.pos == (fx, fy) for a in state.agents
-                                if not a.finished):
-                dropped_obj, dropped_col = agent.carry
-                state.cells[fy, fx] = (dropped_obj, dropped_col, 0)
-                agent.carry = None
-                if dropped_obj == _OBJ["ball"]:
-                    _advance_task(state, rewards, i, "drop_ball")
+    elif act == DROP:
+        if carried and obj == _OBJ["empty"] \
+                and not (live & (b.x[e] == fx) & (b.y[e] == fy)).any():
+            cells[fy, fx] = (carried, b.carry[e, i, 1], 0)
+            b.carry[e, i] = 0
+            if carried == _OBJ["ball"]:
+                _advance_task(b, e, i, "drop_ball", rewards)
 
-        elif act == TOGGLE:
-            if state.kind == "tasklist" and obj == _OBJ["door"]:
-                holds_key = agent.carry is not None \
-                    and agent.carry[0] == _OBJ["key"]
-                if holds_key:
-                    new_state = (_ST["door-closed"]
-                                 if st == _ST["door-open"] else _ST["door-open"])
-                    state.cells[fy, fx, 2] = new_state
-                    if new_state == _ST["door-open"]:
-                        _advance_task(state, rewards, i, "open_door")
-            elif state.kind == "tasklist" and obj == _OBJ["box"]:
-                _advance_task(state, rewards, i, "open_box")
+    elif act == TOGGLE:
+        if obj == _OBJ["door"]:
+            if carried == _OBJ["key"]:
+                new_state = (_ST["door-closed"]
+                             if st == _ST["door-open"] else _ST["door-open"])
+                cells[fy, fx, 2] = new_state
+                if new_state == _ST["door-open"]:
+                    _advance_task(b, e, i, "open_door", rewards)
+        elif obj == _OBJ["box"]:
+            _advance_task(b, e, i, "open_box", rewards)
 
 
 def _color_name(color_id: int) -> str:
@@ -483,23 +571,23 @@ def _color_name(color_id: int) -> str:
     raise ValueError(f"unknown color id {color_id}")
 
 
-def _move_stags(state: GridState) -> None:
-    occupied = {a.pos for a in state.agents}
-    for idx in range(len(state.movers)):
-        if state.rng.random() >= 0.5:
+def _move_stags(b: EnvBatch, e: int) -> None:
+    cells, rng, movers = b.cells[e], b.rng[e], b.movers[e]
+    occupied = set(zip(b.x[e].tolist(), b.y[e].tolist()))
+    for idx, (x, y) in enumerate(movers):
+        if rng.random() >= 0.5:
             continue
-        x, y = state.movers[idx]
         options = []
         for dx, dy in DIR_VECTORS:
             nx, ny = x + dx, y + dy
-            if state.cells[ny, nx, 0] == _OBJ["empty"] and (nx, ny) not in occupied:
+            if cells[ny, nx, 0] == _OBJ["empty"] and (nx, ny) not in occupied:
                 options.append((nx, ny))
         if not options:
             continue
-        nx, ny = options[int(state.rng.integers(len(options)))]
-        state.cells[y, x] = (0, 0, 0)
-        state.cells[ny, nx] = (_OBJ["stag"], _COL["grey"], 0)
-        state.movers[idx] = (nx, ny)
+        nx, ny = options[int(rng.integers(len(options)))]
+        cells[y, x] = 0
+        cells[ny, nx] = (_OBJ["stag"], _COL["grey"], 0)
+        movers[idx] = (nx, ny)
 
 
 def _landmarks(state: GridState) -> tuple:
@@ -538,80 +626,119 @@ def meetup_reward(state_before: GridState, state_after: GridState,
     return float(d_before - d_after)
 
 
-def _shed_carry(state: GridState, agent: AgentState) -> None:
-    """Leave a finishing agent's carried object on the grid: first empty,
-    unoccupied neighbor of its cell (N/E/S/W order), else the first free
-    cell row-major."""
-    if agent.carry is None:
+def _landmark_distances(b: EnvBatch) -> np.ndarray:
+    """(E, K, L) Manhattan distance from each agent to each landmark slot."""
+    return np.abs(b.x[:, :, None] - b.landmarks[:, None, :, 0]) \
+        + np.abs(b.y[:, :, None] - b.landmarks[:, None, :, 1])
+
+
+def _shed_carry(b: EnvBatch, e: int, i: int) -> None:
+    """Leave finishing agent i's carried object on row e's grid: first
+    empty, unoccupied neighbor of its cell (N/E/S/W order), else the first
+    free cell row-major."""
+    obj, col = b.carry[e, i].tolist()
+    if not obj:
         return
-    obj, col = agent.carry
-    occupied = {a.pos for a in state.agents if not a.finished}
-    for dx, dy in DIR_VECTORS:
-        nx, ny = agent.x + dx, agent.y + dy
-        if state.cells[ny, nx, 0] == _OBJ["empty"] and (nx, ny) not in occupied:
-            state.cells[ny, nx] = (obj, col, 0)
-            agent.carry = None
-            return
-    free = _free_cells(state)
-    if not free:
+    cells, live = b.cells[e], ~b.finished[e]
+    occupied = set(zip(b.x[e, live].tolist(), b.y[e, live].tolist()))
+    x, y = int(b.x[e, i]), int(b.y[e, i])
+    spots = [(x + dx, y + dy) for dx, dy in DIR_VECTORS
+             if cells[y + dy, x + dx, 0] == _OBJ["empty"]
+             and (x + dx, y + dy) not in occupied]
+    if not spots:
+        spots = _free_cells(cells, b.x[e, live], b.y[e, live])
+    if not spots:
         raise RuntimeError("no free cell to leave a carried object on")
-    x, y = free[0]
-    state.cells[y, x] = (obj, col, 0)
-    agent.carry = None
+    sx, sy = spots[0]
+    cells[sy, sx] = (obj, col, 0)
+    b.carry[e, i] = 0
 
 
-def step(state: GridState, joint_action):
-    """Advance one step; returns (state, StepOutcome, observations), the
-    outcome holding each agent's reward and the done flag, the observations
-    as ``reset`` returns them.
-
-    The phases run in order: turns and moves, interactions, the kind's own
-    phase (meetup's distance rewards, stag moves, or TaskList's goal
-    arrivals), then the done checks.
-    """
-    if state.done:
+def _step(b: EnvBatch, actions: np.ndarray) -> tuple:
+    """Advance every row of ``b`` one step; returns (rewards (E, K),
+    done (E,))."""
+    if b.done.any():
         raise RuntimeError("episode is done; reset before stepping again")
-    actions = list(joint_action)
-    n = len(state.agents)
-    if len(actions) != n:
-        raise ValueError(f"need {n} actions, got {len(actions)}")
+    E, K = b.x.shape
+    if actions.shape != (E, K):
+        raise ValueError(f"need {K} actions per episode, got "
+                         f"{actions.shape[-1] if actions.ndim else 0}")
+    rows, cols = np.arange(E)[:, None], np.arange(K)
+    meetup = b.kind == "meetup"
+    if meetup:
+        if not b.landmark_mask.any(axis=1).all():
+            raise ValueError("no landmark on the grid")
+        # the consensus landmark of the pre-step state; argmin keeps the
+        # first of a tie, as the landmarks are in row-major order
+        dist = _landmark_distances(b)
+        total = np.where(b.landmark_mask, dist.sum(axis=1),
+                         np.iinfo(np.int64).max)
+        goal = total.argmin(axis=1)[:, None]
+        before = dist[rows, cols, goal]
 
-    if state.kind == "meetup":
-        lx, ly = consensus_landmark(state)
-        before = [abs(a.x - lx) + abs(a.y - ly) for a in state.agents]
-
-    _resolve_moves(state, actions)
-    rewards = np.zeros(n)
-    _interact(state, actions, rewards)
-
-    done = False
-    if state.kind == "meetup":
-        rewards += [d - (abs(a.x - lx) + abs(a.y - ly))
-                    for d, a in zip(before, state.agents)]
-        if any(all(abs(a.x - mx) + abs(a.y - my) == 1 for a in state.agents)
-               for (mx, my) in _landmarks(state)):
-            rewards += 1.0
-            done = True
-    elif state.kind == "staghunt":
-        _move_stags(state)
-    elif state.kind == "tasklist":
+    _move(b, actions)
+    rewards = np.zeros((E, K))
+    done = np.zeros(E, dtype=bool)
+    if meetup:
+        dist = _landmark_distances(b)
+        rewards += before - dist[rows, cols, goal]
+        met = (b.landmark_mask & (dist == 1).all(axis=1)).any(axis=1)
+        rewards[met] += 1.0
+        done |= met
+    else:
+        acting = ~b.finished & (actions == PICKUP)
+        if b.kind == "tasklist":
+            acting |= ~b.finished & ((actions == DROP) | (actions == TOGGLE))
+        for e, i in zip(*np.nonzero(acting)):
+            _interact(b, e, i, actions[e, i], rewards[e])
+    if b.kind == "staghunt":
+        for e in range(E):
+            _move_stags(b, e)
+    elif b.kind == "tasklist":
         # an agent that completes its final subtask leaves the grid: it stops
         # blocking movement, disappears from observations, and any carried
         # object is set down nearby so others can still use it
-        for i, agent in enumerate(state.agents):
-            if not agent.finished \
-                    and state.cells[agent.y, agent.x, 0] == _OBJ["goal"] \
-                    and agent.task_index == len(state.subtasks) - 1:
-                _advance_task(state, rewards, i, "reach_goal")
-                agent.finished = True
-                _shed_carry(state, agent)
-        learners = [i for i in range(n) if i not in state.config.non_learning]
-        done = bool(learners) and all(state.agents[i].finished
-                                      for i in learners)
+        last = np.array([len(s) - 1 for s in b.subtasks])[:, None]
+        arrived = ~b.finished & (b.task_index == last) \
+            & (b.cells[rows, b.y, b.x, 0] == _OBJ["goal"])
+        for e, i in zip(*np.nonzero(arrived)):
+            _advance_task(b, e, i, "reach_goal", rewards[e])
+            b.finished[e, i] = True
+            _shed_carry(b, e, i)
+        done |= b.learner.any(axis=1) & (b.finished | ~b.learner).all(axis=1)
 
-    state.step_count += 1
-    if state.step_count >= state.config.episode_cap:
-        done = True
-    state.done = done
+    b.step_count += 1
+    done |= b.step_count >= b.cap
+    b.done[:] = done
+    return rewards, done
 
-    return state, StepOutcome(rewards=rewards, done=done), _observations(state)
+
+def step(env, joint_action):
+    """Advance one step.
+
+    Given an ``EnvBatch`` and (E, K) actions, steps every row and returns
+    (rewards (E, K), done (E,)). Given a ``GridState`` and K actions, runs
+    the same code as a batch of one, updates the state in place and returns
+    (state, StepOutcome, observations), the outcome holding each agent's
+    reward and the done flag, the observations as ``reset`` returns them.
+
+    The phases run in order: turns and moves, interactions, the kind's own
+    phase (meetup's distance rewards, stag moves, or TaskList's goal
+    arrivals), then the done checks. A row that is done must be replaced
+    (``EnvBatch.put``) or dropped (``EnvBatch.take``) before the next step.
+    """
+    if isinstance(env, EnvBatch):
+        return _step(env, np.asarray(joint_action))
+    batch = EnvBatch([env])
+    rewards, done = _step(batch, np.asarray(joint_action).reshape(1, -1))
+    for a, x, y, d, n, fin, (obj, col) in zip(
+            env.agents, batch.x[0].tolist(), batch.y[0].tolist(),
+            batch.direction[0].tolist(), batch.task_index[0].tolist(),
+            batch.finished[0].tolist(), batch.carry[0].tolist()):
+        a.x, a.y, a.direction, a.task_index, a.finished = x, y, d, n, fin
+        a.carry = (obj, col) if obj else None
+    env.cells[...] = batch.cells[0]
+    env.step_count = int(batch.step_count[0])
+    env.done = bool(done[0])
+    return env, StepOutcome(rewards=rewards[0], done=env.done), \
+        _observations(batch.grids()[0], env.agents)

@@ -15,11 +15,14 @@ Population variants:
   - ``frozen_expert``: attention on, greedy actions, never updated; its maps
     still count toward the bonus (the social-learning setting).
 
-Evaluation plays its episodes in lockstep, as one batch of rollouts
-(``lockstep_episodes``): one network step per agent over the live
-episodes, which leave the batch as they end. A generalization table is one
-such batch too, episodes x variants rows, split into one summary per
-variant by ``evaluate``. The bonus, its replay and the evaluation figure
+Rollouts and evaluation both step their environments as one
+``gridworlds.EnvBatch``: ``EnvSet`` keeps one for the collect and resets
+finished rows in place, one ``reset`` per episode. Evaluation plays its
+episodes in lockstep, as one batch of rollouts (``lockstep_episodes``):
+one network step per agent over the live episodes, then one ``step`` of
+the batch, whose rows leave it as their episodes end. A generalization
+table is one such batch too, episodes x variants rows, split into one
+summary per variant by ``evaluate``. The bonus, its replay and the evaluation figure
 all take the pairwise divergence from one kernel,
 ``ja_reward.pairwise_divergence``, over every environment or episode at
 once.
@@ -36,7 +39,7 @@ import numpy as np
 from . import numerics as nm
 from .numerics import Tensor
 from .attention_net import AgentCore, RecurrentState, act, pose_vector
-from .gridworlds import ENCODING_VERSION, make_config, reset, step
+from .gridworlds import ENCODING_VERSION, EnvBatch, make_config, reset, step
 from .ja_reward import IncentiveConfig, beta_schedule, pairwise_divergence
 # not called here: perfbench/tracing.py wraps these names on this module
 from .ja_reward import joint_attention_reward, jsd, kl_divergence, clipped_jsd  # noqa: F401
@@ -142,9 +145,11 @@ def build_population(pop: PopulationSpec, height: int, width: int,
 class EnvSet:
     """A fixed set of environments stepped in lockstep, with auto-reset.
 
-    Episode seeds are drawn from a deterministic per-env stream so an
-    identical (config, seed) pair replays the same layouts in the same
-    order.
+    The environments are the rows of one ``EnvBatch`` (``batch``), stepped
+    together by one ``step`` call; an episode that ends is replaced by a
+    fresh ``reset`` in its row. Episode seeds are drawn from a
+    deterministic per-env stream so an identical (config, seed) pair
+    replays the same layouts in the same order.
     """
 
     def __init__(self, kind: str, variant: str, config, n_envs: int,
@@ -155,15 +160,11 @@ class EnvSet:
         self.n_envs = n_envs
         self.base_seed = seed
         self.n_agents = config.agent_count
-        self.states = [None] * n_envs
-        self.grids = [None] * n_envs      # integer grids, one per env
-        self.poses = [None] * n_envs      # per env: per agent (x, y, dir)
         self._episode_index = [0] * n_envs
         self.completed_episodes = 0
         self.segment_episode_returns: list = []   # collective, cleared by caller
         self._running_env_return = np.zeros((n_envs, self.n_agents))
-        for e in range(n_envs):
-            self._reset_env(e)
+        self.batch = EnvBatch([self._fresh(e) for e in range(n_envs)])
 
     def _next_seed(self, e: int) -> int:
         j = self._episode_index[e]
@@ -171,29 +172,25 @@ class EnvSet:
         return int(np.random.SeedSequence(
             [self.base_seed, e, j]).generate_state(1)[0])
 
-    def _store_obs(self, e: int, obs) -> None:
-        self.grids[e] = obs[0][0]
-        self.poses[e] = [o[1] for o in obs]
-
-    def _reset_env(self, e: int) -> None:
-        state, obs = reset(self.kind, self.variant, seed=self._next_seed(e),
-                           config=self.config)
-        self.states[e] = state
-        self._store_obs(e, obs)
-        self._running_env_return[e] = 0.0
+    def _fresh(self, e: int):
+        """Env e's next episode, as ``reset`` builds it."""
+        state, _ = reset(self.kind, self.variant, seed=self._next_seed(e),
+                         config=self.config)
+        return state
 
     def batch_ids(self) -> np.ndarray:
         """Every env's observation grid as (n_envs, h, w, 3) uint8 ids, the
         form the rollout store keeps; an id outside 0..255 raises."""
-        ids = np.stack(self.grids)
+        ids = self.batch.grids()
         if ids.min() < 0 or ids.max() > 255:
             raise ValueError(f"observation ids {ids.min()}..{ids.max()} do "
                              f"not fit in uint8")
         return ids.astype(np.uint8)
 
     def batch_poses(self, agent_index: int) -> np.ndarray:
-        return np.stack([pose_vector(*self.poses[e][agent_index])
-                         for e in range(self.n_envs)])
+        b = self.batch
+        return pose_vector(b.x[:, agent_index], b.y[:, agent_index],
+                           b.direction[:, agent_index])
 
     def step(self, actions: np.ndarray):
         """actions (n_envs, n_agents) -> rewards (n_envs, n_agents), dones.
@@ -201,21 +198,14 @@ class EnvSet:
         Environments that finish are reset in place; the returned done flag
         marks the boundary so recurrent states and advantage traces cut.
         """
-        rewards = np.zeros((self.n_envs, self.n_agents))
-        dones = np.zeros(self.n_envs, dtype=bool)
-        for e in range(self.n_envs):
-            state, outcome, obs = step(self.states[e], actions[e])
-            self.states[e] = state
-            rewards[e] = outcome.rewards
-            self._running_env_return[e] += outcome.rewards
-            if outcome.done:
-                dones[e] = True
-                self.segment_episode_returns.append(
-                    float(self._running_env_return[e].sum()))
-                self.completed_episodes += 1
-                self._reset_env(e)
-            else:
-                self._store_obs(e, obs)
+        rewards, dones = step(self.batch, actions)
+        self._running_env_return += rewards
+        for e in np.flatnonzero(dones).tolist():
+            self.segment_episode_returns.append(
+                float(self._running_env_return[e].sum()))
+            self.completed_episodes += 1
+            self.batch.put(e, self._fresh(e))
+            self._running_env_return[e] = 0.0
         return rewards, dones
 
 
@@ -295,7 +285,7 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
     that must not add forward passes.
     """
     T, E, chunk = ppo.segment_length, envset.n_envs, ppo.chunk_length
-    h, w = envset.states[0].height, envset.states[0].width
+    h, w = envset.batch.cells.shape[1:3]
     map_agents = [k for k, a in enumerate(agents) if a.uses_attention]
     buf = RolloutBuffer(len(agents), T, E, h, w, agents[0].core.cell_size,
                         map_agents, chunk)
@@ -473,15 +463,16 @@ class EpisodeStep:
     """One lockstep step of the live episodes, in row order.
 
     ``live`` holds their row indices, ascending (``lockstep_episodes``
-    numbers the rows); ``obs`` each one's
-    observations before the step (one ``(grid, pose)`` per agent, as
-    ``reset``/``step`` return them); ``actions`` the (live, agents) joint
-    actions taken; ``maps`` the ``AttentionMaps`` of each map-producing
-    agent over the live rows; ``rewards`` the (live, agents) environment
-    rewards.
+    numbers the rows). The observations before the step are ``grids``, the
+    (live, h, w, 3) integer grids (``EnvBatch.grids``), and ``poses``, the
+    (agents, live, 6) ``pose_vector``s. ``actions`` are the (live, agents)
+    joint actions taken; ``maps`` the ``AttentionMaps`` of each
+    map-producing agent over the live rows; ``rewards`` the (live, agents)
+    environment rewards.
     """
     live: np.ndarray
-    obs: list
+    grids: np.ndarray
+    poses: np.ndarray
     actions: np.ndarray
     maps: dict
     rewards: np.ndarray
@@ -522,48 +513,44 @@ def lockstep_episodes(agents: list, kind: str, variant, config,
     is episode ep of layout i, and ``EpisodeStep.live`` holds these row
     indices. Episode ep of every layout is laid out from
     ``SeedSequence([seed, ep])``, as it would be played alone, and all of
-    them are reset up front. Each step runs one ``agent_step`` per agent
-    over the live rows, each with its own recurrent state, then steps every
-    live environment; episodes that end leave the batch. ``mode="sample"``
-    draws every action from one generator seeded from ``seed``,
-    step-major: at each step, agent by agent, one draw per live row. With
-    several layouts the draws therefore differ from separate runs.
+    them are reset up front, one ``reset`` each, into one ``EnvBatch``.
+    Each step runs one ``agent_step`` per agent over the live rows, each
+    with its own recurrent state, then one ``step`` of the batch; episodes
+    that end leave it. ``mode="sample"`` draws every action from one
+    generator seeded from ``seed``, step-major: at each step, agent by
+    agent, one draw per live row. With several layouts the draws therefore
+    differ from separate runs.
     """
     layouts = _layouts(variant, config, episodes)
     agent_count = layouts[0][1].agent_count
     rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
         if mode == "sample" else None
     ep_seeds = [agent_seed(seed, ep) for ep in range(episodes)]
-    states, obs = [], []
-    for layout_variant, layout_config in layouts:
-        for ep_seed in ep_seeds:
-            state, first = reset(kind, layout_variant, seed=ep_seed,
-                                 config=layout_config)
-            states.append(state)
-            obs.append(first)
-    live = np.arange(len(states))
-    rec = [a.core.initial_state(len(states)) for a in agents]
+    batch = EnvBatch(reset(kind, layout_variant, seed=ep_seed,
+                           config=layout_config)[0]
+                     for layout_variant, layout_config in layouts
+                     for ep_seed in ep_seeds)
+    live = np.arange(len(batch))
+    rec = [a.core.initial_state(len(batch)) for a in agents]
     while live.size:
-        seen = [obs[e] for e in live]
-        grids = observation_array(np.stack([o[0][0] for o in seen]))
+        ids = batch.grids()
+        grids = observation_array(ids)
+        poses = pose_vector(batch.x.T, batch.y.T, batch.direction.T)
         actions = np.zeros((live.size, agent_count), dtype=np.int64)
         maps = {}
         for k, agent in enumerate(agents):
-            poses = np.stack([pose_vector(*o[k][1]) for o in seen])
             logits, _, agent_maps, new_state = agent.core.agent_step(
-                grids, poses, rec[k])
+                grids, poses[k], rec[k])
             rec[k] = new_state.detach()
             actions[:, k], _ = act(logits, mode, rng)
             if agent_maps is not None:
                 maps[k] = agent_maps
-        rewards = np.zeros((live.size, agent_count))
-        for row, e in enumerate(live):
-            states[e], outcome, obs[e] = step(states[e], actions[row])
-            rewards[row] = outcome.rewards
-        yield EpisodeStep(live, seen, actions, maps, rewards)
-        going = np.array([not states[e].done for e in live])
-        if not going.all():
+        rewards, done = step(batch, actions)
+        yield EpisodeStep(live, ids, poses, actions, maps, rewards)
+        if done.any():
+            going = ~done
             live = live[going]
+            batch = batch.take(going)
             rec = [RecurrentState(r.h[going], r.c[going]) for r in rec]
 
 

@@ -300,6 +300,18 @@ class TestTrainCommand:
         assert code == 2
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("override", ["env.landmarks=0",
+                                          "env.coin_colors=9",
+                                          "env.episode_cap=0"])
+    def test_impossible_env_count_exits_2_without_output(self, tmp_path,
+                                                         override):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_MEETUP)
+        code = main(["train", "--config", str(cfg_path), "--output-dir",
+                     str(tmp_path / "run"), "--set", override])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+
     def test_rerun_without_resume_fails(self, train_run):
         code = main(["train", "--config", str(train_run["cfg_path"]),
                      "--seed", "3", "--output-dir",

@@ -1,0 +1,254 @@
+"""A batch of episodes steps each row as that episode steps alone.
+
+The reference is ``step`` on one ``GridState``; ``EnvSet`` is checked
+against per-env replays of its seed stream, auto-resets included.
+"""
+
+import numpy as np
+import pytest
+
+from jointattn.attention_net import pose_vector
+from jointattn.gridworlds import (
+    DROP,
+    FORWARD,
+    NOOP,
+    OBJECT_IDS,
+    PICKUP,
+    TOGGLE,
+    TURN_LEFT,
+    TURN_RIGHT,
+    VARIANTS,
+    AgentState,
+    EnvBatch,
+    GridState,
+    make_config,
+    reset,
+    step,
+)
+from jointattn.training import EnvSet
+
+OBJ = OBJECT_IDS
+KIND_VARIANTS = [(kind, variant) for variant, kinds in VARIANTS.items()
+                 for kind in kinds]
+
+
+def assert_row_is(batch, row, state, obs):
+    """Row ``row`` of ``batch`` holds what ``state`` holds after the same
+    steps played alone, and paints the grid ``obs`` shows."""
+    assert np.array_equal(batch.cells[row], state.cells)
+    assert batch.x[row].tolist() == [a.x for a in state.agents]
+    assert batch.y[row].tolist() == [a.y for a in state.agents]
+    assert batch.direction[row].tolist() == [a.direction
+                                            for a in state.agents]
+    assert batch.finished[row].tolist() == [a.finished for a in state.agents]
+    assert batch.task_index[row].tolist() == [a.task_index
+                                             for a in state.agents]
+    assert [tuple(c) if c[0] else None for c in batch.carry[row].tolist()] \
+        == [a.carry for a in state.agents]
+    assert batch.step_count[row] == state.step_count
+    assert batch.movers[row] == state.movers
+    assert batch.coin_tally[row] == state.coin_tally
+    assert np.array_equal(batch.grids()[row], obs[0][0])
+
+
+def play_both_ways(layouts, seeds, arng):
+    """Random play of every (layout, seed) episode to its end, as one batch
+    and one by one; returns each episode's length."""
+    kind = layouts[0][0]
+    fresh = lambda: [reset(kind, variant, seed=s, config=cfg)
+                     for _, variant, cfg in layouts for s in seeds]
+    alone = fresh()
+    batch = EnvBatch(state for state, _ in fresh())
+    live = np.arange(len(batch))
+    lengths = np.zeros(len(batch), dtype=np.int64)
+    while live.size:
+        actions = arng.integers(0, 7, size=(live.size, batch.x.shape[1]))
+        poses = pose_vector(batch.x, batch.y, batch.direction)
+        rewards, done = step(batch, actions)
+        for row, e in enumerate(live):
+            state, obs = alone[e]
+            assert np.array_equal(poses[row], np.stack(
+                [pose_vector(*pose) for _, pose in obs]))
+            state, outcome, obs = step(state, actions[row])
+            alone[e] = (state, obs)
+            assert np.array_equal(rewards[row], outcome.rewards)
+            assert done[row] == outcome.done
+            assert_row_is(batch, row, state, obs)
+        lengths[live] += 1
+        live, batch = live[~done], batch.take(~done)
+    return lengths
+
+
+@pytest.mark.parametrize("kind,variant", KIND_VARIANTS)
+def test_batch_equals_its_rows_played_alone(kind, variant):
+    # per-row step caps, so that rows leave the batch at different steps
+    layouts = [(kind, variant, make_config(kind, variant, interior=5,
+                                           episode_cap=cap))
+               for cap in (6, 11, 17)]
+    lengths = play_both_ways(layouts, seeds=(3, 4),
+                             arng=np.random.default_rng(7))
+    assert len(set(lengths.tolist())) > 1
+
+
+def test_mixed_meetup_batch_equals_its_rows_played_alone():
+    # 1, 3 and 5 landmarks (and extra walls) in one batch; two agents on a
+    # 3x3 interior meet at different steps, or run to the cap
+    layouts = [("meetup", variant, make_config("meetup", variant, interior=3,
+                                               agent_count=2, episode_cap=20))
+               for variant in ("single_target", "default", "multi_target",
+                               "cluttered")]
+    lengths = play_both_ways(layouts, seeds=range(5),
+                             arng=np.random.default_rng(8))
+    assert len(set(lengths[lengths < 20].tolist())) > 2
+    assert max(lengths) == 20
+
+
+def meetup_course(landmarks, agents):
+    cfg = make_config("meetup", interior=3, agent_count=len(agents),
+                      landmarks=len(landmarks))
+    cells = np.zeros((5, 5, 3), dtype=np.int64)
+    cells[[0, -1], :, 0] = OBJ["wall"]
+    cells[:, [0, -1], 0] = OBJ["wall"]
+    for x, y in landmarks:
+        cells[y, x] = (OBJ["landmark"], 1, 0)
+    return GridState(kind="meetup", variant="default", config=cfg, width=5,
+                     height=5, cells=cells,
+                     agents=[AgentState(x, y, 2) for x, y in agents],
+                     rng=np.random.default_rng(0))
+
+
+def test_padded_landmark_slots_never_count():
+    # row 0 has one landmark, padded to three slots; its agents are nearer
+    # the padding's coordinates than to the landmark
+    courses = [(((3, 3),), ((1, 1), (1, 2))),
+               (((2, 1), (3, 2), (1, 3)), ((1, 1), (3, 3)))]
+    batch = EnvBatch(meetup_course(*c) for c in courses)
+    alone = [meetup_course(*c) for c in courses]
+    for actions in ([[FORWARD, NOOP], [NOOP, NOOP]],
+                    [[FORWARD, FORWARD], [TURN_LEFT, FORWARD]]):
+        rewards, done = step(batch, np.array(actions))
+        for e, state in enumerate(alone):
+            state, outcome, obs = step(state, actions[e])
+            assert np.array_equal(rewards[e], outcome.rewards)
+            assert done[e] == outcome.done
+            assert_row_is(batch, e, state, obs)
+    assert rewards[0].tolist() == [1.0, 1.0]
+
+
+def relay_course(delay):
+    """Two learners share one key through a locked door; agent 0 finishes
+    (leaving the grid and setting the key down) after ``delay`` + 6 steps."""
+    cfg = make_config("tasklist", interior=6, agent_count=2,
+                      tasklist_subtasks=3, episode_cap=40)
+    cells = np.zeros((8, 8, 3), dtype=np.int64)
+    cells[[0, -1], :, 0] = OBJ["wall"]
+    cells[:, [0, -1], 0] = OBJ["wall"]
+    cells[1:7, 4, 0] = OBJ["wall"]
+    cells[2, 4] = (OBJ["door"], 4, 2)
+    cells[2, 2] = (OBJ["key"], 4, 0)
+    cells[2, 5] = (OBJ["goal"], 2, 0)
+    state = GridState(kind="tasklist", variant="default", config=cfg,
+                      width=8, height=8, cells=cells,
+                      agents=[AgentState(1, 2, 1), AgentState(1, 4, 1)],
+                      rng=np.random.default_rng(0),
+                      subtasks=("pickup_key", "open_door", "reach_goal"))
+    script = [NOOP] * delay + [PICKUP, FORWARD, FORWARD, TOGGLE, FORWARD,
+                               FORWARD]
+    return state, script
+
+
+def test_tasklist_despawns_in_a_batch_equal_their_rows_alone():
+    courses = [relay_course(delay) for delay in (0, 2, 5)]
+    batch = EnvBatch(state for state, _ in courses)
+    alone = [relay_course(delay)[0] for delay in (0, 2, 5)]
+    # agent 1 turns and interacts in place, off agent 0's path
+    arng = np.random.default_rng(9)
+    finish_steps = {}
+    for t in range(12):
+        actions = np.stack([
+            [script[t] if t < len(script) else NOOP,
+             arng.choice([TURN_LEFT, TURN_RIGHT, PICKUP, DROP, TOGGLE, NOOP])]
+            for _, script in courses])
+        rewards, done = step(batch, actions)
+        assert not done.any()
+        for e, state in enumerate(alone):
+            state, outcome, obs = step(state, actions[e])
+            assert np.array_equal(rewards[e], outcome.rewards)
+            assert_row_is(batch, e, state, obs)
+            if state.agents[0].finished:
+                finish_steps.setdefault(e, t)
+    assert finish_steps == {0: 5, 1: 7, 2: 10}
+    # each finisher left the grid and set the key down next to the goal
+    assert (batch.grids()[:, :, :, 0] == OBJ["agent"]).sum(axis=(1, 2)) \
+        .tolist() == [1, 1, 1]
+    assert (batch.cells[:, 1, 5] == (OBJ["key"], 4, 0)).all()
+
+
+def env_seed(base_seed, e, j):
+    """The seed of env e's j-th episode in an ``EnvSet``."""
+    return int(np.random.SeedSequence([base_seed, e, j]).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("kind", ["meetup", "colorgather", "staghunt",
+                                  "tasklist"])
+def test_envset_auto_reset_equals_per_env_replays(kind):
+    cfg = make_config(kind, interior=4, episode_cap=7,
+                      **({"tasklist_subtasks": 3} if kind == "tasklist"
+                         else {}))
+    n_envs, base_seed = 3, 12
+    es = EnvSet(kind, "default", cfg, n_envs, seed=base_seed)
+    episode = [0] * n_envs
+    replay = [reset(kind, seed=env_seed(base_seed, e, 0), config=cfg)
+              for e in range(n_envs)]
+    arng = np.random.default_rng(13)
+    for _ in range(30):
+        for e, (state, obs) in enumerate(replay):
+            assert_row_is(es.batch, e, state, obs)
+            assert np.array_equal(es.batch_ids()[e], obs[0][0])
+            for k in range(cfg.agent_count):
+                assert np.array_equal(es.batch_poses(k)[e],
+                                      pose_vector(*obs[k][1]))
+        actions = arng.integers(0, 7, size=(n_envs, cfg.agent_count))
+        rewards, dones = es.step(actions)
+        for e in range(n_envs):
+            state, outcome, obs = step(replay[e][0], actions[e])
+            assert np.array_equal(rewards[e], outcome.rewards)
+            assert dones[e] == outcome.done
+            replay[e] = (state, obs)
+            if outcome.done:
+                episode[e] += 1
+                replay[e] = reset(kind, seed=env_seed(base_seed, e,
+                                                      episode[e]),
+                                  config=cfg)
+    assert es.completed_episodes == sum(episode) >= 2 * n_envs
+
+
+def test_batch_rejects_mixed_kinds_and_stepping_a_done_row():
+    meetup, _ = reset("meetup", seed=1)
+    colorgather, _ = reset("colorgather", seed=1)
+    with pytest.raises(ValueError, match="share the kind"):
+        EnvBatch([meetup, colorgather])
+    batch = EnvBatch([meetup])
+    with pytest.raises(ValueError, match="cannot join"):
+        batch.put(0, colorgather)
+    with pytest.raises(ValueError, match="actions"):
+        step(batch, np.zeros((1, 2), dtype=np.int64))
+    batch.done[0] = True
+    with pytest.raises(RuntimeError, match="done"):
+        step(batch, np.zeros((1, 3), dtype=np.int64))
+
+
+class TestEnvConfigCounts:
+    @pytest.mark.parametrize("name,value", [
+        ("landmarks", 0), ("agent_count", 0), ("episode_cap", 0),
+        ("coin_colors", 0), ("coin_colors", 5), ("coin_colors", 9),
+        ("coins_per_color", -1), ("berries", -1), ("stags", -1)])
+    def test_impossible_count_raises(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            make_config("meetup", **{name: value})
+
+    def test_edge_counts_are_accepted(self):
+        cfg = make_config("meetup", landmarks=1, agent_count=1,
+                          episode_cap=1, coin_colors=4, coins_per_color=0,
+                          berries=0, stags=0)
+        assert (cfg.landmarks, cfg.coin_colors, cfg.stags) == (1, 4, 0)

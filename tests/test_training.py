@@ -91,8 +91,7 @@ class TestEnvSet:
         cfg = make_config("meetup", agent_count=2, **SMALL_ENV)
         a = EnvSet("meetup", "default", cfg, 3, seed=5)
         b = EnvSet("meetup", "default", cfg, 3, seed=5)
-        for e in range(3):
-            assert np.array_equal(a.states[e].cells, b.states[e].cells)
+        assert np.array_equal(a.batch.cells, b.batch.cells)
         grids_a = observation_array(a.batch_ids())
         grids_b = observation_array(b.batch_ids())
         assert np.array_equal(grids_a, grids_b)
@@ -115,7 +114,7 @@ class TestEnvSet:
             _, dones = es.step(np.zeros((2, 2), dtype=np.int64))
         assert dones.all()
         assert es.completed_episodes == 2
-        assert all(s.step_count == 0 for s in es.states)
+        assert (es.batch.step_count == 0).all()
 
 
 class TestCollect:
@@ -239,9 +238,7 @@ class TestCollect:
     def test_out_of_range_cell_id_raises(self):
         for bad in (256, -1):
             tr = small_trainer(["joint_attention", "joint_attention"])
-            grid = np.array(tr.envset.grids[1])
-            grid[0, 0, 1] = bad
-            tr.envset.grids[1] = grid
+            tr.envset.batch.cells[1, 0, 0, 1] = bad
             with pytest.raises(ValueError, match="uint8"):
                 tr.collect_segment()
 
