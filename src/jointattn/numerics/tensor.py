@@ -682,8 +682,10 @@ def frame_features(x, kernel, basis) -> Tensor:
     od[..., c_out:] = sd        # so the ReLU below reads only finite cells
     np.matmul(cols, kd, out=rows[:, :c_out])
     if tape is not None:
-        mask = np.greater(rows[:, :c_out], 0.0, out=_lend(
-            tape, "frame_features.mask", (n, c_out),
+        # over whole rows, one contiguous pass; the basis columns' part is
+        # never read
+        mask = np.greater(rows, 0.0, out=_lend(
+            tape, "frame_features.mask", rows.shape,
             lambda shape: np.empty(shape, bool)))
     np.maximum(rows, 0.0, out=rows)
     od[..., c_out:] = sd        # the basis unclipped
@@ -692,14 +694,13 @@ def frame_features(x, kernel, basis) -> Tensor:
 
     def fn(gouts, need):
         (g,) = gouts
+        g2 = g.reshape(n, c_out + c_s)
         if g.ctypes.data == od.ctypes.data and g.strides == od.strides:
             # od itself, which no other node reads: mask it in place
-            gpre = g.reshape(n, c_out + c_s)[:, :c_out]
-            np.multiply(gpre, mask, out=gpre)
+            np.multiply(g2, mask, out=g2)
         else:
-            gpre = np.multiply(g[..., :c_out],
-                               mask.reshape(b, h, w, c_out)).reshape(n, c_out)
-        return (None, cols.T @ gpre)
+            g2 = np.multiply(g2, mask)
+        return (None, cols.T @ g2[:, :c_out])
 
     _record((out,), (x, kernel), fn)
     return out
@@ -978,31 +979,43 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
         weights = a2[:, :, m:]
 
     # the ops write into the saved arrays (out=) where the composed ops
-    # made a fresh one; the values are the same
-    h, c = hd, cd
+    # made a fresh one; the values are the same. Each step writes its h and
+    # c straight into the next step's xh slot and c_kept, and only a step
+    # whose keep row is not all ones multiplies them there: a 1.0 factor
+    # changes nothing
+    reset = (keep != 1.0).any(axis=1)
+    xh[0, :, n_x:-1] = hd
+    c_kept[0] = cd
+    c = np.empty((B, cell))         # the last step's c
     for t in range(T):
-        kt = keep[t][:, None]
-        np.multiply(h, kt, out=xh[t, :, n_x:-1])
-        ck = np.multiply(c, kt, out=c_kept[t])
+        ck = c_kept[t]
+        if reset[t]:
+            kt = keep[t][:, None]
+            np.multiply(xh[t, :, n_x:-1], kt, out=xh[t, :, n_x:-1])
+            np.multiply(ck, kt, out=ck)
         if attention is not None:
             qt = q[t]
             np.matmul(xh[t, :, n_x:], qw, out=qt.reshape(B, n_sum))
-            wq = _per_head(qt, wk_t)
-            v2[t, :, :m] = wq
+            wq = v2[t, :, :m]
+            np.matmul(qt.transpose(1, 0, 2), wk_t, out=wq.transpose(1, 0, 2))
             lt = np.matmul(wq, fs[t].transpose(0, 2, 1), out=logits[t])
             e = np.exp(lt - lt.max(axis=-1, keepdims=True))
-            s = e / e.sum(axis=-1, keepdims=True)
-            a2[t, :, m:] = s
+            s = np.divide(e, e.sum(axis=-1, keepdims=True), out=a2[t, :, m:])
             rd = np.matmul(s, fs[t], out=read[t])
-            xh[t, :, :n_sum] = _per_head(rd, wv).reshape(B, n_sum)
+            np.matmul(rd.transpose(1, 0, 2), wv, out=xh[t, :, :n_sum]
+                      .reshape(B, m, depth).transpose(1, 0, 2))
         z = xh[t] @ lw
         g_all = gates[t]
         g_all[...] = _sigmoid(z)
         np.tanh(z[:, 2 * cell:3 * cell], out=g_all[:, 2 * cell:3 * cell])
         i, f_g = g_all[:, :cell], g_all[:, cell:2 * cell]
         g, o = g_all[:, 2 * cell:3 * cell], g_all[:, 3 * cell:]
-        c = f_g * ck + i * g
-        h = np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t])
+        c_next = c_kept[t + 1] if t + 1 < T else c
+        np.multiply(f_g, ck, out=c_next)
+        c_next += i * g
+        np.multiply(o, np.tanh(c_next, out=tcs[t]), out=hs[t])
+        if t + 1 < T:
+            xh[t + 1, :, n_x:-1] = hs[t]
 
     hs_out, c_out = Tensor(hs), Tensor(c)
     tape = _ACTIVE
@@ -1034,19 +1047,23 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
             dc = dc * f_g[t]
             dh = dx[:, n_x:]
             if attention is not None:
-                gread = _per_head(dx[:, :n_sum].reshape(B, m, depth), wv_t)
-                v2[t, :, m:] = gread
+                gread = v2[t, :, m:]
+                np.matmul(dx[:, :n_sum].reshape(B, m, depth)
+                          .transpose(1, 0, 2), wv_t,
+                          out=gread.transpose(1, 0, 2))
                 s = a2[t, :, m:]
                 ga = gread @ fs[t].transpose(0, 2, 1)
-                dl = (ga - (ga * s).sum(axis=-1, keepdims=True)) * s
-                a2[t, :, :m] = dl
+                dl = np.multiply(ga - (ga * s).sum(axis=-1, keepdims=True),
+                                 s, out=a2[t, :, :m])
                 gw = np.matmul(dl, fs[t], out=gwq[t])
                 gqt = gq[t]
-                gqt[...] = _per_head(gw, wk)
+                np.matmul(gw.transpose(1, 0, 2), wk,
+                          out=gqt.transpose(1, 0, 2))
                 dh = dh + gqt.reshape(B, n_sum) @ qw_t
-            kt = keep[t][:, None]
-            dh = dh * kt
-            dc = dc * kt
+            if reset[t]:
+                kt = keep[t][:, None]
+                dh = dh * kt
+                dc = dc * kt
 
         n = T * B
         dz = dz.reshape(n, 4 * cell)

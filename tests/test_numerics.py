@@ -973,7 +973,8 @@ class TestLending:
     def test_tape_keeps_columns_and_a_bool_mask(self, monkeypatch):
         # the minibatch shape of train_colorgather_wide: 128 frames of
         # 10x10x3, 64 filters, a basis of depth 8 and its ones channel; no
-        # float (n, 64) pre-activation is kept, taped or not
+        # float (n, 64) pre-activation is kept, taped or not, and the mask
+        # covers whole output rows
         monkeypatch.setattr(tensor, "_POOL", {})
         monkeypatch.setattr(tensor, "_SCRATCH", {})
         rng = np.random.default_rng(77)
@@ -989,7 +990,7 @@ class TestLending:
             "frame_features.padded": ((128, 12, 12, 3), np.float64),
             "frame_features.cols": ((12800, 28), np.float64),
             "frame_features.out": ((128, 10, 10, 73), np.float64),
-            "frame_features.mask": ((12800, 64), np.bool_),
+            "frame_features.mask": ((12800, 73), np.bool_),
         }
         nm.frame_features(x, kernel, basis)
         assert tensor._POOL.keys() == kept.keys()
