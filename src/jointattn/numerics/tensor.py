@@ -24,6 +24,18 @@ weight and bias into one matrix, and ``attention_scores`` and
 Recording happens only while a ``Tape`` is active, so rollout-time forward
 passes pay nothing beyond a flag check per op.
 
+Whole, in-place passes: the fused ops spend their time in elementwise
+passes as much as in their products, so those passes run over contiguous
+memory and into the arrays that keep their results. NumPy walks a view of
+some columns of a row-major array one row at a time, at 2-3x the cost of
+one contiguous pass, so ``frame_features`` computes and applies its ReLU
+mask over whole output rows, the basis columns included, and reads the
+first c_out columns only in the kernel-gradient product, whose BLAS call
+takes the row stride. ``attention_lstm`` computes each step's gates with
+``_sigmoid``'s own four passes (negative, exp, +1, reciprocal) in place,
+so it still matches ``lstm_step`` bit for bit, and multiplies its state
+by ``keep`` only on steps whose keep row is not all ones.
+
 Buffers lent from tape to tape: under a tape, ``frame_features`` writes
 its padded frames, columns, output and bool ReLU mask into arrays lent by
 a pool that keeps one array per key, so that a PPO minibatch does not
@@ -397,10 +409,10 @@ def minimum(a, b) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of -|x| never overflows; 1/(1+e) for x >= 0 and e/(1+e) below
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    # below x = -709.78 exp(-x) overflows to inf and the result is exactly
+    # 0, where the true value is a subnormal under 6e-309
+    with np.errstate(over="ignore"):
+        return np.reciprocal(1.0 + np.exp(-x))
 
 
 # ---------------------------------------------------------------------------
@@ -647,13 +659,17 @@ def frame_features(x, kernel, basis) -> Tensor:
     and again after (so it stays unclipped). The kernel's gradient, bias row
     included, is one product of the columns with the masked gradient. Under
     a tape the padded frames, the columns, the output and a bool ReLU mask
-    are lent by the tape-to-tape pool (module docstring); backward reads
-    only the columns and the mask, never the output, so the output's one
-    consumer may write its gradient there (``uses``, as ``attention_lstm``
-    does). Backward multiplies the mask into that gradient in place when
-    it is the output's own array, and into a copy otherwise, since another
-    node may still read it. With no tape the padded frames and columns are
-    scratch arrays and the output is fresh.
+    are lent by the tape-to-tape pool (module docstring). The mask covers
+    the output's whole (n, c_out + c_s) rows, one contiguous pass where the
+    first c_out columns alone would be a strided one; its basis part is
+    never read. Backward reads only the columns and the mask, never the
+    output, so the output's one consumer may write its gradient there
+    (``uses``, as ``attention_lstm`` does). Backward multiplies the mask
+    into that gradient's whole rows in place when it is the output's own
+    array, and into a copy otherwise, since another node may still read
+    it; the kernel's gradient reads the first c_out columns of the masked
+    rows. With no tape the padded frames and columns are scratch arrays
+    and the output is fresh.
     """
     x, kernel, basis = _astensor(x), _astensor(kernel), _astensor(basis)
     tape = _ACTIVE
@@ -909,7 +925,14 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
     and logits as (T, B, heads, pos) plain arrays (None without attention).
     The forward repeats the expressions of the composed ops, so it matches
     them bit for bit; the backward runs the recurrent chain step by step
-    and forms every parameter gradient once over all T*B rows. The
+    and forms every parameter gradient once over all T*B rows. Each step
+    writes its products straight into the arrays saved for backward
+    (``out=``), computes its sigmoid gates in place (``_sigmoid``'s passes
+    over the whole gate block, the candidate's tanh put back after), and
+    writes its h and c into the next step's input row and kept state; a
+    step whose keep row is all ones multiplies neither them nor, in the
+    backward, their gradients by keep, since a factor of 1.0 changes
+    nothing. The
     (T*B, ..., d) feature gradient is formed only when the features need
     one, and is written over the features' own array when this node is
     their only consumer on the tape and their producer allows it
@@ -987,6 +1010,7 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
     xh[0, :, n_x:-1] = hd
     c_kept[0] = cd
     c = np.empty((B, cell))         # the last step's c
+    cand = np.empty((B, cell))
     for t in range(T):
         ck = c_kept[t]
         if reset[t]:
@@ -1004,10 +1028,16 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
             rd = np.matmul(s, fs[t], out=read[t])
             np.matmul(rd.transpose(1, 0, 2), wv, out=xh[t, :, :n_sum]
                       .reshape(B, m, depth).transpose(1, 0, 2))
-        z = xh[t] @ lw
-        g_all = gates[t]
-        g_all[...] = _sigmoid(z)
-        np.tanh(z[:, 2 * cell:3 * cell], out=g_all[:, 2 * cell:3 * cell])
+        g_all = np.matmul(xh[t], lw, out=gates[t])
+        # _sigmoid's four passes in place over all four blocks, the
+        # candidate's tanh put back after
+        np.tanh(g_all[:, 2 * cell:3 * cell], out=cand)
+        np.negative(g_all, out=g_all)
+        with np.errstate(over="ignore"):
+            np.exp(g_all, out=g_all)
+        np.add(g_all, 1.0, out=g_all)
+        np.reciprocal(g_all, out=g_all)
+        g_all[:, 2 * cell:3 * cell] = cand
         i, f_g = g_all[:, :cell], g_all[:, cell:2 * cell]
         g, o = g_all[:, 2 * cell:3 * cell], g_all[:, 3 * cell:]
         c_next = c_kept[t + 1] if t + 1 < T else c

@@ -7,6 +7,7 @@ LSTM, central finite differences for gradients, and a scalar Adam reference.
 
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -285,6 +286,39 @@ class TestLstmStep:
         with pytest.raises(ShapeError):          # unbatched (n,) input and states
             nm.lstm_step(Tensor(np.zeros(3)), Tensor(np.zeros(2)),
                          Tensor(np.zeros(2)), w, b)
+
+
+# ---------------------------------------------------------------------------
+# the gate sigmoid
+
+
+class TestSigmoid:
+    """The gate sigmoid against a long-double reference."""
+
+    @staticmethod
+    def reference(x):
+        x = np.asarray(x, dtype=np.longdouble)
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def test_within_four_ulp_where_exp_does_not_overflow(self):
+        x = np.concatenate([np.linspace(-709.0, 745.0, 20001),
+                            np.linspace(-40.0, 40.0, 8001)])
+        ref = self.reference(x)
+        ulps = np.abs(tensor._sigmoid(x) - ref) / np.spacing(
+            ref.astype(np.float64))
+        assert ulps.max() <= 4.0
+
+    def test_below_the_overflow_the_error_is_under_1e_308(self):
+        x = np.linspace(-1000.0, -709.0, 3001)
+        got = tensor._sigmoid(x)
+        assert np.all(np.abs(got - self.reference(x)) < 1e-308)
+        assert np.all(got[x < -709.79] == 0.0)
+
+    def test_saturates_exactly_and_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tensor._sigmoid(np.array([-1000.0, 1000.0]))
+        assert got[0] == 0.0 and got[1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +603,7 @@ class TestAttentionLstm:
     B, heads, depth, cell, n_frame, grid, d = 3, 2, 2, 4, 3, (2, 3), 3
     ATTENTION = ("features", "query", "keys", "values")
 
-    def _arrays(self, T, attention, seed):
+    def _arrays(self, T, attention, seed, resets=((0, 2), (-2, 1))):
         rng = np.random.default_rng(seed)
         B, cell, kv = self.B, self.cell, self.heads * self.depth
         n_x = self.n_frame + (kv if attention else 0)
@@ -588,8 +622,8 @@ class TestAttentionLstm:
                 "values": rng.normal(size=(self.d, kv), scale=0.5),
             })
         keep = np.ones((T, B))
-        keep[0, 2] = 0.0                          # a reset before step 0
-        keep[T - 2, 1] = 0.0                      # and one mid-chunk
+        for t, row in resets:       # by default one before step 0, one
+            keep[t, row] = 0.0      # mid-chunk
         r_hs = rng.normal(size=(T, B, cell))
         r_c = rng.normal(size=(B, cell))
         return a, keep, r_hs, r_c
@@ -697,6 +731,42 @@ class TestAttentionLstm:
     @pytest.mark.parametrize("attention", [True, False])
     def test_matches_finite_differences(self, attention):
         a, keep, r_hs, r_c = self._arrays(3, attention, 62)
+
+        def loss_value(arrays):
+            hs, c, _, _, _ = self._fused(arrays, keep)
+            return float(np.sum(hs.data * r_hs) + np.sum(c.data * r_c))
+
+        with Tape():
+            hs, c, _, _, ts = self._fused(a, keep, record=True)
+            loss = self._loss(hs, c, r_hs, r_c)
+        backward(loss)
+        numeric = fd_grads(loss_value, a)
+        for name in a:
+            assert_close_to_fd(ts[name].grad, numeric[name])
+
+    # (T, [(step, row) of each 0 in keep]); a step whose keep row is all
+    # ones skips its keep multiplies, forward and backward
+    KEEP_PATTERNS = {
+        "all_ones_T1": (1, ()),
+        "all_ones": (4, ()),
+        "reset_at_step_0_only": (4, ((0, 1),)),
+        "reset_at_the_last_step": (4, ((3, 0),)),
+        "resets_at_consecutive_steps": (4, ((1, 2), (2, 0), (2, 2))),
+        "every_row_reset_at_one_step": (4, ((2, 0), (2, 1), (2, 2))),
+    }
+
+    @pytest.mark.parametrize("attention", [True, False])
+    @pytest.mark.parametrize("pattern", sorted(KEEP_PATTERNS))
+    def test_keep_patterns(self, pattern, attention):
+        T, resets = self.KEEP_PATTERNS[pattern]
+        a, keep, r_hs, r_c = self._arrays(T, attention, 67, resets)
+        hs, c, weights, logits, _ = self._fused(a, keep)
+        ref_hs, ref_c, _, _, _, ref_w, ref_lo = self._composed(a, keep)
+        assert np.array_equal(hs.data, np.stack([h.data for h in ref_hs]))
+        assert np.array_equal(c.data, ref_c.data)
+        if attention:
+            assert np.array_equal(weights, np.stack(ref_w))
+            assert np.array_equal(logits, np.stack(ref_lo))
 
         def loss_value(arrays):
             hs, c, _, _, _ = self._fused(arrays, keep)
