@@ -515,12 +515,17 @@ def cmd_train(args) -> int:
     stem = os.path.splitext(os.path.basename(args.config))[0]
     outdir = resolve_output_dir(args.output_dir, cfg.output_dir,
                                 f"{stem}_s{cfg.seed}")
-    _prepare_outdir(outdir, args.resume, "metrics.jsonl")
-    with OutputLock(outdir):
-        pop = PopulationSpec([AgentSpec(v) for v in cfg.population],
-                             cfg.incentive)
+    # built before the directory: a layout that does not fit the grid
+    # fails in the first reset, and then nothing is written
+    pop = PopulationSpec([AgentSpec(v) for v in cfg.population],
+                         cfg.incentive)
+    try:
         trainer = Trainer(cfg.env_kind, cfg.env_variant, pop, cfg.ppo,
                           seed=cfg.seed, env_overrides=cfg.env_overrides)
+    except ValueError as e:
+        raise ConfigError(f"environment rejected: {e}")
+    _prepare_outdir(outdir, args.resume, "metrics.jsonl")
+    with OutputLock(outdir):
         manifest = Manifest(outdir, "train", config_hash(cfg), [cfg.seed])
         metrics_path = os.path.join(outdir, "metrics.jsonl")
         # a resume reads and checks the checkpoint before it writes anything

@@ -20,6 +20,7 @@ is the kernel on a single row.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,7 +128,9 @@ def pairwise_divergence(fields, metric: str,
     threshold before the JSD. Returns the (E,) sums over the K(K-1) ordered
     pairs (i, j), i != j, added j-outer, i-inner, each pair's term equal
     bit for bit to ``kl_divergence(f_i, f_j)``, ``jsd(f_i, f_j)`` or
-    ``clipped_jsd(f_i, f_j, clip_threshold)`` on that row.
+    ``clipped_jsd(f_i, f_j, clip_threshold)`` on that row. The symmetric
+    JSD terms are evaluated once per unordered pair and added at both
+    ordered positions.
 
     A cell with p = 0 adds 0 (0 * log 0 = 0); a KL cell with q = 0 < p
     makes the pair's divergence +inf. A clipped field with no logit at or
@@ -147,21 +150,38 @@ def pairwise_divergence(fields, metric: str,
         fields = _clip_renormalize(fields, clip_threshold)
     elif fields.size and fields.min() < 0.0:
         raise ValueError("pairwise_divergence needs non-negative fields")
-    i, j = np.array([(a, b) for b in range(k) for a in range(k) if a != b],
-                    dtype=np.int64).reshape(-1, 2).T
+    i, j, a, b, slot = _pairs(k)
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(fields)
         if metric == "kl":
             terms = _cell_sums(fields[i], logs[i] - logs[j])
+            slot = range(len(terms))
         else:
-            log_m = np.log(0.5 * (fields[i] + fields[j]))
-            terms = (0.5 * _cell_sums(fields[i], logs[i] - log_m)
-                     + 0.5 * _cell_sums(fields[j], logs[j] - log_m))
+            # the JSD term of (i, j) equals that of (j, i) bit for bit (its
+            # mean and its last sum commute): each unordered pair once
+            log_m = np.log(0.5 * (fields[a] + fields[b]))
+            terms = (0.5 * _cell_sums(fields[a], logs[a] - log_m)
+                     + 0.5 * _cell_sums(fields[b], logs[b] - log_m))
     # pair by pair, in the scalar double loop's order
     total = np.zeros(fields.shape[1])
-    for row in terms:
-        total += row
+    for s in slot:
+        total += terms[s]
     return total
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int) -> tuple:
+    """Index arrays of the K(K-1) ordered pairs (i, j), i != j, j-outer and
+    i-inner; of the unordered pairs (a, b), a < b; and, per ordered pair,
+    the position of its unordered pair."""
+    i, j = np.array([(a, b) for b in range(k) for a in range(k) if a != b],
+                    dtype=np.int64).reshape(-1, 2).T
+    a, b = np.triu_indices(k, 1)
+    slot = np.empty((k, k), dtype=np.int64)
+    slot[a, b] = slot[b, a] = np.arange(a.size)
+    for arr in (i, j, a, b):    # every caller shares them
+        arr.flags.writeable = False
+    return i, j, a, b, tuple(slot[i, j].tolist())
 
 
 def joint_attention_reward(mean_maps, cfg: IncentiveConfig,

@@ -312,6 +312,19 @@ class TestTrainCommand:
         assert code == 2
         assert not (tmp_path / "run").exists()
 
+    def test_layout_too_big_for_the_grid_exits_2_without_output(self,
+                                                                 tmp_path):
+        # 9 coins and 2 agents cannot fit the 4 cells of a 2x2 interior;
+        # the config is valid, the first reset is not
+        cfg_path = tmp_path / "cramped.cfg"
+        cfg_path.write_text(TINY_MEETUP.replace("env.kind = meetup",
+                                                "env.kind = colorgather")
+                            .replace("env.interior = 5", "env.interior = 2"))
+        code = main(["train", "--config", str(cfg_path), "--output-dir",
+                     str(tmp_path / "run")])
+        assert code == 2
+        assert not (tmp_path / "run").exists()
+
     def test_rerun_without_resume_fails(self, train_run):
         code = main(["train", "--config", str(train_run["cfg_path"]),
                      "--seed", "3", "--output-dir",

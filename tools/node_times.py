@@ -14,12 +14,14 @@ calls and seconds (taped or not; the untaped share is printed apart) and
 its backward calls and seconds. ``backward`` as a whole is timed too: what
 it takes beyond its nodes' closures is the sweep itself.
 
-The environment gets rows of its own, wrapped the same way where the
-program looks them up: ``training.step`` and ``training.reset`` (the names
-the trainer and the evaluation call), and ``EnvSet.step``,
-``EnvSet.batch_ids`` and ``EnvSet.batch_poses``. ``EnvSet.step`` calls
-``training.step`` and, when an episode ends, ``training.reset``, so its
-row contains theirs.
+The environment, the optimiser and the divergence get rows of their own
+(calls and seconds), wrapped the same way where the program looks them
+up: ``training.step`` and ``training.reset`` (the names the trainer and
+the evaluation call), ``EnvSet.step``, ``EnvSet.batch_ids`` and
+``EnvSet.batch_poses``; ``numerics.adam_update``, the name ``ppo_update``
+calls; and ``training.pairwise_divergence``, the name the collect's bonus
+and ``evaluate`` call. ``EnvSet.step`` calls ``training.step`` and, when
+an episode ends, ``training.reset``, so its row contains theirs.
 
 The warm-up unit (the first) is not counted. Shares are of the warm units'
 wall seconds; every time includes the wrappers' own overhead, so read the
@@ -52,32 +54,34 @@ def parse_args(argv):
     return args
 
 
-# (owner in ``jointattn.training``, attribute) of each environment row
-ENV_CALLS = ((None, "step"), (None, "reset"), ("EnvSet", "step"),
-             ("EnvSet", "batch_ids"), ("EnvSet", "batch_poses"))
+# (owner, attribute) of each call timed whole: an owner is the module
+# ``jointattn.training`` or ``jointattn.numerics``, or ``training.EnvSet``
+CALLS = (("training", "step"), ("training", "reset"), ("EnvSet", "step"),
+         ("EnvSet", "batch_ids"), ("EnvSet", "batch_poses"),
+         ("numerics", "adam_update"), ("training", "pairwise_divergence"))
 
 
 class NodeClock:
     """Per-op [calls, seconds] for forward, untaped forward and backward,
-    and per environment call [calls, seconds]."""
+    and per call of ``CALLS`` [calls, seconds]."""
 
     def __init__(self, tensor):
         self.tensor = tensor
         self.fwd = collections.defaultdict(lambda: [0, 0.0])
         self.untaped = collections.defaultdict(lambda: [0, 0.0])
         self.bwd = collections.defaultdict(lambda: [0, 0.0])
-        self.env = collections.defaultdict(lambda: [0, 0.0])
+        self.calls = collections.defaultdict(lambda: [0, 0.0])
         self.sweep = [0, 0.0]
 
     def clear(self) -> None:
         # in place: the wrappers hold their rows
-        for table in (self.fwd, self.untaped, self.bwd, self.env):
+        for table in (self.fwd, self.untaped, self.bwd, self.calls):
             for row in table.values():
                 row[:] = [0, 0.0]
         self.sweep[:] = [0, 0.0]
 
-    def env_call(self, name, fn):
-        row = self.env[name]
+    def call(self, name, fn):
+        row = self.calls[name]
 
         def timed(*args, **kwargs):
             t0 = time.perf_counter()
@@ -140,21 +144,22 @@ class NodeClock:
 
     def wrapped(self, nm, training):
         """(owner, attribute, wrapper) for every exported op, ``backward``,
-        ``tensor._record`` and every call of ``ENV_CALLS``."""
+        ``tensor._record`` and every call of ``CALLS``."""
         ops = [name for name in nm.__all__
                if inspect.isfunction(getattr(nm, name))
                and getattr(nm, name).__module__ == self.tensor.__name__
                and name != "backward"]
-        env = []
-        for owner_name, attr in ENV_CALLS:
-            owner = getattr(training, owner_name) if owner_name else training
-            name = f"{owner_name or 'training'}.{attr}"
-            env.append((owner, attr, self.env_call(name,
-                                                   getattr(owner, attr))))
+        owners = {"training": training, "numerics": nm,
+                  "EnvSet": training.EnvSet}
+        calls = []
+        for owner_name, attr in CALLS:
+            owner = owners[owner_name]
+            calls.append((owner, attr, self.call(f"{owner_name}.{attr}",
+                                                 getattr(owner, attr))))
         return ([(nm, op, self.forward(op, getattr(nm, op))) for op in ops]
                 + [(nm, "backward", self.backward(nm.backward)),
                    (self.tensor, "_record", self.record(self.tensor._record))]
-                + env)
+                + calls)
 
 
 def main(argv=None) -> int:
@@ -223,11 +228,11 @@ def print_table(args, node_clock, walls) -> None:
           f"{(total_fwd + total_bwd) / wall:6.1%}")
     print(f"backward: {calls} calls, {sweep_s:.3f} s, of which "
           f"{sweep_s - total_bwd:.3f} s outside the nodes' closures")
-    print(f"\n{'environment':18s} {'calls':>9s} {'s':>8s} {'share':>6s}")
-    for owner_name, attr in ENV_CALLS:
-        name = f"{owner_name or 'training'}.{attr}"
-        env_calls, env_s = node_clock.env.get(name, (0, 0.0))
-        print(f"{name:18s} {env_calls:9d} {env_s:8.3f} {env_s / wall:6.1%}")
+    print(f"\n{'call':30s} {'calls':>9s} {'s':>8s} {'share':>6s}")
+    for owner_name, attr in CALLS:
+        name = f"{owner_name}.{attr}"
+        calls, seconds = node_clock.calls.get(name, (0, 0.0))
+        print(f"{name:30s} {calls:9d} {seconds:8.3f} {seconds / wall:6.1%}")
 
 
 if __name__ == "__main__":
