@@ -932,12 +932,11 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
     writes its h and c into the next step's input row and kept state; a
     step whose keep row is all ones multiplies neither them nor, in the
     backward, their gradients by keep, since a factor of 1.0 changes
-    nothing. The
-    (T*B, ..., d) feature gradient is formed only when the features need
-    one, and is written over the features' own array when this node is
-    their only consumer on the tape and their producer allows it
-    (``Tensor.uses``, set by ``frame_features``); otherwise it is a fresh
-    array and the features keep their values.
+    nothing. The (T*B, ..., d) feature gradient is formed only when the
+    features need one, and is written over the features' own array when
+    this node is their only consumer on the tape and their producer allows
+    it (``Tensor.uses``, set by ``frame_features``); otherwise it is a
+    fresh array and the features keep their values.
     """
     frame_in, h0, c0, lstm = (_astensor(frame_in), _astensor(h0),
                               _astensor(c0), _astensor(lstm))
@@ -1002,10 +1001,9 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
         weights = a2[:, :, m:]
 
     # the ops write into the saved arrays (out=) where the composed ops
-    # made a fresh one; the values are the same. Each step writes its h and
-    # c straight into the next step's xh slot and c_kept, and only a step
-    # whose keep row is not all ones multiplies them there: a 1.0 factor
-    # changes nothing
+    # made a fresh one; the values are the same. h and c go straight into
+    # the next step's xh slot and c_kept, multiplied there by keep only on
+    # a step whose keep row is not all ones
     reset = (keep != 1.0).any(axis=1)
     xh[0, :, n_x:-1] = hd
     c_kept[0] = cd
