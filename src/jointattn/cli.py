@@ -34,6 +34,7 @@ from .gridworlds import (
     ENCODING_VERSION,
     ENV_KINDS,
     EnvConfig,
+    LayoutError,
     VARIANTS,
     make_config,
 )
@@ -522,8 +523,8 @@ def cmd_train(args) -> int:
     try:
         trainer = Trainer(cfg.env_kind, cfg.env_variant, pop, cfg.ppo,
                           seed=cfg.seed, env_overrides=cfg.env_overrides)
-    except ValueError as e:
-        raise ConfigError(f"environment rejected: {e}")
+    except LayoutError as e:
+        raise ConfigError(f"env: the layout does not fit the grid: {e}")
     _prepare_outdir(outdir, args.resume, "metrics.jsonl")
     with OutputLock(outdir):
         manifest = Manifest(outdir, "train", config_hash(cfg), [cfg.seed])

@@ -209,6 +209,11 @@ class GridState:
 # layout
 
 
+class LayoutError(ValueError):
+    """A layout does not fit its grid: ``reset`` found no free cell for
+    an object or agent."""
+
+
 def _free_cells(cells: np.ndarray, xs, ys) -> list:
     """Empty interior cells (x, y) in row-major order, less those at the
     given agent positions."""
@@ -226,7 +231,7 @@ def _draw_free_cell(cells: np.ndarray, xs, ys, rng, what: str,
     if region is not None:
         free = [c for c in free if region(c)]
     if not free:
-        raise ValueError(f"grid too small: no free cell for {what}")
+        raise LayoutError(f"grid too small: no free cell for {what}")
     return free[int(rng.integers(len(free)))]
 
 

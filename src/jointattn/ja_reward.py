@@ -20,7 +20,6 @@ is the kernel on a single row.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,38 +149,28 @@ def pairwise_divergence(fields, metric: str,
         fields = _clip_renormalize(fields, clip_threshold)
     elif fields.size and fields.min() < 0.0:
         raise ValueError("pairwise_divergence needs non-negative fields")
-    i, j, a, b, slot = _pairs(k)
+    i, j = np.array([(a, b) for b in range(k) for a in range(k) if a != b],
+                    dtype=np.int64).reshape(-1, 2).T
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(fields)
         if metric == "kl":
             terms = _cell_sums(fields[i], logs[i] - logs[j])
-            slot = range(len(terms))
         else:
             # the JSD term of (i, j) equals that of (j, i) bit for bit (its
-            # mean and its last sum commute): each unordered pair once
+            # mean and its last sum commute): each unordered pair (a, b)
+            # once, gathered back to the ordered pairs
+            a, b = np.triu_indices(k, 1)
             log_m = np.log(0.5 * (fields[a] + fields[b]))
             terms = (0.5 * _cell_sums(fields[a], logs[a] - log_m)
                      + 0.5 * _cell_sums(fields[b], logs[b] - log_m))
+            slot = np.empty((k, k), dtype=np.int64)
+            slot[a, b] = slot[b, a] = np.arange(a.size)
+            terms = terms[slot[i, j]]
     # pair by pair, in the scalar double loop's order
     total = np.zeros(fields.shape[1])
-    for s in slot:
-        total += terms[s]
+    for row in terms:
+        total += row
     return total
-
-
-@functools.lru_cache(maxsize=None)
-def _pairs(k: int) -> tuple:
-    """Index arrays of the K(K-1) ordered pairs (i, j), i != j, j-outer and
-    i-inner; of the unordered pairs (a, b), a < b; and, per ordered pair,
-    the position of its unordered pair."""
-    i, j = np.array([(a, b) for b in range(k) for a in range(k) if a != b],
-                    dtype=np.int64).reshape(-1, 2).T
-    a, b = np.triu_indices(k, 1)
-    slot = np.empty((k, k), dtype=np.int64)
-    slot[a, b] = slot[b, a] = np.arange(a.size)
-    for arr in (i, j, a, b):    # every caller shares them
-        arr.flags.writeable = False
-    return i, j, a, b, tuple(slot[i, j].tolist())
 
 
 def joint_attention_reward(mean_maps, cfg: IncentiveConfig,

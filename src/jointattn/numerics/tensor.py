@@ -33,8 +33,9 @@ mask over whole output rows, the basis columns included, and reads the
 first c_out columns only in the kernel-gradient product, whose BLAS call
 takes the row stride. ``attention_lstm`` computes each step's gates with
 ``_sigmoid``'s own four passes (negative, exp, +1, reciprocal) in place,
-so it still matches ``lstm_step`` bit for bit, and multiplies its state
-by ``keep`` only on steps whose keep row is not all ones.
+so it still matches ``lstm_step`` bit for bit, and multiplies each h and
+c by the next step's ``keep`` row as it writes them into that step's
+input row and kept state.
 
 Buffers lent from tape to tape: under a tape, ``frame_features`` writes
 its padded frames, columns, output and bool ReLU mask into arrays lent by
@@ -929,10 +930,9 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
     writes its products straight into the arrays saved for backward
     (``out=``), computes its sigmoid gates in place (``_sigmoid``'s passes
     over the whole gate block, the candidate's tanh put back after), and
-    writes its h and c into the next step's input row and kept state; a
-    step whose keep row is all ones multiplies neither them nor, in the
-    backward, their gradients by keep, since a factor of 1.0 changes
-    nothing. The (T*B, ..., d) feature gradient is formed only when the
+    multiplies its h and c by the next keep row straight into the next
+    step's input row and kept state. The (T*B, ..., d) feature gradient is
+    formed only when the
     features need one, and is written over the features' own array when
     this node is their only consumer on the tape and their producer allows
     it (``Tensor.uses``, set by ``frame_features``); otherwise it is a
@@ -1001,20 +1001,14 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
         weights = a2[:, :, m:]
 
     # the ops write into the saved arrays (out=) where the composed ops
-    # made a fresh one; the values are the same. h and c go straight into
-    # the next step's xh slot and c_kept, multiplied there by keep only on
-    # a step whose keep row is not all ones
-    reset = (keep != 1.0).any(axis=1)
-    xh[0, :, n_x:-1] = hd
-    c_kept[0] = cd
-    c = np.empty((B, cell))         # the last step's c
+    # made a fresh one; the values are the same. h and c are multiplied by
+    # the next keep row straight into the next step's xh slot and c_kept
+    np.multiply(hd, keep[0][:, None], out=xh[0, :, n_x:-1])
+    np.multiply(cd, keep[0][:, None], out=c_kept[0])
+    c = np.empty((B, cell))         # this step's c, unkept
     cand = np.empty((B, cell))
     for t in range(T):
         ck = c_kept[t]
-        if reset[t]:
-            kt = keep[t][:, None]
-            np.multiply(xh[t, :, n_x:-1], kt, out=xh[t, :, n_x:-1])
-            np.multiply(ck, kt, out=ck)
         if attention is not None:
             qt = q[t]
             np.matmul(xh[t, :, n_x:], qw, out=qt.reshape(B, n_sum))
@@ -1038,12 +1032,13 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
         g_all[:, 2 * cell:3 * cell] = cand
         i, f_g = g_all[:, :cell], g_all[:, cell:2 * cell]
         g, o = g_all[:, 2 * cell:3 * cell], g_all[:, 3 * cell:]
-        c_next = c_kept[t + 1] if t + 1 < T else c
-        np.multiply(f_g, ck, out=c_next)
-        c_next += i * g
-        np.multiply(o, np.tanh(c_next, out=tcs[t]), out=hs[t])
+        np.multiply(f_g, ck, out=c)
+        c += i * g
+        np.multiply(o, np.tanh(c, out=tcs[t]), out=hs[t])
         if t + 1 < T:
-            xh[t + 1, :, n_x:-1] = hs[t]
+            kt = keep[t + 1][:, None]
+            np.multiply(hs[t], kt, out=xh[t + 1, :, n_x:-1])
+            np.multiply(c, kt, out=c_kept[t + 1])
 
     hs_out, c_out = Tensor(hs), Tensor(c)
     tape = _ACTIVE
@@ -1088,10 +1083,9 @@ def attention_lstm(frame_in, h0, c0, keep, lstm, attention,
                 np.matmul(gw.transpose(1, 0, 2), wk,
                           out=gqt.transpose(1, 0, 2))
                 dh = dh + gqt.reshape(B, n_sum) @ qw_t
-            if reset[t]:
-                kt = keep[t][:, None]
-                dh = dh * kt
-                dc = dc * kt
+            kt = keep[t][:, None]
+            dh *= kt
+            dc *= kt
 
         n = T * B
         dz = dz.reshape(n, 4 * cell)

@@ -312,8 +312,8 @@ class TestTrainCommand:
         assert code == 2
         assert not (tmp_path / "run").exists()
 
-    def test_layout_too_big_for_the_grid_exits_2_without_output(self,
-                                                                 tmp_path):
+    def test_layout_too_big_for_the_grid_exits_2_without_output(
+            self, tmp_path, capsys):
         # 9 coins and 2 agents cannot fit the 4 cells of a 2x2 interior;
         # the config is valid, the first reset is not
         cfg_path = tmp_path / "cramped.cfg"
@@ -324,6 +324,7 @@ class TestTrainCommand:
                      str(tmp_path / "run")])
         assert code == 2
         assert not (tmp_path / "run").exists()
+        assert "grid too small" in capsys.readouterr().err
 
     def test_rerun_without_resume_fails(self, train_run):
         code = main(["train", "--config", str(train_run["cfg_path"]),

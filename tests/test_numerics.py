@@ -744,8 +744,7 @@ class TestAttentionLstm:
         for name in a:
             assert_close_to_fd(ts[name].grad, numeric[name])
 
-    # (T, [(step, row) of each 0 in keep]); a step whose keep row is all
-    # ones skips its keep multiplies, forward and backward
+    # (T, [(step, row) of each 0 in keep])
     KEEP_PATTERNS = {
         "all_ones_T1": (1, ()),
         "all_ones": (4, ()),
