@@ -1,7 +1,7 @@
 """Multi-agent gridworld RL with recurrent visual attention.
 
 Subpackages:
-    numerics      float64 tensors, reverse-mode tape, Adam, parameter blobs
+    numerics      float64 tensors, reverse-mode tape, Adam over a flat vector
     attention_net recurrent attention policy/value network
     ja_reward     attention-divergence bonus and its schedule
     gridworlds    cooperative grid environments and variants

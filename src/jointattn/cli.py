@@ -434,9 +434,13 @@ def experiment_env_config(cfg: ExperimentConfig):
 
 
 def build_agents_from_checkpoint(ckdir: str, cfg: ExperimentConfig) -> list:
+    """The checkpoint's agents for greedy play, which never steps an
+    optimizer: they get none, so ``load_checkpoint`` reads no Adam file."""
     size = experiment_env_config(cfg).interior + 2
     pop = PopulationSpec([AgentSpec(v) for v in cfg.population], cfg.incentive)
     agents = build_population(pop, size, size, cfg.ppo, cfg.seed)
+    for agent in agents:
+        agent.adam = None
     load_checkpoint(ckdir, agents)
     return agents
 

@@ -30,6 +30,7 @@ once.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -631,6 +632,11 @@ def generalization_eval(agents: list, kind: str, variants: list,
 
 def save_checkpoint(path: str, agents: list, global_step: int,
                     episodes: int, config_hash: str = "") -> None:
+    """Write each agent's ``core.flat`` as ``agent{k}.npy`` and, for an agent
+    with an optimizer, its Adam moments as one (2, n) ``agent{k}_adam.npy``
+    (rows m and v, laid out as ``flat``). ``checkpoint.json`` records each
+    agent's variant, Adam step and layout, the (name, shape) of every
+    parameter in ``AgentCore.params`` order."""
     os.makedirs(path, exist_ok=True)
     meta = {
         "encoding_version": ENCODING_VERSION,
@@ -640,58 +646,101 @@ def save_checkpoint(path: str, agents: list, global_step: int,
         "agents": [],
     }
     for k, agent in enumerate(agents):
-        nm.save_params(os.path.join(path, f"agent{k}.blob"),
-                       os.path.join(path, f"agent{k}.json"),
-                       agent.core.params)
-        entry = {"variant": agent.variant, "adam_step": None}
+        np.save(os.path.join(path, f"agent{k}.npy"), agent.core.flat)
+        entry = {"variant": agent.variant, "adam_step": None,
+                 "layout": _param_layout(agent.core)}
         if agent.adam is not None:
-            moments = {f"{key}/{name}": view
-                       for key, vec in (("m", agent.adam.m), ("v", agent.adam.v))
-                       for name, view in agent.core.views(vec).items()}
-            nm.save_params(os.path.join(path, f"agent{k}_adam.blob"),
-                           os.path.join(path, f"agent{k}_adam.json"), moments)
+            np.save(os.path.join(path, f"agent{k}_adam.npy"),
+                    np.stack([agent.adam.m, agent.adam.v]))
             entry["adam_step"] = agent.adam.step
         meta["agents"].append(entry)
     with open(os.path.join(path, "checkpoint.json"), "w") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
 
 
-def load_agent_params(path: str, k: int) -> dict:
-    return nm.load_params(os.path.join(path, f"agent{k}.blob"),
-                          os.path.join(path, f"agent{k}.json"))
+def _param_layout(core: AgentCore) -> list:
+    """[[name, shape], ...] of ``core.params``, as a checkpoint records it."""
+    return [[name, list(t.shape)] for name, t in core.params.items()]
 
 
-def set_agent_params(core: AgentCore, loaded: dict) -> None:
-    for name, p in core.params.items():
-        if name not in loaded:
-            raise ValueError(f"checkpoint is missing parameter {name!r}")
-        arr = loaded[name]
-        arr = arr.data if isinstance(arr, Tensor) else np.asarray(arr)
-        if arr.shape != p.data.shape:
-            raise ValueError(f"checkpoint parameter {name!r} has shape "
-                             f"{arr.shape}, expected {p.data.shape}")
-        p.data[...] = arr
-
-
-def load_checkpoint(path: str, agents: list) -> dict:
-    """Restore parameters and optimizer moments in place; returns the meta."""
+def _checkpoint_meta(path: str) -> dict:
     with open(os.path.join(path, "checkpoint.json")) as f:
         meta = json.load(f)
     if meta.get("encoding_version") != ENCODING_VERSION:
         raise ValueError(
             f"checkpoint encoding version {meta.get('encoding_version')!r} "
             f"does not match this build ({ENCODING_VERSION!r})")
+    if not all("layout" in entry for entry in meta["agents"]):
+        raise ValueError(f"checkpoint {path} records no parameter layout: an "
+                         "older build wrote it, in a format this build does "
+                         "not read")
+    return meta
+
+
+def _load_vector(path: str, name: str, shape: tuple) -> np.ndarray:
+    """The float64 array of ``shape`` that ``name`` holds, read without
+    pickle; anything else raises ``ValueError``."""
+    try:
+        arr = np.load(os.path.join(path, name), allow_pickle=False)
+    except (EOFError, ValueError) as e:     # empty, cut short or not .npy
+        raise ValueError(f"checkpoint file {name}: {e}") from e
+    if arr.dtype != np.float64 or arr.shape != shape:
+        raise ValueError(f"checkpoint file {name} holds {arr.dtype} "
+                         f"{arr.shape}, expected float64 {shape}")
+    return arr
+
+
+def load_agent_params(path: str, k: int) -> dict:
+    """{name: array} of agent k's parameters: views of its saved vector,
+    cut by the recorded layout."""
+    layout = _checkpoint_meta(path)["agents"][k]["layout"]
+    sizes = [int(np.prod(shape)) for _, shape in layout]
+    flat = _load_vector(path, f"agent{k}.npy", (sum(sizes),))
+    pieces = np.split(flat, np.cumsum(sizes)[:-1])
+    return {name: piece.reshape(shape)
+            for (name, shape), piece in zip(layout, pieces)}
+
+
+def set_agent_params(core: AgentCore, loaded: dict) -> None:
+    """Copy {name: array} into ``core``'s parameters; every name and shape
+    is checked before anything is copied."""
+    for name, p in core.params.items():
+        if name not in loaded:
+            raise ValueError(f"checkpoint is missing parameter {name!r}")
+        if np.shape(loaded[name]) != p.shape:
+            raise ValueError(f"checkpoint parameter {name!r} has shape "
+                             f"{np.shape(loaded[name])}, expected {p.shape}")
+    for name, p in core.params.items():
+        p.data[...] = loaded[name]
+
+
+def load_checkpoint(path: str, agents: list) -> dict:
+    """Restore each agent's parameters and, for an agent with an optimizer
+    whose entry has an Adam step, its moments and step, in place; returns
+    the meta. Every agent's layout and files are checked before any agent
+    is written, so a load that raises leaves them all as they were."""
+    meta = _checkpoint_meta(path)
     if len(meta["agents"]) != len(agents):
         raise ValueError("checkpoint population size does not match")
-    for k, agent in enumerate(agents):
-        set_agent_params(agent.core, load_agent_params(path, k))
-        if agent.adam is not None and meta["agents"][k]["adam_step"] is not None:
-            moments = nm.load_params(os.path.join(path, f"agent{k}_adam.blob"),
-                                     os.path.join(path, f"agent{k}_adam.json"))
-            for key, vec in (("m", agent.adam.m), ("v", agent.adam.v)):
-                for name, view in agent.core.views(vec).items():
-                    view[...] = moments[f"{key}/{name}"]
-            agent.adam.step = meta["agents"][k]["adam_step"]
+    loaded = []
+    for k, (agent, entry) in enumerate(zip(agents, meta["agents"])):
+        own = _param_layout(agent.core)
+        for i, (saved, mine) in enumerate(
+                itertools.zip_longest(entry["layout"], own)):
+            if saved != mine:
+                raise ValueError(f"checkpoint agent {k}: layout entry {i} is "
+                                 f"{saved}, this agent's is {mine}")
+        n = agent.core.flat.size
+        flat = _load_vector(path, f"agent{k}.npy", (n,))
+        moments = None
+        if agent.adam is not None and entry["adam_step"] is not None:
+            moments = _load_vector(path, f"agent{k}_adam.npy", (2, n))
+        loaded.append((flat, moments))
+    for agent, entry, (flat, moments) in zip(agents, meta["agents"], loaded):
+        agent.core.flat[...] = flat
+        if moments is not None:
+            agent.adam.m[...], agent.adam.v[...] = moments
+            agent.adam.step = entry["adam_step"]
     return meta
 
 

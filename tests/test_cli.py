@@ -9,7 +9,6 @@ import shutil
 import numpy as np
 import pytest
 
-import jointattn.numerics as nm
 from jointattn.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -24,6 +23,7 @@ from jointattn.cli import (
     mutual_cells,
     parse_config_text,
     read_checkpoint_config,
+    resolve_checkpoint_dir,
     serialize_config,
 )
 from jointattn.ja_reward import IncentiveConfig
@@ -481,29 +481,28 @@ class TestRunCheckpoint:
         manifest = Manifest(str(tmp_path), "train", config_hash(cfg),
                             [cfg.seed])
         ckroot = tmp_path / "checkpoints"
-        save_params = nm.save_params
+        save = np.save
 
-        def dies_on_second_agent(blob_path, index_path, params):
-            if os.path.basename(blob_path) == "agent1.blob":
+        def dies_on_second_agent(file, arr):
+            if os.path.basename(file) == "agent1.npy":
                 raise OSError("disk gone")
-            save_params(blob_path, index_path, params)
+            save(file, arr)
 
-        monkeypatch.setattr(nm, "save_params", dies_on_second_agent)
+        monkeypatch.setattr(np, "save", dies_on_second_agent)
         with pytest.raises(OSError):
             _save_run_checkpoint(trainer, str(tmp_path), cfg, manifest)
         assert not [n for n in os.listdir(ckroot) if n.startswith("step")]
         assert _checkpoint_steps(str(ckroot)) == []
         assert manifest.data["checkpoints"] == []
 
-        monkeypatch.setattr(nm, "save_params", save_params)
+        monkeypatch.setattr(np, "save", save)
         rel = _save_run_checkpoint(trainer, str(tmp_path), cfg, manifest)
         name = os.path.basename(rel)
         assert os.listdir(ckroot) == [name]
         assert _checkpoint_steps(str(ckroot)) == [name]
         assert set(os.listdir(ckroot / name)) == {
-            "checkpoint.json", "config.cfg", "agent0.blob", "agent0.json",
-            "agent0_adam.blob", "agent0_adam.json", "agent1.blob",
-            "agent1.json", "agent1_adam.blob", "agent1_adam.json"}
+            "checkpoint.json", "config.cfg", "agent0.npy", "agent0_adam.npy",
+            "agent1.npy", "agent1_adam.npy"}
         assert read_checkpoint_config(str(ckroot / name)) == cfg
         assert manifest.data["checkpoints"] == [rel]
 
@@ -516,6 +515,20 @@ class TestEvalCommand:
         summary = json.loads(capsys.readouterr().out.strip())
         assert summary["episodes"] == 2
         assert 0.0 <= summary["success_rate"] <= 1.0
+
+    def test_eval_reads_no_adam_file(self, train_run, tmp_path, capsys):
+        ckdir = tmp_path / "ck"
+        shutil.copytree(resolve_checkpoint_dir(str(train_run["outdir"])),
+                        ckdir)
+        argv = ["eval", "--checkpoint", str(ckdir), "--episodes", "2"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out
+        adam_files = sorted(ckdir.glob("agent*_adam.npy"))
+        assert len(adam_files) == 2
+        for path in adam_files:
+            path.unlink()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == before
 
     def test_eval_defaults_to_ten_episodes(self, train_run, capsys):
         code = main(["eval", "--checkpoint", str(train_run["outdir"])])
@@ -719,14 +732,14 @@ class TestSocialCommand:
 
     def test_final_checkpoint_that_dies_leaves_nothing_in_place(
             self, mixed_expert, tmp_path, monkeypatch):
-        save_params = nm.save_params
+        save = np.save
 
-        def dies_on_adam(blob_path, index_path, params):
-            save_params(blob_path, index_path, params)
-            if os.path.basename(blob_path) == "agent0_adam.blob":
+        def dies_on_adam(file, arr):
+            save(file, arr)
+            if os.path.basename(file) == "agent0_adam.npy":
                 raise OSError("disk gone")
 
-        monkeypatch.setattr(nm, "save_params", dies_on_adam)
+        monkeypatch.setattr(np, "save", dies_on_adam)
         outdir = tmp_path / "social"
         code = main(["social", "--expert", str(mixed_expert), "--seed", "4",
                      "--max-env-steps", "8", "--output-dir", str(outdir)])

@@ -1226,39 +1226,3 @@ class TestDeterminism:
             backward(loss)
             grads.append(k.grad)
         assert np.array_equal(grads[0], grads[1])
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(23)
-        params = {
-            "conv/k": rng.normal(size=(3, 3, 2, 4)),
-            "conv/b": rng.normal(size=4),
-            "lstm/w": rng.normal(size=(10, 16)),
-        }
-        blob = str(tmp_path / "p.bin")
-        man = str(tmp_path / "p.json")
-        nm.save_params(blob, man, params)
-        loaded = nm.load_params(blob, man)
-        assert set(loaded) == set(params)
-        for k in params:
-            assert np.array_equal(loaded[k], params[k])
-
-    def test_byte_identical_across_saves(self, tmp_path):
-        rng = np.random.default_rng(24)
-        params = {"a": rng.normal(size=(5, 3)), "b": rng.normal(size=7)}
-        paths = []
-        for tag in ("one", "two"):
-            blob = tmp_path / f"{tag}.bin"
-            man = tmp_path / f"{tag}.json"
-            nm.save_params(str(blob), str(man), params)
-            paths.append((blob.read_bytes(), man.read_bytes()))
-        assert paths[0] == paths[1]
-
-    def test_tensor_values_accepted(self, tmp_path):
-        params = {"w": Tensor(np.arange(4.0), requires_grad=True)}
-        blob = str(tmp_path / "p.bin")
-        man = str(tmp_path / "p.json")
-        nm.save_params(blob, man, params)
-        loaded = nm.load_params(blob, man)
-        assert np.array_equal(loaded["w"], np.arange(4.0))

@@ -3,6 +3,7 @@ decentralization, determinism, checkpoints, and the social-learning mode."""
 
 import copy
 import gc
+import json
 import os
 
 import numpy as np
@@ -27,12 +28,14 @@ from jointattn.training import (
     compute_advantages,
     evaluate,
     generalization_eval,
+    load_agent_params,
     load_checkpoint,
     lockstep_episodes,
     observation_array,
     ppo_update,
     recompute_r_ja,
     save_checkpoint,
+    set_agent_params,
     social_learning_run,
 )
 
@@ -658,34 +661,6 @@ class TestCheckpoints:
             assert np.array_equal(fresh.agents[k].adam.v, tr.agents[k].adam.v)
             assert fresh.agents[k].adam.step == tr.agents[k].adam.step
 
-    def test_per_name_adam_blob_loads_into_flat_moments(self, tmp_path):
-        # the Adam blob as a per-name optimizer wrote it: one m/<name> and
-        # one v/<name> array per parameter, each of the parameter's shape
-        tr = small_trainer(["joint_attention"], seed=20)
-        path = str(tmp_path / "ck")
-        save_checkpoint(path, tr.agents, 0, 0)
-        rng = np.random.default_rng(21)
-        params = tr.agents[0].core.params
-        moments = {}
-        for n, p in params.items():
-            moments[f"m/{n}"] = rng.normal(size=p.shape)
-            moments[f"v/{n}"] = rng.uniform(size=p.shape)
-        nm.save_params(os.path.join(path, "agent0_adam.blob"),
-                       os.path.join(path, "agent0_adam.json"), moments)
-        fresh = small_trainer(["joint_attention"], seed=22)
-        load_checkpoint(path, fresh.agents)
-        adam = fresh.agents[0].adam
-        for key, vec in (("m", adam.m), ("v", adam.v)):
-            assert np.array_equal(vec, np.concatenate(
-                [moments[f"{key}/{n}"].reshape(-1) for n in params]))
-        # and the flat moments write the same files back
-        again = str(tmp_path / "again")
-        save_checkpoint(again, fresh.agents, 0, 0)
-        for name in ("agent0_adam.blob", "agent0_adam.json"):
-            with open(os.path.join(path, name), "rb") as f, \
-                    open(os.path.join(again, name), "rb") as g:
-                assert f.read() == g.read(), name
-
     def test_population_size_mismatch_rejected(self, tmp_path):
         tr = small_trainer(["joint_attention"], seed=17)
         path = str(tmp_path / "ck")
@@ -695,7 +670,6 @@ class TestCheckpoints:
             load_checkpoint(path, other.agents)
 
     def test_encoding_version_guard(self, tmp_path):
-        import json
         tr = small_trainer(["joint_attention"], seed=18)
         path = str(tmp_path / "ck")
         save_checkpoint(path, tr.agents, 0, 0)
@@ -709,37 +683,129 @@ class TestCheckpoints:
             load_checkpoint(path, tr.agents)
 
     def test_checkpoint_at_init_keeps_its_bytes(self, tmp_path):
-        # the digests of the files this checkpoint had when every bias was
-        # its own parameter; carrying each affine bias as the last row of
-        # its weight's matrix left the names, shapes, order and values
+        # the blob format this checkpoint was once written in held each
+        # parameter, and each m/<name> and v/<name> moment, in sorted-name
+        # order; its pinned digests prove the saved values did not move
         import hashlib
         tr = small_trainer(["joint_attention", "independent_ppo"], seed=16)
         save_checkpoint(str(tmp_path), tr.agents, 0, 0)
-        digests = {name: hashlib.sha256(
-            (tmp_path / name).read_bytes()).hexdigest()[:16]
-            for name in sorted(os.listdir(tmp_path))}
-        assert digests == {
+        meta = json.loads((tmp_path / "checkpoint.json").read_text())
+
+        def digest(raw):
+            return hashlib.sha256(raw).hexdigest()[:16]
+
+        def cut(vec, layout, prefix=""):
+            sizes = [int(np.prod(shape)) for _, shape in layout]
+            return {prefix + name: piece for (name, _), piece in
+                    zip(layout, np.split(vec, np.cumsum(sizes)[:-1]))}
+
+        def payload(named):
+            return b"".join(named[n].tobytes() for n in sorted(named))
+
+        blobs = {}
+        for k, entry in enumerate(meta["agents"]):
+            layout = entry["layout"]
+            m, v = np.load(tmp_path / f"agent{k}_adam.npy")
+            blobs[f"agent{k}.blob"] = digest(payload(
+                cut(np.load(tmp_path / f"agent{k}.npy"), layout)))
+            blobs[f"agent{k}_adam.blob"] = digest(payload(
+                {**cut(m, layout, "m/"), **cut(v, layout, "v/")}))
+        assert blobs == {
             "agent0.blob": "659a01ad023f6fa2",
-            "agent0.json": "eb97b8ca596568f6",
             "agent0_adam.blob": "9dd25206025ccbe1",
-            "agent0_adam.json": "cf5c989996518cd0",
             "agent1.blob": "a1c9ce7c88174920",
-            "agent1.json": "791996d9a90d12be",
             "agent1_adam.blob": "f9c579a0662ef825",
-            "agent1_adam.json": "a3582279e3b17afc",
-            "checkpoint.json": "bfe35939ce99a2d7",
+        }
+        files = {name: digest((tmp_path / name).read_bytes())
+                 for name in sorted(os.listdir(tmp_path))}
+        assert files == {
+            "agent0.npy": "4a4402c77bec771e",
+            "agent0_adam.npy": "a37efc89493f3dcd",
+            "agent1.npy": "1ffca2315d0db42a",
+            "agent1_adam.npy": "de28be3dc1ee86e7",
+            "checkpoint.json": "f249cf4e7b32b55a",
         }
 
     def test_saved_checkpoint_is_byte_deterministic(self, tmp_path):
         tr = small_trainer(["joint_attention"], seed=19)
-        p1, p2 = str(tmp_path / "a"), str(tmp_path / "b")
-        save_checkpoint(p1, tr.agents, 5, 1)
-        save_checkpoint(p2, tr.agents, 5, 1)
-        with open(os.path.join(p1, "agent0.blob"), "rb") as f:
-            b1 = f.read()
-        with open(os.path.join(p2, "agent0.blob"), "rb") as f:
-            b2 = f.read()
-        assert b1 == b2
+        p1, p2 = tmp_path / "a", tmp_path / "b"
+        save_checkpoint(str(p1), tr.agents, 5, 1)
+        save_checkpoint(str(p2), tr.agents, 5, 1)
+        names = sorted(os.listdir(p1))
+        assert names == sorted(os.listdir(p2))
+        assert "agent0_adam.npy" in names
+        for name in names:
+            assert (p1 / name).read_bytes() == (p2 / name).read_bytes(), name
+
+    def test_layout_mismatch_writes_no_agent(self, tmp_path):
+        # agent 0's layout matches, agent 1's does not: neither is written
+        src = small_trainer(["joint_attention", "independent_ppo"], seed=16)
+        rng = np.random.default_rng(20)
+        for agent in src.agents:
+            agent.adam.m[:] = rng.normal(size=agent.adam.m.shape)
+            agent.adam.step = 3
+        path = str(tmp_path / "ck")
+        save_checkpoint(path, src.agents, 0, 0)
+        target = small_trainer(["joint_attention", "joint_attention"],
+                               seed=17)
+        for agent in target.agents:
+            agent.adam.m[:] = rng.normal(size=agent.adam.m.shape)
+        before = [(a.core.flat.copy(), a.adam.m.copy()) for a in target.agents]
+        with pytest.raises(ValueError, match=r"agent 1: layout entry 2 is "
+                           r"\['embed/w', \[6, 5\]\], this agent's is "
+                           r"\['keys/w'"):
+            load_checkpoint(path, target.agents)
+        for agent, (flat, m) in zip(target.agents, before):
+            assert np.array_equal(agent.core.flat, flat)
+            assert np.array_equal(agent.adam.m, m)
+            assert agent.adam.step == 0
+
+    def test_set_agent_params_checks_every_name_before_copying(self):
+        donor = AgentRunner(AgentSpec("independent_ppo"), 7, 7, PPOConfig(), 1)
+        core = AgentRunner(AgentSpec("joint_attention"), 7, 7, PPOConfig(),
+                           2).core
+        before = core.flat.copy()
+        with pytest.raises(ValueError, match="keys/w"):
+            set_agent_params(core, {n: p.data for n, p in
+                                    donor.core.params.items()})
+        assert np.array_equal(core.flat, before)
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "float32",
+                                        "no_layout"])
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage):
+        tr = small_trainer(["joint_attention"], seed=18)
+        save_checkpoint(str(tmp_path), tr.agents, 0, 0)
+        vec = tmp_path / "agent0.npy"
+        meta_path = tmp_path / "checkpoint.json"
+        if damage == "truncated":
+            vec.write_bytes(vec.read_bytes()[:-8])
+        elif damage == "empty":
+            vec.write_bytes(b"")
+        elif damage == "float32":
+            np.save(vec, tr.agents[0].core.flat.astype(np.float32))
+        else:
+            meta = json.loads(meta_path.read_text())
+            del meta["agents"][0]["layout"]
+            meta_path.write_text(json.dumps(meta))
+        match = "older build" if damage == "no_layout" else "agent0.npy"
+        fresh = small_trainer(["joint_attention"], seed=19)
+        before = fresh.agents[0].core.flat.copy()
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(str(tmp_path), fresh.agents)
+        with pytest.raises(ValueError, match=match):
+            load_agent_params(str(tmp_path), 0)
+        assert np.array_equal(fresh.agents[0].core.flat, before)
+
+    def test_agent_params_are_views_cut_by_the_layout(self, tmp_path):
+        tr = small_trainer(["joint_attention"], seed=21)
+        save_checkpoint(str(tmp_path), tr.agents, 0, 0)
+        loaded = load_agent_params(str(tmp_path), 0)
+        params = tr.agents[0].core.params
+        assert list(loaded) == list(params)
+        for name, p in params.items():
+            assert np.array_equal(loaded[name], p.data), name
+        assert len({id(a.base) for a in loaded.values()}) == 1
+        assert next(iter(loaded.values())).base is not None
 
 
 # Batched and batch-1 network steps round differently (by ~1e-16), and a

@@ -14,14 +14,16 @@ calls and seconds (taped or not; the untaped share is printed apart) and
 its backward calls and seconds. ``backward`` as a whole is timed too: what
 it takes beyond its nodes' closures is the sweep itself.
 
-The environment, the optimiser and the divergence get rows of their own
-(calls and seconds), wrapped the same way where the program looks them
-up: ``training.step`` and ``training.reset`` (the names the trainer and
+The environment, the optimiser, the divergence and the checkpoint reload
+get rows of their own (calls and seconds), wrapped the same way where the
+program looks them up: ``training.step`` and ``training.reset`` (the names the trainer and
 the evaluation call), ``EnvSet.step``, ``EnvSet.batch_ids`` and
 ``EnvSet.batch_poses``; ``numerics.adam_update``, the name ``ppo_update``
-calls; and ``training.pairwise_divergence``, the name the collect's bonus
-and ``evaluate`` call. ``EnvSet.step`` calls ``training.step`` and, when
-an episode ends, ``training.reset``, so its row contains theirs.
+calls; ``training.pairwise_divergence``, the name the collect's bonus
+and ``evaluate`` call; and ``cli.build_agents_from_checkpoint``, the
+checkpoint reload of every ``jointattn eval`` call. ``EnvSet.step`` calls
+``training.step`` and, when an episode ends, ``training.reset``, so its
+row contains theirs.
 
 The warm-up unit (the first) is not counted. Shares are of the warm units'
 wall seconds; every time includes the wrappers' own overhead, so read the
@@ -55,10 +57,12 @@ def parse_args(argv):
 
 
 # (owner, attribute) of each call timed whole: an owner is the module
-# ``jointattn.training`` or ``jointattn.numerics``, or ``training.EnvSet``
+# ``jointattn.training``, ``jointattn.numerics`` or ``jointattn.cli``, or
+# ``training.EnvSet``
 CALLS = (("training", "step"), ("training", "reset"), ("EnvSet", "step"),
          ("EnvSet", "batch_ids"), ("EnvSet", "batch_poses"),
-         ("numerics", "adam_update"), ("training", "pairwise_divergence"))
+         ("numerics", "adam_update"), ("training", "pairwise_divergence"),
+         ("cli", "build_agents_from_checkpoint"))
 
 
 class NodeClock:
@@ -142,14 +146,14 @@ class NodeClock:
 
         return timed
 
-    def wrapped(self, nm, training):
+    def wrapped(self, nm, training, cli):
         """(owner, attribute, wrapper) for every exported op, ``backward``,
         ``tensor._record`` and every call of ``CALLS``."""
         ops = [name for name in nm.__all__
                if inspect.isfunction(getattr(nm, name))
                and getattr(nm, name).__module__ == self.tensor.__name__
                and name != "backward"]
-        owners = {"training": training, "numerics": nm,
+        owners = {"training": training, "numerics": nm, "cli": cli,
                   "EnvSet": training.EnvSet}
         calls = []
         for owner_name, attr in CALLS:
@@ -168,11 +172,11 @@ def main(argv=None) -> int:
     clocks = []
 
     def timed_rotate(workload, subjects, seconds, units):
-        from jointattn import numerics as nm, training
+        from jointattn import cli, numerics as nm, training
         from jointattn.numerics import tensor
         node_clock = NodeClock(tensor)
         clocks.append(node_clock)
-        replacements = node_clock.wrapped(nm, training)
+        replacements = node_clock.wrapped(nm, training, cli)
         saved = [(owner, attr, getattr(owner, attr))
                  for owner, attr, _ in replacements]
         for owner, attr, value in replacements:
