@@ -55,9 +55,11 @@ respawn, berries, stags and stag moves, TaskList interactions, goal
 arrivals and setting a carried object down) loop in Python over the (row,
 agent) pairs that trigger them, agent by agent within a row: one agent's
 pickup can change the cell the next one faces, and each episode must draw
-from its generator in the order it would alone. Meetup never enters these
-loops. Given a ``GridState``, ``step`` runs the same code as a batch of one
-and writes the result back, so the scalar oracles test the batched rules.
+from its generator in the order it would alone. Interactions loop only
+over the rows where some acting agent faces a cell its action can change.
+Meetup never enters these loops. Given a ``GridState``, ``step`` runs the
+same code as a batch of one and writes the result back, so the scalar
+oracles test the batched rules.
 """
 
 from __future__ import annotations
@@ -455,6 +457,12 @@ _DY = np.array([dy for _, dy in DIR_VECTORS])
 _WALKABLE = np.zeros((len(OBJECT_IDS), len(STATE_IDS)), dtype=bool)
 _WALKABLE[[_OBJ["empty"], _OBJ["goal"]]] = True
 _WALKABLE[_OBJ["door"], _ST["door-open"]] = True
+# [action, object] -> the action may change a faced cell holding that object
+_ACTS_ON = np.zeros((len(ACTIONS), len(OBJECT_IDS)), dtype=bool)
+_ACTS_ON[PICKUP, [_OBJ[o] for o in ("coin", "berry", "stag", "key",
+                                    "ball")]] = True
+_ACTS_ON[DROP, _OBJ["empty"]] = True
+_ACTS_ON[TOGGLE, [_OBJ["door"], _OBJ["box"]]] = True
 
 
 def _move(b: EnvBatch, actions: np.ndarray) -> None:
@@ -694,6 +702,14 @@ def _step(b: EnvBatch, actions: np.ndarray) -> tuple:
         acting = ~b.finished & (actions == PICKUP)
         if b.kind == "tasklist":
             acting |= ~b.finished & ((actions == DROP) | (actions == TOGGLE))
+        # a row whose acting agents all face what their action cannot
+        # change stays as it is; in any other row every acting agent
+        # interacts, in agent order, since one pickup can respawn a coin in
+        # front of the next agent
+        fx, fy = b.x + _DX[b.direction], b.y + _DY[b.direction]
+        faced = b.cells[rows, fy, fx, 0]
+        changes = _ACTS_ON[np.where(acting, actions, NOOP), faced]
+        acting &= changes.any(axis=1)[:, None]
         for e, i in zip(*np.nonzero(acting)):
             _interact(b, e, i, actions[e, i], rewards[e])
     if b.kind == "staghunt":

@@ -37,6 +37,20 @@ so it still matches ``lstm_step`` bit for bit, and multiplies each h and
 c by the next step's ``keep`` row as it writes them into that step's
 input row and kept state.
 
+Row blocks: NumPy's OpenBLAS runs a product of at most ``_BLAS_SMALL``
+(10^6) multiply-adds on its small-matrix kernel and a larger one on its
+packed path, which first copies its operands into panels; at the agents'
+(28, 64) conv kernel that costs 1.5-2x the time per row, from 559 rows
+on. So ``frame_features`` runs its conv product, taped or not, and the
+product that forms its kernel's gradient in row blocks of at most that many
+multiply-adds: 558 rows at (28, 64). Each block of the output is written
+into its own rows. At the agents' shapes every output row is the same
+28-term dot product in a block as in one product, so the output stays bit
+for bit that of ``conv2d``, which stays one product; BLAS does not promise
+this at every shape (a 3-column kernel in 10-row blocks differs in its last
+bits). The kernel's gradient adds the blocks' products in order, a sum in
+another order than one product's, so it differs in its last bits.
+
 Buffers lent from tape to tape: under a tape, ``frame_features`` writes
 its padded frames, columns, output and bool ReLU mask into arrays lent by
 a pool that keeps one array per key, so that a PPO minibatch does not
@@ -627,6 +641,15 @@ def conv2d(x, kernels, bias) -> Tensor:
     return out
 
 
+# OpenBLAS runs a product of at most this many multiply-adds on its
+# small-matrix kernel and a larger one on its packed path, which pays for
+# packing its operands: (rows x 28) @ (28 x 64) took 36 us at 558 rows and
+# 56 us at 559, median of 300 calls (scipy-openblas 0.3.31 under NumPy
+# 2.4.6, one thread, a 2-vCPU AVX-512 x86-64 machine); tools/blas_rows.py
+# measures it again
+_BLAS_SMALL = 10**6
+
+
 def _im2col(xd, xp, cols):
     """Every 3x3 window of the frames xd (b, h, w, c), zero padded by one
     cell, as the rows of cols (b*h*w, 9*c + 1), ordered (kh, kw, c), and a
@@ -653,12 +676,15 @@ def frame_features(x, kernel, basis) -> Tensor:
     then the bias) and basis a fixed (h, w, c_s) array appended to every
     frame's features (c_s may be 0). Returns (b, h, w, c_out + c_s), the
     same values as the composed ops. Frames and basis are constants: a
-    gradient asked of either raises ``TapeError``. The conv is one product
-    of the columns, whose last column is 1, with the kernel, written straight
-    into the first c_out channels of the output's rows; the ReLU runs over
+    gradient asked of either raises ``TapeError``. The conv is the product
+    of the columns, whose last column is 1, with the kernel, run in row
+    blocks under BLAS's small-matrix bound (module docstring) and written
+    straight into the first c_out channels of the output's rows; at the
+    agents' shapes it is bit for bit one product. The ReLU runs over
     whole rows, the basis written before it (so it reads only finite cells)
     and again after (so it stays unclipped). The kernel's gradient, bias row
-    included, is one product of the columns with the masked gradient. Under
+    included, is the sum, block by block in order, of the columns' products
+    with the masked gradient: one product's value up to rounding. Under
     a tape the padded frames, the columns, the output and a bool ReLU mask
     are lent by the tape-to-tape pool (module docstring). The mask covers
     the output's whole (n, c_out + c_s) rows, one contiguous pass where the
@@ -697,7 +723,9 @@ def frame_features(x, kernel, basis) -> Tensor:
         _lend(tape, "frame_features.out", out_shape)
     rows = od.reshape(n, c_out + c_s)
     od[..., c_out:] = sd        # so the ReLU below reads only finite cells
-    np.matmul(cols, kd, out=rows[:, :c_out])
+    block = max(1, _BLAS_SMALL // kd.size)      # rows per product
+    for lo in range(0, n, block):
+        np.matmul(cols[lo:lo + block], kd, out=rows[lo:lo + block, :c_out])
     if tape is not None:
         # over whole rows, one contiguous pass; the basis columns' part is
         # never read
@@ -717,7 +745,10 @@ def frame_features(x, kernel, basis) -> Tensor:
             np.multiply(g2, mask, out=g2)
         else:
             g2 = np.multiply(g2, mask)
-        return (None, cols.T @ g2[:, :c_out])
+        gk = cols[:block].T @ g2[:block, :c_out]
+        for lo in range(block, n, block):
+            gk += cols[lo:lo + block].T @ g2[lo:lo + block, :c_out]
+        return (None, gk)
 
     _record((out,), (x, kernel), fn)
     return out

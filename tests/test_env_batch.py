@@ -7,6 +7,7 @@ against per-env replays of its seed stream, auto-resets included.
 import numpy as np
 import pytest
 
+from jointattn import gridworlds
 from jointattn.attention_net import pose_vector
 from jointattn.gridworlds import (
     DROP,
@@ -221,6 +222,47 @@ def test_envset_auto_reset_equals_per_env_replays(kind):
                                                       episode[e]),
                                   config=cfg)
     assert es.completed_episodes == sum(episode) >= 2 * n_envs
+
+
+@pytest.mark.parametrize("kind", ["colorgather", "staghunt", "tasklist"])
+def test_rows_where_no_action_can_change_anything_skip_interact(kind,
+                                                                monkeypatch):
+    # with every (action, object) pair marked as changing the faced cell,
+    # every acting agent of every row interacts; the same random play must
+    # come out bit for bit the same, generators included, from fewer calls
+    def play(acts_on):
+        monkeypatch.setattr(gridworlds, "_ACTS_ON", acts_on)
+        calls = [0]
+        interact = gridworlds._interact
+
+        def counted(*args):
+            calls[0] += 1
+            interact(*args)
+
+        monkeypatch.setattr(gridworlds, "_interact", counted)
+        cfg = make_config(kind, interior=5, episode_cap=40)
+        batch = EnvBatch(reset(kind, seed=s, config=cfg)[0] for s in range(6))
+        arng = np.random.default_rng(10)
+        trace = []
+        while len(batch):
+            actions = arng.integers(0, 7, size=batch.x.shape)
+            rewards, done = step(batch, actions)
+            trace.append((rewards, batch.cells.copy(), batch.carry.copy(),
+                          batch.task_index.copy(), list(batch.movers),
+                          [dict(t) for t in batch.coin_tally],
+                          [r.bit_generator.state for r in batch.rng]))
+            batch = batch.take(~done)
+        return trace, calls[0]
+
+    acts_on = gridworlds._ACTS_ON
+    every, every_calls = play(np.ones_like(acts_on))
+    skipped, calls = play(acts_on)
+    assert 0 < calls < every_calls
+    assert len(skipped) == len(every)
+    for got, ref in zip(skipped, every):
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) \
+                else a == b
 
 
 def test_batch_rejects_mixed_kinds_and_stepping_a_done_row():

@@ -99,6 +99,12 @@ def fd_grads(f, arrays, step=1e-4):
     return grads
 
 
+def assert_close_to_roundoff(got, ref, rel=1e-12):
+    """got is ref summed in another order: equal to within rel of ref's
+    largest magnitude."""
+    assert np.abs(got - ref).max() <= rel * np.abs(ref).max()
+
+
 def assert_close_to_fd(analytic, numeric, tol=1e-4):
     a = analytic.reshape(-1)
     n = numeric.reshape(-1)
@@ -887,7 +893,11 @@ def composed_features(x, k, b, basis):
 
 class TestFrameFeatures:
     """The one-node encoder against the composed ops it fuses, and against
-    central differences, with and without a basis."""
+    central differences, with and without a basis. The 24-row inputs fit in
+    one row block, so the output and the kernel gradient are the composed
+    conv's one product, bit for bit."""
+
+    assert_matches_composed = staticmethod(np.testing.assert_array_equal)
 
     def _arrays(self, depth, seed):
         rng = np.random.default_rng(seed)
@@ -915,8 +925,9 @@ class TestFrameFeatures:
             ref_loss = self._loss(ref, weight)
         backward(ref_loss)
         assert (ref.data > 0.0).any() and (ref.data[..., :3] == 0.0).any()
-        assert np.array_equal(got, ref.data)
-        assert np.array_equal(kernel.grad, with_bias_row(rk.grad, rb.grad))
+        self.assert_matches_composed(got, ref.data)
+        self.assert_matches_composed(kernel.grad,
+                                     with_bias_row(rk.grad, rb.grad))
 
     @pytest.mark.parametrize("depth", [8, 0])
     def test_matches_finite_differences(self, depth):
@@ -956,7 +967,8 @@ class TestFrameFeatures:
         ref = run(lambda: composed_features(x, rk, rb, basis), None)
         assert np.array_equal(got["lead"].grad, 2.0 * weight)
         assert np.array_equal(got["lead"].grad, ref["lead"].grad)
-        assert np.array_equal(kernel.grad, with_bias_row(rk.grad, rb.grad))
+        self.assert_matches_composed(kernel.grad,
+                                     with_bias_row(rk.grad, rb.grad))
 
     def test_frames_needing_a_gradient_raise(self):
         x, a, basis, _ = self._arrays(8, 73)
@@ -976,6 +988,50 @@ class TestFrameFeatures:
             nm.frame_features(x, a["kernel"][:-1], basis)
         with pytest.raises(ShapeError):
             nm.frame_features(x, a["kernel"], basis[1:])
+
+
+class TestFrameFeaturesInRowBlocks(TestFrameFeatures):
+    """The same oracles with the row-block bound lowered so that the 24-row
+    inputs run as blocks of 10, 10 and 4 rows: a partial last block, and a
+    kernel gradient summed over the blocks in another order than the
+    composed conv's one product. BLAS picks its kernel by shape, and with
+    this 3-column kernel a 10- or 4-row block takes another path than 24
+    rows, so the output too may differ in its last bits."""
+
+    assert_matches_composed = staticmethod(assert_close_to_roundoff)
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        # 10 rows of the (19, 3) kernel per block
+        monkeypatch.setattr(tensor, "_BLAS_SMALL", 10 * 19 * 3)
+
+
+def test_frame_features_at_the_agents_shapes_runs_in_row_blocks():
+    # 13 frames of 10x10x3 and the agents' (28, 64) kernel: 1,300 rows, two
+    # blocks of 558 and one of 184. Each output row is the same 28-term dot
+    # product in any of these blocks; the kernel gradient sums the blocks'
+    # products in another order than one product does
+    rng = np.random.default_rng(79)
+    x = rng.normal(size=(13, 10, 10, 3))
+    kd = rng.normal(size=(28, 64), scale=0.3)
+    basis = with_ones_channel(rng.normal(size=(10, 10, 8)))
+    weight = Tensor(rng.normal(size=(13, 10, 10, 73)))
+    assert tensor._BLAS_SMALL // kd.size == 558
+    kernel = Tensor(kd, requires_grad=True)
+    untaped = nm.frame_features(x, kernel, basis).data
+    with Tape():
+        out = nm.frame_features(x, kernel, basis)
+        got = out.data.copy()
+        loss = nm.sum_all(nm.mul(out, weight))
+    backward(loss)
+    rk, rb = split_kernel(kd, 3)
+    with Tape():
+        ref = composed_features(x, rk, rb, basis)
+        ref_loss = nm.sum_all(nm.mul(ref, weight))
+    backward(ref_loss)
+    assert np.array_equal(untaped, ref.data)
+    assert np.array_equal(got, ref.data)
+    assert_close_to_roundoff(kernel.grad, with_bias_row(rk.grad, rb.grad))
 
 
 class TestLending:
