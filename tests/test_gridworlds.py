@@ -1,6 +1,7 @@
 """Environment tests built on constructed states and brute-force oracles."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from jointattn.gridworlds import (
     TOGGLE,
     TURN_LEFT,
     TURN_RIGHT,
+    VARIANTS,
     AgentState,
+    EnvBatch,
     EnvConfig,
     GridState,
     SUBTASKS,
@@ -29,6 +32,7 @@ from jointattn.gridworlds import (
     reset,
     step,
 )
+from jointattn.training import EnvSet
 
 OBJ = OBJECT_IDS
 COL = COLOR_IDS
@@ -786,3 +790,107 @@ class TestEpisodeInvariants:
             if s.done:
                 break
             s, _, obs = step(s, arng.integers(0, 7, size=len(s.agents)))
+
+
+def _fold(h, *arrays):
+    """Add each array's values to the hash ``h``, as float64 or int64."""
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(np.ascontiguousarray(
+            a, dtype=np.float64 if a.dtype.kind == "f" else np.int64)
+            .tobytes())
+
+
+def _fold_step(h, b, rewards, done):
+    _fold(h, rewards, done, b.cells, b.x, b.y, b.direction, b.carry,
+          b.task_index, b.finished)
+
+
+PINNED_CASES = [(kind, variant, {}) for variant, kinds in VARIANTS.items()
+                for kind in kinds] + [
+    ("tasklist", "default", {"tasklist_subtasks": 3}),
+    ("meetup", "multi_target", {"agent_count": 2})]     # meets before the cap
+
+# (sha256 over every step, episodes finished) of the random play below:
+# rewards, done flags, cells and every agent's pose, carry and progress.
+# Fixed values, never to be rewritten: a moved draw, reward or pose shows
+# here even when the episode totals stay the same.
+PINNED_TRAJECTORIES = {
+    "meetup/default":
+        ("1c5f9b0ab43f469fbb89d49a1421b42e10a6b356062d1eda69d3194ce104d1e4", 20),
+    "colorgather/default":
+        ("82dc8603a7940d69f8ea4cb7c3cabd9e05d2f79222a40df42787f9d1b1e86ad0", 20),
+    "staghunt/default":
+        ("e55d4369ce1ed34867a4ec239bbcba172472ac3678903d8d84f1d2d4738d2f5a", 20),
+    "tasklist/default":
+        ("cd86eba8fe84cdf788d84333e823aee34faddb7a8ad6e1a9fe351637930476e7", 20),
+    "meetup/cluttered":
+        ("bd9ece370a0e08141de720cc96ccadd298c18bdc710ea927e159a38ddce7320e", 20),
+    "colorgather/cluttered":
+        ("4e4ce17aad5abd8638ee5cf725523feb012c30731767a709e4463a0578fc6737", 20),
+    "staghunt/cluttered":
+        ("eeda59fbe2022d34711a04073f6bfa19c8edc2fdc15945a9e214900272c264f3", 20),
+    "meetup/single_target":
+        ("723ab1c70b1f2ade5b55871de3b4eaf64cbcd06d9e702f92be76552eab7301a7", 20),
+    "meetup/multi_target":
+        ("dfe6dd56db70ba4e90d2cb0b3556c026c314ae6e36e557417b846d75c461ed6e", 20),
+    "colorgather/random_coins":
+        ("003102c0a717cedcef46d8e95d100e853c683728cad2eaba389a75870f0c92af", 20),
+    "colorgather/random_colors":
+        ("e6f728641b1db15f03ca8e82d7d949f0be5ce6a455644bde2e0a11363c62be98", 20),
+    "staghunt/no_stag":
+        ("79f6826c8ff9b8f70635d41861552b1152e77952f2e9ff4006370c58eda9b928", 20),
+    "staghunt/all_stags":
+        ("b2a3d10134cecb35a0a8f0105a9445e0e51ca39ce52f32f180c6d6ace868f14a", 20),
+    "tasklist/default/tasklist_subtasks=3":
+        ("375d0f31a8022d30c1d1d239e778c4cb2b0f2b6acc268a4494c36baf02423a1f", 20),
+    "meetup/multi_target/agent_count=2":
+        ("5f52f486d09ff581c73b2438b248088abcae5b39ee942f50d77840c53619929f", 25),
+}
+
+PINNED_ENVSETS = {
+    "meetup":
+        ("9737d9fe070d73585cabeead76fa5a4aef934b33cdce84d2cb0853af500660ce", 15),
+    "colorgather":
+        ("980ea35cf952c27dd6c7784247a55ab8fb895e60d37cdcf1b599bf9fdcbcd18c", 15),
+    "staghunt":
+        ("9e4a7fd654be431c1f188e5a233c40b3d2285af94ee8dcd793262a67bd493bb8", 15),
+    "tasklist":
+        ("d99c31a967c076a8b22d31e32434ba97fc3a166b69f66737c726b42136c79213", 15),
+}
+
+
+class TestPinnedTrajectories:
+    @pytest.mark.parametrize("kind,variant,overrides", PINNED_CASES)
+    def test_random_play_is_pinned(self, kind, variant, overrides):
+        # 600 uniform random steps on a 4x4 interior, capped at 30 steps an
+        # episode; each finished episode restarts from the next seed
+        cfg = make_config(kind, variant, interior=4, episode_cap=30,
+                          **overrides)
+        fresh = lambda seed: EnvBatch([reset(kind, variant, seed=seed,
+                                             config=cfg)[0]])
+        arng = np.random.default_rng(2024)
+        episodes = 0
+        b = fresh(episodes)
+        h = hashlib.sha256()
+        for _ in range(600):
+            rewards, done = step(b, arng.integers(0, 7, size=b.x.shape))
+            _fold_step(h, b, rewards, done)
+            if done[0]:
+                episodes += 1
+                b = fresh(episodes)
+        key = f"{kind}/{variant}" + "".join(f"/{k}={v}" for k, v in
+                                            overrides.items())
+        assert (h.hexdigest(), episodes) == PINNED_TRAJECTORIES[key]
+
+    @pytest.mark.parametrize("kind", ["meetup", "colorgather", "staghunt",
+                                      "tasklist"])
+    def test_envset_auto_reset_play_is_pinned(self, kind):
+        cfg = make_config(kind, interior=5, episode_cap=12)
+        es = EnvSet(kind, "default", cfg, 3, seed=21)
+        arng = np.random.default_rng(2025)
+        h = hashlib.sha256()
+        for _ in range(60):
+            rewards, done = es.step(arng.integers(0, 7, size=es.batch.x.shape))
+            _fold_step(h, es.batch, rewards, done)
+        assert (h.hexdigest(), es.completed_episodes) == PINNED_ENVSETS[kind]
