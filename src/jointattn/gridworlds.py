@@ -39,15 +39,17 @@ meetup landmarks), random_coins / random_colors (per-episode coin counts in
 [1,4] per color / color count in [2,4]), no_stag / all_stags (berries only /
 stags only).
 
-Batches. ``reset`` builds one episode as a ``GridState``; ``EnvBatch``
-stacks E episodes of one kind, grid shape and agent count as arrays:
-``cells`` (E, h, w, 3); ``x``, ``y``, ``direction``, ``finished`` and
-``task_index`` (E, K); ``carry`` (E, K, 2), the carried (object, color) or
-(0, 0); ``step_count``, ``cap`` and ``done`` (E,); and the meetup landmarks
-padded to (E, L, 2) with a mask, since one batch may mix landmark counts.
-Each row keeps Python references to what does not vectorise: its episode's
-generator, stag list, coin tally and subtask list. ``step`` runs over a
-batch. Turns, the collision protocol, meetup's rewards, the step cap and
+Batches. An episode is one row of an ``EnvBatch``, which holds E
+episodes of one kind, grid shape and agent count as arrays: ``cells``
+(E, h, w, 3); ``x``, ``y``, ``direction``, ``finished``, ``task_index``
+and ``learner`` (E, K); ``carry`` (E, K, 2), the carried (object, color)
+or (0, 0); ``step_count``, ``cap``, ``done`` and ``subtask_count`` (E,);
+``coin_tally`` (E, colors), the coins collected per color id; and the
+meetup landmarks and the stags, each padded to (E, slots, 2) with a mask,
+since one batch may mix their counts. The only per-row Python object is
+the episode's generator. ``reset`` lays one episode out as a one-row
+batch, ``EnvBatch.stack`` joins rows into a batch, and ``step`` runs over
+a batch. Turns, the collision protocol, meetup's rewards, the step cap and
 the done flags are array code over every row at once, and so is
 ``EnvBatch.grids``, which paints the agents over the cells. The rules that
 draw from an episode's generator or touch an inventory (coin pickup and
@@ -57,15 +59,14 @@ agent) pairs that trigger them, agent by agent within a row: one agent's
 pickup can change the cell the next one faces, and each episode must draw
 from its generator in the order it would alone. Interactions loop only
 over the rows where some acting agent faces a cell its action can change.
-Meetup never enters these loops. Given a ``GridState``, ``step`` runs the
-same code as a batch of one and writes the result back, so the scalar
-oracles test the batched rules.
+Meetup never enters these loops. The scalar oracles
+(``consensus_landmark``, ``meetup_reward``) read one-row batches.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,6 +105,8 @@ VARIANTS = {
 
 SUBTASKS = ("pickup_key", "open_door", "pickup_ball", "open_box",
             "drop_ball", "reach_goal")
+# the course of each ``tasklist_subtasks`` count
+_COURSES = {6: SUBTASKS, 3: ("pickup_key", "open_door", "reach_goal")}
 
 _COIN_COLOR_POOL = ("red", "blue", "yellow", "purple")
 
@@ -167,46 +170,6 @@ def make_config(kind: str, variant: str = "default", **overrides) -> EnvConfig:
     return cfg
 
 
-@dataclass
-class AgentState:
-    x: int
-    y: int
-    direction: int
-    carry: tuple | None = None          # (object_id, color_id)
-    task_index: int = 0
-    finished: bool = False
-
-    @property
-    def pos(self) -> tuple:
-        return (self.x, self.y)
-
-
-@dataclass
-class StepOutcome:
-    rewards: np.ndarray
-    done: bool
-
-
-@dataclass
-class GridState:
-    kind: str
-    variant: str
-    config: EnvConfig
-    width: int                           # full extents including the border
-    height: int
-    cells: np.ndarray                    # (height, width, 3) int64
-    agents: list
-    movers: list = field(default_factory=list)   # stag positions (x, y)
-    step_count: int = 0
-    done: bool = False
-    rng: np.random.Generator = None
-    coin_tally: dict = field(default_factory=dict)
-    subtasks: tuple = SUBTASKS
-    # meetup landmark cells, row-major; ``reset`` finds them once, since no
-    # meetup step changes a cell. None (a hand-built state) scans the cells.
-    landmarks: tuple | None = None
-
-
 # ---------------------------------------------------------------------------
 # layout
 
@@ -237,90 +200,79 @@ def _draw_free_cell(cells: np.ndarray, xs, ys, rng, what: str,
     return free[int(rng.integers(len(free)))]
 
 
-def _place(state: GridState, obj: str, color: str, n: int,
-           region=None) -> list:
+def _place(b: EnvBatch, obj: str, color: str, n: int, region=None) -> list:
+    """Draw ``n`` cells of one-row batch ``b`` for ``obj``; returns them."""
     placed = []
-    xs = [a.x for a in state.agents if not a.finished]
-    ys = [a.y for a in state.agents if not a.finished]
     for _ in range(n):
-        x, y = _draw_free_cell(state.cells, xs, ys, state.rng,
-                               f"{obj} in {state.kind}", region)
-        state.cells[y, x] = (_OBJ[obj], _COL[color], 0)
+        x, y = _draw_free_cell(b.cells[0], [], [], b.rng[0],
+                               f"{obj} in {b.kind}", region)
+        b.cells[0, y, x] = (_OBJ[obj], _COL[color], 0)
         placed.append((x, y))
     return placed
 
 
-def _build_layout(state: GridState) -> None:
-    cfg = state.config
-    if state.kind == "meetup":
-        _place(state, "landmark", "red", cfg.landmarks)
-    elif state.kind == "colorgather":
-        if state.variant == "random_colors":
-            n_colors = int(state.rng.integers(2, 5))
+def _build_layout(b: EnvBatch, variant: str, cfg: EnvConfig) -> None:
+    rng, size = b.rng[0], b.cells.shape[1]
+    if b.kind == "meetup":
+        marks = sorted(_place(b, "landmark", "red", cfg.landmarks),
+                       key=lambda c: (c[1], c[0]))
+        b.landmarks = np.array(marks, dtype=np.int64).reshape(1, -1, 2)
+        b.landmark_mask = np.ones((1, len(marks)), dtype=bool)
+    elif b.kind == "colorgather":
+        if variant == "random_colors":
+            n_colors = int(rng.integers(2, 5))
         else:
             n_colors = cfg.coin_colors
-        colors = _COIN_COLOR_POOL[:n_colors]
-        for color in colors:
-            if state.variant == "random_coins":
-                count = int(state.rng.integers(1, 5))
+        for color in _COIN_COLOR_POOL[:n_colors]:
+            if variant == "random_coins":
+                count = int(rng.integers(1, 5))
             else:
                 count = cfg.coins_per_color
-            _place(state, "coin", color, count)
-        state.coin_tally = {c: 0 for c in colors}
-    elif state.kind == "staghunt":
-        _place(state, "berry", "green", cfg.berries)
-        state.movers = _place(state, "stag", "grey", cfg.stags)
-    elif state.kind == "tasklist":
-        wall_x = state.width // 2
-        for y in range(1, state.height - 1):
-            state.cells[y, wall_x] = (_OBJ["wall"], 0, 0)
-        door_y = int(state.rng.integers(1, state.height - 1))
-        state.cells[door_y, wall_x] = (_OBJ["door"], _COL["yellow"],
-                                       _ST["door-locked"])
+            _place(b, "coin", color, count)
+    elif b.kind == "staghunt":
+        _place(b, "berry", "green", cfg.berries)
+        stags = _place(b, "stag", "grey", cfg.stags)
+        b.stags = np.array(stags, dtype=np.int64).reshape(1, -1, 2)
+        b.stag_mask = np.ones((1, len(stags)), dtype=bool)
+    elif b.kind == "tasklist":
+        wall_x = size // 2
+        b.cells[0, 1:-1, wall_x] = (_OBJ["wall"], 0, 0)
+        door_y = int(rng.integers(1, size - 1))
+        b.cells[0, door_y, wall_x] = (_OBJ["door"], _COL["yellow"],
+                                      _ST["door-locked"])
         left = lambda c: c[0] < wall_x
         right = lambda c: c[0] > wall_x
-        _place(state, "key", "yellow", 1, region=left)
+        _place(b, "key", "yellow", 1, region=left)
         if cfg.tasklist_subtasks == 6:
-            _place(state, "ball", "blue", 1, region=right)
-            _place(state, "box", "grey", 1, region=right)
-        _place(state, "goal", "green", 1, region=right)
+            _place(b, "ball", "blue", 1, region=right)
+            _place(b, "box", "grey", 1, region=right)
+        _place(b, "goal", "green", 1, region=right)
 
-    if state.variant == "cluttered":
-        n_walls = int(round(0.10 * len(_free_cells(state.cells, [], []))))
-        _place(state, "wall", "none", n_walls)
+    if variant == "cluttered":
+        n_walls = int(round(0.10 * len(_free_cells(b.cells[0], [], []))))
+        _place(b, "wall", "none", n_walls)
 
 
 def reset(kind: str, variant: str = "default", seed: int = 0,
-          config: EnvConfig | None = None):
-    """Build a fresh seeded episode; returns (GridState, observations),
-    one ``encode_observation`` per agent, all sharing one read-only grid."""
+          config: EnvConfig | None = None) -> EnvBatch:
+    """Lay out a fresh seeded episode as a one-row ``EnvBatch``: the layout
+    first, then each agent's cell and direction, all drawn from the row's
+    generator, seeded with ``seed``."""
     cfg = config if config is not None else make_config(kind, variant)
     if kind not in ENV_KINDS:
         raise ValueError(f"unknown environment {kind!r}")
     if variant not in VARIANTS or kind not in VARIANTS[variant]:
         raise ValueError(f"variant {variant!r} does not apply to {kind!r}")
-    size = cfg.interior + 2
-    cells = np.zeros((size, size, 3), dtype=np.int64)
-    cells[0, :, 0] = _OBJ["wall"]
-    cells[-1, :, 0] = _OBJ["wall"]
-    cells[:, 0, 0] = _OBJ["wall"]
-    cells[:, -1, 0] = _OBJ["wall"]
-    state = GridState(
-        kind=kind, variant=variant, config=cfg, width=size, height=size,
-        cells=cells, agents=[], rng=np.random.default_rng(seed),
-        subtasks=SUBTASKS if cfg.tasklist_subtasks == 6
-        else ("pickup_key", "open_door", "reach_goal"),
-    )
-    _build_layout(state)
+    b = EnvBatch(kind, cfg, seed)
+    _build_layout(b, variant, cfg)
+    size = b.cells.shape[1]
     region = (lambda c: c[0] < size // 2) if kind == "tasklist" else None
     for i in range(cfg.agent_count):
-        x, y = _draw_free_cell(cells, [a.x for a in state.agents],
-                               [a.y for a in state.agents], state.rng,
-                               f"agent {i} in {kind}", region)
-        state.agents.append(AgentState(x, y, int(state.rng.integers(4))))
-    if kind == "meetup":
-        state.landmarks = _landmarks(state)
-    return state, _observations(EnvBatch([state]).grids()[0], state.agents)
+        b.x[0, i], b.y[0, i] = _draw_free_cell(
+            b.cells[0], b.x[0, :i], b.y[0, :i], b.rng[0],
+            f"agent {i} in {kind}", region)
+        b.direction[0, i] = b.rng[0].integers(4)
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -331,121 +283,112 @@ class EnvBatch:
     """E episodes of one kind, grid shape and agent count as arrays, stepped
     together by ``step`` (the module docstring lists the fields).
 
-    ``EnvBatch(states)`` stacks ``GridState``s. The arrays are copies; the
-    per-row generator, stag list, coin tally and subtask list are the
-    states' own objects, which the batch's steps update in place.
+    ``EnvBatch(kind, config, seed)`` is one row: ``config``'s bordered grid
+    with nothing inside, no landmarks or stags, its agents at (0, 0) facing
+    north, and a generator seeded with ``seed``; ``reset`` lays an episode
+    out on it. ``EnvBatch.stack`` joins batches into one, and ``put`` and
+    ``take`` replace and select rows. Arrays are never shared between
+    batches; a row's generator is, and it moves with the row.
     """
 
-    # per-row arrays, the leading axis the row, and per-row Python objects
+    # per-row arrays, the leading axis the row; the padded ones hold a
+    # varying number of slots per row, zero and masked off past its own
     ARRAYS = ("cells", "x", "y", "direction", "finished", "task_index",
-              "carry", "step_count", "cap", "done", "learner")
-    REFS = ("rng", "movers", "coin_tally", "subtasks")
+              "carry", "step_count", "cap", "done", "learner", "coin_tally",
+              "subtask_count")
+    PADDED = ("landmarks", "landmark_mask", "stags", "stag_mask")
 
-    def __init__(self, states):
-        states = list(states)
-        if not states:
+    def __init__(self, kind: str, config: EnvConfig, seed: int = 0):
+        K, size = config.agent_count, config.interior + 2
+        self.kind = kind
+        self.cells = np.zeros((1, size, size, 3), dtype=np.int64)
+        self.cells[0, [0, -1], :, 0] = _OBJ["wall"]
+        self.cells[0, :, [0, -1], 0] = _OBJ["wall"]
+        self.x, self.y, self.direction, self.task_index = (
+            np.zeros((1, K), dtype=np.int64) for _ in range(4))
+        self.finished = np.zeros((1, K), dtype=bool)
+        self.carry = np.zeros((1, K, 2), dtype=np.int64)
+        self.step_count = np.zeros(1, dtype=np.int64)
+        self.cap = np.array([config.episode_cap], dtype=np.int64)
+        self.done = np.zeros(1, dtype=bool)
+        self.learner = np.array([[i not in config.non_learning
+                                  for i in range(K)]], dtype=bool)
+        # coins collected this episode, per color id
+        self.coin_tally = np.zeros((1, len(COLOR_IDS)), dtype=np.int64)
+        self.subtask_count = np.array([config.tasklist_subtasks],
+                                      dtype=np.int64)
+        # meetup landmarks in row-major order; stags in the order drawn
+        self.landmarks, self.stags = (np.zeros((1, 0, 2), dtype=np.int64)
+                                      for _ in range(2))
+        self.landmark_mask, self.stag_mask = (np.zeros((1, 0), dtype=bool)
+                                              for _ in range(2))
+        self.rng = [np.random.default_rng(seed)]
+
+    @staticmethod
+    def stack(batches) -> "EnvBatch":
+        """One batch of every row of ``batches``, in order."""
+        batches = list(batches)
+        if not batches:
             raise ValueError("a batch needs at least one episode")
-        first = states[0]
-        if any(s.kind != first.kind or s.cells.shape != first.cells.shape
-               or len(s.agents) != len(first.agents) for s in states):
+        first = batches[0]
+        if any(b.kind != first.kind or b.cells.shape[1:] != first.cells
+               .shape[1:] or b.x.shape[1] != first.x.shape[1]
+               for b in batches):
             raise ValueError("the episodes of a batch must share the kind, "
                              "the grid shape and the agent count")
-        E, K = len(states), len(first.agents)
-        self.kind = first.kind
-        self.cells = np.stack([s.cells for s in states])
-        table = np.array([[(a.x, a.y, a.direction, a.task_index, a.finished)
-                           + (a.carry or (0, 0)) for a in s.agents]
-                          for s in states], dtype=np.int64).reshape(E, K, 7)
-        self.x, self.y, self.direction, self.task_index = (
-            table[:, :, j].copy() for j in range(4))
-        self.finished = table[:, :, 4] != 0
-        self.carry = table[:, :, 5:].copy()
-        self.step_count = np.array([s.step_count for s in states],
-                                   dtype=np.int64)
-        self.cap = np.array([s.config.episode_cap for s in states],
-                            dtype=np.int64)
-        self.done = np.array([s.done for s in states], dtype=bool)
-        self.learner = np.array([[i not in s.config.non_learning
-                                  for i in range(K)] for s in states],
-                                dtype=bool).reshape(E, K)
-        marks = [_landmarks(s) if s.kind == "meetup" else () for s in states]
-        self.landmarks = np.zeros((E, max(map(len, marks)), 2),
-                                  dtype=np.int64)
-        self.landmark_mask = np.zeros(self.landmarks.shape[:2], dtype=bool)
-        for e, m in enumerate(marks):
-            self.landmarks[e, :len(m)] = np.reshape(m, (-1, 2))
-            self.landmark_mask[e, :len(m)] = True
-        self.rng = [s.rng for s in states]
-        self.movers = [s.movers for s in states]
-        self.coin_tally = [s.coin_tally for s in states]
-        self.subtasks = [s.subtasks for s in states]
-        # what each agent looks like in an observation grid
-        self._paint = np.array([(_OBJ["agent"], _agent_color(i), 0)
-                                for i in range(K)],
-                               dtype=np.int64).reshape(K, 3)
+        out = copy.copy(first)
+        for name in EnvBatch.ARRAYS:
+            setattr(out, name, np.concatenate([getattr(b, name)
+                                               for b in batches]))
+        for name in EnvBatch.PADDED:
+            parts = [getattr(b, name) for b in batches]
+            slots = np.zeros((len(out), max(p.shape[1] for p in parts))
+                             + parts[0].shape[2:], dtype=parts[0].dtype)
+            e = 0
+            for p in parts:
+                slots[e:e + len(p), :p.shape[1]] = p
+                e += len(p)
+            setattr(out, name, slots)
+        out.rng = [r for b in batches for r in b.rng]
+        return out
 
     def __len__(self) -> int:
         return len(self.done)
 
-    def put(self, e: int, state: GridState) -> None:
-        """Write ``state`` into row e, in place of the episode there."""
-        if state.kind != self.kind:
-            raise ValueError(f"a {state.kind} episode cannot join a "
+    def put(self, e: int, row: "EnvBatch") -> None:
+        """Write row 0 of ``row`` into row e, in place of the episode there."""
+        if row.kind != self.kind:
+            raise ValueError(f"a {row.kind} episode cannot join a "
                              f"{self.kind} batch")
-        one = EnvBatch([state])
         for name in self.ARRAYS:
-            getattr(self, name)[e] = getattr(one, name)[0]
-        for name in self.REFS:
-            getattr(self, name)[e] = getattr(one, name)[0]
-        n = one.landmarks.shape[1]
-        self.landmarks[e, :n] = one.landmarks[0]
-        self.landmark_mask[e] = False
-        self.landmark_mask[e, :n] = True
+            getattr(self, name)[e] = getattr(row, name)[0]
+        for name in self.PADDED:
+            part = getattr(row, name)[0]
+            getattr(self, name)[e] = 0
+            getattr(self, name)[e, :len(part)] = part
+        self.rng[e] = row.rng[0]
 
     def take(self, rows) -> "EnvBatch":
         """A new batch of the given rows (indices or a boolean mask)."""
         out = copy.copy(self)
-        for name in self.ARRAYS + ("landmarks", "landmark_mask"):
+        for name in self.ARRAYS + self.PADDED:
             setattr(out, name, getattr(self, name)[rows])
-        kept = np.arange(len(self))[rows].tolist()
-        for name in self.REFS:
-            setattr(out, name, [getattr(self, name)[e] for e in kept])
+        out.rng = [self.rng[e] for e in np.arange(len(self))[rows].tolist()]
         return out
 
     def grids(self) -> np.ndarray:
         """Every row's observation grid, (E, h, w, 3) int64: the cells, with
-        each agent still on the grid drawn over its own."""
+        each agent still on the grid drawn over its own in its index color;
+        carried objects are not visible."""
         grid = self.cells.copy()
         e, k = np.nonzero(~self.finished)
-        grid[e, self.y[e, k], self.x[e, k]] = self._paint[k]
+        grid[e, self.y[e, k], self.x[e, k]] = _PAINT[k % len(_PAINT)]
         return grid
 
 
-# ---------------------------------------------------------------------------
-# observations
-
-
-def encode_observation(state: GridState, agent_index: int):
-    """Fully observed (h, w, 3) integer grid plus p = (x, y, direction).
-
-    Agents are drawn over their cells with object id ``agent`` and their
-    index color; carried objects are not visible in the grid.
-    """
-    if not 0 <= agent_index < len(state.agents):
-        raise IndexError(f"no agent {agent_index}")
-    return _observations(EnvBatch([state]).grids()[0],
-                         state.agents)[agent_index]
-
-
-def _observations(grid: np.ndarray, agents: list) -> list:
-    """Every agent's ``encode_observation``, all sharing ``grid``, which
-    becomes read-only."""
-    grid.setflags(write=False)
-    return [(grid, (a.x, a.y, a.direction)) for a in agents]
-
-
-def _agent_color(index: int) -> int:
-    return 1 + (index % 6)
+# what agent k looks like in an observation grid: row k % 6
+_PAINT = np.array([(_OBJ["agent"], 1 + k, 0) for k in range(6)],
+                  dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +444,21 @@ def _advance_task(b: EnvBatch, e: int, i: int, subtask: str,
                   rewards: np.ndarray) -> None:
     """+1 to agent i of row e and on to its next subtask, if ``subtask`` is
     the one it is on; ``rewards`` is the row's."""
-    n, subtasks = b.task_index[e, i], b.subtasks[e]
+    n, subtasks = b.task_index[e, i], _COURSES[b.subtask_count[e]]
     if not b.finished[e, i] and n < len(subtasks) and subtasks[n] == subtask:
         b.task_index[e, i] += 1
         rewards[i] += 1.0
 
 
-def colorgather_reward(color: str, tally: dict) -> float:
+def colorgather_reward(tally: np.ndarray, color: int) -> float:
     """+1 (to every agent) for the first coin or a modal-color coin.
 
-    The tally is the per-color count of coins collected so far this
-    episode, not counting the coin now being collected; ties for the mode
-    all count as modal.
+    ``tally`` counts, per color id, the coins collected so far this
+    episode, not counting the coin of color id ``color`` now being
+    collected; ties for the mode all count as modal, so the first coin
+    does too.
     """
-    total = sum(tally.values())
-    if total == 0:
-        return 1.0
-    top = max(tally.values())
-    return 1.0 if tally.get(color, 0) == top else 0.0
+    return 1.0 if tally[color] == tally.max() else 0.0
 
 
 def _interact(b: EnvBatch, e: int, i: int, act: int,
@@ -533,9 +473,8 @@ def _interact(b: EnvBatch, e: int, i: int, act: int,
 
     if act == PICKUP:
         if b.kind == "colorgather" and obj == _OBJ["coin"]:
-            color, tally = _color_name(col), b.coin_tally[e]
-            rewards += colorgather_reward(color, tally)
-            tally[color] = tally.get(color, 0) + 1
+            rewards += colorgather_reward(b.coin_tally[e], col)
+            b.coin_tally[e, col] += 1
             cells[fy, fx] = 0
             x, y = _draw_free_cell(cells, b.x[e, live], b.y[e, live],
                                    b.rng[e], "coin in colorgather")
@@ -548,7 +487,7 @@ def _interact(b: EnvBatch, e: int, i: int, act: int,
             hunters = live & (np.abs(b.x[e] - fx) + np.abs(b.y[e] - fy) == 1)
             if hunters.sum() > 1:
                 cells[fy, fx] = 0
-                b.movers[e].remove((fx, fy))
+                b.stag_mask[e] &= (b.stags[e] != (fx, fy)).any(axis=1)
                 rewards[hunters] += 5.0
         elif b.kind == "tasklist" and obj in (_OBJ["key"], _OBJ["ball"]):
             if not carried:
@@ -577,19 +516,15 @@ def _interact(b: EnvBatch, e: int, i: int, act: int,
             _advance_task(b, e, i, "open_box", rewards)
 
 
-def _color_name(color_id: int) -> str:
-    for name, cid in COLOR_IDS.items():
-        if cid == color_id:
-            return name
-    raise ValueError(f"unknown color id {color_id}")
-
-
 def _move_stags(b: EnvBatch, e: int) -> None:
-    cells, rng, movers = b.cells[e], b.rng[e], b.movers[e]
+    """Each stag of row e, in slot order, moves with probability 0.5 to a
+    uniformly drawn empty neighbor no agent stands on."""
+    cells, rng = b.cells[e], b.rng[e]
     occupied = set(zip(b.x[e].tolist(), b.y[e].tolist()))
-    for idx, (x, y) in enumerate(movers):
+    for slot in np.flatnonzero(b.stag_mask[e]).tolist():
         if rng.random() >= 0.5:
             continue
+        x, y = b.stags[e, slot].tolist()
         options = []
         for dx, dy in DIR_VECTORS:
             nx, ny = x + dx, y + dy
@@ -600,23 +535,16 @@ def _move_stags(b: EnvBatch, e: int) -> None:
         nx, ny = options[int(rng.integers(len(options)))]
         cells[y, x] = 0
         cells[ny, nx] = (_OBJ["stag"], _COL["grey"], 0)
-        movers[idx] = (nx, ny)
+        b.stags[e, slot] = (nx, ny)
 
 
-def _landmarks(state: GridState) -> tuple:
-    """Landmark cells (x, y) in row-major order."""
-    if state.landmarks is not None:
-        return state.landmarks
-    ys, xs = np.nonzero(state.cells[:, :, 0] == _OBJ["landmark"])
-    return tuple(zip(xs.tolist(), ys.tolist()))
-
-
-def consensus_landmark(state: GridState) -> tuple:
-    """The landmark minimizing the summed Manhattan distance to all agents;
-    ties go to the first in row-major order."""
+def consensus_landmark(b: EnvBatch) -> tuple:
+    """The landmark of one-row batch ``b`` minimizing the summed Manhattan
+    distance to all agents; ties go to the first in row-major order."""
     best, best_sum = None, None
-    for (lx, ly) in _landmarks(state):
-        s = sum(abs(a.x - lx) + abs(a.y - ly) for a in state.agents)
+    agents = list(zip(b.x[0].tolist(), b.y[0].tolist()))
+    for (lx, ly) in b.landmarks[0, b.landmark_mask[0]].tolist():
+        s = sum(abs(x - lx) + abs(y - ly) for x, y in agents)
         if best_sum is None or s < best_sum:
             best, best_sum = (lx, ly), s
     if best is None:
@@ -624,18 +552,19 @@ def consensus_landmark(state: GridState) -> tuple:
     return best
 
 
-def meetup_reward(state_before: GridState, state_after: GridState,
+def meetup_reward(before: EnvBatch, after: EnvBatch,
                   agent_index: int) -> float:
     """Change in Manhattan distance to the consensus landmark of the
-    pre-step state: positive when the agent moved closer.
+    pre-step state, one-row batch ``before``, when ``after`` is the same
+    episode a step later: positive when the agent moved closer.
 
     Distances stay Manhattan in every variant, including cluttered grids
     where the walkable shortest path can be longer."""
-    lx, ly = consensus_landmark(state_before)
-    b = state_before.agents[agent_index]
-    a = state_after.agents[agent_index]
-    d_before = abs(b.x - lx) + abs(b.y - ly)
-    d_after = abs(a.x - lx) + abs(a.y - ly)
+    lx, ly = consensus_landmark(before)
+    d_before = abs(int(before.x[0, agent_index]) - lx) \
+        + abs(int(before.y[0, agent_index]) - ly)
+    d_after = abs(int(after.x[0, agent_index]) - lx) \
+        + abs(int(after.y[0, agent_index]) - ly)
     return float(d_before - d_after)
 
 
@@ -667,15 +596,28 @@ def _shed_carry(b: EnvBatch, e: int, i: int) -> None:
     b.carry[e, i] = 0
 
 
-def _step(b: EnvBatch, actions: np.ndarray) -> tuple:
-    """Advance every row of ``b`` one step; returns (rewards (E, K),
-    done (E,))."""
+def step(b: EnvBatch, actions) -> tuple:
+    """Advance every row of ``b`` one step, given (E, K) actions; returns
+    (rewards (E, K), done (E,)).
+
+    The phases run in order: turns and moves, interactions, the kind's own
+    phase (meetup's distance rewards, stag moves, or TaskList's goal
+    arrivals), then the done checks. A row that is done must be replaced
+    (``EnvBatch.put``) or dropped (``EnvBatch.take``) before the next step.
+    Actions of the wrong shape or outside ``range(len(ACTIONS))`` raise
+    ``ValueError`` before anything changes.
+    """
     if b.done.any():
         raise RuntimeError("episode is done; reset before stepping again")
+    actions = np.asarray(actions)
     E, K = b.x.shape
     if actions.shape != (E, K):
         raise ValueError(f"need {K} actions per episode, got "
                          f"{actions.shape[-1] if actions.ndim else 0}")
+    bad = (actions < 0) | (actions >= len(ACTIONS))
+    if bad.any():
+        raise ValueError(f"actions must be in 0..{len(ACTIONS) - 1}, got "
+                         f"{actions[bad].tolist()}")
     rows, cols = np.arange(E)[:, None], np.arange(K)
     meetup = b.kind == "meetup"
     if meetup:
@@ -719,7 +661,7 @@ def _step(b: EnvBatch, actions: np.ndarray) -> tuple:
         # an agent that completes its final subtask leaves the grid: it stops
         # blocking movement, disappears from observations, and any carried
         # object is set down nearby so others can still use it
-        last = np.array([len(s) - 1 for s in b.subtasks])[:, None]
+        last = b.subtask_count[:, None] - 1
         arrived = ~b.finished & (b.task_index == last) \
             & (b.cells[rows, b.y, b.x, 0] == _OBJ["goal"])
         for e, i in zip(*np.nonzero(arrived)):
@@ -732,34 +674,3 @@ def _step(b: EnvBatch, actions: np.ndarray) -> tuple:
     done |= b.step_count >= b.cap
     b.done[:] = done
     return rewards, done
-
-
-def step(env, joint_action):
-    """Advance one step.
-
-    Given an ``EnvBatch`` and (E, K) actions, steps every row and returns
-    (rewards (E, K), done (E,)). Given a ``GridState`` and K actions, runs
-    the same code as a batch of one, updates the state in place and returns
-    (state, StepOutcome, observations), the outcome holding each agent's
-    reward and the done flag, the observations as ``reset`` returns them.
-
-    The phases run in order: turns and moves, interactions, the kind's own
-    phase (meetup's distance rewards, stag moves, or TaskList's goal
-    arrivals), then the done checks. A row that is done must be replaced
-    (``EnvBatch.put``) or dropped (``EnvBatch.take``) before the next step.
-    """
-    if isinstance(env, EnvBatch):
-        return _step(env, np.asarray(joint_action))
-    batch = EnvBatch([env])
-    rewards, done = _step(batch, np.asarray(joint_action).reshape(1, -1))
-    for a, x, y, d, n, fin, (obj, col) in zip(
-            env.agents, batch.x[0].tolist(), batch.y[0].tolist(),
-            batch.direction[0].tolist(), batch.task_index[0].tolist(),
-            batch.finished[0].tolist(), batch.carry[0].tolist()):
-        a.x, a.y, a.direction, a.task_index, a.finished = x, y, d, n, fin
-        a.carry = (obj, col) if obj else None
-    env.cells[...] = batch.cells[0]
-    env.step_count = int(batch.step_count[0])
-    env.done = bool(done[0])
-    return env, StepOutcome(rewards=rewards[0], done=env.done), \
-        _observations(batch.grids()[0], env.agents)

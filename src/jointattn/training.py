@@ -165,7 +165,7 @@ class EnvSet:
         self.completed_episodes = 0
         self.segment_episode_returns: list = []   # collective, cleared by caller
         self._running_env_return = np.zeros((n_envs, self.n_agents))
-        self.batch = EnvBatch([self._fresh(e) for e in range(n_envs)])
+        self.batch = EnvBatch.stack(self._fresh(e) for e in range(n_envs))
 
     def _next_seed(self, e: int) -> int:
         j = self._episode_index[e]
@@ -173,11 +173,10 @@ class EnvSet:
         return int(np.random.SeedSequence(
             [self.base_seed, e, j]).generate_state(1)[0])
 
-    def _fresh(self, e: int):
-        """Env e's next episode, as ``reset`` builds it."""
-        state, _ = reset(self.kind, self.variant, seed=self._next_seed(e),
-                         config=self.config)
-        return state
+    def _fresh(self, e: int) -> EnvBatch:
+        """Env e's next episode, as ``reset`` lays it out."""
+        return reset(self.kind, self.variant, seed=self._next_seed(e),
+                     config=self.config)
 
     def batch_ids(self) -> np.ndarray:
         """Every env's observation grid as (n_envs, h, w, 3) uint8 ids, the
@@ -527,10 +526,10 @@ def lockstep_episodes(agents: list, kind: str, variant, config,
     rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
         if mode == "sample" else None
     ep_seeds = [agent_seed(seed, ep) for ep in range(episodes)]
-    batch = EnvBatch(reset(kind, layout_variant, seed=ep_seed,
-                           config=layout_config)[0]
-                     for layout_variant, layout_config in layouts
-                     for ep_seed in ep_seeds)
+    batch = EnvBatch.stack(reset(kind, layout_variant, seed=ep_seed,
+                                 config=layout_config)
+                           for layout_variant, layout_config in layouts
+                           for ep_seed in ep_seeds)
     live = np.arange(len(batch))
     rec = [a.core.initial_state(len(batch)) for a in agents]
     while live.size:

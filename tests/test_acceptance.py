@@ -22,15 +22,12 @@ import pytest
 import jointattn.numerics as nm
 from jointattn.attention_net import AgentCore, pose_vector
 from jointattn.cli import main as cli_main
+from hand_laid import lay_out
 from jointattn.gridworlds import (
-    COLOR_IDS,
     NOOP,
     OBJECT_IDS,
     PICKUP,
-    AgentState,
     DIR_VECTORS,
-    GridState,
-    SUBTASKS,
     consensus_landmark,
     make_config,
     reset,
@@ -62,22 +59,6 @@ SUCCESS_THRESHOLD = 0.5          # "solved" bar for the reduced task course
 LONG_TIER_HINT = ("long-running tier: populate the cache with "
                   "`python3 tests/acceptance_runs.py all` (hours), then run "
                   "pytest with JA_RUN_LONG_ACCEPTANCE=1")
-
-
-def _blank(kind, interior, **overrides):
-    """Bordered empty grid; the test places agents and objects by hand."""
-    cfg = make_config(kind, "default", interior=interior, **overrides)
-    size = interior + 2
-    cells = np.zeros((size, size, 3), dtype=np.int64)
-    cells[0, :, 0] = OBJ["wall"]
-    cells[-1, :, 0] = OBJ["wall"]
-    cells[:, 0, 0] = OBJ["wall"]
-    cells[:, -1, 0] = OBJ["wall"]
-    subtasks = SUBTASKS if cfg.tasklist_subtasks == 6 else (
-        "pickup_key", "open_door", "reach_goal")
-    return GridState(kind=kind, variant="default", config=cfg, width=size,
-                     height=size, cells=cells, agents=[],
-                     rng=np.random.default_rng(0), subtasks=subtasks)
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +283,9 @@ def test_criterion_05_environment_oracles():
         for lands in itertools.combinations(cells5, n_land):
             open_cells = [c for c in cells5 if c not in lands]
             for a0, a1 in itertools.permutations(open_cells, 2):
-                s = _blank("meetup", 3, agent_count=2, episode_cap=10,
-                           landmarks=n_land)
-                for (lx, ly) in lands:
-                    s.cells[ly, lx] = (OBJ["landmark"], COLOR_IDS["red"], 0)
-                s.agents.append(AgentState(*a0, direction=0))
-                s.agents.append(AgentState(*a1, direction=0))
+                s = lay_out("meetup", 3, [a0, a1],
+                            [(lx, ly, "landmark", "red") for lx, ly in lands],
+                            episode_cap=10, landmarks=n_land)
 
                 best, best_d = None, None
                 for lm in sorted(lands, key=lambda c: (c[1], c[0])):
@@ -319,10 +297,10 @@ def test_criterion_05_environment_oracles():
                 expect_done = any(_manhattan(a0, lm) == 1
                                   and _manhattan(a1, lm) == 1
                                   for lm in lands)
-                s, outcome, _ = step(s, (NOOP, NOOP))
-                assert outcome.done == expect_done
+                rewards, done = step(s, [(NOOP, NOOP)])
+                assert done[0] == expect_done
                 expect_r = 1.0 if expect_done else 0.0
-                assert outcome.rewards.tolist() == [expect_r, expect_r]
+                assert rewards[0].tolist() == [expect_r, expect_r]
                 states_checked += 1
     assert states_checked == 2016
 
@@ -336,13 +314,9 @@ def test_criterion_05_environment_oracles():
             for d0, d1 in itertools.product(range(4), range(4)):
                 for acts in ((PICKUP, NOOP), (NOOP, PICKUP),
                              (PICKUP, PICKUP), (NOOP, NOOP)):
-                    s = _blank("staghunt", 2, agent_count=2, episode_cap=10,
-                               berries=0, stags=1)
-                    s.cells[stag[1], stag[0]] = (OBJ["stag"],
-                                                 COLOR_IDS["grey"], 0)
-                    s.movers = [stag]
-                    s.agents.append(AgentState(*a0, direction=d0))
-                    s.agents.append(AgentState(*a1, direction=d1))
+                    s = lay_out("staghunt", 2, [(*a0, d0), (*a1, d1)],
+                                [(*stag, "stag", "grey")], episode_cap=10,
+                                berries=0, stags=1)
 
                     positions = (a0, a1)
                     directions = (d0, d1)
@@ -354,40 +328,41 @@ def test_criterion_05_environment_oracles():
                         and _manhattan(positions[1 - i], stag) == 1
                         for i in range(2))
 
-                    s, outcome, _ = step(s, acts)
+                    rewards, _ = step(s, [acts])
                     if expect_capture:
-                        assert outcome.rewards.tolist() == [5.0, 5.0]
+                        assert rewards[0].tolist() == [5.0, 5.0]
                     else:
-                        assert outcome.rewards.tolist() == [0.0, 0.0]
-                    stags_left = int((s.cells[:, :, 0] == OBJ["stag"]).sum())
+                        assert rewards[0].tolist() == [0.0, 0.0]
+                    stags_left = int((s.cells[0, :, :, 0] == OBJ["stag"])
+                                     .sum())
                     assert stags_left == (0 if expect_capture else 1)
-                    assert len(s.movers) == stags_left
+                    assert int(s.stag_mask.sum()) == stags_left
                     configs_checked += 1
     assert configs_checked == 1536
 
     # (c) coin conservation across 10^4 random steps
     def coin_counts(st):
-        mask = st.cells[:, :, 0] == OBJ["coin"]
-        return np.bincount(st.cells[:, :, 1][mask], minlength=8)
+        mask = st.cells[0, :, :, 0] == OBJ["coin"]
+        return np.bincount(st.cells[0, :, :, 1][mask], minlength=8)
 
     rng = np.random.default_rng(505)
     ep_seed = 9000
-    state, _ = reset("colorgather", seed=ep_seed)
+    state = reset("colorgather", seed=ep_seed)
     baseline = coin_counts(state)
     for _ in range(10_000):
-        if state.done:
+        if state.done[0]:
             ep_seed += 1
-            state, _ = reset("colorgather", seed=ep_seed)
+            state = reset("colorgather", seed=ep_seed)
             baseline = coin_counts(state)
         acts = tuple(int(a) for a in rng.integers(0, 7, size=3))
-        state, _, _ = step(state, acts)
+        step(state, [acts])
         assert np.array_equal(coin_counts(state), baseline)
 
     # (d) cluttered wall budget: 10% of the open floor, within one cell
     for kind in ("meetup", "colorgather", "staghunt"):
         for seed in range(20):
-            st, _ = reset(kind, "cluttered", seed=5000 + seed)
-            interior = st.cells[1:-1, 1:-1, 0]
+            st = reset(kind, "cluttered", seed=5000 + seed)
+            interior = st.cells[0, 1:-1, 1:-1, 0]
             walls = int((interior == OBJ["wall"]).sum())
             empty = int((interior == OBJ["empty"]).sum())
             assert abs(walls - 0.10 * (walls + empty)) <= 1.0

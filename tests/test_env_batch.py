@@ -1,12 +1,14 @@
 """A batch of episodes steps each row as that episode steps alone.
 
-The reference is ``step`` on one ``GridState``; ``EnvSet`` is checked
-against per-env replays of its seed stream, auto-resets included.
+The reference is ``step`` on that episode alone, as a one-row batch from
+its own ``reset`` or hand-laid course; ``EnvSet`` is checked against
+per-env replays of its seed stream, auto-resets included.
 """
 
 import numpy as np
 import pytest
 
+from hand_laid import lay_out
 from jointattn import gridworlds
 from jointattn.attention_net import pose_vector
 from jointattn.gridworlds import (
@@ -19,9 +21,7 @@ from jointattn.gridworlds import (
     TURN_LEFT,
     TURN_RIGHT,
     VARIANTS,
-    AgentState,
     EnvBatch,
-    GridState,
     make_config,
     reset,
     step,
@@ -33,51 +33,52 @@ KIND_VARIANTS = [(kind, variant) for variant, kinds in VARIANTS.items()
                  for kind in kinds]
 
 
-def assert_row_is(batch, row, state, obs):
-    """Row ``row`` of ``batch`` holds what ``state`` holds after the same
-    steps played alone, and paints the grid ``obs`` shows."""
-    assert np.array_equal(batch.cells[row], state.cells)
-    assert batch.x[row].tolist() == [a.x for a in state.agents]
-    assert batch.y[row].tolist() == [a.y for a in state.agents]
-    assert batch.direction[row].tolist() == [a.direction
-                                            for a in state.agents]
-    assert batch.finished[row].tolist() == [a.finished for a in state.agents]
-    assert batch.task_index[row].tolist() == [a.task_index
-                                             for a in state.agents]
-    assert [tuple(c) if c[0] else None for c in batch.carry[row].tolist()] \
-        == [a.carry for a in state.agents]
-    assert batch.step_count[row] == state.step_count
-    assert batch.movers[row] == state.movers
-    assert batch.coin_tally[row] == state.coin_tally
-    assert np.array_equal(batch.grids()[row], obs[0][0])
+def assert_row_is(batch, row, alone):
+    """Row ``row`` of ``batch`` holds what one-row batch ``alone`` holds
+    after the same steps played alone, generator state included, and
+    paints the same grid."""
+    for name in EnvBatch.ARRAYS:
+        assert np.array_equal(getattr(batch, name)[row],
+                              getattr(alone, name)[0]), name
+    for name, mask in (("landmarks", "landmark_mask"),
+                       ("stags", "stag_mask")):
+        assert np.array_equal(
+            getattr(batch, name)[row, getattr(batch, mask)[row]],
+            getattr(alone, name)[0, getattr(alone, mask)[0]]), name
+    assert batch.rng[row].bit_generator.state == \
+        alone.rng[0].bit_generator.state
+    assert np.array_equal(batch.grids()[row], alone.grids()[0])
+
+
+def step_alone(alone, actions):
+    """``step`` of one-row batch ``alone``; returns (rewards (K,), done)."""
+    rewards, done = step(alone, np.asarray(actions)[None])
+    return rewards[0], done[0]
 
 
 def play_both_ways(layouts, seeds, arng):
     """Random play of every (layout, seed) episode to its end, as one batch
-    and one by one; returns each episode's length."""
+    and one by one; returns each episode's length and its agents' returns."""
     kind = layouts[0][0]
     fresh = lambda: [reset(kind, variant, seed=s, config=cfg)
                      for _, variant, cfg in layouts for s in seeds]
     alone = fresh()
-    batch = EnvBatch(state for state, _ in fresh())
+    batch = EnvBatch.stack(fresh())
     live = np.arange(len(batch))
     lengths = np.zeros(len(batch), dtype=np.int64)
+    returns = np.zeros(batch.x.shape)
     while live.size:
         actions = arng.integers(0, 7, size=(live.size, batch.x.shape[1]))
-        poses = pose_vector(batch.x, batch.y, batch.direction)
         rewards, done = step(batch, actions)
         for row, e in enumerate(live):
-            state, obs = alone[e]
-            assert np.array_equal(poses[row], np.stack(
-                [pose_vector(*pose) for _, pose in obs]))
-            state, outcome, obs = step(state, actions[row])
-            alone[e] = (state, obs)
-            assert np.array_equal(rewards[row], outcome.rewards)
-            assert done[row] == outcome.done
-            assert_row_is(batch, row, state, obs)
+            want_rewards, want_done = step_alone(alone[e], actions[row])
+            assert np.array_equal(rewards[row], want_rewards)
+            assert done[row] == want_done
+            assert_row_is(batch, row, alone[e])
         lengths[live] += 1
+        returns[live] += rewards
         live, batch = live[~done], batch.take(~done)
-    return lengths
+    return lengths, returns
 
 
 @pytest.mark.parametrize("kind,variant", KIND_VARIANTS)
@@ -86,7 +87,7 @@ def test_batch_equals_its_rows_played_alone(kind, variant):
     layouts = [(kind, variant, make_config(kind, variant, interior=5,
                                            episode_cap=cap))
                for cap in (6, 11, 17)]
-    lengths = play_both_ways(layouts, seeds=(3, 4),
+    lengths, _ = play_both_ways(layouts, seeds=(3, 4),
                              arng=np.random.default_rng(7))
     assert len(set(lengths.tolist())) > 1
 
@@ -98,24 +99,29 @@ def test_mixed_meetup_batch_equals_its_rows_played_alone():
                                                agent_count=2, episode_cap=20))
                for variant in ("single_target", "default", "multi_target",
                                "cluttered")]
-    lengths = play_both_ways(layouts, seeds=range(5),
+    lengths, _ = play_both_ways(layouts, seeds=range(5),
                              arng=np.random.default_rng(8))
     assert len(set(lengths[lengths < 20].tolist())) > 2
     assert max(lengths) == 20
 
 
+def test_mixed_staghunt_batch_equals_its_rows_played_alone():
+    # 0, 2 and 3 stags in one batch: the stag slots are padded to three,
+    # and captures mask slots off row by row
+    layouts = [("staghunt", variant, make_config(
+        "staghunt", variant, interior=3, episode_cap=60, **over))
+        for variant, over in (("no_stag", {}), ("default", {}),
+                              ("all_stags", {"stags": 3}))]
+    _, returns = play_both_ways(layouts, seeds=range(3),
+                                arng=np.random.default_rng(13))
+    # four berries cannot pay both agents 5: these rows captured a stag
+    assert (returns.min(axis=1) >= 5).sum() >= 2
+
+
 def meetup_course(landmarks, agents):
-    cfg = make_config("meetup", interior=3, agent_count=len(agents),
-                      landmarks=len(landmarks))
-    cells = np.zeros((5, 5, 3), dtype=np.int64)
-    cells[[0, -1], :, 0] = OBJ["wall"]
-    cells[:, [0, -1], 0] = OBJ["wall"]
-    for x, y in landmarks:
-        cells[y, x] = (OBJ["landmark"], 1, 0)
-    return GridState(kind="meetup", variant="default", config=cfg, width=5,
-                     height=5, cells=cells,
-                     agents=[AgentState(x, y, 2) for x, y in agents],
-                     rng=np.random.default_rng(0))
+    return lay_out("meetup", 3, [(x, y, 2) for x, y in agents],
+                   [(x, y, "landmark", "red") for x, y in landmarks],
+                   landmarks=len(landmarks))
 
 
 def test_padded_landmark_slots_never_count():
@@ -123,36 +129,29 @@ def test_padded_landmark_slots_never_count():
     # the padding's coordinates than to the landmark
     courses = [(((3, 3),), ((1, 1), (1, 2))),
                (((2, 1), (3, 2), (1, 3)), ((1, 1), (3, 3)))]
-    batch = EnvBatch(meetup_course(*c) for c in courses)
+    batch = EnvBatch.stack(meetup_course(*c) for c in courses)
     alone = [meetup_course(*c) for c in courses]
+    assert batch.landmark_mask.tolist() == [[True, False, False],
+                                            [True, True, True]]
     for actions in ([[FORWARD, NOOP], [NOOP, NOOP]],
                     [[FORWARD, FORWARD], [TURN_LEFT, FORWARD]]):
         rewards, done = step(batch, np.array(actions))
         for e, state in enumerate(alone):
-            state, outcome, obs = step(state, actions[e])
-            assert np.array_equal(rewards[e], outcome.rewards)
-            assert done[e] == outcome.done
-            assert_row_is(batch, e, state, obs)
+            want_rewards, want_done = step_alone(state, actions[e])
+            assert np.array_equal(rewards[e], want_rewards)
+            assert done[e] == want_done
+            assert_row_is(batch, e, state)
     assert rewards[0].tolist() == [1.0, 1.0]
 
 
 def relay_course(delay):
     """Two learners share one key through a locked door; agent 0 finishes
     (leaving the grid and setting the key down) after ``delay`` + 6 steps."""
-    cfg = make_config("tasklist", interior=6, agent_count=2,
-                      tasklist_subtasks=3, episode_cap=40)
-    cells = np.zeros((8, 8, 3), dtype=np.int64)
-    cells[[0, -1], :, 0] = OBJ["wall"]
-    cells[:, [0, -1], 0] = OBJ["wall"]
-    cells[1:7, 4, 0] = OBJ["wall"]
-    cells[2, 4] = (OBJ["door"], 4, 2)
-    cells[2, 2] = (OBJ["key"], 4, 0)
-    cells[2, 5] = (OBJ["goal"], 2, 0)
-    state = GridState(kind="tasklist", variant="default", config=cfg,
-                      width=8, height=8, cells=cells,
-                      agents=[AgentState(1, 2, 1), AgentState(1, 4, 1)],
-                      rng=np.random.default_rng(0),
-                      subtasks=("pickup_key", "open_door", "reach_goal"))
+    state = lay_out("tasklist", 6, [(1, 2, 1), (1, 4, 1)],
+                    [(4, y, "wall") for y in range(1, 7)]
+                    + [(4, 2, "door", "yellow", "door-locked"),
+                       (2, 2, "key", "yellow"), (5, 2, "goal", "green")],
+                    tasklist_subtasks=3, episode_cap=40)
     script = [NOOP] * delay + [PICKUP, FORWARD, FORWARD, TOGGLE, FORWARD,
                                FORWARD]
     return state, script
@@ -160,7 +159,7 @@ def relay_course(delay):
 
 def test_tasklist_despawns_in_a_batch_equal_their_rows_alone():
     courses = [relay_course(delay) for delay in (0, 2, 5)]
-    batch = EnvBatch(state for state, _ in courses)
+    batch = EnvBatch.stack(state for state, _ in courses)
     alone = [relay_course(delay)[0] for delay in (0, 2, 5)]
     # agent 1 turns and interacts in place, off agent 0's path
     arng = np.random.default_rng(9)
@@ -173,10 +172,10 @@ def test_tasklist_despawns_in_a_batch_equal_their_rows_alone():
         rewards, done = step(batch, actions)
         assert not done.any()
         for e, state in enumerate(alone):
-            state, outcome, obs = step(state, actions[e])
-            assert np.array_equal(rewards[e], outcome.rewards)
-            assert_row_is(batch, e, state, obs)
-            if state.agents[0].finished:
+            want_rewards, _ = step_alone(state, actions[e])
+            assert np.array_equal(rewards[e], want_rewards)
+            assert_row_is(batch, e, state)
+            if state.finished[0, 0]:
                 finish_steps.setdefault(e, t)
     assert finish_steps == {0: 5, 1: 7, 2: 10}
     # each finisher left the grid and set the key down next to the goal
@@ -203,20 +202,19 @@ def test_envset_auto_reset_equals_per_env_replays(kind):
               for e in range(n_envs)]
     arng = np.random.default_rng(13)
     for _ in range(30):
-        for e, (state, obs) in enumerate(replay):
-            assert_row_is(es.batch, e, state, obs)
-            assert np.array_equal(es.batch_ids()[e], obs[0][0])
+        for e, state in enumerate(replay):
+            assert_row_is(es.batch, e, state)
+            assert np.array_equal(es.batch_ids()[e], state.grids()[0])
             for k in range(cfg.agent_count):
-                assert np.array_equal(es.batch_poses(k)[e],
-                                      pose_vector(*obs[k][1]))
+                assert np.array_equal(es.batch_poses(k)[e], pose_vector(
+                    state.x[0, k], state.y[0, k], state.direction[0, k]))
         actions = arng.integers(0, 7, size=(n_envs, cfg.agent_count))
         rewards, dones = es.step(actions)
         for e in range(n_envs):
-            state, outcome, obs = step(replay[e][0], actions[e])
-            assert np.array_equal(rewards[e], outcome.rewards)
-            assert dones[e] == outcome.done
-            replay[e] = (state, obs)
-            if outcome.done:
+            want_rewards, want_done = step_alone(replay[e], actions[e])
+            assert np.array_equal(rewards[e], want_rewards)
+            assert dones[e] == want_done
+            if want_done:
                 episode[e] += 1
                 replay[e] = reset(kind, seed=env_seed(base_seed, e,
                                                       episode[e]),
@@ -241,15 +239,16 @@ def test_rows_where_no_action_can_change_anything_skip_interact(kind,
 
         monkeypatch.setattr(gridworlds, "_interact", counted)
         cfg = make_config(kind, interior=5, episode_cap=40)
-        batch = EnvBatch(reset(kind, seed=s, config=cfg)[0] for s in range(6))
+        batch = EnvBatch.stack(reset(kind, seed=s, config=cfg)
+                               for s in range(6))
         arng = np.random.default_rng(10)
         trace = []
         while len(batch):
             actions = arng.integers(0, 7, size=batch.x.shape)
             rewards, done = step(batch, actions)
             trace.append((rewards, batch.cells.copy(), batch.carry.copy(),
-                          batch.task_index.copy(), list(batch.movers),
-                          [dict(t) for t in batch.coin_tally],
+                          batch.task_index.copy(), batch.stags.copy(),
+                          batch.stag_mask.copy(), batch.coin_tally.copy(),
                           [r.bit_generator.state for r in batch.rng]))
             batch = batch.take(~done)
         return trace, calls[0]
@@ -266,11 +265,13 @@ def test_rows_where_no_action_can_change_anything_skip_interact(kind,
 
 
 def test_batch_rejects_mixed_kinds_and_stepping_a_done_row():
-    meetup, _ = reset("meetup", seed=1)
-    colorgather, _ = reset("colorgather", seed=1)
+    meetup = reset("meetup", seed=1)
+    colorgather = reset("colorgather", seed=1)
     with pytest.raises(ValueError, match="share the kind"):
-        EnvBatch([meetup, colorgather])
-    batch = EnvBatch([meetup])
+        EnvBatch.stack([meetup, colorgather])
+    with pytest.raises(ValueError, match="at least one"):
+        EnvBatch.stack([])
+    batch = EnvBatch.stack([meetup])
     with pytest.raises(ValueError, match="cannot join"):
         batch.put(0, colorgather)
     with pytest.raises(ValueError, match="actions"):

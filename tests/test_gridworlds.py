@@ -1,4 +1,4 @@
-"""Environment tests built on constructed states and brute-force oracles."""
+"""Environment tests built on hand-laid episodes and brute-force oracles."""
 
 import copy
 import hashlib
@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from hand_laid import lay_out, put
 from jointattn.gridworlds import (
     ACTIONS,
     COLOR_IDS,
@@ -19,14 +20,9 @@ from jointattn.gridworlds import (
     TURN_LEFT,
     TURN_RIGHT,
     VARIANTS,
-    AgentState,
     EnvBatch,
-    EnvConfig,
-    GridState,
-    SUBTASKS,
     colorgather_reward,
     consensus_landmark,
-    encode_observation,
     make_config,
     meetup_reward,
     reset,
@@ -39,31 +35,20 @@ COL = COLOR_IDS
 ST = STATE_IDS
 
 
-def blank_state(kind, interior, variant="default", **over):
-    """Bordered empty grid with no layout; tests place objects by hand."""
-    cfg = make_config(kind, variant, interior=interior, **over)
-    size = interior + 2
-    cells = np.zeros((size, size, 3), dtype=np.int64)
-    cells[0, :, 0] = OBJ["wall"]
-    cells[-1, :, 0] = OBJ["wall"]
-    cells[:, 0, 0] = OBJ["wall"]
-    cells[:, -1, 0] = OBJ["wall"]
-    subtasks = SUBTASKS if cfg.tasklist_subtasks == 6 else (
-        "pickup_key", "open_door", "reach_goal")
-    return GridState(kind=kind, variant=variant, config=cfg, width=size,
-                     height=size, cells=cells, agents=[],
-                     rng=np.random.default_rng(0), subtasks=subtasks)
+def poses(b):
+    """Row 0's agent cells, [(x, y), ...]."""
+    return list(zip(b.x[0].tolist(), b.y[0].tolist()))
 
 
-def put(state, x, y, obj, color=0, st=0):
-    state.cells[y, x] = (OBJ[obj] if isinstance(obj, str) else obj,
-                         COL[color] if isinstance(color, str) else color,
-                         ST[st] if isinstance(st, str) else st)
+def stag_cells(b):
+    return {tuple(c) for c in b.stags[0, b.stag_mask[0]].tolist()}
 
 
-def add_agent(state, x, y, direction=0, **kw):
-    state.agents.append(AgentState(x, y, direction, **kw))
-    return len(state.agents) - 1
+def assert_same_rows(b1, b2):
+    for name in EnvBatch.ARRAYS + EnvBatch.PADDED:
+        assert np.array_equal(getattr(b1, name), getattr(b2, name)), name
+    assert [r.bit_generator.state for r in b1.rng] == \
+        [r.bit_generator.state for r in b2.rng]
 
 
 class TestReset:
@@ -74,50 +59,50 @@ class TestReset:
         ("staghunt", "all_stags"),
     ])
     def test_same_seed_bit_identical(self, kind, variant):
-        s1, o1 = reset(kind, variant, seed=123)
-        s2, o2 = reset(kind, variant, seed=123)
-        assert np.array_equal(s1.cells, s2.cells)
-        assert [(a.x, a.y, a.direction) for a in s1.agents] == \
-               [(a.x, a.y, a.direction) for a in s2.agents]
-        for (g1, p1), (g2, p2) in zip(o1, o2):
-            assert np.array_equal(g1, g2)
-            assert p1 == p2
+        s1 = reset(kind, variant, seed=123)
+        s2 = reset(kind, variant, seed=123)
+        assert len(s1) == 1
+        assert_same_rows(s1, s2)
+        assert np.array_equal(s1.grids(), s2.grids())
 
     def test_meetup_landmark_counts(self):
         for variant, expected in (("default", 3), ("single_target", 1),
                                   ("multi_target", 5)):
-            s, _ = reset("meetup", variant, seed=4)
-            assert int((s.cells[:, :, 0] == OBJ["landmark"]).sum()) == expected
+            s = reset("meetup", variant, seed=4)
+            assert int((s.cells[0, :, :, 0] == OBJ["landmark"]).sum()) \
+                == expected
+            assert int(s.landmark_mask.sum()) == expected
 
     @pytest.mark.parametrize("kind,base_objects", [
         ("meetup", 3), ("colorgather", 9), ("staghunt", 6)])
     def test_cluttered_wall_count(self, kind, base_objects):
         cfg = make_config(kind, "cluttered")
         for seed in (0, 5, 9):
-            s, _ = reset(kind, "cluttered", seed=seed, config=cfg)
+            s = reset(kind, "cluttered", seed=seed, config=cfg)
             interior_walls = int(
-                (s.cells[1:-1, 1:-1, 0] == OBJ["wall"]).sum())
+                (s.cells[0, 1:-1, 1:-1, 0] == OBJ["wall"]).sum())
             free_base = cfg.interior ** 2 - base_objects
             assert interior_walls == round(0.10 * free_base)
 
     def test_agents_on_distinct_free_cells(self):
         for kind in ("meetup", "colorgather", "staghunt", "tasklist"):
-            s, _ = reset(kind, "default", seed=7)
-            positions = [a.pos for a in s.agents]
+            s = reset(kind, "default", seed=7)
+            positions = poses(s)
+            size = s.cells.shape[1]
             assert len(set(positions)) == len(positions)
             for (x, y) in positions:
-                assert 1 <= x < s.width - 1 and 1 <= y < s.height - 1
-                assert s.cells[y, x, 0] == OBJ["empty"]
+                assert 1 <= x < size - 1 and 1 <= y < size - 1
+                assert s.cells[0, y, x, 0] == OBJ["empty"]
 
     def test_colorgather_variant_ranges(self):
         counts_seen = set()
         colors_seen = set()
         for seed in range(30):
-            s, _ = reset("colorgather", "random_coins", seed=seed)
+            s = reset("colorgather", "random_coins", seed=seed)
             for color, n in _coin_counts(s).items():
                 assert 1 <= n <= 4
                 counts_seen.add(n)
-            s, _ = reset("colorgather", "random_colors", seed=seed)
+            s = reset("colorgather", "random_colors", seed=seed)
             ncol = len(_coin_counts(s))
             assert 2 <= ncol <= 4
             colors_seen.add(ncol)
@@ -125,25 +110,28 @@ class TestReset:
         assert len(colors_seen) > 1
 
     def test_staghunt_variants(self):
-        s, _ = reset("staghunt", "no_stag", seed=1)
-        assert int((s.cells[:, :, 0] == OBJ["stag"]).sum()) == 0
-        assert int((s.cells[:, :, 0] == OBJ["berry"]).sum()) > 0
-        s, _ = reset("staghunt", "all_stags", seed=1)
-        assert int((s.cells[:, :, 0] == OBJ["berry"]).sum()) == 0
-        assert int((s.cells[:, :, 0] == OBJ["stag"]).sum()) > 0
+        s = reset("staghunt", "no_stag", seed=1)
+        assert int((s.cells[0, :, :, 0] == OBJ["stag"]).sum()) == 0
+        assert int((s.cells[0, :, :, 0] == OBJ["berry"]).sum()) > 0
+        assert stag_cells(s) == set()
+        s = reset("staghunt", "all_stags", seed=1)
+        assert int((s.cells[0, :, :, 0] == OBJ["berry"]).sum()) == 0
+        ys, xs = np.nonzero(s.cells[0, :, :, 0] == OBJ["stag"])
+        assert len(xs) > 0
+        assert stag_cells(s) == set(zip(xs.tolist(), ys.tolist()))
 
     def test_tasklist_layout_sides(self):
-        s, _ = reset("tasklist", "default", seed=3)
-        wall_x = s.width // 2
-        key = np.argwhere(s.cells[:, :, 0] == OBJ["key"])
-        goal = np.argwhere(s.cells[:, :, 0] == OBJ["goal"])
-        door = np.argwhere(s.cells[:, :, 0] == OBJ["door"])
+        s = reset("tasklist", "default", seed=3)
+        wall_x = s.cells.shape[2] // 2
+        key = np.argwhere(s.cells[0, :, :, 0] == OBJ["key"])
+        goal = np.argwhere(s.cells[0, :, :, 0] == OBJ["goal"])
+        door = np.argwhere(s.cells[0, :, :, 0] == OBJ["door"])
         assert key[0][1] < wall_x
         assert goal[0][1] > wall_x
         assert door[0][1] == wall_x
-        assert s.cells[door[0][0], door[0][1], 2] == ST["door-locked"]
-        for a in s.agents:
-            assert a.x < wall_x
+        assert s.cells[0, door[0][0], door[0][1], 2] == ST["door-locked"]
+        for x, _ in poses(s):
+            assert x < wall_x
 
     def test_invalid_pairs_rejected(self):
         with pytest.raises(ValueError):
@@ -159,11 +147,10 @@ class TestReset:
                   config=make_config("colorgather", interior=2))
 
 
-def _coin_counts(state):
+def _coin_counts(b):
     out = {}
-    ys, xs = np.nonzero(state.cells[:, :, 0] == OBJ["coin"])
-    for y, x in zip(ys, xs):
-        out[int(state.cells[y, x, 1])] = out.get(int(state.cells[y, x, 1]), 0) + 1
+    for color in b.cells[0][b.cells[0, :, :, 0] == OBJ["coin"], 1].tolist():
+        out[color] = out.get(color, 0) + 1
     return out
 
 
@@ -173,16 +160,15 @@ class TestDeterminism:
     def test_seed_and_actions_fix_trajectory(self, kind):
         traces = []
         for _ in range(2):
-            s, _ = reset(kind, "default", seed=11)
+            s = reset(kind, "default", seed=11)
             arng = np.random.default_rng(99)
             trace = []
             for _ in range(60):
-                if s.done:
+                if s.done[0]:
                     break
-                actions = arng.integers(0, 7, size=len(s.agents))
-                s, out, obs = step(s, actions)
-                trace.append((out.rewards.copy(), out.done, s.cells.copy(),
-                              tuple(a.pos for a in s.agents)))
+                rewards, done = step(s, arng.integers(0, 7, size=s.x.shape))
+                trace.append((rewards.copy(), done[0], s.cells.copy(),
+                              poses(s)))
             traces.append(trace)
         assert len(traces[0]) == len(traces[1])
         for (r1, d1, c1, p1), (r2, d2, c2, p2) in zip(*traces):
@@ -192,301 +178,262 @@ class TestDeterminism:
             assert p1 == p2
 
 
-def mark_corner(s):
-    """Movement fixtures reuse the meetup kind, which needs a landmark."""
-    put(s, s.width - 2, s.height - 2, "landmark", "red")
+# movement fixtures reuse the meetup kind, which needs a landmark
+CORNER = (5, 5, "landmark", "red")
 
 
 class TestMovement:
     def test_same_target_both_stay(self):
-        s = blank_state("meetup", 5, agent_count=2)
-        mark_corner(s)
-        a = add_agent(s, 1, 2, direction=1)  # east toward (2,2)
-        b = add_agent(s, 3, 2, direction=3)  # west toward (2,2)
-        step(s, [FORWARD, FORWARD])
-        assert s.agents[a].pos == (1, 2)
-        assert s.agents[b].pos == (3, 2)
+        # east and west toward (2,2)
+        s = lay_out("meetup", 5, [(1, 2, 1), (3, 2, 3)], [CORNER])
+        step(s, [[FORWARD, FORWARD]])
+        assert poses(s) == [(1, 2), (3, 2)]
 
     def test_swap_both_stay(self):
-        s = blank_state("meetup", 5, agent_count=2)
-        mark_corner(s)
-        a = add_agent(s, 2, 2, direction=1)
-        b = add_agent(s, 3, 2, direction=3)
-        step(s, [FORWARD, FORWARD])
-        assert s.agents[a].pos == (2, 2)
-        assert s.agents[b].pos == (3, 2)
+        s = lay_out("meetup", 5, [(2, 2, 1), (3, 2, 3)], [CORNER])
+        step(s, [[FORWARD, FORWARD]])
+        assert poses(s) == [(2, 2), (3, 2)]
 
     def test_into_stationary_agent_stays(self):
-        s = blank_state("meetup", 5, agent_count=2)
-        mark_corner(s)
-        a = add_agent(s, 2, 2, direction=1)
-        add_agent(s, 3, 2, direction=0)
-        step(s, [FORWARD, NOOP])
-        assert s.agents[a].pos == (2, 2)
+        s = lay_out("meetup", 5, [(2, 2, 1), (3, 2, 0)], [CORNER])
+        step(s, [[FORWARD, NOOP]])
+        assert poses(s)[0] == (2, 2)
 
     def test_chain_moves_together(self):
-        s = blank_state("meetup", 5, agent_count=2)
-        mark_corner(s)
-        a = add_agent(s, 2, 2, direction=1)
-        b = add_agent(s, 3, 2, direction=1)
-        step(s, [FORWARD, FORWARD])
-        assert s.agents[b].pos == (4, 2)
-        assert s.agents[a].pos == (3, 2)
+        s = lay_out("meetup", 5, [(2, 2, 1), (3, 2, 1)], [CORNER])
+        step(s, [[FORWARD, FORWARD]])
+        assert poses(s) == [(3, 2), (4, 2)]
 
     def test_rotation_cycle_allowed(self):
-        s = blank_state("meetup", 5, agent_count=3)
-        mark_corner(s)
-        a = add_agent(s, 1, 1, direction=1)  # east to (2,1)
-        b = add_agent(s, 2, 1, direction=2)  # south to (2,2)
-        c = add_agent(s, 2, 2, direction=3)  # west to (1,2)
-        step(s, [FORWARD, FORWARD, FORWARD])
-        assert s.agents[a].pos == (2, 1)
-        assert s.agents[b].pos == (2, 2)
-        assert s.agents[c].pos == (1, 2)
+        # east to (2,1), south to (2,2), west to (1,2)
+        s = lay_out("meetup", 5, [(1, 1, 1), (2, 1, 2), (2, 2, 3)], [CORNER])
+        step(s, [[FORWARD, FORWARD, FORWARD]])
+        assert poses(s) == [(2, 1), (2, 2), (1, 2)]
 
     def test_walls_and_objects_block(self):
-        s = blank_state("meetup", 5, agent_count=1)
-        put(s, 3, 2, "landmark", "red")
-        a = add_agent(s, 2, 2, direction=1)
-        step(s, [FORWARD])
-        assert s.agents[a].pos == (2, 2)
-        s2 = blank_state("meetup", 5, agent_count=1)
-        mark_corner(s2)
-        a2 = add_agent(s2, 1, 1, direction=3)  # west into the border
-        step(s2, [FORWARD])
-        assert s2.agents[a2].pos == (1, 1)
+        s = lay_out("meetup", 5, [(2, 2, 1)], [(3, 2, "landmark", "red")])
+        step(s, [[FORWARD]])
+        assert poses(s) == [(2, 2)]
+        # west into the border
+        s2 = lay_out("meetup", 5, [(1, 1, 3)], [CORNER])
+        step(s2, [[FORWARD]])
+        assert poses(s2) == [(1, 1)]
 
     def test_turns(self):
-        s = blank_state("meetup", 5, agent_count=1)
-        mark_corner(s)
-        a = add_agent(s, 2, 2, direction=0)
-        step(s, [TURN_RIGHT])
-        assert s.agents[a].direction == 1
-        step(s, [TURN_LEFT])
-        step(s, [TURN_LEFT])
-        assert s.agents[a].direction == 3
+        s = lay_out("meetup", 5, [(2, 2, 0)], [CORNER])
+        step(s, [[TURN_RIGHT]])
+        assert s.direction[0, 0] == 1
+        step(s, [[TURN_LEFT]])
+        step(s, [[TURN_LEFT]])
+        assert s.direction[0, 0] == 3
 
 
 class TestMeetup:
     def test_stationary_reward_zero(self):
-        s = blank_state("meetup", 5, agent_count=1)
-        put(s, 4, 1, "landmark", "red")
-        add_agent(s, 1, 1, direction=0)
+        s = lay_out("meetup", 5, [(1, 1, 0)], [(4, 1, "landmark", "red")])
         before = copy.deepcopy(s)
         assert meetup_reward(before, s, 0) == 0.0
 
     def test_step_toward_landmark_plus_one(self):
-        before = blank_state("meetup", 5, agent_count=1)
-        put(before, 4, 1, "landmark", "red")
-        add_agent(before, 1, 1, direction=1)
+        before = lay_out("meetup", 5, [(1, 1, 1)], [(4, 1, "landmark", "red")])
         after = copy.deepcopy(before)
-        after.agents[0].x = 2
+        after.x[0, 0] = 2
         assert meetup_reward(before, after, 0) == 1.0
 
     def test_consensus_worked_example(self):
         # agents (0,0), (0,2), (5,5); landmarks (0,1) and (5,5), all
         # shifted by the border offset (+1, +1)
-        s = blank_state("meetup", 7, agent_count=3)
-        put(s, 1, 2, "landmark", "red")
-        put(s, 6, 6, "landmark", "red")
-        add_agent(s, 1, 1)
-        add_agent(s, 1, 3)
-        add_agent(s, 6, 6)
+        s = lay_out("meetup", 7, [(1, 1), (1, 3), (6, 6)],
+                    [(1, 2, "landmark", "red"), (6, 6, "landmark", "red")])
         assert consensus_landmark(s) == (1, 2)
 
     def test_consensus_matches_brute_force(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
-            s = blank_state("meetup", 8, agent_count=3)
             spots = rng.choice(64, size=7, replace=False)
             cells = [(1 + int(v % 8), 1 + int(v // 8)) for v in spots]
             marks = cells[:4]
-            for (x, y) in marks:
-                put(s, x, y, "landmark", "red")
-            for (x, y) in cells[4:]:
-                add_agent(s, x, y)
+            s = lay_out("meetup", 8, cells[4:],
+                        [(x, y, "landmark", "red") for x, y in marks])
             best = min(
                 sorted(marks, key=lambda c: (c[1], c[0])),
-                key=lambda m: sum(abs(a.x - m[0]) + abs(a.y - m[1])
-                                  for a in s.agents),
+                key=lambda m: sum(abs(x - m[0]) + abs(y - m[1])
+                                  for x, y in cells[4:]),
             )
             assert consensus_landmark(s) == best
 
     def test_noop_step_changes_only_counter(self):
-        s, _ = reset("meetup", "default", seed=5)
+        s = reset("meetup", "default", seed=5)
         cells = s.cells.copy()
-        poses = [a.pos for a in s.agents]
-        s, out, _ = step(s, [NOOP] * len(s.agents))
+        before = poses(s)
+        rewards, _ = step(s, np.full(s.x.shape, NOOP))
         assert np.array_equal(s.cells, cells)
-        assert [a.pos for a in s.agents] == poses
-        assert np.array_equal(out.rewards, np.zeros(len(s.agents)))
-        assert s.step_count == 1
+        assert poses(s) == before
+        assert np.array_equal(rewards, np.zeros(s.x.shape))
+        assert s.step_count[0] == 1
 
     def test_all_adjacent_bonus_and_done(self):
-        s = blank_state("meetup", 5, agent_count=3)
-        put(s, 3, 3, "landmark", "red")
-        add_agent(s, 2, 3)
-        add_agent(s, 4, 3)
-        add_agent(s, 3, 2)
-        s, out, _ = step(s, [NOOP, NOOP, NOOP])
-        assert out.done
-        assert np.array_equal(out.rewards, np.ones(3))
+        s = lay_out("meetup", 5, [(2, 3), (4, 3), (3, 2)],
+                    [(3, 3, "landmark", "red")])
+        rewards, done = step(s, [[NOOP, NOOP, NOOP]])
+        assert done[0]
+        assert np.array_equal(rewards[0], np.ones(3))
 
     def test_not_done_when_split_between_landmarks(self):
-        s = blank_state("meetup", 5, agent_count=2)
-        put(s, 2, 2, "landmark", "red")
-        put(s, 4, 4, "landmark", "red")
-        add_agent(s, 2, 1)   # adjacent to first landmark
-        add_agent(s, 4, 3)   # adjacent to second landmark
-        s, out, _ = step(s, [NOOP, NOOP])
-        assert not out.done
+        # each agent adjacent to a different landmark
+        s = lay_out("meetup", 5, [(2, 1), (4, 3)],
+                    [(2, 2, "landmark", "red"), (4, 4, "landmark", "red")])
+        _, done = step(s, [[NOOP, NOOP]])
+        assert not done[0]
 
     def test_step_rewards_match_distance_oracle(self):
-        s, _ = reset("meetup", "default", seed=31)
+        s = reset("meetup", "default", seed=31)
         arng = np.random.default_rng(32)
+        marks = s.landmarks[0, s.landmark_mask[0]].tolist()
         for _ in range(30):
-            if s.done:
+            if s.done[0]:
                 break
             before = copy.deepcopy(s)
-            actions = arng.integers(0, 7, size=len(s.agents))
-            s, out, _ = step(s, actions)
+            rewards, _ = step(s, arng.integers(0, 7, size=s.x.shape))
             # the bonus is paid when every agent is 4-adjacent to one landmark
-            met = any(all(abs(a.x - mx) + abs(a.y - my) == 1 for a in s.agents)
-                      for (mx, my) in s.landmarks)
-            for i in range(len(s.agents)):
-                assert out.rewards[i] - float(met) == \
+            met = any(all(abs(x - mx) + abs(y - my) == 1 for x, y in poses(s))
+                      for (mx, my) in marks)
+            for i in range(s.x.shape[1]):
+                assert rewards[0, i] - float(met) == \
                     pytest.approx(meetup_reward(before, s, i))
+
+
+def tally(**counts):
+    """A coin tally by color name."""
+    out = np.zeros(len(COL), dtype=np.int64)
+    for color, n in counts.items():
+        out[COL[color]] = n
+    return out
 
 
 class TestColorGather:
     def _facing_coin_state(self, color="red"):
-        s = blank_state("colorgather", 6, agent_count=2)
-        put(s, 3, 2, "coin", color)
-        put(s, 4, 4, "coin", "blue")
-        put(s, 5, 5, "coin", color)
-        s.coin_tally = {"red": 0, "blue": 0}
-        add_agent(s, 2, 2, direction=1)
-        add_agent(s, 5, 2, direction=0)
-        return s
+        return lay_out("colorgather", 6, [(2, 2, 1), (5, 2, 0)],
+                       [(3, 2, "coin", color), (4, 4, "coin", "blue"),
+                        (5, 5, "coin", color)])
 
     def test_first_coin_rewards_everyone(self):
         s = self._facing_coin_state()
-        s, out, _ = step(s, [PICKUP, NOOP])
-        assert np.array_equal(out.rewards, [1.0, 1.0])
+        rewards, _ = step(s, [[PICKUP, NOOP]])
+        assert np.array_equal(rewards[0], [1.0, 1.0])
 
     def test_modal_oracle_function(self):
-        assert colorgather_reward("red", {}) == 1.0
-        assert colorgather_reward("blue", {"red": 2, "blue": 1}) == 0.0
-        assert colorgather_reward("red", {"red": 2, "blue": 1}) == 1.0
-        assert colorgather_reward("blue", {"red": 1, "blue": 1}) == 1.0
+        assert colorgather_reward(tally(), COL["red"]) == 1.0
+        assert colorgather_reward(tally(red=2, blue=1), COL["blue"]) == 0.0
+        assert colorgather_reward(tally(red=2, blue=1), COL["red"]) == 1.0
+        assert colorgather_reward(tally(red=1, blue=1), COL["blue"]) == 1.0
 
     def test_non_modal_coin_rewards_zero(self):
         s = self._facing_coin_state(color="blue")
-        s.coin_tally = {"red": 2, "blue": 1}
-        s, out, _ = step(s, [PICKUP, NOOP])
-        assert np.array_equal(out.rewards, [0.0, 0.0])
-        assert s.coin_tally == {"red": 2, "blue": 2}
+        s.coin_tally[0] = tally(red=2, blue=1)
+        rewards, _ = step(s, [[PICKUP, NOOP]])
+        assert np.array_equal(rewards[0], [0.0, 0.0])
+        assert np.array_equal(s.coin_tally[0], tally(red=2, blue=2))
 
     def test_respawn_preserves_color_counts(self):
         s = self._facing_coin_state()
         before = _coin_counts(s)
-        s, out, _ = step(s, [PICKUP, NOOP])
+        step(s, [[PICKUP, NOOP]])
         assert _coin_counts(s) == before
 
     def test_coin_count_conserved_over_random_play(self):
-        s, _ = reset("colorgather", "default", seed=13)
-        total = int((s.cells[:, :, 0] == OBJ["coin"]).sum())
+        s = reset("colorgather", "default", seed=13)
+        total = int((s.cells[0, :, :, 0] == OBJ["coin"]).sum())
         arng = np.random.default_rng(14)
         for _ in range(300):
-            if s.done:
-                s, _ = reset("colorgather", "default", seed=15)
-            actions = arng.integers(0, 7, size=len(s.agents))
-            s, _, _ = step(s, actions)
-            assert int((s.cells[:, :, 0] == OBJ["coin"]).sum()) == total
+            if s.done[0]:
+                s = reset("colorgather", "default", seed=15)
+            step(s, arng.integers(0, 7, size=s.x.shape))
+            assert int((s.cells[0, :, :, 0] == OBJ["coin"]).sum()) == total
 
 
 class TestStagHunt:
     def test_berry_rewards_collector_only(self):
-        s = blank_state("staghunt", 5, agent_count=2)
-        put(s, 3, 2, "berry", "green")
-        add_agent(s, 2, 2, direction=1)
-        add_agent(s, 4, 4)
-        s, out, _ = step(s, [PICKUP, NOOP])
-        assert np.array_equal(out.rewards, [1.0, 0.0])
-        assert int((s.cells[:, :, 0] == OBJ["berry"]).sum()) == 0
+        s = lay_out("staghunt", 5, [(2, 2, 1), (4, 4)],
+                    [(3, 2, "berry", "green")])
+        rewards, _ = step(s, [[PICKUP, NOOP]])
+        assert np.array_equal(rewards[0], [1.0, 0.0])
+        assert int((s.cells[0, :, :, 0] == OBJ["berry"]).sum()) == 0
 
     def test_lone_hunter_fails(self):
-        s = blank_state("staghunt", 5, agent_count=2)
-        put(s, 3, 2, "stag", "grey")
-        s.movers = [(3, 2)]
-        add_agent(s, 2, 2, direction=1)
-        add_agent(s, 5, 5)
-        s, out, _ = step(s, [PICKUP, NOOP])
-        assert np.array_equal(out.rewards, [0.0, 0.0])
-        assert int((s.cells[:, :, 0] == OBJ["stag"]).sum()) == 1
+        s = lay_out("staghunt", 5, [(2, 2, 1), (5, 5)],
+                    [(3, 2, "stag", "grey")])
+        rewards, _ = step(s, [[PICKUP, NOOP]])
+        assert np.array_equal(rewards[0], [0.0, 0.0])
+        assert int((s.cells[0, :, :, 0] == OBJ["stag"]).sum()) == 1
+        assert len(stag_cells(s)) == 1
 
     def test_capture_pays_both(self):
-        s = blank_state("staghunt", 5, agent_count=2)
-        put(s, 3, 2, "stag", "grey")
-        s.movers = [(3, 2)]
-        add_agent(s, 2, 2, direction=1)
-        add_agent(s, 3, 3, direction=0)  # adjacent to the stag cell
-        s, out, _ = step(s, [PICKUP, NOOP])
-        assert np.array_equal(out.rewards, [5.0, 5.0])
-        assert int((s.cells[:, :, 0] == OBJ["stag"]).sum()) == 0
-        assert s.movers == []
+        # the second agent stands adjacent to the stag cell
+        s = lay_out("staghunt", 5, [(2, 2, 1), (3, 3, 0)],
+                    [(3, 2, "stag", "grey")])
+        rewards, _ = step(s, [[PICKUP, NOOP]])
+        assert np.array_equal(rewards[0], [5.0, 5.0])
+        assert int((s.cells[0, :, :, 0] == OBJ["stag"]).sum()) == 0
+        assert stag_cells(s) == set()
 
     def test_stags_move_and_berries_nonincreasing(self):
-        s, _ = reset("staghunt", "default", seed=17)
-        initial = {tuple(m) for m in s.movers}
-        berries = int((s.cells[:, :, 0] == OBJ["berry"]).sum())
+        s = reset("staghunt", "default", seed=17)
+        initial = stag_cells(s)
+        berries = int((s.cells[0, :, :, 0] == OBJ["berry"]).sum())
         moved = False
         arng = np.random.default_rng(18)
         for _ in range(40):
-            if s.done:
+            if s.done[0]:
                 break
-            s, _, _ = step(s, arng.integers(0, 7, size=2))
-            now = int((s.cells[:, :, 0] == OBJ["berry"]).sum())
+            step(s, arng.integers(0, 7, size=(1, 2)))
+            now = int((s.cells[0, :, :, 0] == OBJ["berry"]).sum())
             assert now <= berries
             berries = now
-            if {tuple(m) for m in s.movers} != initial:
+            if stag_cells(s) != initial:
                 moved = True
         assert moved
 
     def test_stags_sit_on_grid_cells(self):
-        s, _ = reset("staghunt", "default", seed=19)
+        s = reset("staghunt", "default", seed=19)
         arng = np.random.default_rng(20)
         for _ in range(30):
-            if s.done:
+            if s.done[0]:
                 break
-            s, _, _ = step(s, arng.integers(0, 7, size=2))
-            for (x, y) in s.movers:
-                assert s.cells[y, x, 0] == OBJ["stag"]
-                assert all(a.pos != (x, y) for a in s.agents)
+            step(s, arng.integers(0, 7, size=(1, 2)))
+            for (x, y) in stag_cells(s):
+                assert s.cells[0, y, x, 0] == OBJ["stag"]
+                assert (x, y) not in poses(s)
+
+
+KEY = (OBJ["key"], COL["yellow"])
+
+
+def tasklist_course(agents, interior=6, **overrides):
+    """A dividing wall at x=4 with a locked door at y=2, the key west of it
+    and the goal east of it; the ball and the box too on the full course."""
+    objects = [(4, y, "wall") for y in range(1, interior + 1)]
+    objects += [(4, 2, "door", "yellow", "door-locked"),
+                (2, 2, "key", "yellow")]
+    if overrides.get("tasklist_subtasks", 6) == 6:
+        objects += [(5, 2, "ball", "blue"), (6, 2, "box", "grey"),
+                    (5, 4, "goal", "green")]
+    else:
+        objects += [(5, 2, "goal", "green")]
+    return lay_out("tasklist", interior, agents, objects, **overrides)
 
 
 class TestTaskList:
     def _course(self):
-        # 6x6 interior; dividing wall at x=4 with a locked door at y=2
-        s = blank_state("tasklist", 6, agent_count=1)
-        for y in range(1, 7):
-            put(s, 4, y, "wall")
-        put(s, 4, 2, "door", "yellow", "door-locked")
-        put(s, 2, 2, "key", "yellow")
-        put(s, 5, 2, "ball", "blue")
-        put(s, 6, 2, "box", "grey")
-        put(s, 5, 4, "goal", "green")
-        add_agent(s, 1, 2, direction=1)
-        return s
+        return tasklist_course([(1, 2, 1)])
 
     def test_toggle_door_without_key_no_change(self):
-        s = blank_state("tasklist", 5, agent_count=1)
-        put(s, 3, 2, "door", "yellow", "door-locked")
-        add_agent(s, 2, 2, direction=1)
+        s = lay_out("tasklist", 5, [(2, 2, 1)],
+                    [(3, 2, "door", "yellow", "door-locked")])
         cells = s.cells.copy()
-        s, out, _ = step(s, [TOGGLE])
+        rewards, _ = step(s, [[TOGGLE]])
         assert np.array_equal(s.cells, cells)
-        assert out.rewards[0] == 0.0
+        assert rewards[0, 0] == 0.0
 
     def test_full_ordered_completion_scores_six(self):
         s = self._course()
@@ -495,86 +442,68 @@ class TestTaskList:
                   TURN_LEFT, DROP, TURN_RIGHT, TURN_RIGHT, FORWARD, FORWARD]
         total = 0.0
         for act in script:
-            s, out, _ = step(s, [act])
-            total += out.rewards[0]
+            rewards, _ = step(s, [[act]])
+            total += rewards[0, 0]
         assert total == 6.0
-        assert s.done
-        assert s.agents[0].finished
-        assert s.agents[0].task_index == 6
+        assert s.done[0]
+        assert s.finished[0, 0]
+        assert s.task_index[0, 0] == 6
 
     def test_out_of_order_box_toggle_no_advance(self):
         s = self._course()
         # teleport the agent next to the box with nothing done yet
-        s.agents[0].x, s.agents[0].y, s.agents[0].direction = 5, 2, 1
+        s.x[0, 0], s.y[0, 0], s.direction[0, 0] = 5, 2, 1
         put(s, 5, 2, "empty")  # clear the ball spot we now stand on
-        s, out, _ = step(s, [TOGGLE])
-        assert s.agents[0].task_index == 0
-        assert out.rewards[0] == 0.0
+        rewards, _ = step(s, [[TOGGLE]])
+        assert s.task_index[0, 0] == 0
+        assert rewards[0, 0] == 0.0
 
     def test_door_reopens_and_closes_with_key(self):
-        s = blank_state("tasklist", 5, agent_count=1)
-        put(s, 3, 2, "door", "yellow", "door-locked")
-        add_agent(s, 2, 2, direction=1,
-                  carry=(OBJ["key"], COL["yellow"]), task_index=1)
-        s, out, _ = step(s, [TOGGLE])
-        assert s.cells[2, 3, 2] == ST["door-open"]
-        assert out.rewards[0] == 1.0  # open_door was this agent's subtask
-        s, out, _ = step(s, [TOGGLE])
-        assert s.cells[2, 3, 2] == ST["door-closed"]
-        s, out, _ = step(s, [TOGGLE])
-        assert s.cells[2, 3, 2] == ST["door-open"]
-        assert out.rewards[1 - 1] == 0.0  # reopening is not a new subtask
+        s = lay_out("tasklist", 5, [(2, 2, 1)],
+                    [(3, 2, "door", "yellow", "door-locked")])
+        s.carry[0, 0], s.task_index[0, 0] = KEY, 1
+        rewards, _ = step(s, [[TOGGLE]])
+        assert s.cells[0, 2, 3, 2] == ST["door-open"]
+        assert rewards[0, 0] == 1.0  # open_door was this agent's subtask
+        step(s, [[TOGGLE]])
+        assert s.cells[0, 2, 3, 2] == ST["door-closed"]
+        rewards, _ = step(s, [[TOGGLE]])
+        assert s.cells[0, 2, 3, 2] == ST["door-open"]
+        assert rewards[0, 0] == 0.0  # reopening is not a new subtask
 
     def test_indices_are_per_agent(self):
-        s = blank_state("tasklist", 5, agent_count=2)
-        put(s, 3, 2, "door", "yellow", "door-locked")
-        add_agent(s, 2, 2, direction=1,
-                  carry=(OBJ["key"], COL["yellow"]), task_index=1)
-        add_agent(s, 1, 4, direction=0)
-        s, out, _ = step(s, [TOGGLE, NOOP])
-        assert s.agents[0].task_index == 2
-        assert s.agents[1].task_index == 0
-        assert out.rewards[1] == 0.0
+        s = lay_out("tasklist", 5, [(2, 2, 1), (1, 4, 0)],
+                    [(3, 2, "door", "yellow", "door-locked")])
+        s.carry[0, 0], s.task_index[0, 0] = KEY, 1
+        rewards, _ = step(s, [[TOGGLE, NOOP]])
+        assert s.task_index[0].tolist() == [2, 0]
+        assert rewards[0, 1] == 0.0
 
     def test_pickup_requires_empty_hands(self):
-        s = blank_state("tasklist", 5, agent_count=1)
-        put(s, 3, 2, "ball", "blue")
-        add_agent(s, 2, 2, direction=1, carry=(OBJ["key"], COL["yellow"]))
-        s, _, _ = step(s, [PICKUP])
-        assert s.cells[2, 3, 0] == OBJ["ball"]
-        assert s.agents[0].carry == (OBJ["key"], COL["yellow"])
+        s = lay_out("tasklist", 5, [(2, 2, 1)], [(3, 2, "ball", "blue")])
+        s.carry[0, 0] = KEY
+        step(s, [[PICKUP]])
+        assert s.cells[0, 2, 3, 0] == OBJ["ball"]
+        assert tuple(s.carry[0, 0].tolist()) == KEY
 
     def test_reduced_course_scores_three(self):
-        s = blank_state("tasklist", 6, agent_count=1, tasklist_subtasks=3)
-        for y in range(1, 7):
-            put(s, 4, y, "wall")
-        put(s, 4, 2, "door", "yellow", "door-locked")
-        put(s, 2, 2, "key", "yellow")
-        put(s, 5, 2, "goal", "green")
-        add_agent(s, 1, 2, direction=1)
+        s = tasklist_course([(1, 2, 1)], tasklist_subtasks=3)
         script = [PICKUP, FORWARD, FORWARD, TOGGLE, FORWARD, FORWARD]
         total = 0.0
         for act in script:
-            s, out, _ = step(s, [act])
-            total += out.rewards[0]
+            rewards, _ = step(s, [[act]])
+            total += rewards[0, 0]
         assert total == 3.0
-        assert s.done
+        assert s.done[0]
 
     def test_non_learning_agent_does_not_gate_done(self):
-        s = blank_state("tasklist", 6, agent_count=2, tasklist_subtasks=3,
-                        non_learning=(1,))
-        for y in range(1, 7):
-            put(s, 4, y, "wall")
-        put(s, 4, 2, "door", "yellow", "door-locked")
-        put(s, 2, 2, "key", "yellow")
-        put(s, 5, 2, "goal", "green")
-        add_agent(s, 1, 2, direction=1)
-        add_agent(s, 1, 5, direction=0)
+        s = tasklist_course([(1, 2, 1), (1, 5, 0)], tasklist_subtasks=3,
+                            non_learning=(1,))
         script = [PICKUP, FORWARD, FORWARD, TOGGLE, FORWARD, FORWARD]
         for act in script:
-            s, out, _ = step(s, [act, NOOP])
-        assert s.done
-        assert not s.agents[1].finished
+            step(s, [[act, NOOP]])
+        assert s.done[0]
+        assert not s.finished[0, 1]
 
 
 class TestDespawn:
@@ -583,44 +512,36 @@ class TestDespawn:
 
     def _relay_course(self):
         # reduced subtasks; one key and one door shared by two learners
-        s = blank_state("tasklist", 6, agent_count=2, tasklist_subtasks=3)
-        for y in range(1, 7):
-            put(s, 4, y, "wall")
-        put(s, 4, 2, "door", "yellow", "door-locked")
-        put(s, 2, 2, "key", "yellow")
-        put(s, 5, 2, "goal", "green")
-        add_agent(s, 1, 2, direction=1)
-        add_agent(s, 1, 4, direction=1)
-        return s
+        return tasklist_course([(1, 2, 1), (1, 4, 1)], tasklist_subtasks=3)
 
     def _finish_first(self, s):
         for act in [PICKUP, FORWARD, FORWARD, TOGGLE, FORWARD, FORWARD]:
-            s, out, _ = step(s, [act, NOOP])
+            step(s, [[act, NOOP]])
         return s
 
     def test_finisher_sheds_carried_key_nearby(self):
         s = self._finish_first(self._relay_course())
-        assert s.agents[0].finished
-        assert s.agents[0].carry is None
+        assert s.finished[0, 0]
+        assert s.carry[0, 0].tolist() == [0, 0]
         # first empty unoccupied neighbor of the goal cell, scanned N/E/S/W
-        assert tuple(s.cells[1, 5]) == (OBJ["key"], COL["yellow"], 0)
-        assert not s.done
+        assert tuple(s.cells[0, 1, 5]) == (OBJ["key"], COL["yellow"], 0)
+        assert not s.done[0]
 
     def test_finished_agent_not_in_observations(self):
         s = self._finish_first(self._relay_course())
-        grid, _ = encode_observation(s, 1)
+        grid = s.grids()[0]
         assert int((grid[:, :, 0] == OBJ["agent"]).sum()) == 1
         assert grid[4, 1, 0] == OBJ["agent"]        # the live agent at (1,4)
         assert grid[2, 5, 0] == OBJ["goal"]         # not the finished one
 
     def test_finished_agent_ignores_actions_and_earns_nothing(self):
         s = self._finish_first(self._relay_course())
-        pos = s.agents[0].pos
+        pos = poses(s)[0]
         for act in [FORWARD, TOGGLE, PICKUP]:
-            s, out, _ = step(s, [act, NOOP])
-            assert out.rewards[0] == 0.0
-        assert s.agents[0].pos == pos
-        assert s.agents[0].task_index == 3
+            rewards, _ = step(s, [[act, NOOP]])
+            assert rewards[0, 0] == 0.0
+        assert poses(s)[0] == pos
+        assert s.task_index[0, 0] == 3
 
     def test_second_agent_relays_key_through_vacated_goal(self):
         s = self._finish_first(self._relay_course())
@@ -629,89 +550,88 @@ class TestDespawn:
                   TOGGLE]
         total = 0.0
         for k, act in enumerate(script):
-            s, out, _ = step(s, [NOOP, act])
-            total += out.rewards[1]
+            rewards, _ = step(s, [[NOOP, act]])
+            total += rewards[0, 1]
             if k == 7:
                 # walked onto the goal cell the finisher would have blocked
-                assert s.agents[1].pos == (5, 2)
+                assert poses(s)[1] == (5, 2)
         assert total == 3.0
-        assert s.done
-        assert s.agents[1].finished
+        assert s.done[0]
+        assert s.finished[0, 1]
 
     def test_shed_falls_back_row_major_when_neighbors_full(self):
-        s = blank_state("tasklist", 4, agent_count=1, tasklist_subtasks=3)
-        put(s, 2, 2, "goal", "green")
-        for x, y in ((2, 1), (3, 2), (2, 3), (1, 2)):
-            put(s, x, y, "wall")
-        add_agent(s, 2, 2, direction=0,
-                  carry=(OBJ["key"], COL["yellow"]), task_index=2)
-        s, out, _ = step(s, [NOOP])
-        assert s.agents[0].finished
-        assert tuple(s.cells[1, 1]) == (OBJ["key"], COL["yellow"], 0)
+        s = lay_out("tasklist", 4, [(2, 2, 0)],
+                    [(2, 2, "goal", "green")]
+                    + [(x, y, "wall")
+                       for x, y in ((2, 1), (3, 2), (2, 3), (1, 2))],
+                    tasklist_subtasks=3)
+        s.carry[0, 0], s.task_index[0, 0] = KEY, 2
+        step(s, [[NOOP]])
+        assert s.finished[0, 0]
+        assert tuple(s.cells[0, 1, 1]) == (OBJ["key"], COL["yellow"], 0)
 
 
 class TestObservations:
     def test_empty_cell_triple(self):
-        s = blank_state("meetup", 4, agent_count=1)
-        add_agent(s, 1, 1)
-        grid, _ = encode_observation(s, 0)
-        assert tuple(grid[2, 2]) == (0, 0, 0)
+        s = lay_out("meetup", 4, [(1, 1)])
+        assert tuple(s.grids()[0, 2, 2]) == (0, 0, 0)
 
     def test_own_cell_shows_agent_with_color(self):
-        s = blank_state("meetup", 4, agent_count=2)
-        add_agent(s, 1, 1)
-        add_agent(s, 2, 2)
-        grid, p = encode_observation(s, 1)
+        s = lay_out("meetup", 4, [(1, 1), (2, 2)])
+        grid = s.grids()[0]
         assert tuple(grid[2, 2]) == (OBJ["agent"], 2, 0)  # second agent: green
         assert tuple(grid[1, 1]) == (OBJ["agent"], 1, 0)  # first agent: red
-        assert p == (2, 2, 0)
 
-    def test_same_grid_different_p(self):
-        s, _ = reset("colorgather", "default", seed=23)
-        g0, p0 = encode_observation(s, 0)
-        g1, p1 = encode_observation(s, 1)
-        assert np.array_equal(g0, g1)
-        assert p0 != p1
+    def test_colors_repeat_after_six_agents(self):
+        agents = [(1 + i % 4, 1 + i // 4) for i in range(8)]
+        grid = lay_out("meetup", 4, agents).grids()[0]
+        assert [grid[y, x, 1] for x, y in agents] == [1, 2, 3, 4, 5, 6, 1, 2]
 
     def test_carried_object_not_on_grid(self):
-        s = blank_state("tasklist", 5, agent_count=1)
-        put(s, 3, 2, "key", "yellow")
-        add_agent(s, 2, 2, direction=1)
-        s, _, obs = step(s, [PICKUP])
-        grid, _ = obs[0]
+        s = lay_out("tasklist", 5, [(2, 2, 1)], [(3, 2, "key", "yellow")])
+        step(s, [[PICKUP]])
+        grid = s.grids()[0]
         assert int((grid[:, :, 0] == OBJ["key"]).sum()) == 0
 
     def test_dtype_and_shape(self):
-        s, obs = reset("staghunt", "default", seed=25)
-        grid, p = obs[0]
-        assert grid.dtype == np.int64
-        assert grid.shape == (s.height, s.width, 3)
-        assert len(p) == 3
+        s = reset("staghunt", "default", seed=25)
+        grids = s.grids()
+        assert grids.dtype == np.int64
+        assert grids.shape == (1,) + s.cells.shape[1:]
 
 
 class TestStepContract:
     def test_done_state_refuses_steps(self):
-        s = blank_state("meetup", 5, agent_count=3)
-        put(s, 3, 3, "landmark", "red")
-        add_agent(s, 2, 3)
-        add_agent(s, 4, 3)
-        add_agent(s, 3, 2)
-        s, out, _ = step(s, [NOOP] * 3)
-        assert out.done
+        s = lay_out("meetup", 5, [(2, 3), (4, 3), (3, 2)],
+                    [(3, 3, "landmark", "red")])
+        _, done = step(s, [[NOOP] * 3])
+        assert done[0]
         with pytest.raises(RuntimeError):
-            step(s, [NOOP] * 3)
+            step(s, [[NOOP] * 3])
 
     def test_wrong_action_count_rejected(self):
-        s, _ = reset("meetup", "default", seed=33)
+        s = reset("meetup", "default", seed=33)
         with pytest.raises(ValueError):
-            step(s, [NOOP])
+            step(s, [[NOOP]])
+
+    @pytest.mark.parametrize("actions", [[9, -3, 100], [0, 0, len(ACTIONS)],
+                                         [-1, NOOP, NOOP]])
+    def test_actions_outside_the_action_set_leave_the_row_untouched(
+            self, actions):
+        s = reset("colorgather", seed=1)
+        before = copy.deepcopy(s)
+        with pytest.raises(ValueError, match="actions must be in"):
+            step(s, [actions])
+        assert_same_rows(s, before)
+        step(s, [[len(ACTIONS) - 1, 0, 0]])
+        assert s.step_count[0] == 1
 
     def test_episode_cap_ends_episode(self):
         cfg = make_config("colorgather", episode_cap=5)
-        s, _ = reset("colorgather", "default", seed=35, config=cfg)
+        s = reset("colorgather", "default", seed=35, config=cfg)
         for i in range(5):
-            s, out, _ = step(s, [NOOP] * len(s.agents))
-        assert out.done
+            _, done = step(s, np.full(s.x.shape, NOOP))
+        assert done[0]
 
     @pytest.mark.parametrize("kind, overrides, returns, episodes", [
         ("meetup", dict(landmarks=2), [-3, -16, -23], 31),
@@ -727,32 +647,31 @@ class TestStepContract:
         cfg = make_config(kind, interior=4, **overrides)
         arng = np.random.default_rng(5)
         finished = 0
-        s, _ = reset(kind, seed=finished, config=cfg)
-        total = np.zeros(len(s.agents))
+        s = reset(kind, seed=finished, config=cfg)
+        total = np.zeros(s.x.shape[1])
         for _ in range(3000):
-            if s.done:
+            if s.done[0]:
                 finished += 1
-                s, _ = reset(kind, seed=finished, config=cfg)
-            s, out, _ = step(s, arng.integers(0, 7, size=len(s.agents)))
-            total += out.rewards
+                s = reset(kind, seed=finished, config=cfg)
+            rewards, _ = step(s, arng.integers(0, 7, size=s.x.shape))
+            total += rewards[0]
         assert total.tolist() == returns
         assert finished == episodes
 
     def test_agents_never_overlap_anything(self):
         for kind in ("meetup", "colorgather", "staghunt"):
-            s, _ = reset(kind, "cluttered" if kind != "tasklist" else "default",
-                         seed=39)
+            s = reset(kind, "cluttered", seed=39)
             arng = np.random.default_rng(40)
             for _ in range(50):
-                if s.done:
+                if s.done[0]:
                     break
-                s, _, _ = step(s, arng.integers(0, 7, size=len(s.agents)))
-                poses = [a.pos for a in s.agents]
-                assert len(set(poses)) == len(poses)
-                for (x, y) in poses:
-                    assert s.cells[y, x, 0] in (OBJ["empty"], OBJ["goal"]) or (
-                        s.cells[y, x, 0] == OBJ["door"]
-                        and s.cells[y, x, 2] == ST["door-open"])
+                step(s, arng.integers(0, 7, size=s.x.shape))
+                positions = poses(s)
+                assert len(set(positions)) == len(positions)
+                for (x, y) in positions:
+                    obj, _, state = s.cells[0, y, x]
+                    assert obj in (OBJ["empty"], OBJ["goal"]) or (
+                        obj == OBJ["door"] and state == ST["door-open"])
 
 
 class TestEpisodeInvariants:
@@ -760,36 +679,48 @@ class TestEpisodeInvariants:
                                          "single_target", "multi_target"])
     def test_meetup_landmarks_stay_put_over_full_episodes(self, variant):
         def scan(s):
-            ys, xs = np.nonzero(s.cells[:, :, 0] == OBJ["landmark"])
+            ys, xs = np.nonzero(s.cells[0, :, :, 0] == OBJ["landmark"])
             return sorted(zip(xs.tolist(), ys.tolist()),
                           key=lambda c: (c[1], c[0]))
 
+        def recorded(s):
+            return [tuple(c) for c in s.landmarks[0, s.landmark_mask[0]]
+                    .tolist()]
+
         for seed in range(3):
-            s, _ = reset("meetup", variant, seed=seed)
+            s = reset("meetup", variant, seed=seed)
             found = scan(s)
-            assert list(s.landmarks) == found
-            assert len(found) == s.config.landmarks
+            assert recorded(s) == found
+            assert len(found) == make_config("meetup", variant).landmarks
             arng = np.random.default_rng(100 + seed)
-            while not s.done:
-                s, _, _ = step(s, arng.integers(0, 7, size=len(s.agents)))
+            while not s.done[0]:
+                step(s, arng.integers(0, 7, size=s.x.shape))
                 assert scan(s) == found
-                assert list(s.landmarks) == found
+                assert recorded(s) == found
 
     @pytest.mark.parametrize("kind", ["meetup", "colorgather", "staghunt",
                                       "tasklist"])
-    def test_agents_share_one_read_only_grid(self, kind):
-        s, obs = reset(kind, "default", seed=42)
+    def test_grids_paint_every_live_agent(self, kind):
+        def painted(b):
+            want = b.cells.copy()
+            for e in range(len(b)):
+                for k in range(b.x.shape[1]):
+                    if not b.finished[e, k]:
+                        want[e, b.y[e, k], b.x[e, k]] = (OBJ["agent"],
+                                                         1 + k % 6, 0)
+            return want
+
+        b = EnvBatch.stack(reset(kind, "default", seed=s) for s in (42, 43))
         arng = np.random.default_rng(43)
         for _ in range(30):
-            for i, (grid, pose) in enumerate(obs):
-                assert grid is obs[0][0]
-                assert not grid.flags.writeable
-                want_grid, want_pose = encode_observation(s, i)
-                assert np.array_equal(grid, want_grid)
-                assert pose == want_pose
-            if s.done:
+            grids = b.grids()
+            assert np.array_equal(grids, painted(b))
+            grids[:] = -1               # a copy: the cells stay as they are
+            assert np.array_equal(b.grids(), painted(b))
+            _, done = step(b, arng.integers(0, 7, size=b.x.shape))
+            b = b.take(~done)
+            if not len(b):
                 break
-            s, _, obs = step(s, arng.integers(0, 7, size=len(s.agents)))
 
 
 def _fold(h, *arrays):
@@ -867,8 +798,7 @@ class TestPinnedTrajectories:
         # episode; each finished episode restarts from the next seed
         cfg = make_config(kind, variant, interior=4, episode_cap=30,
                           **overrides)
-        fresh = lambda seed: EnvBatch([reset(kind, variant, seed=seed,
-                                             config=cfg)[0]])
+        fresh = lambda seed: reset(kind, variant, seed=seed, config=cfg)
         arng = np.random.default_rng(2024)
         episodes = 0
         b = fresh(episodes)

@@ -821,17 +821,19 @@ def sequential_episodes(agents, kind, variant, config, episodes, seed):
     out = []
     for ep in range(episodes):
         ep_seed = int(np.random.SeedSequence([seed, ep]).generate_state(1)[0])
-        state, obs = reset(kind, variant, seed=ep_seed, config=config)
+        state = reset(kind, variant, seed=ep_seed, config=config)
         rec = [a.core.initial_state(1) for a in agents]
         actions, divergences = [], []
         ret = np.zeros(config.agent_count)
-        while not state.done:
-            grid = observation_array(obs[0][0])[None]
+        while not state.done[0]:
+            grid = observation_array(state.grids())
             joint = np.zeros(config.agent_count, dtype=np.int64)
             maps = {}
             for k, agent in enumerate(agents):
+                pose = pose_vector(state.x[:, k], state.y[:, k],
+                                   state.direction[:, k])
                 logits, _, m, new_state = agent.core.agent_step(
-                    grid, pose_vector(*obs[k][1])[None], rec[k])
+                    grid, pose, rec[k])
                 rec[k] = new_state.detach()
                 joint[k] = act(logits, "greedy")[0][0]
                 if m is not None:
@@ -841,10 +843,11 @@ def sequential_episodes(agents, kind, variant, config, episodes, seed):
                             for j in maps for i in maps if i != j)
                 divergences.append(total / (len(maps) * (len(maps) - 1)))
             actions.append(joint)
-            state, outcome, obs = step(state, joint)
-            ret += outcome.rewards
+            rewards, _ = step(state, joint[None])
+            ret += rewards[0]
         out.append({"actions": np.array(actions), "return": ret,
-                    "length": state.step_count, "divergences": divergences})
+                    "length": int(state.step_count[0]),
+                    "divergences": divergences})
     return out
 
 
@@ -980,12 +983,11 @@ class TestEvaluate:
         for ep in range(episodes):
             ep_seed = int(np.random.SeedSequence(
                 [77, ep]).generate_state(1)[0])
-            state, _ = reset("meetup", "single_target", seed=ep_seed,
-                             config=cfg)
-            while not state.done:
-                state, out, _ = step(
-                    state, rng.integers(0, 7, size=cfg.agent_count))
-            if state.step_count < cfg.episode_cap:
+            state = reset("meetup", "single_target", seed=ep_seed,
+                          config=cfg)
+            while not state.done[0]:
+                step(state, rng.integers(0, 7, size=(1, cfg.agent_count)))
+            if state.step_count[0] < cfg.episode_cap:
                 hits += 1
         p = hits / episodes
         sigma = np.sqrt(max(p * (1 - p), 1e-6) / episodes)
