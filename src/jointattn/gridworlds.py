@@ -381,8 +381,9 @@ class EnvBatch:
         each agent still on the grid drawn over its own in its index color;
         carried objects are not visible."""
         grid = self.cells.copy()
+        paint = _PAINT[np.arange(self.x.shape[1]) % len(_PAINT)]
         e, k = np.nonzero(~self.finished)
-        grid[e, self.y[e, k], self.x[e, k]] = _PAINT[k % len(_PAINT)]
+        grid[e, self.y[e, k], self.x[e, k]] = paint[k]
         return grid
 
 
