@@ -46,9 +46,9 @@ from .training import (
     Trainer,
     VARIANTS as AGENT_VARIANTS,
     build_population,
+    checkpoint_meta,
     evaluate,
     generalization_eval,
-    load_agent_params,
     load_checkpoint,
     lockstep_episodes,
     metrics_record,
@@ -411,13 +411,21 @@ def resolve_checkpoint_dir(path: str) -> str:
     raise ConfigError(f"no checkpoint found under {path}")
 
 
+def _read_checked(ckdir: str, read, *args):
+    """``read(*args)``; a damaged checkpoint, or one of another encoding
+    version, is a ``RunFailure``."""
+    try:
+        return read(*args)
+    except ValueError as e:
+        raise RunFailure(f"checkpoint {ckdir}: {e}") from None
+
+
 def read_checkpoint_config(ckdir: str) -> ExperimentConfig:
     cfg_path = os.path.join(ckdir, "config.cfg")
     if not os.path.isfile(cfg_path):
         raise ConfigError(f"checkpoint {ckdir} has no config.cfg")
     cfg = load_config_file(cfg_path)
-    with open(os.path.join(ckdir, "checkpoint.json")) as f:
-        meta = json.load(f)
+    meta = _read_checked(ckdir, checkpoint_meta, ckdir)
     recorded = meta.get("config_hash", "")
     if recorded and recorded != config_hash(cfg):
         raise ConfigError(
@@ -441,7 +449,7 @@ def build_agents_from_checkpoint(ckdir: str, cfg: ExperimentConfig) -> list:
     agents = build_population(pop, size, size, cfg.ppo, cfg.seed)
     for agent in agents:
         agent.adam = None
-    load_checkpoint(ckdir, agents)
+    _read_checked(ckdir, load_checkpoint, ckdir, agents)
     return agents
 
 
@@ -535,8 +543,9 @@ def cmd_train(args) -> int:
         metrics_path = os.path.join(outdir, "metrics.jsonl")
         # a resume reads and checks the checkpoint before it writes anything
         if args.resume:
-            meta = load_checkpoint(_resume_checkpoint(outdir, cfg),
-                                   trainer.agents)
+            ckdir = _resume_checkpoint(outdir, cfg)
+            meta = _read_checked(ckdir, load_checkpoint, ckdir,
+                                 trainer.agents)
             trainer.global_step = meta["global_step"]
             trainer.envset.completed_episodes = meta["episodes"]
             _keep_metrics_through(metrics_path, trainer.global_step)
@@ -705,7 +714,9 @@ def cmd_social(args) -> int:
                           f"independent_ppo; a frozen expert needs attention")
     if args.novices < 1:
         raise ConfigError(f"--novices must be at least 1, got {args.novices}")
-    expert_params = load_agent_params(ckdir, args.expert_index)
+    # the one read of the checkpoint's vectors, before anything is written
+    expert_agents = build_agents_from_checkpoint(ckdir, expert_cfg)
+    expert_params = expert_agents[args.expert_index].core.flat
     outdir = resolve_output_dir(
         args.output_dir, None,
         f"social_{os.path.basename(os.path.normpath(ckdir))}_s{args.seed}")
@@ -721,7 +732,6 @@ def cmd_social(args) -> int:
         manifest.set("novices", args.novices)
 
         # gate: a weak expert makes the comparison meaningless
-        expert_agents = build_agents_from_checkpoint(ckdir, expert_cfg)
         env_config = experiment_env_config(expert_cfg)
         expert_eval = evaluate(expert_agents, expert_cfg.env_kind,
                                expert_cfg.env_variant, env_config,

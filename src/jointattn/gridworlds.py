@@ -179,33 +179,34 @@ class LayoutError(ValueError):
     an object or agent."""
 
 
-def _free_cells(cells: np.ndarray, xs, ys) -> list:
-    """Empty interior cells (x, y) in row-major order, less those at the
-    given agent positions."""
-    free = cells[1:-1, 1:-1, 0] == _OBJ["empty"]
-    free[np.asarray(ys, dtype=np.int64) - 1,
-         np.asarray(xs, dtype=np.int64) - 1] = False
-    fy, fx = np.nonzero(free)
-    return list(zip((fx + 1).tolist(), (fy + 1).tolist()))
+def _free_cells(cells: np.ndarray, xs, ys, cols=slice(None)) -> np.ndarray:
+    """Row-major flat indices into ``cells`` of its empty cells in columns
+    ``cols``, less those at the given agent positions (the border is wall,
+    so never empty)."""
+    free = np.zeros(cells.shape[:2], dtype=bool)
+    free[:, cols] = cells[:, cols, 0] == _OBJ["empty"]
+    free[np.asarray(ys, dtype=np.int64), np.asarray(xs, dtype=np.int64)] = False
+    return np.flatnonzero(free)
 
 
 def _draw_free_cell(cells: np.ndarray, xs, ys, rng, what: str,
-                    region=None) -> tuple:
-    """One uniform draw from the free cells that ``region`` accepts."""
-    free = _free_cells(cells, xs, ys)
-    if region is not None:
-        free = [c for c in free if region(c)]
-    if not free:
+                    cols=slice(None)) -> tuple:
+    """(x, y) of one uniform draw from ``_free_cells``."""
+    free = _free_cells(cells, xs, ys, cols)
+    if not free.size:
         raise LayoutError(f"grid too small: no free cell for {what}")
-    return free[int(rng.integers(len(free)))]
+    y, x = divmod(int(free[rng.integers(free.size)]), cells.shape[1])
+    return x, y
 
 
-def _place(b: EnvBatch, obj: str, color: str, n: int, region=None) -> list:
-    """Draw ``n`` cells of one-row batch ``b`` for ``obj``; returns them."""
+def _place(b: EnvBatch, obj: str, color: str, n: int,
+           cols=slice(None)) -> list:
+    """Draw ``n`` cells of one-row batch ``b`` for ``obj``, in columns
+    ``cols``; returns them."""
     placed = []
     for _ in range(n):
         x, y = _draw_free_cell(b.cells[0], [], [], b.rng[0],
-                               f"{obj} in {b.kind}", region)
+                               f"{obj} in {b.kind}", cols)
         b.cells[0, y, x] = (_OBJ[obj], _COL[color], 0)
         placed.append((x, y))
     return placed
@@ -240,16 +241,15 @@ def _build_layout(b: EnvBatch, variant: str, cfg: EnvConfig) -> None:
         door_y = int(rng.integers(1, size - 1))
         b.cells[0, door_y, wall_x] = (_OBJ["door"], _COL["yellow"],
                                       _ST["door-locked"])
-        left = lambda c: c[0] < wall_x
-        right = lambda c: c[0] > wall_x
-        _place(b, "key", "yellow", 1, region=left)
+        right = slice(wall_x + 1, None)
+        _place(b, "key", "yellow", 1, cols=slice(None, wall_x))
         if cfg.tasklist_subtasks == 6:
-            _place(b, "ball", "blue", 1, region=right)
-            _place(b, "box", "grey", 1, region=right)
-        _place(b, "goal", "green", 1, region=right)
+            _place(b, "ball", "blue", 1, cols=right)
+            _place(b, "box", "grey", 1, cols=right)
+        _place(b, "goal", "green", 1, cols=right)
 
     if variant == "cluttered":
-        n_walls = int(round(0.10 * len(_free_cells(b.cells[0], [], []))))
+        n_walls = int(round(0.10 * _free_cells(b.cells[0], [], []).size))
         _place(b, "wall", "none", n_walls)
 
 
@@ -266,11 +266,12 @@ def reset(kind: str, variant: str = "default", seed: int = 0,
     b = EnvBatch(kind, cfg, seed)
     _build_layout(b, variant, cfg)
     size = b.cells.shape[1]
-    region = (lambda c: c[0] < size // 2) if kind == "tasklist" else None
+    # TaskList agents start left of the wall
+    cols = slice(None, size // 2) if kind == "tasklist" else slice(None)
     for i in range(cfg.agent_count):
         b.x[0, i], b.y[0, i] = _draw_free_cell(
             b.cells[0], b.x[0, :i], b.y[0, :i], b.rng[0],
-            f"agent {i} in {kind}", region)
+            f"agent {i} in {kind}", cols)
         b.direction[0, i] = b.rng[0].integers(4)
     return b
 
@@ -589,9 +590,11 @@ def _shed_carry(b: EnvBatch, e: int, i: int) -> None:
              if cells[y + dy, x + dx, 0] == _OBJ["empty"]
              and (x + dx, y + dy) not in occupied]
     if not spots:
-        spots = _free_cells(cells, b.x[e, live], b.y[e, live])
-    if not spots:
-        raise RuntimeError("no free cell to leave a carried object on")
+        free = _free_cells(cells, b.x[e, live], b.y[e, live])
+        if not free.size:
+            raise RuntimeError("no free cell to leave a carried object on")
+        y, x = divmod(int(free[0]), cells.shape[1])
+        spots = [(x, y)]
     sx, sy = spots[0]
     cells[sy, sx] = (obj, col, 0)
     b.carry[e, i] = 0

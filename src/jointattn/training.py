@@ -91,7 +91,7 @@ class PPOConfig:
 @dataclass
 class AgentSpec:
     variant: str = "joint_attention"
-    params: dict | None = None        # {name: array}, for frozen experts
+    params: np.ndarray | None = None  # a frozen expert's ``AgentCore.flat``
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -125,7 +125,11 @@ class AgentRunner:
         self.core = AgentCore(height, width,
                               use_attention=self.uses_attention, seed=seed)
         if spec.variant == "frozen_expert":
-            set_agent_params(self.core, spec.params)
+            if np.shape(spec.params) != self.core.flat.shape:
+                raise ValueError(f"frozen_expert params have shape "
+                                 f"{np.shape(spec.params)}, expected the "
+                                 f"core's flat vector {self.core.flat.shape}")
+            self.core.flat[...] = spec.params
         self.adam = nm.AdamState(self.core.flat.size, lr=ppo.learning_rate) \
             if self.trainable else None
 
@@ -662,7 +666,10 @@ def _param_layout(core: AgentCore) -> list:
     return [[name, list(t.shape)] for name, t in core.params.items()]
 
 
-def _checkpoint_meta(path: str) -> dict:
+def checkpoint_meta(path: str) -> dict:
+    """``checkpoint.json`` of ``path``, checked: a file that is not JSON, or
+    one of another encoding version or without layouts, raises
+    ``ValueError``."""
     with open(os.path.join(path, "checkpoint.json")) as f:
         meta = json.load(f)
     if meta.get("encoding_version") != ENCODING_VERSION:
@@ -689,36 +696,12 @@ def _load_vector(path: str, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def load_agent_params(path: str, k: int) -> dict:
-    """{name: array} of agent k's parameters: views of its saved vector,
-    cut by the recorded layout."""
-    layout = _checkpoint_meta(path)["agents"][k]["layout"]
-    sizes = [int(np.prod(shape)) for _, shape in layout]
-    flat = _load_vector(path, f"agent{k}.npy", (sum(sizes),))
-    pieces = np.split(flat, np.cumsum(sizes)[:-1])
-    return {name: piece.reshape(shape)
-            for (name, shape), piece in zip(layout, pieces)}
-
-
-def set_agent_params(core: AgentCore, loaded: dict) -> None:
-    """Copy {name: array} into ``core``'s parameters; every name and shape
-    is checked before anything is copied."""
-    for name, p in core.params.items():
-        if name not in loaded:
-            raise ValueError(f"checkpoint is missing parameter {name!r}")
-        if np.shape(loaded[name]) != p.shape:
-            raise ValueError(f"checkpoint parameter {name!r} has shape "
-                             f"{np.shape(loaded[name])}, expected {p.shape}")
-    for name, p in core.params.items():
-        p.data[...] = loaded[name]
-
-
 def load_checkpoint(path: str, agents: list) -> dict:
     """Restore each agent's parameters and, for an agent with an optimizer
     whose entry has an Adam step, its moments and step, in place; returns
     the meta. Every agent's layout and files are checked before any agent
     is written, so a load that raises leaves them all as they were."""
-    meta = _checkpoint_meta(path)
+    meta = checkpoint_meta(path)
     if len(meta["agents"]) != len(agents):
         raise ValueError("checkpoint population size does not match")
     loaded = []
@@ -893,11 +876,12 @@ def metrics_record(event: str, global_step: int, episodes: int, beta: float,
 
 
 def social_learning_run(kind: str = "tasklist", n_novices: int = 2,
-                        expert_params: dict | None = None,
+                        expert_params: np.ndarray | None = None,
                         incentive: IncentiveConfig | None = None,
                         ppo: PPOConfig | None = None, seed: int = 0,
                         env_overrides: dict | None = None) -> Trainer:
-    """Trainer for novices sharing the grid with one frozen expert.
+    """Trainer for novices sharing the grid with one frozen expert, whose
+    parameters ``expert_params`` holds as an ``AgentCore.flat`` vector.
 
     With ``expert_params=None`` the comparison arm is built instead: the
     same novices learning alone on matched seeds. The expert (when present)

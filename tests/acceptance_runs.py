@@ -27,11 +27,12 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from jointattn.ja_reward import IncentiveConfig
 from jointattn.training import (
+    AgentRunner,
     AgentSpec,
     PPOConfig,
     PopulationSpec,
     Trainer,
-    load_agent_params,
+    load_checkpoint,
     save_checkpoint,
     social_learning_run,
 )
@@ -169,8 +170,14 @@ def run_social_arm(with_expert: bool, seed: int) -> dict:
     if cached is not None and cached.get("complete"):
         print(f"[{name}] cached", flush=True)
         return cached
-    params = load_agent_params(expert_checkpoint_dir(), 0) \
-        if with_expert else None
+    params = None
+    if with_expert:
+        size = SOCIAL_ENV["interior"] + 2
+        expert = AgentRunner(AgentSpec("attention_only"), size, size,
+                             PPOConfig(), seed=0)
+        expert.adam = None      # a frozen expert needs no Adam moments
+        load_checkpoint(expert_checkpoint_dir(), [expert])
+        params = expert.core.flat
     trainer = social_learning_run(
         n_novices=2, expert_params=params,
         incentive=IncentiveConfig(**RUN_INCENTIVE), ppo=PPOConfig(**RUN_PPO),

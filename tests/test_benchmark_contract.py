@@ -81,13 +81,16 @@ def test_train_unit_runs_and_repeats(perfbench_modules, tmp_path):
     for unit in units:
         assert unit.problems == []
         assert unit.failed == 0
+        assert unit.env_steps == 8 * 2      # segment_length * n_envs
     assert units[0].digest == units[1].digest
 
 
 def test_eval_unit_runs_and_repeats(perfbench_modules, tmp_path):
     # one `jointattn eval --generalize all` through the benchmark's unit: the
     # unit counts one `training.reset` per episode, so a change to how the
-    # greedy episodes reset or step fails here first
+    # greedy episodes reset or step fails here first; the unit counts its env
+    # steps off what ``cli.generalization_eval`` returned, so an eval that
+    # stopped calling that name would read 0 here
     _, workloads = perfbench_modules
     workload = workloads.EvalWorkload(
         "meetup", 3, {"interior": 4, "episode_cap": 6}, episodes=1)
@@ -96,4 +99,5 @@ def test_eval_unit_runs_and_repeats(perfbench_modules, tmp_path):
     for unit in units:
         assert unit.problems == []
         assert unit.failed == 0
+        assert unit.env_steps > 0
     assert units[0].digest == units[1].digest

@@ -750,6 +750,51 @@ class TestSocialCommand:
         assert manifest["checkpoints"] == []
 
 
+class TestDamagedCheckpoint:
+    """A checkpoint with a cut-short vector, or of another encoding version,
+    is one ``error:`` line and exit 1 in every command that reads one, and
+    nothing is written."""
+
+    @pytest.fixture(params=["truncated", "other_encoding"])
+    def damaged(self, request, mixed_expert, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(mixed_expert, run)
+        ckdir = run / "checkpoints" / _checkpoint_steps(
+            str(run / "checkpoints"))[-1]
+        if request.param == "truncated":
+            vec = ckdir / "agent1.npy"
+            vec.write_bytes(vec.read_bytes()[:-8])
+        else:
+            meta = json.loads((ckdir / "checkpoint.json").read_text())
+            meta["encoding_version"] = "enc-0"
+            (ckdir / "checkpoint.json").write_text(json.dumps(meta))
+        return run
+
+    @pytest.mark.parametrize("command", ["eval", "render-attention", "social",
+                                         "train"])
+    def test_one_error_line_and_nothing_written(self, damaged, mixed_expert,
+                                                tmp_path, capsys, command):
+        outdir = tmp_path / "out"
+        argv = {
+            "eval": ["eval", "--checkpoint", str(damaged), "--episodes", "1",
+                     "--output-dir", str(outdir)],
+            "render-attention": ["render-attention", "--checkpoint",
+                                 str(damaged), "--output-dir", str(outdir)],
+            "social": ["social", "--expert", str(damaged),
+                       "--max-env-steps", "8", "--output-dir", str(outdir)],
+            "train": ["train", "--config",
+                      str(mixed_expert.parent / "mixed.cfg"), "--seed", "2",
+                      "--output-dir", str(damaged), "--resume"],
+        }[command]
+        before = TestTrainCommand._snapshot(damaged)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not outdir.exists()
+        assert TestTrainCommand._snapshot(damaged) == before
+
+
 class TestWriteJson:
     def test_write_that_raises_leaves_nothing_under_the_name(self, tmp_path):
         path = tmp_path / "summary.json"

@@ -527,6 +527,17 @@ class TestDespawn:
         assert tuple(s.cells[0, 1, 5]) == (OBJ["key"], COL["yellow"], 0)
         assert not s.done[0]
 
+    def test_boxed_in_finisher_sheds_at_first_free_cell_row_major(self):
+        # walls on the goal's free neighbors, the door west of it: the key
+        # goes to the first empty cell row-major that no live agent holds
+        s = tasklist_course([(1, 2, 1), (1, 1)], tasklist_subtasks=3)
+        for x, y in [(5, 1), (6, 2), (5, 3)]:
+            put(s, x, y, "wall")
+        s = self._finish_first(s)
+        assert s.finished[0, 0]
+        assert tuple(s.cells[0, 1, 2]) == (OBJ["key"], COL["yellow"], 0)
+        assert int((s.cells[0, :, :, 0] == OBJ["key"]).sum()) == 1
+
     def test_finished_agent_not_in_observations(self):
         s = self._finish_first(self._relay_course())
         grid = s.grids()[0]

@@ -28,14 +28,12 @@ from jointattn.training import (
     compute_advantages,
     evaluate,
     generalization_eval,
-    load_agent_params,
     load_checkpoint,
     lockstep_episodes,
     observation_array,
     ppo_update,
     recompute_r_ja,
     save_checkpoint,
-    set_agent_params,
     social_learning_run,
 )
 
@@ -69,8 +67,8 @@ class TestConfigs:
             PPOConfig(batch_size=40, chunk_length=16)
 
     def test_population_needs_learner(self):
-        with pytest.raises(ValueError):
-            PopulationSpec([AgentSpec("frozen_expert", params={})])
+        with pytest.raises(ValueError, match="learner"):
+            PopulationSpec([AgentSpec("frozen_expert", params=np.zeros(3))])
 
     def test_agent_spec_variant(self):
         with pytest.raises(ValueError):
@@ -760,16 +758,6 @@ class TestCheckpoints:
             assert np.array_equal(agent.adam.m, m)
             assert agent.adam.step == 0
 
-    def test_set_agent_params_checks_every_name_before_copying(self):
-        donor = AgentRunner(AgentSpec("independent_ppo"), 7, 7, PPOConfig(), 1)
-        core = AgentRunner(AgentSpec("joint_attention"), 7, 7, PPOConfig(),
-                           2).core
-        before = core.flat.copy()
-        with pytest.raises(ValueError, match="keys/w"):
-            set_agent_params(core, {n: p.data for n, p in
-                                    donor.core.params.items()})
-        assert np.array_equal(core.flat, before)
-
     @pytest.mark.parametrize("damage", ["truncated", "empty", "float32",
                                         "no_layout"])
     def test_damaged_checkpoint_rejected(self, tmp_path, damage):
@@ -792,20 +780,7 @@ class TestCheckpoints:
         before = fresh.agents[0].core.flat.copy()
         with pytest.raises(ValueError, match=match):
             load_checkpoint(str(tmp_path), fresh.agents)
-        with pytest.raises(ValueError, match=match):
-            load_agent_params(str(tmp_path), 0)
         assert np.array_equal(fresh.agents[0].core.flat, before)
-
-    def test_agent_params_are_views_cut_by_the_layout(self, tmp_path):
-        tr = small_trainer(["joint_attention"], seed=21)
-        save_checkpoint(str(tmp_path), tr.agents, 0, 0)
-        loaded = load_agent_params(str(tmp_path), 0)
-        params = tr.agents[0].core.params
-        assert list(loaded) == list(params)
-        for name, p in params.items():
-            assert np.array_equal(loaded[name], p.data), name
-        assert len({id(a.base) for a in loaded.values()}) == 1
-        assert next(iter(loaded.values())).base is not None
 
 
 # Batched and batch-1 network steps round differently (by ~1e-16), and a
@@ -998,7 +973,7 @@ class TestSocial:
     def _expert_params(self, seed=30):
         donor = AgentRunner(AgentSpec("joint_attention"), 8, 8, PPOConfig(),
                             seed)
-        return {n: p.data.copy() for n, p in donor.core.params.items()}
+        return donor.core.flat.copy()
 
     def test_population_layout(self):
         params = self._expert_params()
@@ -1013,6 +988,17 @@ class TestSocial:
         assert tr.env_config.non_learning == (2,)
         assert tr.agents[2].action_mode == "greedy"
         assert tr.agents[2].adam is None
+
+    @pytest.mark.parametrize("shape", ["other_layout", "scalar", "2-D"])
+    def test_expert_vector_must_be_the_core_flat(self, shape):
+        vec = self._expert_params()
+        bad = {"other_layout": AgentRunner(AgentSpec("independent_ppo"), 8, 8,
+                                           PPOConfig(), 30).core.flat,
+               "scalar": np.float64(1.0),
+               "2-D": vec.reshape(1, -1)}[shape]
+        with pytest.raises(ValueError, match="frozen_expert params"):
+            social_learning_run(expert_params=bad, seed=31,
+                                env_overrides={"interior": 6})
 
     def test_alone_arm_has_no_expert(self):
         tr = social_learning_run(
@@ -1034,8 +1020,7 @@ class TestSocial:
             env_overrides={"interior": 6, "episode_cap": 8,
                            "tasklist_subtasks": 3})
         tr.run(max_env_steps=2 * 8 * 2, eval_interval=10 ** 9)
-        for n, arr in params.items():
-            assert np.array_equal(tr.agents[2].core.params[n].data, arr), n
+        assert np.array_equal(tr.agents[2].core.flat, params)
 
     def test_frozen_expert_gets_no_advantages(self):
         tr = social_learning_run(
