@@ -31,18 +31,17 @@ Every entry point acts on a batch: frames are (batch, h, w, 3), recurrent
 states (batch, cell) and action logits (batch, actions); an unbatched input
 raises ``ShapeError``.
 
-The forward pass has three pieces: ``encode`` (frame-only: conv, basis
-and its ones channel, pose embedding), ``recurrent_step`` (query ->
-attention -> LSTM for T steps) and ``heads`` (policy and value from h). The conv, its ReLU and the
-appended basis are the single tape op ``nm.frame_features``, for every
-arm (the basis has depth 0 without attention); the recurrence is the
-single tape op ``nm.attention_lstm``, whose backward runs through time by
-hand. ``agent_step`` runs the three pieces for one step (T = 1); ``unroll``
-replays a stored chunk under a tape: it encodes all of its frames at once,
-runs the whole recurrence as one node, and runs the heads once over the
-stacked states. ``query_from_state`` and ``compute_attention`` build the
-same query and attention from the composed tape ops; they are the
-reference the fused recurrence is tested against.
+``agent_step`` is the one forward pass, for acting (T = 1) and for the
+PPO replay of a stored chunk (T steps) alike. It runs ``encode``
+(frame-only: conv, basis and its ones channel, pose embedding) over all
+T*B frames at once, then the T steps of query -> attention -> LSTM, and
+then ``heads`` (policy and value from h) once over the stacked states. The
+conv, its ReLU and the appended basis are the single tape op
+``nm.frame_features``, for every arm (the basis has depth 0 without
+attention); the recurrence is the single tape op ``nm.attention_lstm``,
+whose backward runs through time by hand. ``query_from_state`` and
+``compute_attention`` build the same query and attention from the composed
+tape ops; they are the reference the fused recurrence is tested against.
 
 With ``use_attention=False`` the conv features are globally mean-pooled and
 fed to the LSTM directly; no maps are produced, no attention parameters
@@ -118,18 +117,22 @@ class AttentionMaps:
     """Per-head attention fields and their head-mean, as plain arrays.
 
     ``per_head`` is (batch, m, h, w) and ``mean_map`` (batch, h, w), the
-    head axis averaged out. ``head_logits`` keeps the pre-softmax scores,
-    shaped as ``per_head``, for the clipped incentive variant. These are
-    plain arrays off the tape, to be read, not written: the differentiable
-    path to the policy stays inside the forward pass.
+    head axis averaged out, formed each time it is read. ``head_logits``
+    keeps the pre-softmax scores, shaped as ``per_head``, for the clipped
+    incentive variant. These are plain arrays off the tape, to be read, not
+    written: the differentiable path to the policy stays inside the forward
+    pass.
     """
 
-    __slots__ = ("per_head", "mean_map", "head_logits")
+    __slots__ = ("per_head", "head_logits")
 
     def __init__(self, per_head: np.ndarray, head_logits: np.ndarray):
         self.per_head = per_head
         self.head_logits = head_logits
-        self.mean_map = per_head.mean(axis=1)
+
+    @property
+    def mean_map(self) -> np.ndarray:
+        return self.per_head.mean(axis=1)
 
 
 # the layers whose bias directly follows its weight in ``AgentCore.flat``
@@ -146,10 +149,9 @@ class AgentCore:
     of ``AFFINE`` the network has, the one the layer's op reads and whose
     gradient it writes. ``views`` alone knows the offsets; a copy binds its
     views again.
-    ``forward_calls`` counts acting passes, the
-    ``agent_step`` calls, so training can prove the incentive adds no extra
-    network passes; the PPO replay goes through ``unroll``, which is not an
-    ``agent_step`` and is not counted.
+    ``forward_calls`` counts the network passes, the ``agent_step`` calls,
+    the PPO replay's included, so training can prove the incentive adds no
+    extra network passes to a collect.
     """
 
     def __init__(self, height: int, width: int, num_actions: int = 7,
@@ -308,26 +310,6 @@ class AgentCore:
             return features, embedded
         return None, nm.concat_last(nm.spatial_mean(features), embedded)
 
-    def recurrent_step(self, features, frame_in, state: RecurrentState,
-                       keep) -> tuple:
-        """T steps of query from h_{t-1} -> attention over frame t's
-        features -> LSTM, for B sequences, as one tape node
-        (``nm.attention_lstm``): (hs, c_T, weights, logits).
-
-        features and frame_in are the (T*B, ...) time-major output of
-        ``encode``; state holds the (B, cell) h and c before step 0; keep is
-        the (T, B) 0/1 mask that multiplies the state before each step. hs
-        is the (T, B, cell) tensor of every step's h and c_T the final cell
-        state; weights and logits are the (T, B, heads, h*w) attention maps
-        as plain arrays, or None when attention is off.
-        """
-        a = self.affine
-        attention = None
-        if self.use_attention:
-            attention = (features, a["query"], a["keys"], a["values"])
-        return nm.attention_lstm(frame_in, state.h, state.c, keep, a["lstm"],
-                                 attention, self.num_heads)
-
     def heads(self, h) -> tuple:
         """Policy logits (n, actions) and values (n,) from LSTM states (n, cell)."""
 
@@ -341,59 +323,61 @@ class AgentCore:
 
         return head("policy"), nm.reshape(head("value"), (h.shape[0],))
 
-    # -- acting and replay ----------------------------------------------------
+    # -- the network pass -----------------------------------------------------
 
-    def agent_step(self, obs, p, state: RecurrentState):
-        """One network pass: (action_logits, value, maps, new_state).
+    def agent_step(self, obs, p, state: RecurrentState, resets=None):
+        """The network pass, for acting and replay alike: (action_logits,
+        values, maps, new_state).
 
-        obs is (batch, h, w, channels), p is the (batch, 6) pose matrix,
-        state holds (batch, cell) h and c (arrays or tensors). maps is None
-        when attention is off.
+        obs is (T*B, h, w, channels) time-major frames and p their (T*B, 6)
+        poses; state holds the (B, cell) h and c before step 0 (arrays or
+        tensors), and B is its row count. resets is None (no reset, as when
+        acting at T = 1) or a (T, B) bool mask: where set at t > 0 the state
+        is zeroed before step t, as the rollout did at an episode start. The
+        frame work (``encode``) and the heads each run once over all T*B
+        frames, and the T steps of query from h_{t-1} -> attention -> LSTM
+        are one tape node, ``nm.attention_lstm``. action_logits are
+        (T*B, actions) and values (T*B,); maps hold every step's fields,
+        time-major, or are None when attention is off. new_state is the
+        state after step T-1: at T = 1 both are tape tensors, so chained
+        calls under a tape stay differentiable; at T > 1 they are plain
+        arrays.
         """
         self.forward_calls += 1
         x = obs if isinstance(obs, Tensor) else Tensor(obs)
         pv = p if isinstance(p, Tensor) else Tensor(p)
-        if x.ndim != 4 or pv.ndim != 2:
+        B = state.h.shape[0]
+        if x.ndim != 4 or pv.ndim != 2 or pv.shape[0] != x.shape[0] \
+                or x.shape[0] % B:
             raise nm.ShapeError(
-                f"agent_step expects batched inputs, got obs {x.shape}, p {pv.shape}"
-            )
-        B = x.shape[0]
+                f"agent_step expects (T*B, ...) frames and poses for B = {B} "
+                f"sequences, got obs {x.shape}, p {pv.shape}")
+        T = x.shape[0] // B
+        if resets is None:
+            keep = np.ones((T, B))
+        else:
+            keep = 1.0 - np.asarray(resets, dtype=np.float64)
+            if keep.shape != (T, B):
+                raise nm.ShapeError(f"agent_step: resets {keep.shape} are "
+                                    f"not (T, B) = {(T, B)}")
+            keep[0] = 1.0
         features, frame_in = self.encode(x, pv)
-        hs, c, weights, logits = self.recurrent_step(features, frame_in, state,
-                                                     np.ones((1, B)))
-        h = nm.reshape(hs, (B, self.cell_size))
+        a = self.affine
+        attention = None
+        if self.use_attention:
+            attention = (features, a["query"], a["keys"], a["values"])
+        hs, c, weights, logits = nm.attention_lstm(
+            frame_in, state.h, state.c, keep, a["lstm"], attention,
+            self.num_heads)
+        h = nm.reshape(hs, (T * B, self.cell_size))
         maps = None
         if weights is not None:
-            grid = (B, self.num_heads, self.height, self.width)
-            maps = AttentionMaps(weights[0].reshape(grid),
-                                 logits[0].reshape(grid))
-        action_logits, value = self.heads(h)
-        return action_logits, value, maps, RecurrentState(h, c)
-
-    def unroll(self, obs, p, state: RecurrentState, resets) -> tuple:
-        """Replay T steps of B stored sequences: (action_logits, values).
-
-        obs is (T, B, h, w, channels), p (T, B, 6), state the (B, cell)
-        state before step 0, and resets a (T, B) bool mask: where set at
-        t > 0 the state is zeroed before step t, as the rollout did at an
-        episode start. Matches T chained ``agent_step`` calls up to
-        rounding, but the frame work and the heads each run once over all
-        T*B frames and the T recurrent steps are one tape node; outputs are
-        stacked time-major, (T*B, actions) and (T*B,).
-        """
-        obs = np.asarray(obs, dtype=np.float64)
-        p = np.asarray(p, dtype=np.float64)
-        if obs.ndim != 5 or p.ndim != 3 or obs.shape[:2] != p.shape[:2]:
-            raise nm.ShapeError(
-                f"unroll expects (T, B, ...) inputs, got obs {obs.shape}, p {p.shape}"
-            )
-        T, B = obs.shape[:2]
-        features, frame_in = self.encode(obs.reshape((T * B,) + obs.shape[2:]),
-                                         p.reshape(T * B, p.shape[2]))
-        keep = 1.0 - np.asarray(resets, dtype=np.float64)
-        keep[0] = 1.0
-        hs, _, _, _ = self.recurrent_step(features, frame_in, state, keep)
-        return self.heads(nm.reshape(hs, (T * B, self.cell_size)))
+            grid = (T * B, self.num_heads, self.height, self.width)
+            maps = AttentionMaps(weights.reshape(grid), logits.reshape(grid))
+        action_logits, values = self.heads(h)
+        new_state = RecurrentState(h, c) if T == 1 \
+            else RecurrentState(hs.data[-1], c.data)
+        return action_logits, values, maps, new_state
 
 
 def act(action_logits, mode: str, rng: np.random.Generator | None = None):

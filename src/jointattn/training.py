@@ -392,8 +392,8 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
     lanes with one (chunk, B) pair of step and env index arrays. Chunks
     replay from the stored state snapshots; episode boundaries inside a
     chunk re-zero the state exactly as the rollout did. Each minibatch is
-    one time-batched pass (``AgentCore.unroll``) over frames scaled from the
-    stored ids by ``observation_array``, as acting scaled them, and the
+    one ``agent_step`` over its chunk*B time-major frames, scaled from the
+    stored ids by ``observation_array`` as acting scaled them, and the
     losses are computed once over its stacked chunk*B samples. A non-finite
     loss aborts the update before any parameter step.
     """
@@ -423,8 +423,10 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
             c0 = buffer.c0[k, first, es]
 
             with nm.Tape() as tape:
-                logits, value = agent.core.unroll(
-                    obs, pose, RecurrentState(Tensor(h0), Tensor(c0)), resets)
+                # [:2]: no name keeps the maps' arrays into the next minibatch
+                logits, value = agent.core.agent_step(
+                    obs.reshape((-1,) + obs.shape[2:]), pose.reshape(-1, 6),
+                    RecurrentState(h0, c0), resets)[:2]
                 logp_all = nm.log_softmax(logits)
                 logp_a = nm.gather_last(logp_all, acts.reshape(-1))
                 ratio = nm.exp(logp_a - Tensor(old_logp.reshape(-1)))
@@ -667,19 +669,36 @@ def _param_layout(core: AgentCore) -> list:
 
 
 def checkpoint_meta(path: str) -> dict:
-    """``checkpoint.json`` of ``path``, checked: a file that is not JSON, or
-    one of another encoding version or without layouts, raises
-    ``ValueError``."""
+    """``checkpoint.json`` of ``path``, checked: a file that is not a JSON
+    object, one of another encoding version, one whose ``agents`` is not a
+    list of objects with a list for a layout, or whose counters or Adam
+    steps are not integers, raises ``ValueError``."""
     with open(os.path.join(path, "checkpoint.json")) as f:
         meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ValueError("checkpoint.json does not hold an object")
     if meta.get("encoding_version") != ENCODING_VERSION:
         raise ValueError(
             f"checkpoint encoding version {meta.get('encoding_version')!r} "
             f"does not match this build ({ENCODING_VERSION!r})")
-    if not all("layout" in entry for entry in meta["agents"]):
+    entries = meta.get("agents")
+    if not isinstance(entries, list) or \
+            not all(isinstance(entry, dict) for entry in entries):
+        raise ValueError("checkpoint.json holds no list of agent entries")
+    if not all(isinstance(entry.get("layout"), list) for entry in entries):
         raise ValueError(f"checkpoint {path} records no parameter layout: an "
                          "older build wrote it, in a format this build does "
                          "not read")
+    # type(...) is int: a JSON true or false is a bool, not a count
+    for key in ("global_step", "episodes"):
+        if type(meta.get(key)) is not int:
+            raise ValueError(f"checkpoint {key} {meta.get(key)!r} is not an "
+                             "integer")
+    for k, entry in enumerate(entries):
+        if type(entry.get("adam_step", "")) not in (int, type(None)):
+            raise ValueError(f"checkpoint agent {k}: adam_step "
+                             f"{entry.get('adam_step')!r} is neither null "
+                             "nor an integer")
     return meta
 
 

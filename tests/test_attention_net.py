@@ -273,7 +273,8 @@ class TestAgentStep:
 
 
 class TestUnroll:
-    """The time-batched replay against T chained ``agent_step`` calls."""
+    """One T-step ``agent_step``, the replay's unroll of a stored chunk,
+    against T chained T = 1 calls."""
 
     T, B = 5, 3
 
@@ -293,6 +294,10 @@ class TestUnroll:
         w_logits = rng.normal(size=(self.T * self.B, core.num_actions))
         w_values = rng.normal(size=self.T * self.B)
         return obs, poses, resets, h0, c0, w_logits, w_values
+
+    def _flat(self, obs, poses):
+        """The (T*B, ...) time-major frames and poses of one T-step call."""
+        return obs.reshape((-1,) + obs.shape[2:]), poses.reshape(-1, 6)
 
     def _loss(self, logits, values, w_logits, w_values):
         return nm.add(nm.sum_all(nm.mul(logits, Tensor(w_logits))),
@@ -329,19 +334,22 @@ class TestUnroll:
         backward(loss)
         ref_logits = np.concatenate(logits)
         ref_values = np.concatenate(values)
+        ref_state = (state.h.data, state.c.data)
         ref_grads = self._grads(core)
 
         calls = core.forward_calls
         with Tape():
-            got_logits, got_values = core.unroll(
-                obs, poses, RecurrentState(Tensor(h0), Tensor(c0)), resets)
+            got_logits, got_values, _, got_state = core.agent_step(
+                *self._flat(obs, poses), RecurrentState(h0, c0), resets)
             loss = self._loss(got_logits, got_values, w_l, w_v)
         backward(loss)
         got_grads = self._grads(core)
 
-        assert core.forward_calls == calls        # replay is not an act pass
+        assert core.forward_calls == calls + 1    # one pass for the chunk
         assert np.max(np.abs(got_logits.data - ref_logits)) <= 1e-12
         assert np.max(np.abs(got_values.data - ref_values)) <= 1e-12
+        for got, ref in zip((got_state.h, got_state.c), ref_state):
+            assert np.max(np.abs(got - ref)) <= 1e-12
         assert got_grads.keys() == ref_grads.keys() == core.params.keys()
         overall = max(np.max(np.abs(g)) for g in ref_grads.values())
         for name, ref in ref_grads.items():
@@ -359,15 +367,31 @@ class TestUnroll:
         core = AgentCore(4, 4, conv_filters=4, basis_depth=4, num_heads=2,
                          head_depth=2, cell_size=6, seed=43)
         obs, poses, resets, h0, c0, _, _ = self._inputs(core, 44)
-        a_logits, _ = core.unroll(obs, poses, RecurrentState(h0, c0), resets)
-        b_logits, _ = core.unroll(obs, poses, RecurrentState(-h0, c0 * 3.0),
-                                  resets)
+        frames = self._flat(obs, poses)
+        a_logits, _, _, _ = core.agent_step(*frames, RecurrentState(h0, c0),
+                                            resets)
+        b_logits, _, _, _ = core.agent_step(
+            *frames, RecurrentState(-h0, c0 * 3.0), resets)
         a = a_logits.data.reshape(self.T, self.B, -1)
         b = b_logits.data.reshape(self.T, self.B, -1)
         # after the reset at t = 2, sequence 1 no longer sees its start state
         assert np.array_equal(a[2:, 1], b[2:, 1])
         assert not np.allclose(a[:2, 1], b[:2, 1])
         assert not np.allclose(a[:, 0], b[:, 0])
+
+    def test_bad_shapes_raise(self):
+        core = AgentCore(4, 4, conv_filters=4, basis_depth=4, num_heads=2,
+                         head_depth=2, cell_size=6, seed=43)
+        obs, poses, resets, h0, c0, _, _ = self._inputs(core, 44)
+        obs, poses = self._flat(obs, poses)
+        state = RecurrentState(h0, c0)
+        bad = [(obs[:-1], poses[:-1], None),      # frames not a multiple of B
+               (obs, poses[:-1], resets),         # not one pose per frame
+               (obs, poses, resets[:-1]),         # resets not (T, B)
+               (obs, poses, resets.T)]
+        for o, p, r in bad:
+            with pytest.raises(nm.ShapeError):
+                core.agent_step(o, p, state, r)
 
     def test_colorgather_minibatch_lends_no_feature_gradient(self):
         # train_colorgather_wide's minibatch: 16 chunks of 8 steps on 10x10
@@ -377,12 +401,11 @@ class TestUnroll:
         core = AgentCore(10, 10, seed=45)
         T, B = 8, 16
         rng = np.random.default_rng(46)
-        obs = rng.uniform(size=(T, B, 10, 10, 3))
-        poses = rng.normal(size=(T, B, 6))
-        zeros = np.zeros((B, core.cell_size))
+        obs = rng.uniform(size=(T * B, 10, 10, 3))
+        poses = rng.normal(size=(T * B, 6))
         with Tape():
-            logits, values = core.unroll(
-                obs, poses, RecurrentState(Tensor(zeros), Tensor(zeros)),
+            logits, values, _, _ = core.agent_step(
+                obs, poses, core.initial_state(B),
                 np.zeros((T, B), dtype=bool))
             loss = self._loss(logits, values,
                               rng.normal(size=(T * B, core.num_actions)),
@@ -505,10 +528,11 @@ class TestAffineViews:
         rng = np.random.default_rng(53)
         T, B = 4, 3
         with Tape():
-            logits, values = core.unroll(
-                rng.uniform(size=(T, B, 5, 5, 3)), rng.normal(size=(T, B, 6)),
-                RecurrentState(Tensor(rng.normal(size=(B, 64))),
-                               Tensor(rng.normal(size=(B, 64)))),
+            logits, values, _, _ = core.agent_step(
+                rng.uniform(size=(T * B, 5, 5, 3)),
+                rng.normal(size=(T * B, 6)),
+                RecurrentState(rng.normal(size=(B, 64)),
+                               rng.normal(size=(B, 64))),
                 np.zeros((T, B), dtype=bool))
             loss = nm.add(nm.sum_all(nm.mul(logits, logits)),
                           nm.sum_all(nm.mul(values, values)))

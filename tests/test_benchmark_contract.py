@@ -101,3 +101,25 @@ def test_eval_unit_runs_and_repeats(perfbench_modules, tmp_path):
         assert unit.failed == 0
         assert unit.env_steps > 0
     assert units[0].digest == units[1].digest
+
+
+def test_tracer_sees_the_replay_and_every_act_pass(perfbench_modules,
+                                                   tmp_path):
+    # the tracer names an ``agent_step`` span by whether a PPO update is
+    # open around it; the replay must be an ``agent_step`` for its span to
+    # read anything, and the collect makes one act pass per agent and step,
+    # plus the bootstrap pass
+    tracing, workloads = perfbench_modules
+    segment_length, agents = 8, 2
+    workload = workloads.TrainWorkload(
+        "meetup", agents, {"interior": 4, "episode_cap": 8},
+        dict(segment_length=segment_length, n_envs=2, chunk_length=4,
+             batch_size=8, epochs=1))
+    subject = workload.make_subject(11, str(tmp_path))
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        unit = workload.run_unit(subject, probing=False)
+    assert unit.problems == []
+    assert tracer.names.count("attention_net.agent_step.replay") >= 1
+    assert tracer.names.count("attention_net.agent_step.act") == \
+        (segment_length + 1) * agents

@@ -750,12 +750,34 @@ class TestSocialCommand:
         assert manifest["checkpoints"] == []
 
 
-class TestDamagedCheckpoint:
-    """A checkpoint with a cut-short vector, or of another encoding version,
-    is one ``error:`` line and exit 1 in every command that reads one, and
-    nothing is written."""
+def _with_entry(key, value):
+    """The meta with agent 0's ``key`` set to ``value``."""
+    def damage(meta):
+        meta["agents"][0][key] = value
+        return meta
+    return damage
 
-    @pytest.fixture(params=["truncated", "other_encoding"])
+
+class TestDamagedCheckpoint:
+    """A checkpoint with a cut-short vector, of another encoding version, or
+    whose ``checkpoint.json`` parses but does not hold what a checkpoint
+    records, is one ``error:`` line and exit 1 in every command that reads
+    one, and nothing is written."""
+
+    # name -> the damaged checkpoint.json, from the intact one
+    META_DAMAGES = {
+        "other_encoding": lambda meta: {**meta, "encoding_version": "enc-0"},
+        "not_an_object": lambda meta: [1],
+        "no_agents": lambda meta: {k: v for k, v in meta.items()
+                                   if k != "agents"},
+        "agents_not_objects": lambda meta: {**meta, "agents": [1, 2]},
+        "step_not_int": lambda meta: {**meta, "global_step": "x"},
+        "episodes_not_int": lambda meta: {**meta, "episodes": 1.5},
+        "adam_step_not_int": _with_entry("adam_step", "x"),
+        "layout_not_a_list": _with_entry("layout", 5),
+    }
+
+    @pytest.fixture(params=["truncated", *META_DAMAGES])
     def damaged(self, request, mixed_expert, tmp_path):
         run = tmp_path / "run"
         shutil.copytree(mixed_expert, run)
@@ -766,7 +788,7 @@ class TestDamagedCheckpoint:
             vec.write_bytes(vec.read_bytes()[:-8])
         else:
             meta = json.loads((ckdir / "checkpoint.json").read_text())
-            meta["encoding_version"] = "enc-0"
+            meta = self.META_DAMAGES[request.param](meta)
             (ckdir / "checkpoint.json").write_text(json.dumps(meta))
         return run
 

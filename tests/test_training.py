@@ -528,14 +528,16 @@ class TestPPOUpdate:
         k, chunk, seed = 1, tr.ppo.chunk_length, 5
         assert buf.reset_mask[np.arange(buf.T) % chunk != 0].any()
         calls = []
-        unroll = AgentCore.unroll
+        agent_step = AgentCore.agent_step
 
         def spy(core, obs, p, state, resets):
-            calls.append((np.array(obs), np.array(p), np.array(state.h.data),
-                          np.array(state.c.data), np.array(resets)))
-            return unroll(core, obs, p, state, resets)
+            T = len(resets)
+            calls.append((np.array(obs).reshape((T, -1) + obs.shape[1:]),
+                          np.array(p).reshape(T, -1, 6), np.array(state.h),
+                          np.array(state.c), np.array(resets)))
+            return agent_step(core, obs, p, state, resets)
 
-        monkeypatch.setattr(AgentCore, "unroll", spy)
+        monkeypatch.setattr(AgentCore, "agent_step", spy)
         ppo_update(tr.agents[k], buf, k, tr.ppo, np.random.default_rng(seed))
         monkeypatch.undo()
 
