@@ -3,6 +3,7 @@ decentralization, determinism, checkpoints, and the social-learning mode."""
 
 import copy
 import gc
+import hashlib
 import json
 import os
 
@@ -1055,6 +1056,39 @@ class TestSocial:
         swapped = recompute_r_ja(buf, tr.incentive)
         assert np.all(swapped >= baseline - 1e-12)
         assert swapped.mean() > baseline.mean()
+
+    def test_acting_draws_are_pinned(self):
+        # two sampling novices and a greedy frozen expert: only the novices
+        # draw in the collect (one uniform per env and step each), the
+        # bootstrap draws nothing, and the sampled actions, episode ends and
+        # resets keep the bytes they had before the acting step was shared;
+        # a "sample" evaluation of the same agents keeps its actions too
+        T, E = 8, 2
+        tr = social_learning_run(
+            expert_params=self._expert_params(seed=36), seed=37,
+            ppo=PPOConfig(segment_length=T, n_envs=E, chunk_length=4,
+                          batch_size=8, epochs=1),
+            env_overrides={"interior": 4, "episode_cap": 5,
+                           "tasklist_subtasks": 3})
+        buf = tr.collect_segment()
+        fresh = np.random.default_rng(training.agent_seed(37, 1_000_002))
+        fresh.random(T * E * 2)
+        assert tr.rng_act.bit_generator.state == fresh.bit_generator.state
+
+        def digest(*arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        assert buf.done.any() and buf.reset_mask.any()
+        assert digest(buf.actions, buf.done, buf.reset_mask) == \
+            "b150d55c16745d5a8770766467f9ae4be55cb1d860a77dbd66eb129506af1af7"
+        steps = [st.actions for st in lockstep_episodes(
+            tr.agents, "tasklist", "default", tr.env_config, 3, seed=5,
+            mode="sample")]
+        assert digest(*steps) == \
+            "01025752ab3e2b0707d435f96e891de2b8d6cb98894a860f8c756c7ac793edc7"
 
 
 class TestGeneralization:
