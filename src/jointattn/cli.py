@@ -858,6 +858,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

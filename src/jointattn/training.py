@@ -17,15 +17,15 @@ Population variants:
 
 Rollouts and evaluation both step their environments as one
 ``gridworlds.EnvBatch``: ``EnvSet`` keeps one for the collect and resets
-finished rows in place, one ``reset`` per episode. Evaluation plays its
-episodes in lockstep, as one batch of rollouts (``lockstep_episodes``):
-one network step per agent over the live episodes, then one ``step`` of
-the batch, whose rows leave it as their episodes end. A generalization
-table is one such batch too, episodes x variants rows, split into one
-summary per variant by ``evaluate``. The bonus, its replay and the evaluation figure
-all take the pairwise divergence from one kernel,
-``ja_reward.pairwise_divergence``, over every environment or episode at
-once.
+finished rows in place, one ``reset`` per episode. Both act through
+``population_step``, every agent on the same frames. Evaluation plays its
+episodes in lockstep (``lockstep_episodes``): one ``population_step`` over
+the live episodes, then one ``step`` of the batch, whose rows leave it as
+their episodes end. A generalization table is one such batch too, episodes
+x variants rows, split into one summary per variant by ``evaluate``. The
+bonus, its replay and the evaluation figure all take the pairwise
+divergence from one kernel, ``ja_reward.pairwise_divergence``, over every
+environment or episode at once.
 """
 
 from __future__ import annotations
@@ -191,11 +191,6 @@ class EnvSet:
                              f"not fit in uint8")
         return ids.astype(np.uint8)
 
-    def batch_poses(self, agent_index: int) -> np.ndarray:
-        b = self.batch
-        return pose_vector(b.x[:, agent_index], b.y[:, agent_index],
-                           b.direction[:, agent_index])
-
     def step(self, actions: np.ndarray):
         """actions (n_envs, n_agents) -> rewards (n_envs, n_agents), dones.
 
@@ -211,6 +206,11 @@ class EnvSet:
             self.batch.put(e, self._fresh(e))
             self._running_env_return[e] = 0.0
         return rewards, dones
+
+
+def batch_poses(batch: EnvBatch) -> np.ndarray:
+    """Every agent's ``pose_vector`` on every row of ``batch``, (K, rows, 6)."""
+    return pose_vector(batch.x.T, batch.y.T, batch.direction.T)
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +279,38 @@ def recompute_r_ja(buffer: RolloutBuffer, incentive: IncentiveConfig) -> np.ndar
                                                                   buffer.E)
 
 
+def population_step(agents: list, ids: np.ndarray, poses: np.ndarray,
+                    states: list, modes, rng: np.random.Generator | None = None):
+    """Every agent acts on the same (B, h, w, 3) ids, scaled once, and its
+    row of the (K, B, 6) ``batch_poses``: in index order, ``agent_step``
+    from ``states[k]``, then ``act`` in ``modes[k]`` (only "sample" draws
+    from ``rng``). Returns (K, B) actions, log_probs and values, each map
+    producer's ``AttentionMaps`` by agent index, and the detached states."""
+    grids = observation_array(ids)
+    actions = np.zeros((len(agents), len(ids)), dtype=np.int64)
+    log_probs, values = np.zeros(actions.shape), np.zeros(actions.shape)
+    maps, new_states = {}, []
+    for k, agent in enumerate(agents):
+        logits, value, agent_maps, state = agent.core.agent_step(
+            grids, poses[k], states[k])
+        new_states.append(state.detach())
+        actions[k], log_probs[k] = act(logits, modes[k], rng)
+        values[k] = value.data
+        if agent_maps is not None:
+            maps[k] = agent_maps
+    return actions, log_probs, values, maps, new_states
+
+
 def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
                      ppo: PPOConfig, rec_states: list, pending_reset: np.ndarray,
                      rng: np.random.Generator, base_step: int) -> tuple:
     """Roll ``segment_length`` vector steps; returns (buffer, pending_reset).
 
-    ``rec_states`` (one per agent) are advanced in place. The bonus for each
-    step is scored from the stored ``fields`` inside an instrumented block
-    that must not add forward passes.
+    Step t < T is one ``population_step`` in the agents' ``action_mode``s;
+    one more at t = T, greedy so that it draws nothing, gives the bootstrap
+    values. ``rec_states`` (one per agent) are advanced in place. The bonus
+    for each step is scored from the stored ``fields`` inside an
+    instrumented block that must not add forward passes.
     """
     T, E, chunk = ppo.segment_length, envset.n_envs, ppo.chunk_length
     h, w = envset.batch.cells.shape[1:3]
@@ -294,31 +318,28 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
     buf = RolloutBuffer(len(agents), T, E, h, w, agents[0].core.cell_size,
                         map_agents, chunk)
     buf.base_step = base_step
+    modes = [a.action_mode for a in agents]
 
-    for t in range(T):
+    for t in range(T + 1):
         if pending_reset.any():
             for st in rec_states:
                 st.h[pending_reset] = 0.0
                 st.c[pending_reset] = 0.0
-        buf.reset_mask[t] = pending_reset
-        ids = envset.batch_ids()
-        buf.obs[t] = ids
-        grids = observation_array(ids)
-        for k, agent in enumerate(agents):
-            if t % chunk == 0:
-                buf.h0[k, t // chunk] = rec_states[k].h
-                buf.c0[k, t // chunk] = rec_states[k].c
-            poses = envset.batch_poses(k)
-            buf.pose[k, t] = poses
-            logits, value, maps, new_state = agent.core.agent_step(
-                grids, poses, rec_states[k])
-            rec_states[k] = new_state.detach()
-            buf.actions[k, t], buf.log_probs[k, t] = act(
-                logits, agent.action_mode, rng)
-            buf.values[k, t] = value.data
-            if maps is not None:
-                buf.fields[map_agents.index(k), t] = scored_field(maps,
-                                                                  incentive)
+        ids, poses = envset.batch_ids(), batch_poses(envset.batch)
+        if t == T:
+            buf.bootstrap[:] = population_step(
+                agents, ids, poses, rec_states, ["greedy"] * len(agents))[2]
+            return buf, pending_reset
+        buf.reset_mask[t], buf.obs[t] = pending_reset, ids
+        buf.pose[:, t] = poses
+        if t % chunk == 0:
+            buf.h0[:, t // chunk] = [st.h for st in rec_states]
+            buf.c0[:, t // chunk] = [st.c for st in rec_states]
+        (buf.actions[:, t], buf.log_probs[:, t], buf.values[:, t], maps,
+         rec_states[:]) = population_step(agents, ids, poses, rec_states,
+                                          modes, rng)
+        for i, k in enumerate(map_agents):
+            buf.fields[i, t] = scored_field(maps[k], incentive)
 
         if len(map_agents) >= 2:
             calls_before = sum(a.core.forward_calls for a in agents)
@@ -332,18 +353,6 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
         buf.r_env[:, t] = rewards.T
         buf.done[t] = dones
         pending_reset = dones.copy()
-
-    # bootstrap values for the truncated tail
-    if pending_reset.any():
-        for st in rec_states:
-            st.h[pending_reset] = 0.0
-            st.c[pending_reset] = 0.0
-    grids = observation_array(envset.batch_ids())
-    for k, agent in enumerate(agents):
-        _, value, _, _ = agent.core.agent_step(grids, envset.batch_poses(k),
-                                               rec_states[k])
-        buf.bootstrap[k] = value.data
-    return buf, pending_reset
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +479,13 @@ class EpisodeStep:
 
     ``live`` holds their row indices, ascending (``lockstep_episodes``
     numbers the rows). The observations before the step are ``grids``, the
-    (live, h, w, 3) integer grids (``EnvBatch.grids``), and ``poses``, the
-    (agents, live, 6) ``pose_vector``s. ``actions`` are the (live, agents)
-    joint actions taken; ``maps`` the ``AttentionMaps`` of each
-    map-producing agent over the live rows; ``rewards`` the (live, agents)
-    environment rewards.
+    (live, h, w, 3) integer grids (``EnvBatch.grids``). ``actions`` are the
+    (live, agents) joint actions taken; ``maps`` the ``AttentionMaps`` of
+    each map-producing agent over the live rows; ``rewards`` the (live,
+    agents) environment rewards.
     """
     live: np.ndarray
     grids: np.ndarray
-    poses: np.ndarray
     actions: np.ndarray
     maps: dict
     rewards: np.ndarray
@@ -520,15 +527,14 @@ def lockstep_episodes(agents: list, kind: str, variant, config,
     indices. Episode ep of every layout is laid out from
     ``SeedSequence([seed, ep])``, as it would be played alone, and all of
     them are reset up front, one ``reset`` each, into one ``EnvBatch``.
-    Each step runs one ``agent_step`` per agent over the live rows, each
-    with its own recurrent state, then one ``step`` of the batch; episodes
-    that end leave it. ``mode="sample"`` draws every action from one
+    Each step is one ``population_step`` over the live rows, every agent in
+    ``mode`` with its own recurrent state, then one ``step`` of the batch;
+    episodes that end leave it. ``mode="sample"`` draws every action from one
     generator seeded from ``seed``, step-major: at each step, agent by
     agent, one draw per live row. With several layouts the draws therefore
     differ from separate runs.
     """
     layouts = _layouts(variant, config, episodes)
-    agent_count = layouts[0][1].agent_count
     rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
         if mode == "sample" else None
     ep_seeds = [agent_seed(seed, ep) for ep in range(episodes)]
@@ -540,19 +546,10 @@ def lockstep_episodes(agents: list, kind: str, variant, config,
     rec = [a.core.initial_state(len(batch)) for a in agents]
     while live.size:
         ids = batch.grids()
-        grids = observation_array(ids)
-        poses = pose_vector(batch.x.T, batch.y.T, batch.direction.T)
-        actions = np.zeros((live.size, agent_count), dtype=np.int64)
-        maps = {}
-        for k, agent in enumerate(agents):
-            logits, _, agent_maps, new_state = agent.core.agent_step(
-                grids, poses[k], rec[k])
-            rec[k] = new_state.detach()
-            actions[:, k], _ = act(logits, mode, rng)
-            if agent_maps is not None:
-                maps[k] = agent_maps
-        rewards, done = step(batch, actions)
-        yield EpisodeStep(live, ids, poses, actions, maps, rewards)
+        actions, _, _, maps, rec = population_step(
+            agents, ids, batch_poses(batch), rec, [mode] * len(agents), rng)
+        rewards, done = step(batch, actions.T)
+        yield EpisodeStep(live, ids, actions.T, maps, rewards)
         if done.any():
             going = ~done
             live = live[going]

@@ -817,6 +817,29 @@ class TestDamagedCheckpoint:
         assert TestTrainCommand._snapshot(damaged) == before
 
 
+@pytest.mark.parametrize("command", ["eval", "render-attention", "social",
+                                     "train"])
+def test_negative_seed_exits_2_before_any_output(mixed_expert, tmp_path,
+                                                 capsys, command):
+    # SeedSequence takes no negative entropy; every command that takes a
+    # --seed rejects one before it reads a checkpoint or writes a file
+    outdir = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--checkpoint", str(mixed_expert), "--episodes",
+                 "1"],
+        "render-attention": ["render-attention", "--checkpoint",
+                             str(mixed_expert)],
+        "social": ["social", "--expert", str(mixed_expert),
+                   "--max-env-steps", "8"],
+        "train": ["train", "--config", str(mixed_expert.parent / "mixed.cfg")],
+    }[command]
+    code = main(argv + ["--seed", "-1", "--output-dir", str(outdir)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: --seed must be at least 0, got -1\n"
+    assert not outdir.exists()
+
+
 class TestWriteJson:
     def test_write_that_raises_leaves_nothing_under_the_name(self, tmp_path):
         path = tmp_path / "summary.json"

@@ -26,7 +26,7 @@ from jointattn.gridworlds import (
     reset,
     step,
 )
-from jointattn.training import EnvSet
+from jointattn.training import EnvSet, batch_poses
 
 OBJ = OBJECT_IDS
 KIND_VARIANTS = [(kind, variant) for variant, kinds in VARIANTS.items()
@@ -206,8 +206,9 @@ def test_envset_auto_reset_equals_per_env_replays(kind):
             assert_row_is(es.batch, e, state)
             assert np.array_equal(es.batch_ids()[e], state.grids()[0])
             for k in range(cfg.agent_count):
-                assert np.array_equal(es.batch_poses(k)[e], pose_vector(
-                    state.x[0, k], state.y[0, k], state.direction[0, k]))
+                assert np.array_equal(batch_poses(es.batch)[k][e],
+                                      pose_vector(state.x[0, k], state.y[0, k],
+                                                  state.direction[0, k]))
         actions = arng.integers(0, 7, size=(n_envs, cfg.agent_count))
         rewards, dones = es.step(actions)
         for e in range(n_envs):

@@ -25,6 +25,7 @@ from jointattn.training import (
     PPOConfig,
     RolloutBuffer,
     Trainer,
+    batch_poses,
     collect_rollouts,
     compute_advantages,
     evaluate,
@@ -97,13 +98,14 @@ class TestEnvSet:
         grids_a = observation_array(a.batch_ids())
         grids_b = observation_array(b.batch_ids())
         assert np.array_equal(grids_a, grids_b)
-        assert np.array_equal(a.batch_poses(0), b.batch_poses(0))
+        assert np.array_equal(batch_poses(a.batch)[0],
+                              batch_poses(b.batch)[0])
 
     def test_batch_obs_scaled_floats(self):
         cfg = make_config("meetup", agent_count=2, **SMALL_ENV)
         es = EnvSet("meetup", "default", cfg, 2, seed=1)
         grids = observation_array(es.batch_ids())
-        poses = es.batch_poses(1)
+        poses = batch_poses(es.batch)[1]
         assert grids.shape == (2, 7, 7, 3)
         assert grids.dtype == np.float64
         assert grids.max() <= 1.0

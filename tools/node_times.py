@@ -18,7 +18,8 @@ The environment, the optimiser, the divergence and the checkpoint reload
 get rows of their own (calls and seconds), wrapped the same way where the
 program looks them up: ``training.step`` and ``training.reset`` (the names the trainer and
 the evaluation call), ``EnvSet.step``, ``EnvSet.batch_ids`` and
-``EnvSet.batch_poses``; ``numerics.adam_update``, the name ``ppo_update``
+``training.batch_poses`` (the collect's and the evaluation's poses of every
+agent); ``numerics.adam_update``, the name ``ppo_update``
 calls; ``training.pairwise_divergence``, the name the collect's bonus
 and ``evaluate`` call; and ``cli.build_agents_from_checkpoint``, the
 checkpoint reload of every ``jointattn eval`` call. ``EnvSet.step`` calls
@@ -60,7 +61,7 @@ def parse_args(argv):
 # ``jointattn.training``, ``jointattn.numerics`` or ``jointattn.cli``, or
 # ``training.EnvSet``
 CALLS = (("training", "step"), ("training", "reset"), ("EnvSet", "step"),
-         ("EnvSet", "batch_ids"), ("EnvSet", "batch_poses"),
+         ("EnvSet", "batch_ids"), ("training", "batch_poses"),
          ("numerics", "adam_update"), ("training", "pairwise_divergence"),
          ("cli", "build_agents_from_checkpoint"))
 
