@@ -253,6 +253,30 @@ class TestCollect:
         buf2 = tr.collect_segment()
         assert np.array_equal(buf2.reset_mask[0], buf1.done[-1])
 
+    def test_state_cut_crosses_segments(self):
+        # a 4-step cap divides T = 8, so rows whose episode runs to the cap
+        # end on segment 1's last step; env 2 ends one early and does not
+        tr = small_trainer(["joint_attention", "joint_attention"], E=4,
+                           env_overrides={"interior": 5, "episode_cap": 4})
+        held = [[] for _ in tr.agents]      # the state after each agent_step
+        for k, agent in enumerate(tr.agents):
+            def spy(obs, p, state, _step=agent.core.agent_step, _k=k):
+                out = _step(obs, p, state)
+                held[_k].append(out[3].detach())
+                return out
+            agent.core.agent_step = spy
+        buf1 = tr.collect_segment()
+        after = [held[k][buf1.T - 1] for k in range(len(tr.agents))]
+        buf2 = tr.collect_segment()
+        ended = buf1.done[-1]
+        assert ended.any() and not ended.all()
+        for k, state in enumerate(after):
+            assert state.h[ended].any() and state.c[ended].any()
+            assert not buf2.h0[k, 0][ended].any()
+            assert not buf2.c0[k, 0][ended].any()
+            assert np.array_equal(buf2.h0[k, 0][~ended], state.h[~ended])
+            assert np.array_equal(buf2.c0[k, 0][~ended], state.c[~ended])
+
     def test_rewards_match_env_replay(self):
         tr = small_trainer(["joint_attention", "joint_attention"], seed=9)
         buf = tr.collect_segment()
