@@ -115,10 +115,12 @@ class ExperimentConfig:
                                   f"{tuple(AGENT_VARIANTS)}")
         if self.max_env_steps is None and self.total_episodes is None:
             raise ConfigError("set run.max_env_steps or run.total_episodes")
-        for name in ("seed", "eval_interval", "eval_episodes"):
-            if getattr(self, name) < 0 or (name != "seed"
-                                           and getattr(self, name) == 0):
-                raise ConfigError(f"run.{name} is out of range")
+        for name in ("seed", "eval_interval", "eval_episodes",
+                     "max_env_steps", "total_episodes"):
+            value, least = getattr(self, name), 0 if name == "seed" else 1
+            if value is not None and value < least:
+                raise ConfigError(f"run.{name} must be at least {least}, "
+                                  f"got {value}")
         try:
             make_config(self.env_kind, self.env_variant, **self.env_overrides)
         except (ValueError, TypeError) as e:
@@ -712,8 +714,10 @@ def cmd_social(args) -> int:
     if expert_cfg.population[args.expert_index] == "independent_ppo":
         raise ConfigError(f"agent {args.expert_index} of the checkpoint is "
                           f"independent_ppo; a frozen expert needs attention")
-    if args.novices < 1:
-        raise ConfigError(f"--novices must be at least 1, got {args.novices}")
+    for flag, value in (("--novices", args.novices),
+                        ("--max-env-steps", args.max_env_steps)):
+        if value is not None and value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     # the one read of the checkpoint's vectors, before anything is written
     expert_agents = build_agents_from_checkpoint(ckdir, expert_cfg)
     expert_params = expert_agents[args.expert_index].core.flat
@@ -721,9 +725,7 @@ def cmd_social(args) -> int:
         args.output_dir, None,
         f"social_{os.path.basename(os.path.normpath(ckdir))}_s{args.seed}")
     _prepare_outdir(outdir, False, "metrics_with_expert.jsonl")
-    max_steps = args.max_env_steps
-    if max_steps is None:
-        max_steps = expert_cfg.max_env_steps or 150_000
+    max_steps = args.max_env_steps or expert_cfg.max_env_steps or 150_000
 
     with OutputLock(outdir):
         manifest = Manifest(outdir, "social", config_hash(expert_cfg),

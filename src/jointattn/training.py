@@ -167,7 +167,7 @@ class EnvSet:
         self.n_agents = config.agent_count
         self._episode_index = [0] * n_envs
         self.completed_episodes = 0
-        self.segment_episode_returns: list = []   # collective, cleared by caller
+        self.segment_episode_returns: list = []   # collective, per segment
         self._running_env_return = np.zeros((n_envs, self.n_agents))
         self.batch = EnvBatch.stack(self._fresh(e) for e in range(n_envs))
 
@@ -249,7 +249,6 @@ class RolloutBuffer:
         self.h0 = np.zeros((K, T // chunk_length, E, cell))
         self.c0 = np.zeros((K, T // chunk_length, E, cell))
         self.bootstrap = np.zeros((K, E))
-        self.reset_mask = np.zeros((T, E), dtype=bool)
         self.done = np.zeros((T, E), dtype=bool)
         self.fields = np.zeros((len(self.map_agents), T, E, h * w))
         # one producer still gets the lane (identically zero, the degenerate
@@ -302,15 +301,16 @@ def population_step(agents: list, ids: np.ndarray, poses: np.ndarray,
 
 
 def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
-                     ppo: PPOConfig, rec_states: list, pending_reset: np.ndarray,
-                     rng: np.random.Generator, base_step: int) -> tuple:
-    """Roll ``segment_length`` vector steps; returns (buffer, pending_reset).
+                     ppo: PPOConfig, rec_states: list,
+                     rng: np.random.Generator, base_step: int) -> RolloutBuffer:
+    """Roll ``segment_length`` vector steps into a fresh ``RolloutBuffer``.
 
-    Step t < T is one ``population_step`` in the agents' ``action_mode``s;
-    one more at t = T, greedy so that it draws nothing, gives the bootstrap
-    values. ``rec_states`` (one per agent) are advanced in place. The bonus
-    for each step is scored from the stored ``fields`` inside an
-    instrumented block that must not add forward passes.
+    Each step is one ``population_step`` in the agents' ``action_mode``s,
+    and zeroes the state of each row whose episode it ends; one more pass,
+    greedy so that it draws nothing, gives the bootstrap values.
+    ``rec_states`` (one per agent) are advanced in place, and
+    ``envset.segment_episode_returns`` restarts empty. The bonus is scored
+    from the stored ``fields`` in a block that must add no forward pass.
     """
     T, E, chunk = ppo.segment_length, envset.n_envs, ppo.chunk_length
     h, w = envset.batch.cells.shape[1:3]
@@ -319,19 +319,11 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
                         map_agents, chunk)
     buf.base_step = base_step
     modes = [a.action_mode for a in agents]
+    envset.segment_episode_returns = []
 
-    for t in range(T + 1):
-        if pending_reset.any():
-            for st in rec_states:
-                st.h[pending_reset] = 0.0
-                st.c[pending_reset] = 0.0
+    for t in range(T):
         ids, poses = envset.batch_ids(), batch_poses(envset.batch)
-        if t == T:
-            buf.bootstrap[:] = population_step(
-                agents, ids, poses, rec_states, ["greedy"] * len(agents))[2]
-            return buf, pending_reset
-        buf.reset_mask[t], buf.obs[t] = pending_reset, ids
-        buf.pose[:, t] = poses
+        buf.obs[t], buf.pose[:, t] = ids, poses
         if t % chunk == 0:
             buf.h0[:, t // chunk] = [st.h for st in rec_states]
             buf.c0[:, t // chunk] = [st.c for st in rec_states]
@@ -352,7 +344,15 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
         rewards, dones = envset.step(buf.actions[:, t].T)
         buf.r_env[:, t] = rewards.T
         buf.done[t] = dones
-        pending_reset = dones.copy()
+        if dones.any():
+            for st in rec_states:
+                st.h[dones] = 0.0
+                st.c[dones] = 0.0
+
+    buf.bootstrap[:] = population_step(
+        agents, envset.batch_ids(), batch_poses(envset.batch), rec_states,
+        ["greedy"] * len(agents))[2]
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +399,8 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
     Chunks are numbered env-major and start-minor; each epoch takes them in
     ``rng.permutation`` order and gathers each minibatch from agent k's
     lanes with one (chunk, B) pair of step and env index arrays. Chunks
-    replay from the stored state snapshots; episode boundaries inside a
-    chunk re-zero the state exactly as the rollout did. Each minibatch is
+    replay from the stored state snapshots, and cut the state after each
+    step whose ``done`` is set, exactly as the rollout did. Each minibatch is
     one ``agent_step`` over its chunk*B time-major frames, scaled from the
     stored ids by ``observation_array`` as acting scaled them, and the
     losses are computed once over its stacked chunk*B samples. A non-finite
@@ -427,7 +427,8 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
             old_logp = buffer.log_probs[k, ts, es]
             adv = buffer.advantages[k, ts, es]
             rets = buffer.returns[k, ts, es]
-            resets = buffer.reset_mask[ts, es]
+            # row 0 (the step before; -1 wraps) is unread: h0/c0 start it
+            resets = buffer.done[ts - 1, es]
             h0 = buffer.h0[k, first, es]
             c0 = buffer.c0[k, first, es]
 
@@ -770,7 +771,6 @@ class Trainer:
         self.agents = build_population(population, size, size, self.ppo, seed)
         self.rec_states = [a.core.initial_state(self.ppo.n_envs)
                            for a in self.agents]
-        self.pending_reset = np.zeros(self.ppo.n_envs, dtype=bool)
         self.rng_act = np.random.default_rng(agent_seed(seed, 1_000_002))
         self.rng_update = [np.random.default_rng(agent_seed(seed, 2_000_000 + k))
                            for k in range(len(self.agents))]
@@ -782,11 +782,9 @@ class Trainer:
         return self.envset.completed_episodes
 
     def collect_segment(self) -> RolloutBuffer:
-        buf, self.pending_reset = collect_rollouts(
-            self.envset, self.agents, self.incentive, self.ppo,
-            self.rec_states, self.pending_reset, self.rng_act,
-            self.global_step)
-        return buf
+        return collect_rollouts(self.envset, self.agents, self.incentive,
+                                self.ppo, self.rec_states, self.rng_act,
+                                self.global_step)
 
     def update_from(self, buf: RolloutBuffer) -> dict:
         compute_advantages(buf, self.agents, self.incentive, self.ppo)
@@ -832,7 +830,6 @@ class Trainer:
                 break
             if total_episodes is not None and self.episodes >= total_episodes:
                 break
-            self.envset.segment_episode_returns = []
             buf = self.collect_segment()
             stats = self.update_from(buf)
             self.global_step += steps_per_segment

@@ -424,9 +424,8 @@ def test_criterion_07_decentralized_updates_without_reruns():
     for a in agents:
         assert a.core.forward_calls == 0
     rec = [a.core.initial_state(ppo.n_envs) for a in agents]
-    pending = np.zeros(ppo.n_envs, dtype=bool)
-    buf, pending = collect_rollouts(envset, agents, pop.incentive, ppo, rec,
-                                    pending, np.random.default_rng(903), 0)
+    buf = collect_rollouts(envset, agents, pop.incentive, ppo, rec,
+                           np.random.default_rng(903), 0)
 
     # the bonus block ran without a single extra network pass
     assert buf.no_rerun_forward_calls == 0

@@ -312,6 +312,22 @@ class TestTrainCommand:
         assert code == 2
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("overrides", [
+        ["run.max_env_steps=0"],
+        ["run.max_env_steps=none", "run.total_episodes=-3"]])
+    def test_budget_below_one_exits_2_without_output(self, tmp_path, capsys,
+                                                     overrides):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_MEETUP)
+        sets = [arg for pair in overrides for arg in ("--set", pair)]
+        code = main(["train", "--config", str(cfg_path), "--output-dir",
+                     str(tmp_path / "run"), *sets])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "must be at least 1" in err
+        assert not (tmp_path / "run").exists()
+
     def test_layout_too_big_for_the_grid_exits_2_without_output(
             self, tmp_path, capsys):
         # 9 coins and 2 agents cannot fit the 4 cells of a 2x2 interior;
@@ -718,7 +734,8 @@ class TestSocialCommand:
 
     @pytest.mark.parametrize("argv", [
         ["--expert-index", "5"], ["--expert-index", "-1"],
-        ["--expert-index", "1"], ["--novices", "0"], ["--novices", "-2"]])
+        ["--expert-index", "1"], ["--novices", "0"], ["--novices", "-2"],
+        ["--max-env-steps", "-8"]])
     def test_usage_error_exits_2_before_any_output(self, mixed_expert,
                                                     tmp_path, capsys, argv):
         outdir = tmp_path / "social"

@@ -200,9 +200,9 @@ class TestCollect:
             agent.core.agent_step = spy
         buf = tr.collect_segment()
         # the next step after an episode ends starts reset
-        for t in range(buf.T - 1):
-            assert np.array_equal(buf.reset_mask[t + 1], buf.done[t])
-        reset_steps = set(np.nonzero(buf.reset_mask.any(axis=1))[0].tolist())
+        resets = np.zeros_like(buf.done)
+        resets[1:] = buf.done[:-1]
+        reset_steps = set(np.nonzero(resets.any(axis=1))[0].tolist())
         assert reset_steps & set(range(0, buf.T, chunk))
         assert reset_steps - set(range(0, buf.T, chunk))
         cell = tr.agents[0].core.cell_size
@@ -212,7 +212,7 @@ class TestCollect:
             for t in range(buf.T):
                 frames, h, c = seen[k][t]
                 # the state each step acted from is zero at every reset...
-                for e in np.nonzero(buf.reset_mask[t])[0]:
+                for e in np.nonzero(resets[t])[0]:
                     assert not h[e].any() and not c[e].any()
                 # ...and is the stored snapshot at every chunk start
                 if t % chunk == 0:
@@ -245,13 +245,6 @@ class TestCollect:
             tr.envset.batch.cells[1, 0, 0, 1] = bad
             with pytest.raises(ValueError, match="uint8"):
                 tr.collect_segment()
-
-    def test_pending_reset_crosses_segments(self):
-        tr = small_trainer(["joint_attention", "joint_attention"],
-                           env_overrides={"interior": 5, "episode_cap": 4})
-        buf1 = tr.collect_segment()
-        buf2 = tr.collect_segment()
-        assert np.array_equal(buf2.reset_mask[0], buf1.done[-1])
 
     def test_state_cut_crosses_segments(self):
         # a 4-step cap divides T = 8, so rows whose episode runs to the cap
@@ -553,7 +546,9 @@ class TestPPOUpdate:
         buf = tr.collect_segment()
         compute_advantages(buf, tr.agents, tr.incentive, tr.ppo)
         k, chunk, seed = 1, tr.ppo.chunk_length, 5
-        assert buf.reset_mask[np.arange(buf.T) % chunk != 0].any()
+        resets = np.zeros_like(buf.done)
+        resets[1:] = buf.done[:-1]
+        assert resets[np.arange(buf.T) % chunk != 0].any()
         calls = []
         agent_step = AgentCore.agent_step
 
@@ -578,12 +573,13 @@ class TestPPOUpdate:
                          for lo in range(0, len(order), per_batch)]
         assert len(calls) == len(expected)
         assert len(expected[-1]) == 1
-        for (obs, p, h, c, resets), sel in zip(calls, expected):
+        for (obs, p, h, c, seen), sel in zip(calls, expected):
             def steps(lane):
                 return np.stack([lane[s:s + chunk, e] for e, s in sel], axis=1)
             assert np.array_equal(obs, observation_array(steps(buf.obs)))
             assert np.array_equal(p, steps(buf.pose[k]))
-            assert np.array_equal(resets, steps(buf.reset_mask))
+            # row 0 of a chunk is unread: its h0/c0 snapshot starts it
+            assert np.array_equal(seen[1:], steps(resets)[1:])
             assert np.array_equal(h, np.stack([buf.h0[k][s // chunk, e]
                                                for e, s in sel]))
             assert np.array_equal(c, np.stack([buf.c0[k][s // chunk, e]
@@ -1107,8 +1103,10 @@ class TestSocial:
                 h.update(np.ascontiguousarray(a).tobytes())
             return h.hexdigest()
 
-        assert buf.done.any() and buf.reset_mask.any()
-        assert digest(buf.actions, buf.done, buf.reset_mask) == \
+        resets = np.zeros_like(buf.done)
+        resets[1:] = buf.done[:-1]
+        assert buf.done.any() and resets.any()
+        assert digest(buf.actions, buf.done, resets) == \
             "b150d55c16745d5a8770766467f9ae4be55cb1d860a77dbd66eb129506af1af7"
         steps = [st.actions for st in lockstep_episodes(
             tr.agents, "tasklist", "default", tr.env_config, 3, seed=5,
