@@ -55,6 +55,13 @@ def small_trainer(variants, seed=0, beta_max=1e-2, metric="jsd", T=8, E=2,
                    env_overrides=dict(env_overrides or SMALL_ENV))
 
 
+def episode_starts(buf):
+    """(T, E): the steps an ended episode hands a zero state, done[t - 1]."""
+    resets = np.zeros_like(buf.done)
+    resets[1:] = buf.done[:-1]
+    return resets
+
+
 class TestConfigs:
     def test_ppo_validation(self):
         with pytest.raises(ValueError):
@@ -200,8 +207,7 @@ class TestCollect:
             agent.core.agent_step = spy
         buf = tr.collect_segment()
         # the next step after an episode ends starts reset
-        resets = np.zeros_like(buf.done)
-        resets[1:] = buf.done[:-1]
+        resets = episode_starts(buf)
         reset_steps = set(np.nonzero(resets.any(axis=1))[0].tolist())
         assert reset_steps & set(range(0, buf.T, chunk))
         assert reset_steps - set(range(0, buf.T, chunk))
@@ -546,8 +552,7 @@ class TestPPOUpdate:
         buf = tr.collect_segment()
         compute_advantages(buf, tr.agents, tr.incentive, tr.ppo)
         k, chunk, seed = 1, tr.ppo.chunk_length, 5
-        resets = np.zeros_like(buf.done)
-        resets[1:] = buf.done[:-1]
+        resets = episode_starts(buf)
         assert resets[np.arange(buf.T) % chunk != 0].any()
         calls = []
         agent_step = AgentCore.agent_step
@@ -1103,8 +1108,7 @@ class TestSocial:
                 h.update(np.ascontiguousarray(a).tobytes())
             return h.hexdigest()
 
-        resets = np.zeros_like(buf.done)
-        resets[1:] = buf.done[:-1]
+        resets = episode_starts(buf)
         assert buf.done.any() and resets.any()
         assert digest(buf.actions, buf.done, resets) == \
             "b150d55c16745d5a8770766467f9ae4be55cb1d860a77dbd66eb129506af1af7"
