@@ -86,7 +86,7 @@ class ExperimentConfig:
     ppo: PPOConfig = field(default_factory=PPOConfig)
     env_overrides: dict = field(default_factory=dict)
     seed: int = 0
-    eval_interval: int = 3000
+    eval_interval: int = 16_384
     eval_episodes: int = 10
     max_env_steps: int | None = 200_000
     total_episodes: int | None = None

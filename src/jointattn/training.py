@@ -775,7 +775,6 @@ class Trainer:
         self.rng_update = [np.random.default_rng(agent_seed(seed, 2_000_000 + k))
                            for k in range(len(self.agents))]
         self.global_step = 0
-        self.eval_count = 0
 
     @property
     def episodes(self) -> int:
@@ -803,28 +802,37 @@ class Trainer:
                 for key, vals in merged.items() if key != "aborted"} | \
             {"aborted_updates": merged["aborted"]}
 
-    def evaluate_now(self, episodes: int = 10) -> dict:
-        self.eval_count += 1
-        return evaluate(self.agents, self.kind, self.env_variant,
-                        self.env_config, episodes,
-                        agent_seed(self.seed, 3_000_000 + self.eval_count),
-                        self.incentive)
-
     def run(self, max_env_steps: int | None = None,
-            total_episodes: int | None = None, eval_interval: int = 3000,
+            total_episodes: int | None = None, *, eval_interval: int,
             eval_episodes: int = 10, on_record=None, on_checkpoint=None,
             stop_when=None) -> dict:
         """Alternate collect/update until a budget is reached.
 
-        ``on_record`` receives one metrics dict per update and per
-        evaluation; ``on_checkpoint`` is called after each evaluation;
-        ``stop_when(eval_summary)`` may end the run early.
+        ``global_step`` is the only clock: a segment that crosses a multiple
+        of ``eval_interval`` env steps evaluates once, with seed index
+        ``global_step // eval_interval``, then calls ``on_checkpoint``; the
+        final evaluation takes that index plus one. ``on_record`` receives
+        one metrics dict per update and per evaluation;
+        ``stop_when(eval_summary)`` may end the run after an evaluation.
         """
         if max_env_steps is None and total_episodes is None:
             raise ValueError("need max_env_steps or total_episodes")
-        next_eval = (self.episodes // eval_interval + 1) * eval_interval
-        last_eval = None
         steps_per_segment = self.ppo.segment_length * self.ppo.n_envs
+
+        def evaluate_at(event: str, index: int) -> dict:
+            summary = evaluate(self.agents, self.kind, self.env_variant,
+                               self.env_config, eval_episodes,
+                               agent_seed(self.seed, 3_000_000 + index),
+                               self.incentive)
+            if on_record:
+                on_record(metrics_record(
+                    event, self.global_step, self.episodes,
+                    beta_schedule(self.global_step, self.incentive),
+                    summary["mean_collective_reward"],
+                    summary["mean_pairwise_jsd"],
+                    success_rate=summary["success_rate"]))
+            return summary
+
         while True:
             if max_env_steps is not None and self.global_step >= max_env_steps:
                 break
@@ -847,27 +855,15 @@ class Trainer:
                 record["aborted_updates"] = stats["aborted_updates"]
             if on_record:
                 on_record(record)
-            while self.episodes >= next_eval:
-                last_eval = self.evaluate_now(eval_episodes)
-                if on_record:
-                    on_record(metrics_record(
-                        "eval", self.global_step, self.episodes, beta,
-                        last_eval["mean_collective_reward"],
-                        last_eval["mean_pairwise_jsd"],
-                        success_rate=last_eval["success_rate"]))
+            if self.global_step % eval_interval < steps_per_segment:
+                summary = evaluate_at("eval",
+                                      self.global_step // eval_interval)
                 if on_checkpoint:
                     on_checkpoint(self)
-                next_eval += eval_interval
-            if stop_when is not None and last_eval is not None \
-                    and stop_when(last_eval):
-                break
-        final = self.evaluate_now(eval_episodes)
-        if on_record:
-            on_record(metrics_record(
-                "final_eval", self.global_step, self.episodes,
-                beta_schedule(self.global_step, self.incentive),
-                final["mean_collective_reward"], final["mean_pairwise_jsd"],
-                success_rate=final["success_rate"]))
+                if stop_when is not None and stop_when(summary):
+                    break
+        final = evaluate_at("final_eval",
+                            self.global_step // eval_interval + 1)
         return {"global_step": self.global_step, "episodes": self.episodes,
                 "final_eval": final}
 

@@ -45,6 +45,10 @@ SEEDS = (11, 22, 33)
 # Budgets are whole segments (segment_length 128 x 8 envs = 1024 env steps)
 # so a finished run never exceeds the stated step ceiling.
 MEETUP_STEPS = 195 * 1024          # 199_680 <= 2e5
+# Every arm of a suite evaluates at the same env steps, so an arm whose
+# episodes get shorter earns no extra draws at criterion 8's best-of
+# maximum: 12 evaluations in MEETUP_STEPS.
+MEETUP_EVAL_INTERVAL = 16 * 1024
 MEETUP_ENV = {"interior": 6, "landmarks": 2, "episode_cap": 100}
 
 # A compact arena keeps the key -> door -> goal chain discoverable by
@@ -53,6 +57,11 @@ MEETUP_ENV = {"interior": 6, "landmarks": 2, "episode_cap": 100}
 SOCIAL_ENV = {"interior": 4, "tasklist_subtasks": 3, "episode_cap": 70}
 SOCIAL_STEPS = 146 * 1024          # 149_504
 EXPERT_STEPS = 195 * 1024
+# Criterion 9's steps to 0.8 and the expert's 0.9 stop read the first
+# evaluation past the bar, so they resolve to this interval: 4 segments,
+# the same steps in both arms. An evaluation of 20 greedy episodes costs a
+# few percent of one segment.
+SOCIAL_EVAL_INTERVAL = 4 * 1024
 
 # The incentive weight is stronger than the library default and reaches
 # full strength early. Probed alternatives did worse on held alignment: a
@@ -135,7 +144,8 @@ def run_meetup_arm(arm: str, seed: int) -> dict:
                          IncentiveConfig(**RUN_INCENTIVE))
     trainer = Trainer("meetup", "default", pop, PPOConfig(**RUN_PPO),
                       seed=seed, env_overrides=dict(MEETUP_ENV))
-    result = _run(trainer, MEETUP_STEPS, name, eval_interval=200)
+    result = _run(trainer, MEETUP_STEPS, name,
+                  eval_interval=MEETUP_EVAL_INTERVAL)
     result.update(arm=arm, seed=seed)
     _save(name, result)
     return result
@@ -155,8 +165,8 @@ def run_expert() -> dict:
                          IncentiveConfig(**RUN_INCENTIVE))
     trainer = Trainer("tasklist", "default", pop, PPOConfig(**RUN_PPO),
                       seed=7, env_overrides=dict(SOCIAL_ENV))
-    result = _run(trainer, EXPERT_STEPS, name, eval_interval=150,
-                  stop_success=0.9)
+    result = _run(trainer, EXPERT_STEPS, name,
+                  eval_interval=SOCIAL_EVAL_INTERVAL, stop_success=0.9)
     save_checkpoint(expert_checkpoint_dir(), trainer.agents,
                     trainer.global_step, trainer.episodes)
     _save(name, result)
@@ -182,8 +192,8 @@ def run_social_arm(with_expert: bool, seed: int) -> dict:
         n_novices=2, expert_params=params,
         incentive=IncentiveConfig(**RUN_INCENTIVE), ppo=PPOConfig(**RUN_PPO),
         seed=seed, env_overrides=dict(SOCIAL_ENV))
-    result = _run(trainer, SOCIAL_STEPS, name, eval_interval=150,
-                  stop_success=0.9)
+    result = _run(trainer, SOCIAL_STEPS, name,
+                  eval_interval=SOCIAL_EVAL_INTERVAL, stop_success=0.9)
     result.update(with_expert=with_expert, seed=seed)
     _save(name, result)
     return result

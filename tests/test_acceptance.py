@@ -381,7 +381,7 @@ def _metric_stream(kind, overrides, seed):
     trainer = Trainer(kind, "default", pop, ppo, seed=seed,
                       env_overrides=overrides)
     records = []
-    trainer.run(total_episodes=500, eval_interval=200, eval_episodes=4,
+    trainer.run(total_episodes=500, eval_interval=8192, eval_episodes=4,
                 on_record=records.append)
     return records
 

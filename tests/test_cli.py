@@ -27,6 +27,7 @@ from jointattn.cli import (
     serialize_config,
 )
 from jointattn.ja_reward import IncentiveConfig
+from jointattn import training
 from jointattn.training import AgentSpec, PopulationSpec, PPOConfig, Trainer
 
 TINY_MEETUP = """\
@@ -39,7 +40,7 @@ ppo.chunk_length = 4
 ppo.batch_size = 8
 ppo.n_envs = 2
 ppo.epochs = 1
-run.eval_interval = 4
+run.eval_interval = 16
 run.eval_episodes = 2
 run.max_env_steps = 32
 """
@@ -55,7 +56,7 @@ ppo.chunk_length = 4
 ppo.batch_size = 8
 ppo.n_envs = 2
 ppo.epochs = 1
-run.eval_interval = 4
+run.eval_interval = 16
 run.eval_episodes = 2
 run.max_env_steps = 16
 """
@@ -104,14 +105,18 @@ class TestConfigSchema:
 
     def test_hashes_of_saved_configs_are_stable(self):
         # checkpoints record these hashes; a schema change that moved them
-        # would orphan every saved run
-        assert config_hash(parse_config_text("")) == (
+        # would orphan every saved run. A saved config.cfg names every key,
+        # so a new default moves only the hash of a text that omits the key.
+        assert config_hash(parse_config_text("run.eval_interval = 3000")) == (
             "48d33652dd65432127f5c47cb502e686449ee44e5007ca924a3327fca042a449")
         cfg = ExperimentConfig(env_kind="meetup",
                                population=("joint_attention",) * 3,
-                               env_overrides={"interior": 8})
+                               env_overrides={"interior": 8},
+                               eval_interval=3000)
         assert config_hash(cfg) == (
             "60afd508cfdba9428098188c526faaa6d0b8115129a6807cc27a7cfdc3aa0732")
+        assert config_hash(parse_config_text("")) == (
+            "0a578316a12d8200cdec663c2fff726f29225b06d6ab416640bf4845b93d8bed")
 
     def test_set_keeps_an_unset_budget(self):
         cfg = parse_config_text("run.max_env_steps = none\n"
@@ -404,8 +409,30 @@ class TestTrainCommand:
         assert code == 2
         assert self._snapshot(outdir) == before
 
+    def test_one_eval_per_segment_below_the_interval(self, train_run,
+                                                      tmp_path):
+        outdir = tmp_path / "run"
+        assert main(["train", "--config", str(train_run["cfg_path"]),
+                     "--seed", "3", "--set", "run.eval_interval=2",
+                     "--set", "run.max_env_steps=64",
+                     "--output-dir", str(outdir)]) == 0
+        records = [json.loads(line) for line in
+                   (outdir / "metrics.jsonl").read_text().splitlines()]
+        evals = [r["global_step"] for r in records if r["event"] == "eval"]
+        assert evals == [16, 32, 48, 64]
+        assert _checkpoint_steps(str(outdir / "checkpoints")) == [
+            f"step{step:09d}" for step in evals]
+
     def test_resume_keeps_one_record_per_step_and_every_checkpoint(
-            self, train_run, tmp_path):
+            self, train_run, tmp_path, monkeypatch):
+        seeds, evaluate = [], training.evaluate
+
+        def spy(agents, kind, variant, config, episodes, seed, *args, **kw):
+            seeds.append(seed)
+            return evaluate(agents, kind, variant, config, episodes, seed,
+                            *args, **kw)
+
+        monkeypatch.setattr(training, "evaluate", spy)
         cfg_path = tmp_path / "long.cfg"
         cfg_path.write_text(TINY_MEETUP.replace("run.max_env_steps = 32",
                                                 "run.max_env_steps = 256"))
@@ -413,6 +440,7 @@ class TestTrainCommand:
         argv = ["train", "--config", str(cfg_path), "--seed", "3",
                 "--output-dir", str(outdir)]
         assert main(argv) == 0
+        first_seeds, seeds[:] = list(seeds), []
         ckroot = outdir / "checkpoints"
         names = _checkpoint_steps(str(ckroot))
         for name in names[-3:]:
@@ -425,17 +453,22 @@ class TestTrainCommand:
                    (outdir / "metrics.jsonl").read_text().splitlines()]
         events = [r["event"] for r in records]
         assert events[0] == "start" and events.count("resume") == 1
-        resume = records[events.index("resume")]
+        at = events.index("resume")
+        resume = records[at]
         assert resume["global_step"] == resumed_at
-        assert all(r["global_step"] <= resumed_at
-                   for r in records[:events.index("resume")])
+        assert all(r["global_step"] <= resumed_at for r in records[:at])
         assert set(resume) >= set(records[0]) - {"config_hash", "seed",
                                                  "metric"}
         updates = [r["global_step"] for r in records if r["event"] == "update"]
         assert updates == list(range(16, 257, 16))
-        # the resume is not exact, so its checkpoints may land elsewhere
+        # the resumed run evaluates and checkpoints where the removed
+        # checkpoints were, with the uninterrupted run's seeds: those of
+        # the last three evaluations and of the final one
+        assert [f"step{r['global_step']:09d}" for r in records[at:]
+                if r["event"] == "eval"] == names[-3:]
+        assert seeds == first_seeds[-4:]
         on_disk = _checkpoint_steps(str(ckroot))
-        assert on_disk[:len(names) - 3] == names[:-3]
+        assert on_disk == names
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["checkpoints"] == [
             os.path.join("checkpoints", name) for name in on_disk]
