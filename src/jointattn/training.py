@@ -98,6 +98,9 @@ class AgentSpec:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.variant == "frozen_expert" and self.params is None:
             raise ValueError("frozen_expert needs params")
+        if self.variant != "frozen_expert" and self.params is not None:
+            raise ValueError(f"{self.variant} draws its own parameters; "
+                             "only frozen_expert reads params")
 
 
 @dataclass

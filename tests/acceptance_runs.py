@@ -2,225 +2,114 @@
 
 The desk-scale learning comparison (three variants on a small Meetup) and
 the social-learning smoke test (novices with and without a frozen expert on
-a reduced TaskList) take hours of CPU, so they run out of band and cache
-their results as JSON under .acceptance_cache/ at the repository root. The
-acceptance test module reads the cache and asserts on it when
-JA_RUN_LONG_ACCEPTANCE=1 is set.
+a reduced TaskList) take hours of CPU, so they run out of band. Each arm is
+one ``jointattn train`` or ``jointattn social`` run on a config file of
+tests/long_tier/, into its own directory under .acceptance_cache/ at the
+repository root. The acceptance test module reads those run directories
+when JA_RUN_LONG_ACCEPTANCE=1 is set.
 
-Run directly to produce the cache:
+Run directly to produce them:
 
     python3 tests/acceptance_runs.py meetup    # 3 arms x 3 seeds
-    python3 tests/acceptance_runs.py social    # expert arm + paired arms
+    python3 tests/acceptance_runs.py social    # the expert, then 3 seeds
     python3 tests/acceptance_runs.py all
 
-Each arm is skipped if its cache file already exists, so the command is
-safe to re-run after an interruption.
+A complete arm is skipped on relaunch; an arm left incomplete is removed
+and rerun from step 0. Each arm's directory gets a stamp.json with the
+commit and the wall seconds, beside the manifest's config hash.
 """
 
 import argparse
 import json
 import os
+import shutil
+import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from jointattn.ja_reward import IncentiveConfig
-from jointattn.training import (
-    AgentRunner,
-    AgentSpec,
-    PPOConfig,
-    PopulationSpec,
-    Trainer,
-    load_checkpoint,
-    save_checkpoint,
-    social_learning_run,
-)
+from jointattn import cli
 
-CACHE_DIR = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), ".acceptance_cache")
+CACHE_DIR = os.path.join(ROOT, ".acceptance_cache")
+MEETUP_CFG = os.path.join(ROOT, "tests", "long_tier", "meetup.cfg")
+EXPERT_CFG = os.path.join(ROOT, "tests", "long_tier", "expert.cfg")
 
 MEETUP_ARMS = ("joint_attention", "attention_only", "independent_ppo")
 SEEDS = (11, 22, 33)
-# Budgets are whole segments (segment_length 128 x 8 envs = 1024 env steps)
-# so a finished run never exceeds the stated step ceiling.
-MEETUP_STEPS = 195 * 1024          # 199_680 <= 2e5
-# Every arm of a suite evaluates at the same env steps, so an arm whose
-# episodes get shorter earns no extra draws at criterion 8's best-of
-# maximum: 12 evaluations in MEETUP_STEPS.
-MEETUP_EVAL_INTERVAL = 16 * 1024
-MEETUP_ENV = {"interior": 6, "landmarks": 2, "episode_cap": 100}
-
-# A compact arena keeps the key -> door -> goal chain discoverable by
-# undirected exploration, and the cap leaves room for the one shared key
-# to serialize three agents through the chain.
-SOCIAL_ENV = {"interior": 4, "tasklist_subtasks": 3, "episode_cap": 70}
+# Each social run trains its two arms for 146 whole segments of 1024 env
+# steps, on the expert's config.
 SOCIAL_STEPS = 146 * 1024          # 149_504
-EXPERT_STEPS = 195 * 1024
-# Criterion 9's steps to 0.8 and the expert's 0.9 stop read the first
-# evaluation past the bar, so they resolve to this interval: 4 segments,
-# the same steps in both arms. An evaluation of 20 greedy episodes costs a
-# few percent of one segment.
-SOCIAL_EVAL_INTERVAL = 4 * 1024
-
-# The incentive weight is stronger than the library default and reaches
-# full strength early. Probed alternatives did worse on held alignment: a
-# weak weight (0.05) lets pairwise attention divergence drift back up to
-# the no-bonus baseline as policies specialize, and a slowly climbing ramp
-# (peak 0.3 at 150k) ends even higher because the pressure arrives only
-# after behavior has hardened. A moderate flat weight applied while the
-# policies are still forming held divergence lowest, and also posted the
-# best early coordination success of the flat schedules.
-RUN_INCENTIVE = dict(beta_max=0.15, beta_rampup_steps=20_000)
-
-# Optimizer settings picked by staged desk-scale probing (13 configurations,
-# each judged by greedy evaluation success): a higher learning rate, a
-# shorter credit horizon (gamma 0.95, lambda 0.9), more optimization epochs
-# per rollout segment, and a small entropy bonus all helped. The entropy
-# coefficient matters most where rewards are sparse: at 5e-3 a lone
-# task-list agent never converts partial progress into completed episodes,
-# while at 1e-3 it passes 0.8 greedy success within 6e4 steps.
-RUN_PPO = dict(learning_rate=1.5e-3, gamma=0.95, gae_lambda=0.9,
-               entropy_coef=0.001, epochs=8)
+# The social arms learn from the expert's checkpoint at its first
+# evaluation of this success rate or more.
+EXPERT_SUCCESS = 0.9
 
 
-def _path(name: str) -> str:
-    return os.path.join(CACHE_DIR, name + ".json")
-
-
-def _save(name: str, payload: dict) -> None:
-    os.makedirs(CACHE_DIR, exist_ok=True)
-    tmp = _path(name) + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f)
-    os.replace(tmp, _path(name))
-
-
-def load_result(name: str):
+def run_complete(outdir: str) -> bool:
+    """Whether ``outdir`` holds a finished ``train`` run (its
+    final_summary.json) or a finished ``social`` run (its manifest's
+    ``results``)."""
+    if os.path.isfile(os.path.join(outdir, "final_summary.json")):
+        return True
     try:
-        with open(_path(name)) as f:
-            return json.load(f)
+        with open(os.path.join(outdir, "manifest.json")) as f:
+            return "results" in json.load(f)
     except (OSError, ValueError):
-        return None
+        return False
 
 
-def _run(trainer: Trainer, max_steps: int, name: str, eval_interval: int,
-         stop_success: float | None = None) -> dict:
-    records = []
+def run_arm(name: str, argv: list) -> str:
+    """``jointattn ARGV --output-dir CACHE_DIR/NAME``, unless that run is
+    complete; an incomplete one is removed first. Returns the run
+    directory, stamped with the commit and the wall seconds."""
+    outdir = os.path.join(CACHE_DIR, name)
+    if run_complete(outdir):
+        return outdir
+    if os.path.exists(outdir):
+        shutil.rmtree(outdir)
     t0 = time.time()
-
-    def on_record(rec):
-        records.append(rec)
-        if rec["event"] != "update" or len(records) % 20 == 0:
-            line = {k: rec.get(k) for k in
-                    ("event", "global_step", "episodes",
-                     "mean_collective_reward", "success_rate")}
-            print(f"[{name}] {line} ({time.time() - t0:.0f}s)", flush=True)
-
-    stop = None
-    if stop_success is not None:
-        stop = lambda ev: ev["success_rate"] >= stop_success
-    summary = trainer.run(max_env_steps=max_steps, eval_interval=eval_interval,
-                          eval_episodes=20, on_record=on_record,
-                          stop_when=stop)
-    return {
-        "name": name,
-        "complete": True,
-        "global_step": summary["global_step"],
-        "episodes": summary["episodes"],
-        "final_eval": summary["final_eval"],
-        "records": records,
-        "wall_seconds": round(time.time() - t0, 1),
-    }
+    code = cli.main([*argv, "--output-dir", outdir])
+    if code != 0:
+        raise SystemExit(f"{name}: jointattn {argv[0]} exited with {code}")
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                            capture_output=True, text=True).stdout.strip()
+    cli._write_json(os.path.join(outdir, "stamp.json"),
+                    {"commit": commit or None,
+                     "wall_seconds": round(time.time() - t0, 1)})
+    return outdir
 
 
-def run_meetup_arm(arm: str, seed: int) -> dict:
-    name = f"meetup_{arm}_s{seed}"
-    cached = load_result(name)
-    if cached is not None and cached.get("complete"):
-        print(f"[{name}] cached", flush=True)
-        return cached
-    pop = PopulationSpec([AgentSpec(arm), AgentSpec(arm)],
-                         IncentiveConfig(**RUN_INCENTIVE))
-    trainer = Trainer("meetup", "default", pop, PPOConfig(**RUN_PPO),
-                      seed=seed, env_overrides=dict(MEETUP_ENV))
-    result = _run(trainer, MEETUP_STEPS, name,
-                  eval_interval=MEETUP_EVAL_INTERVAL)
-    result.update(arm=arm, seed=seed)
-    _save(name, result)
-    return result
-
-
-def expert_checkpoint_dir() -> str:
-    return os.path.join(CACHE_DIR, "expert_ckpt")
-
-
-def run_expert() -> dict:
-    name = "social_expert"
-    cached = load_result(name)
-    if cached is not None and cached.get("complete"):
-        print(f"[{name}] cached", flush=True)
-        return cached
-    pop = PopulationSpec([AgentSpec("attention_only")],
-                         IncentiveConfig(**RUN_INCENTIVE))
-    trainer = Trainer("tasklist", "default", pop, PPOConfig(**RUN_PPO),
-                      seed=7, env_overrides=dict(SOCIAL_ENV))
-    result = _run(trainer, EXPERT_STEPS, name,
-                  eval_interval=SOCIAL_EVAL_INTERVAL, stop_success=0.9)
-    save_checkpoint(expert_checkpoint_dir(), trainer.agents,
-                    trainer.global_step, trainer.episodes)
-    _save(name, result)
-    return result
-
-
-def run_social_arm(with_expert: bool, seed: int) -> dict:
-    tag = "expert" if with_expert else "alone"
-    name = f"social_{tag}_s{seed}"
-    cached = load_result(name)
-    if cached is not None and cached.get("complete"):
-        print(f"[{name}] cached", flush=True)
-        return cached
-    params = None
-    if with_expert:
-        size = SOCIAL_ENV["interior"] + 2
-        expert = AgentRunner(AgentSpec("attention_only"), size, size,
-                             PPOConfig(), seed=0)
-        expert.adam = None      # a frozen expert needs no Adam moments
-        load_checkpoint(expert_checkpoint_dir(), [expert])
-        params = expert.core.flat
-    trainer = social_learning_run(
-        n_novices=2, expert_params=params,
-        incentive=IncentiveConfig(**RUN_INCENTIVE), ppo=PPOConfig(**RUN_PPO),
-        seed=seed, env_overrides=dict(SOCIAL_ENV))
-    result = _run(trainer, SOCIAL_STEPS, name,
-                  eval_interval=SOCIAL_EVAL_INTERVAL, stop_success=0.9)
-    result.update(with_expert=with_expert, seed=seed)
-    _save(name, result)
-    return result
-
-
-def steps_to_threshold(result: dict, threshold: float) -> int:
-    """First global_step whose evaluation success meets the threshold;
-    censored at the arm's final step count if it never does."""
-    for rec in result["records"]:
-        if rec["event"] in ("eval", "final_eval") \
-                and rec.get("success_rate") is not None \
-                and rec["success_rate"] >= threshold:
-            return rec["global_step"]
-    return result["global_step"]
+def pick_expert(records: list, final_checkpoint: str, bar: float) -> str:
+    """The checkpoint, relative to its run directory, of the first ``eval``
+    record whose success rate is ``bar`` or more (where a run stopped at
+    that bar ends), else ``final_checkpoint``."""
+    for rec in records:
+        if rec["event"] == "eval" and rec["success_rate"] >= bar:
+            return os.path.join("checkpoints", f"step{rec['global_step']:09d}")
+    return final_checkpoint
 
 
 def run_meetup_suite() -> None:
     for seed in SEEDS:
         for arm in MEETUP_ARMS:
-            run_meetup_arm(arm, seed)
+            run_arm(f"meetup_{arm}_s{seed}",
+                    ["train", "--config", MEETUP_CFG,
+                     "--set", f"population.variants={arm}, {arm}",
+                     "--seed", str(seed)])
 
 
 def run_social_suite() -> None:
-    run_expert()
+    outdir = run_arm("expert", ["train", "--config", EXPERT_CFG])
+    with open(os.path.join(outdir, "metrics.jsonl")) as f:
+        records = [json.loads(line) for line in f]
+    with open(os.path.join(outdir, "manifest.json")) as f:
+        final = json.load(f)["final_checkpoint"]
+    expert = os.path.join(outdir, pick_expert(records, final, EXPERT_SUCCESS))
     for seed in SEEDS:
-        run_social_arm(True, seed)
-        run_social_arm(False, seed)
+        run_arm(f"social_s{seed}",
+                ["social", "--expert", expert, "--seed", str(seed),
+                 "--max-env-steps", str(SOCIAL_STEPS)])
 
 
 def main(argv=None) -> int:

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import acceptance_runs
 from jointattn import numerics as nm
 from jointattn import training
 from jointattn.attention_net import AgentCore, act, pose_vector
+from jointattn.cli import load_config_file
 from jointattn.gridworlds import make_config, reset, step
 from jointattn.ja_reward import (IncentiveConfig, clipped_jsd, jsd,
                                  kl_divergence, pairwise_divergence)
@@ -84,6 +86,13 @@ class TestConfigs:
             AgentSpec("unknown_variant")
         with pytest.raises(ValueError):
             AgentSpec("frozen_expert")  # no parameter source
+
+    @pytest.mark.parametrize("variant", ["joint_attention", "attention_only",
+                                         "independent_ppo"])
+    def test_params_on_a_learner_raise(self, variant):
+        # only a frozen expert reads a vector; a learner draws its own
+        with pytest.raises(ValueError, match="only frozen_expert reads params"):
+            AgentSpec(variant, params=np.zeros(3))
 
     def test_variant_flags(self):
         ppo = PPOConfig()
@@ -170,12 +179,11 @@ class TestCollect:
     def test_clipped_metric_reference_segment_completes(self):
         # the benchmark's reference segment with the clipped metric at its
         # default threshold, which clips every logit of some fields away
+        cfg = load_config_file(acceptance_runs.MEETUP_CFG)
         pop = PopulationSpec([AgentSpec("joint_attention")] * 2,
-                             IncentiveConfig(metric="clipped_jsd",
-                                             **acceptance_runs.RUN_INCENTIVE))
-        tr = Trainer("meetup", "default", pop,
-                     PPOConfig(**acceptance_runs.RUN_PPO), seed=11,
-                     env_overrides=acceptance_runs.MEETUP_ENV)
+                             replace(cfg.incentive, metric="clipped_jsd"))
+        tr = Trainer("meetup", "default", pop, cfg.ppo, seed=11,
+                     env_overrides=cfg.env_overrides)
         buf = tr.collect_segment()
         assert (buf.fields.max(axis=-1) < 0.0).any()
         stats = tr.update_from(buf)
