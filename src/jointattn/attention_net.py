@@ -27,21 +27,26 @@ arithmetic: bk_m . q_m adds the same logit at every position of head m,
 and the softmax over positions is shift-invariant, so what the last row
 of the key gradient holds is roundoff.
 
-Every entry point acts on a batch: frames are (batch, h, w, 3), recurrent
-states (batch, cell) and action logits (batch, actions); an unbatched input
-raises ``ShapeError``.
+Every entry point acts on a batch: frames are (batch, h, w, 3), features
+(batch, h, w, d), recurrent states (batch, cell) and action logits
+(batch, actions); an unbatched input raises ``ShapeError``.
 
-``agent_step`` is the one forward pass, for acting (T = 1) and for the
-PPO replay of a stored chunk (T steps) alike. It runs ``encode``
-(frame-only: conv, basis and its ones channel, pose embedding) over all
-T*B frames at once, then the T steps of query -> attention -> LSTM, and
-then ``heads`` (policy and value from h) once over the stacked states. The
-conv, its ReLU and the appended basis are the single tape op
+``encode_features`` is the frame encoder: the conv, its ReLU and the
+appended basis (and its ones channel) are the single tape op
 ``nm.frame_features``, for every arm (the basis has depth 0 without
-attention); the recurrence is the single tape op ``nm.attention_lstm``,
-whose backward runs through time by hand. ``query_from_state`` and
-``compute_attention`` build the same query and attention from the composed
-tape ops; they are the reference the fused recurrence is tested against.
+attention). ``agent_step`` is the one network pass over those features,
+for acting (T = 1) and for the PPO replay of a stored chunk (T steps)
+alike. It runs ``encode`` (the pose embedding, and the pooling without
+attention) over all T*B rows at once, then the T steps of query ->
+attention -> LSTM, and then ``heads`` (policy and value from h) once over
+the stacked states; the recurrence is the single tape op
+``nm.attention_lstm``, whose backward runs through time by hand. A row's
+features depend on its frame alone, so an acting loop, where no parameter
+changes, encodes a frame only when it differs from the last one
+(``training.KeptFeatures``); the replay encodes its minibatch under the
+tape. ``query_from_state`` and ``compute_attention`` build the same query
+and attention from the composed tape ops; they are the reference the fused
+recurrence is tested against.
 
 With ``use_attention=False`` the conv features are globally mean-pooled and
 fed to the LSTM directly; no maps are produced, no attention parameters
@@ -295,16 +300,15 @@ class AgentCore:
 
     # -- the three pieces of a step -------------------------------------------
 
-    def encode(self, obs, p) -> tuple:
-        """Frame-only work for a batch of frames: (features, frame_in).
+    def encode(self, features, p) -> tuple:
+        """Frame-only work after the encoder: (features, frame_in).
 
-        obs is (n, h, w, channels) and p the (n, 6) pose matrix. features
-        are the (n, h, w, d) attention features, or None when attention is
-        off; frame_in is the part of the LSTM input that depends on the
-        frame alone: the embedded pose, after the pooled conv features when
-        attention is off.
+        features are (n, h, w, d) as ``encode_features`` gives them and p
+        the (n, 6) pose matrix. The first item is the features when
+        attention reads them, None when attention is off; frame_in is the
+        part of the LSTM input that depends on the frame alone: the
+        embedded pose, after the pooled conv features when attention is off.
         """
-        features = self.encode_features(obs)
         embedded = nm.dense(p, self.params["embed/w"], self.params["embed/b"])
         if self.use_attention:
             return features, embedded
@@ -325,33 +329,37 @@ class AgentCore:
 
     # -- the network pass -----------------------------------------------------
 
-    def agent_step(self, obs, p, state: RecurrentState, resets=None):
+    def agent_step(self, features, p, state: RecurrentState, resets=None):
         """The network pass, for acting and replay alike: (action_logits,
         values, maps, new_state).
 
-        obs is (T*B, h, w, channels) time-major frames and p their (T*B, 6)
-        poses; state holds the (B, cell) h and c before step 0 (arrays or
-        tensors), and B is its row count. resets is None (no reset, as when
-        acting at T = 1) or a (T, B) bool mask: where set at t > 0 the state
-        is zeroed before step t, as the rollout did at an episode start. The
-        frame work (``encode``) and the heads each run once over all T*B
-        frames, and the T steps of query from h_{t-1} -> attention -> LSTM
-        are one tape node, ``nm.attention_lstm``. action_logits are
-        (T*B, actions) and values (T*B,); maps hold every step's fields,
-        time-major, or are None when attention is off. new_state is the
-        state after step T-1: at T = 1 both are tape tensors, so chained
-        calls under a tape stay differentiable; at T > 1 they are plain
-        arrays.
+        features are the (T*B, h, w, d) time-major ``encode_features`` of
+        the frames, as a tensor or an array, and p their (T*B, 6) poses;
+        anything else, frames included, raises ``ShapeError``. state holds
+        the (B, cell) h and c before step 0 (arrays or tensors), and B is
+        its row count. resets is None (no reset, as when acting at T = 1) or
+        a (T, B) bool mask: where set at t > 0 the state is zeroed before
+        step t, as the rollout did at an episode start. ``encode`` and the
+        heads each run once over all T*B rows, and the T steps of query
+        from h_{t-1} -> attention -> LSTM are one tape node,
+        ``nm.attention_lstm``. action_logits are (T*B, actions) and values
+        (T*B,); maps hold every step's fields, time-major, or are None when
+        attention is off. new_state is the state after step T-1: at T = 1
+        both are tape tensors, so chained calls under a tape stay
+        differentiable; at T > 1 they are plain arrays.
         """
         self.forward_calls += 1
-        x = obs if isinstance(obs, Tensor) else Tensor(obs)
+        x = features if isinstance(features, Tensor) else Tensor(features)
         pv = p if isinstance(p, Tensor) else Tensor(p)
         B = state.h.shape[0]
-        if x.ndim != 4 or pv.ndim != 2 or pv.shape[0] != x.shape[0] \
-                or x.shape[0] % B:
+        row = (self.height, self.width,
+               self.conv_filters + self.basis.shape[2])
+        if x.ndim != 4 or x.shape[1:] != row or pv.ndim != 2 \
+                or pv.shape[0] != x.shape[0] or x.shape[0] % B:
             raise nm.ShapeError(
-                f"agent_step expects (T*B, ...) frames and poses for B = {B} "
-                f"sequences, got obs {x.shape}, p {pv.shape}")
+                f"agent_step expects (T*B, ...) features of {row} and "
+                f"poses for B = {B} sequences, got features {x.shape}, "
+                f"p {pv.shape}")
         T = x.shape[0] // B
         if resets is None:
             keep = np.ones((T, B))

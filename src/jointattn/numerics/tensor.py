@@ -75,15 +75,11 @@ output's array: any other gradient array may be shared (``add`` hands one
 array to both inputs), so it masks a copy. So read the forward values you
 need before ``backward``.
 
-Scratch for untaped calls: with no active tape (acting, evaluation,
-rendering), ``frame_features`` writes its padded frames and columns into
-one scratch array per key, kept apart from the pool and reused by every
-untaped call, because those arrays die inside the call. A request of a
-new shape replaces the key's scratch array. The output is a fresh array
-on every untaped call, so nothing a caller holds is ever overwritten, and
-no taped call is handed a scratch array. Without it, a wide act-time
-batch allocates (and the allocator pages in) these arrays afresh on every
-step. Pool and scratch are process-wide and assume one thread.
+Untaped calls (acting, evaluation, rendering) allocate every array they
+write. The acting loops keep each agent's features from step to step and
+encode only the frames that changed (``training.KeptFeatures``), so an
+untaped ``frame_features`` call as wide as the batch comes once per loop.
+The pool is process-wide and assumes one thread.
 
 Typical use::
 
@@ -231,20 +227,14 @@ def _record(outputs, inputs, fn) -> None:
 
 # key -> [array, weak reference to the tape that holds it]
 _POOL: dict[str, list] = {}
-# key -> the array every untaped call reuses for what dies inside it
-_SCRATCH: dict[str, np.ndarray] = {}
 
 
 def _lend(tape: Tape | None, key: str, shape: tuple, new=np.empty) -> np.ndarray:
     """An array of ``shape`` for ``tape`` to hold, by the lending rule of
-    the module docstring, or with no tape the key's scratch array;
-    ``new(shape)`` makes a fresh one. A lent or scratch array keeps what
-    its previous user wrote into it."""
+    the module docstring; with no tape, a fresh ``new(shape)``. A lent
+    array keeps what its previous user wrote into it."""
     if tape is None:
-        arr = _SCRATCH.get(key)
-        if arr is None or arr.shape != shape:
-            arr = _SCRATCH[key] = new(shape)
-        return arr
+        return new(shape)
     entry = _POOL.get(key)
     if entry is not None:
         holder = entry[1]()
@@ -695,8 +685,7 @@ def frame_features(x, kernel, basis) -> Tensor:
     into that gradient's whole rows in place when it is the output's own
     array, and into a copy otherwise, since another node may still read
     it; the kernel's gradient reads the first c_out columns of the masked
-    rows. With no tape the padded frames and columns are scratch arrays
-    and the output is fresh.
+    rows. With no tape every array is fresh.
     """
     x, kernel, basis = _astensor(x), _astensor(kernel), _astensor(basis)
     tape = _ACTIVE
@@ -719,8 +708,7 @@ def frame_features(x, kernel, basis) -> Tensor:
                              (b, h + 2, w + 2, c_in), np.zeros),
                    _lend(tape, "frame_features.cols", (n, 9 * c_in + 1)))
     out_shape = (b, h, w, c_out + c_s)
-    od = np.empty(out_shape) if tape is None else \
-        _lend(tape, "frame_features.out", out_shape)
+    od = _lend(tape, "frame_features.out", out_shape)
     rows = od.reshape(n, c_out + c_s)
     od[..., c_out:] = sd        # so the ReLU below reads only finite cells
     block = max(1, _BLAS_SMALL // kd.size)      # rows per product

@@ -281,20 +281,60 @@ def recompute_r_ja(buffer: RolloutBuffer, incentive: IncentiveConfig) -> np.ndar
                                                                   buffer.E)
 
 
-def population_step(agents: list, ids: np.ndarray, poses: np.ndarray,
-                    states: list, modes, rng: np.random.Generator | None = None):
-    """Every agent acts on the same (B, h, w, 3) ids, scaled once, and its
-    row of the (K, B, 6) ``batch_poses``: in index order, ``agent_step``
-    from ``states[k]``, then ``act`` in ``modes[k]`` (only "sample" draws
-    from ``rng``). Returns (K, B) actions, log_probs and values, each map
-    producer's ``AttentionMaps`` by agent index, and the detached states."""
-    grids = observation_array(ids)
+class KeptFeatures:
+    """Each agent's encoder features of the last step's ids, kept through
+    one acting loop and gone with it.
+
+    No parameter changes inside an acting loop, and a row's features depend
+    on its ids alone, so ``update`` encodes only the rows whose ids differ
+    from the last step's (every row on the first step) and writes them into
+    the kept arrays. At the agents' shapes a conv output row does not depend
+    on which rows share the product, so the kept features equal those of
+    the whole batch bit for bit.
+    """
+
+    def __init__(self):
+        self.ids = None
+        self.features = []
+
+    def update(self, agents: list, ids: np.ndarray) -> list:
+        """Each agent's (B, h, w, d) features of the (B, h, w, 3) ids."""
+        if self.ids is None:
+            grids = observation_array(ids)
+            self.features = [a.core.encode_features(grids).data
+                             for a in agents]
+        else:
+            changed = np.flatnonzero(
+                (ids != self.ids).reshape(len(ids), -1).any(axis=1))
+            if changed.size:
+                grids = observation_array(ids[changed])
+                for a, kept in zip(agents, self.features):
+                    kept[changed] = a.core.encode_features(grids).data
+        self.ids = ids
+        return self.features
+
+    def take(self, rows: np.ndarray) -> None:
+        """Keep only ``rows`` (an index or bool mask) of the record."""
+        self.ids = self.ids[rows]
+        self.features = [f[rows] for f in self.features]
+
+
+def population_step(agents: list, kept: KeptFeatures, ids: np.ndarray,
+                    poses: np.ndarray, states: list, modes,
+                    rng: np.random.Generator | None = None):
+    """Every agent acts on the same (B, h, w, 3) ids, encoded through the
+    loop's ``kept`` record, and its row of the (K, B, 6) ``batch_poses``:
+    in index order, ``agent_step`` from ``states[k]``, then ``act`` in
+    ``modes[k]`` (only "sample" draws from ``rng``). Returns (K, B)
+    actions, log_probs and values, each map producer's ``AttentionMaps`` by
+    agent index, and the detached states."""
+    features = kept.update(agents, ids)
     actions = np.zeros((len(agents), len(ids)), dtype=np.int64)
     log_probs, values = np.zeros(actions.shape), np.zeros(actions.shape)
     maps, new_states = {}, []
     for k, agent in enumerate(agents):
         logits, value, agent_maps, state = agent.core.agent_step(
-            grids, poses[k], states[k])
+            features[k], poses[k], states[k])
         new_states.append(state.detach())
         actions[k], log_probs[k] = act(logits, modes[k], rng)
         values[k] = value.data
@@ -310,10 +350,12 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
 
     Each step is one ``population_step`` in the agents' ``action_mode``s,
     and zeroes the state of each row whose episode it ends; one more pass,
-    greedy so that it draws nothing, gives the bootstrap values.
-    ``rec_states`` (one per agent) are advanced in place, and
-    ``envset.segment_episode_returns`` restarts empty. The bonus is scored
-    from the stored ``fields`` in a block that must add no forward pass.
+    greedy so that it draws nothing, gives the bootstrap values. Every pass
+    encodes through one ``KeptFeatures``, so a frame is encoded again only
+    where the last step changed it. ``rec_states`` (one per agent) are
+    advanced in place, and ``envset.segment_episode_returns`` restarts
+    empty. The bonus is scored from the stored ``fields`` in a block that
+    must add no forward pass.
     """
     T, E, chunk = ppo.segment_length, envset.n_envs, ppo.chunk_length
     h, w = envset.batch.cells.shape[1:3]
@@ -322,6 +364,7 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
                         map_agents, chunk)
     buf.base_step = base_step
     modes = [a.action_mode for a in agents]
+    kept = KeptFeatures()
     envset.segment_episode_returns = []
 
     for t in range(T):
@@ -331,8 +374,8 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
             buf.h0[:, t // chunk] = [st.h for st in rec_states]
             buf.c0[:, t // chunk] = [st.c for st in rec_states]
         (buf.actions[:, t], buf.log_probs[:, t], buf.values[:, t], maps,
-         rec_states[:]) = population_step(agents, ids, poses, rec_states,
-                                          modes, rng)
+         rec_states[:]) = population_step(agents, kept, ids, poses,
+                                          rec_states, modes, rng)
         for i, k in enumerate(map_agents):
             buf.fields[i, t] = scored_field(maps[k], incentive)
 
@@ -353,8 +396,8 @@ def collect_rollouts(envset: EnvSet, agents: list, incentive: IncentiveConfig,
                 st.c[dones] = 0.0
 
     buf.bootstrap[:] = population_step(
-        agents, envset.batch_ids(), batch_poses(envset.batch), rec_states,
-        ["greedy"] * len(agents))[2]
+        agents, kept, envset.batch_ids(), batch_poses(envset.batch),
+        rec_states, ["greedy"] * len(agents))[2]
     return buf
 
 
@@ -404,10 +447,11 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
     lanes with one (chunk, B) pair of step and env index arrays. Chunks
     replay from the stored state snapshots, and cut the state after each
     step whose ``done`` is set, exactly as the rollout did. Each minibatch is
-    one ``agent_step`` over its chunk*B time-major frames, scaled from the
-    stored ids by ``observation_array`` as acting scaled them, and the
-    losses are computed once over its stacked chunk*B samples. A non-finite
-    loss aborts the update before any parameter step.
+    one ``encode_features`` and one ``agent_step`` over its chunk*B
+    time-major frames, scaled from the stored ids by ``observation_array``
+    as acting scaled them, and the losses are computed once over its
+    stacked chunk*B samples. A non-finite loss aborts the update before any
+    parameter step.
     """
     chunk = ppo.chunk_length
     if buffer.chunk_length != chunk:
@@ -436,10 +480,12 @@ def ppo_update(agent: AgentRunner, buffer: RolloutBuffer, k: int,
             c0 = buffer.c0[k, first, es]
 
             with nm.Tape() as tape:
+                features = agent.core.encode_features(
+                    obs.reshape((-1,) + obs.shape[2:]))
                 # [:2]: no name keeps the maps' arrays into the next minibatch
                 logits, value = agent.core.agent_step(
-                    obs.reshape((-1,) + obs.shape[2:]), pose.reshape(-1, 6),
-                    RecurrentState(h0, c0), resets)[:2]
+                    features, pose.reshape(-1, 6), RecurrentState(h0, c0),
+                    resets)[:2]
                 logp_all = nm.log_softmax(logits)
                 logp_a = nm.gather_last(logp_all, acts.reshape(-1))
                 ratio = nm.exp(logp_a - Tensor(old_logp.reshape(-1)))
@@ -532,11 +578,12 @@ def lockstep_episodes(agents: list, kind: str, variant, config,
     ``SeedSequence([seed, ep])``, as it would be played alone, and all of
     them are reset up front, one ``reset`` each, into one ``EnvBatch``.
     Each step is one ``population_step`` over the live rows, every agent in
-    ``mode`` with its own recurrent state, then one ``step`` of the batch;
-    episodes that end leave it. ``mode="sample"`` draws every action from one
-    generator seeded from ``seed``, step-major: at each step, agent by
-    agent, one draw per live row. With several layouts the draws therefore
-    differ from separate runs.
+    ``mode`` with its own recurrent state and one ``KeptFeatures`` for them
+    all, then one ``step`` of the batch; episodes that end leave it, and
+    the record. ``mode="sample"`` draws every action from one generator
+    seeded from ``seed``, step-major: at each step, agent by agent, one
+    draw per live row. With several layouts the draws therefore differ from
+    separate runs.
     """
     layouts = _layouts(variant, config, episodes)
     rng = np.random.default_rng(agent_seed(seed, 4_000_000)) \
@@ -548,10 +595,12 @@ def lockstep_episodes(agents: list, kind: str, variant, config,
                            for ep_seed in ep_seeds)
     live = np.arange(len(batch))
     rec = [a.core.initial_state(len(batch)) for a in agents]
+    kept = KeptFeatures()
     while live.size:
         ids = batch.grids()
         actions, _, _, maps, rec = population_step(
-            agents, ids, batch_poses(batch), rec, [mode] * len(agents), rng)
+            agents, kept, ids, batch_poses(batch), rec, [mode] * len(agents),
+            rng)
         rewards, done = step(batch, actions.T)
         yield EpisodeStep(live, ids, actions.T, maps, rewards)
         if done.any():
@@ -559,6 +608,7 @@ def lockstep_episodes(agents: list, kind: str, variant, config,
             live = live[going]
             batch = batch.take(going)
             rec = [RecurrentState(r.h[going], r.c[going]) for r in rec]
+            kept.take(going)
 
 
 def evaluate(agents: list, kind: str, variant, config, episodes: int,

@@ -92,7 +92,8 @@ def test_criterion_01_gradients_match_central_differences():
             state = core.initial_state(1)
             total = 0.0
             for i in range(2):
-                lo, va, _, state = core.agent_step(obs[i], poses[i], state)
+                lo, va, _, state = core.agent_step(
+                    core.encode_features(obs[i]), poses[i], state)
                 total += float(((lo.data - t_logits[i]) ** 2).mean())
                 total += float(((va.data - t_values[i]) ** 2).mean())
             return total
@@ -101,7 +102,8 @@ def test_criterion_01_gradients_match_central_differences():
             state = core.initial_state(1)
             loss = None
             for i in range(2):
-                lo, va, _, state = core.agent_step(obs[i], poses[i], state)
+                lo, va, _, state = core.agent_step(
+                    core.encode_features(obs[i]), poses[i], state)
                 dl = nm.sub(lo, Tensor(t_logits[i]))
                 dv = nm.sub(va, Tensor(t_values[i]))
                 term = nm.scale(nm.sum_all(nm.mul(dl, dl)), 1.0 / 7) \
@@ -170,7 +172,8 @@ def test_criterion_02_attention_maps_normalized():
             obs = rng.normal(size=(1, h, w, 3)) * 2.0
             pose = pose_vector(int(rng.integers(w)), int(rng.integers(h)),
                                int(rng.integers(4)))[None]
-            _, _, maps, state = core.agent_step(obs, pose, state)
+            _, _, maps, state = core.agent_step(
+                core.encode_features(obs), pose, state)
             calls += 1
             per_head = maps.per_head          # (1, heads, h, w)
             head_sums = per_head.reshape(per_head.shape[1], -1).sum(axis=1)

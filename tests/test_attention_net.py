@@ -222,15 +222,16 @@ class TestAgentStep:
         s1 = core.initial_state(1)
         s2 = core.initial_state(1)
         s2.h = rng.normal(size=(1, 64))
-        _, _, m1, _ = core.agent_step(obs, poses, s1)
-        _, _, m2, _ = core.agent_step(obs, poses, s2)
+        _, _, m1, _ = core.agent_step(core.encode_features(obs), poses, s1)
+        _, _, m2, _ = core.agent_step(core.encode_features(obs), poses, s2)
         assert not np.allclose(m1.per_head, m2.per_head)
 
     def test_head_sums_on_random_inputs(self):
         core = AgentCore(5, 5, seed=19)
         rng = np.random.default_rng(20)
         obs, poses = self._batch_inputs(core, rng, 1000)
-        _, _, maps, _ = core.agent_step(obs, poses, core.initial_state(1000))
+        _, _, maps, _ = core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(1000))
         sums = maps.per_head.reshape(1000, 4, -1).sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) < 1e-6
         assert maps.per_head.min() > 0.0
@@ -241,7 +242,8 @@ class TestAgentStep:
         assert "query/w" not in core.params
         rng = np.random.default_rng(22)
         obs, poses = self._batch_inputs(core, rng, 3)
-        logits, value, maps, state = core.agent_step(obs, poses, core.initial_state(3))
+        logits, value, maps, state = core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(3))
         assert maps is None
         assert logits.shape == (3, 7)
         assert value.shape == (3,)
@@ -252,9 +254,27 @@ class TestAgentStep:
         rng = np.random.default_rng(24)
         obs, poses = self._batch_inputs(core, rng, 2)
         start = core.forward_calls
-        core.agent_step(obs, poses, core.initial_state(2))
-        core.agent_step(obs, poses, core.initial_state(2))
+        core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(2))
+        core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(2))
         assert core.forward_calls == start + 2
+
+    @pytest.mark.parametrize("use_attention", [True, False])
+    def test_frames_or_foreign_features_raise(self, use_attention):
+        # agent_step reads encode_features' output: frames, features of
+        # another grid size and features of the other arm are refused
+        core = AgentCore(4, 5, use_attention=use_attention, seed=54)
+        obs, poses = self._batch_inputs(core, np.random.default_rng(55), 2)
+        wider = AgentCore(4, 6, use_attention=use_attention, seed=54)
+        other_arm = AgentCore(4, 5, use_attention=not use_attention, seed=54)
+        for bad in (obs, Tensor(obs),
+                    wider.encode_features(np.zeros((2, 4, 6, 3))),
+                    other_arm.encode_features(obs)):
+            with pytest.raises(nm.ShapeError, match="features"):
+                core.agent_step(bad, poses, core.initial_state(2))
+        core.agent_step(core.encode_features(obs), poses,
+                        core.initial_state(2))
 
     def test_replay_with_recorded_states_reproduces_maps(self):
         core = AgentCore(4, 4, seed=25)
@@ -264,11 +284,13 @@ class TestAgentStep:
         for _ in range(5):
             obs, poses = self._batch_inputs(core, rng, 2)
             snap = state.detach()
-            _, _, maps, state = core.agent_step(obs, poses, state)
+            _, _, maps, state = core.agent_step(
+                core.encode_features(obs), poses, state)
             state = state.detach()
             recorded.append((obs, poses, snap, maps.per_head.copy()))
         for obs, poses, snap, expected in recorded:
-            _, _, maps, _ = core.agent_step(obs, poses, snap)
+            _, _, maps, _ = core.agent_step(
+                core.encode_features(obs), poses, snap)
             assert np.array_equal(maps.per_head, expected)
 
 
@@ -295,9 +317,11 @@ class TestUnroll:
         w_values = rng.normal(size=self.T * self.B)
         return obs, poses, resets, h0, c0, w_logits, w_values
 
-    def _flat(self, obs, poses):
-        """The (T*B, ...) time-major frames and poses of one T-step call."""
-        return obs.reshape((-1,) + obs.shape[2:]), poses.reshape(-1, 6)
+    def _flat(self, core, obs, poses):
+        """The features of the (T*B, ...) time-major frames, and the poses,
+        of one T-step call."""
+        return (core.encode_features(obs.reshape((-1,) + obs.shape[2:])),
+                poses.reshape(-1, 6))
 
     def _loss(self, logits, values, w_logits, w_values):
         return nm.add(nm.sum_all(nm.mul(logits, Tensor(w_logits))),
@@ -325,7 +349,8 @@ class TestUnroll:
                                             core.cell_size, axis=1))
                     state = RecurrentState(nm.mul(state.h, keep),
                                            nm.mul(state.c, keep))
-                lo, va, _, state = core.agent_step(obs[t], poses[t], state)
+                lo, va, _, state = core.agent_step(
+                    core.encode_features(obs[t]), poses[t], state)
                 rows = slice(t * self.B, (t + 1) * self.B)
                 term = self._loss(lo, va, w_l[rows], w_v[rows])
                 loss = term if loss is None else nm.add(loss, term)
@@ -340,7 +365,7 @@ class TestUnroll:
         calls = core.forward_calls
         with Tape():
             got_logits, got_values, _, got_state = core.agent_step(
-                *self._flat(obs, poses), RecurrentState(h0, c0), resets)
+                *self._flat(core, obs, poses), RecurrentState(h0, c0), resets)
             loss = self._loss(got_logits, got_values, w_l, w_v)
         backward(loss)
         got_grads = self._grads(core)
@@ -367,7 +392,7 @@ class TestUnroll:
         core = AgentCore(4, 4, conv_filters=4, basis_depth=4, num_heads=2,
                          head_depth=2, cell_size=6, seed=43)
         obs, poses, resets, h0, c0, _, _ = self._inputs(core, 44)
-        frames = self._flat(obs, poses)
+        frames = self._flat(core, obs, poses)
         a_logits, _, _, _ = core.agent_step(*frames, RecurrentState(h0, c0),
                                             resets)
         b_logits, _, _, _ = core.agent_step(
@@ -383,12 +408,13 @@ class TestUnroll:
         core = AgentCore(4, 4, conv_filters=4, basis_depth=4, num_heads=2,
                          head_depth=2, cell_size=6, seed=43)
         obs, poses, resets, h0, c0, _, _ = self._inputs(core, 44)
-        obs, poses = self._flat(obs, poses)
+        features, poses = self._flat(core, obs, poses)
+        f = features.data
         state = RecurrentState(h0, c0)
-        bad = [(obs[:-1], poses[:-1], None),      # frames not a multiple of B
-               (obs, poses[:-1], resets),         # not one pose per frame
-               (obs, poses, resets[:-1]),         # resets not (T, B)
-               (obs, poses, resets.T)]
+        bad = [(f[:-1], poses[:-1], None),        # rows not a multiple of B
+               (f, poses[:-1], resets),           # not one pose per row
+               (f, poses, resets[:-1]),           # resets not (T, B)
+               (f, poses, resets.T)]
         for o, p, r in bad:
             with pytest.raises(nm.ShapeError):
                 core.agent_step(o, p, state, r)
@@ -405,7 +431,7 @@ class TestUnroll:
         poses = rng.normal(size=(T * B, 6))
         with Tape():
             logits, values, _, _ = core.agent_step(
-                obs, poses, core.initial_state(B),
+                core.encode_features(obs), poses, core.initial_state(B),
                 np.zeros((T, B), dtype=bool))
             loss = self._loss(logits, values,
                               rng.normal(size=(T * B, core.num_actions)),
@@ -426,10 +452,12 @@ class TestHeadSeparation:
         rng = np.random.default_rng(28)
         obs = rng.normal(size=(2, 4, 4, 3))
         poses = np.stack([pose_vector(1, 2, 0), pose_vector(3, 0, 2)])
-        logits0, value0, _, _ = core.agent_step(obs, poses, core.initial_state(2))
+        logits0, value0, _, _ = core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(2))
         for name in ("value/w1", "value/b2", "value/out_w", "value/out_b"):
             core.params[name].data += 0.37
-        logits1, value1, _, _ = core.agent_step(obs, poses, core.initial_state(2))
+        logits1, value1, _, _ = core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(2))
         assert np.array_equal(logits0.data, logits1.data)
         assert not np.array_equal(value0.data, value1.data)
 
@@ -438,9 +466,11 @@ class TestHeadSeparation:
         rng = np.random.default_rng(30)
         obs = rng.normal(size=(1, 4, 4, 3))
         poses = pose_vector(0, 0, 1)[None]
-        logits0, value0, _, _ = core.agent_step(obs, poses, core.initial_state(1))
+        logits0, value0, _, _ = core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(1))
         core.params["policy/out_w"].data += 1.0
-        logits1, value1, _, _ = core.agent_step(obs, poses, core.initial_state(1))
+        logits1, value1, _, _ = core.agent_step(
+            core.encode_features(obs), poses, core.initial_state(1))
         assert np.array_equal(value0.data, value1.data)
         assert not np.array_equal(logits0.data, logits1.data)
 
@@ -496,7 +526,8 @@ class TestAffineViews:
         obs = rng.normal(size=(2, 4, 5, 3))
         poses = rng.normal(size=(2, 6))
         with Tape():
-            logits, _, _, _ = twin.agent_step(obs, poses, twin.initial_state(2))
+            logits, _, _, _ = twin.agent_step(
+                twin.encode_features(obs), poses, twin.initial_state(2))
             loss = nm.sum_all(nm.mul(logits, logits))
         backward(loss)
         assert twin.grad.any() and not core.grad.any()
@@ -508,7 +539,8 @@ class TestAffineViews:
         rng = np.random.default_rng(51)
         obs = rng.normal(size=(3, 4, 5, 3))
         poses = rng.normal(size=(3, 6))
-        features, frame_in = core.encode(Tensor(obs), Tensor(poses))
+        features, frame_in = core.encode(core.encode_features(obs),
+                                         Tensor(poses))
         assert features is None
         # the pooled conv features, then the embedded pose, as the
         # composed ops give them
@@ -529,7 +561,7 @@ class TestAffineViews:
         T, B = 4, 3
         with Tape():
             logits, values, _, _ = core.agent_step(
-                rng.uniform(size=(T * B, 5, 5, 3)),
+                core.encode_features(rng.uniform(size=(T * B, 5, 5, 3))),
                 rng.normal(size=(T * B, 6)),
                 RecurrentState(rng.normal(size=(B, 64)),
                                rng.normal(size=(B, 64))),
@@ -554,7 +586,8 @@ class TestGradientFlow:
         state = core.initial_state(2)
         state.h = rng.normal(size=(2, 8)) * 0.1
         with Tape():
-            logits, _, _, _ = core.agent_step(obs, poses, state)
+            logits, _, _, _ = core.agent_step(
+                core.encode_features(obs), poses, state)
             loss = nm.scale(nm.sum_all(nm.mul(logits, logits)), 1.0 / 14)
         backward(loss)
         for name in ("conv/k", "keys/w", "values/w", "query/w", "lstm/w",
@@ -576,14 +609,16 @@ class TestGradientFlow:
         def loss_value():
             state = AgentCore.initial_state(core, 1)
             state.h, state.c = h0.copy(), c0.copy()
-            logits, _, _, _ = core.agent_step(obs, poses, state)
+            logits, _, _, _ = core.agent_step(
+                core.encode_features(obs), poses, state)
             diff = logits.data - target
             return float((diff * diff).mean())
 
         state = core.initial_state(1)
         state.h, state.c = h0.copy(), c0.copy()
         with Tape():
-            logits, _, _, _ = core.agent_step(obs, poses, state)
+            logits, _, _, _ = core.agent_step(
+                core.encode_features(obs), poses, state)
             diff = nm.sub(logits, Tensor(target))
             loss = nm.scale(nm.sum_all(nm.mul(diff, diff)), 1.0 / 7)
         backward(loss)

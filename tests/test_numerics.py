@@ -1036,7 +1036,7 @@ def test_frame_features_at_the_agents_shapes_runs_in_row_blocks():
 
 class TestLending:
     """The pool that lends ``frame_features``' arrays from tape to tape, and
-    the scratch its untaped calls reuse."""
+    the fresh arrays of its untaped calls."""
 
     def _record(self, x, kernel):
         """Record one node and its loss on a tape of its own."""
@@ -1101,7 +1101,6 @@ class TestLending:
         # float (n, 64) pre-activation is kept, taped or not, and the mask
         # covers whole output rows
         monkeypatch.setattr(tensor, "_POOL", {})
-        monkeypatch.setattr(tensor, "_SCRATCH", {})
         rng = np.random.default_rng(77)
         x = rng.normal(size=(128, 10, 10, 3))
         kernel = Tensor(rng.normal(size=(28, 64), scale=0.3),
@@ -1119,12 +1118,8 @@ class TestLending:
         }
         nm.frame_features(x, kernel, basis)
         assert tensor._POOL.keys() == kept.keys()
-        assert {key: arr.shape for key, arr in tensor._SCRATCH.items()} == {
-            "frame_features.padded": (128, 12, 12, 3),
-            "frame_features.cols": (12800, 28),
-        }
 
-    # untaped calls: scratch arrays inside the call, a fresh output
+    # untaped calls: every array fresh
 
     @staticmethod
     def _composed(x, kernel, basis):
@@ -1166,15 +1161,15 @@ class TestLending:
         assert np.shares_memory(first.data, second.data)
         assert not any(np.shares_memory(o.data, second.data) for o in outs)
 
-    def test_taped_call_does_not_alias_the_scratch(self):
+    def test_untaped_call_before_backward_leaves_the_tapes_arrays(self):
         x, kernel = self._params(92)
         other = np.random.default_rng(93).normal(size=x.shape)
         basis = np.zeros((3, 4, 1))
-        nm.frame_features(x, kernel, basis)     # the scratch holds x's arrays
+        nm.frame_features(x, kernel, basis)
         _, out, loss = self._record(x, kernel)
         kept = out.data.copy()
-        # an untaped call between the taped forward and its backward writes
-        # the scratch; the tape's columns and mask must not move
+        # an untaped call between the taped forward and its backward must
+        # not move the tape's output, columns or mask
         nm.frame_features(other, kernel, basis)
         backward(loss)
         assert np.array_equal(out.data, kept)

@@ -206,12 +206,12 @@ class TestCollect:
         tr = small_trainer(["joint_attention", "joint_attention"], T=16,
                            env_overrides={"interior": 5, "episode_cap": 3})
         chunk = tr.ppo.chunk_length
-        seen = [[] for _ in tr.agents]      # (frames, h, c) per agent_step
+        seen = [[] for _ in tr.agents]      # (features, h, c) per agent_step
         for k, agent in enumerate(tr.agents):
-            def spy(obs, p, state, _step=agent.core.agent_step, _k=k):
-                seen[_k].append((np.array(obs), np.array(state.h),
+            def spy(features, p, state, _step=agent.core.agent_step, _k=k):
+                seen[_k].append((np.array(features), np.array(state.h),
                                  np.array(state.c)))
-                return _step(obs, p, state)
+                return _step(features, p, state)
             agent.core.agent_step = spy
         buf = tr.collect_segment()
         # the next step after an episode ends starts reset
@@ -224,7 +224,7 @@ class TestCollect:
         for k in range(len(tr.agents)):
             assert len(seen[k]) == buf.T + 1       # plus the bootstrap pass
             for t in range(buf.T):
-                frames, h, c = seen[k][t]
+                features, h, c = seen[k][t]
                 # the state each step acted from is zero at every reset...
                 for e in np.nonzero(resets[t])[0]:
                     assert not h[e].any() and not c[e].any()
@@ -233,8 +233,9 @@ class TestCollect:
                     assert np.array_equal(buf.h0[k][t // chunk], h)
                     assert np.array_equal(buf.c0[k][t // chunk], c)
                 # the one stored lane of ids scales back to the frames
-                # every agent acted on
-                assert np.array_equal(observation_array(buf.obs[t]), frames)
+                # whose features every agent acted on
+                assert np.array_equal(tr.agents[k].core.encode_features(
+                    observation_array(buf.obs[t])).data, features)
 
     def test_lane_dtypes_and_sizes_at_colorgather_shapes(self):
         # train_colorgather_wide's segment: 3 agents, 16 envs, 10x10 grids
@@ -267,8 +268,8 @@ class TestCollect:
                            env_overrides={"interior": 5, "episode_cap": 4})
         held = [[] for _ in tr.agents]      # the state after each agent_step
         for k, agent in enumerate(tr.agents):
-            def spy(obs, p, state, _step=agent.core.agent_step, _k=k):
-                out = _step(obs, p, state)
+            def spy(features, p, state, _step=agent.core.agent_step, _k=k):
+                out = _step(features, p, state)
                 held[_k].append(out[3].detach())
                 return out
             agent.core.agent_step = spy
@@ -395,7 +396,8 @@ def bandit_buffer(agent, action, T=4, E=2, advantage=1.0):
     buf.c0[0][0] = state.c
     for t in range(T):
         logits, value, _, state = agent.core.agent_step(
-            np.repeat(obs[None], E, axis=0), np.zeros((E, 6)), state)
+            agent.core.encode_features(np.repeat(obs[None], E, axis=0)),
+            np.zeros((E, 6)), state)
         state = state.detach()
         lp = logits.data - np.log(np.exp(logits.data
                                          - logits.data.max(-1, keepdims=True)
@@ -410,7 +412,8 @@ def bandit_buffer(agent, action, T=4, E=2, advantage=1.0):
 
 def action_probs(agent, obs):
     state = agent.core.initial_state(1)
-    logits, _, _, _ = agent.core.agent_step(obs[None], np.zeros((1, 6)), state)
+    logits, _, _, _ = agent.core.agent_step(
+        agent.core.encode_features(obs[None]), np.zeros((1, 6)), state)
     z = logits.data[0] - logits.data[0].max()
     e = np.exp(z)
     return e / e.sum()
@@ -471,8 +474,9 @@ class TestPPOUpdate:
             total = None
             for t in range(4):
                 logits, _, _, state = twin.core.agent_step(
-                    observation_array(buf.obs[t][:1]), np.zeros((1, 6)),
-                    state)
+                    twin.core.encode_features(
+                        observation_array(buf.obs[t][:1])),
+                    np.zeros((1, 6)), state)
                 lp = nm.gather_last(nm.log_softmax(logits), [0])
                 total = lp if total is None else total + lp
             nm.backward(nm.scale(nm.sum_all(total), -1.0 / 4.0))
@@ -562,19 +566,26 @@ class TestPPOUpdate:
         k, chunk, seed = 1, tr.ppo.chunk_length, 5
         resets = episode_starts(buf)
         assert resets[np.arange(buf.T) % chunk != 0].any()
-        calls = []
-        agent_step = AgentCore.agent_step
+        frames, calls = [], []
+        encode_features, agent_step = AgentCore.encode_features, \
+            AgentCore.agent_step
 
-        def spy(core, obs, p, state, resets):
+        def encode_spy(core, obs):
+            frames.append(np.array(obs))
+            return encode_features(core, obs)
+
+        def spy(core, features, p, state, resets):
             T = len(resets)
-            calls.append((np.array(obs).reshape((T, -1) + obs.shape[1:]),
+            calls.append((frames[-1].reshape((T, -1) + frames[-1].shape[1:]),
                           np.array(p).reshape(T, -1, 6), np.array(state.h),
                           np.array(state.c), np.array(resets)))
-            return agent_step(core, obs, p, state, resets)
+            return agent_step(core, features, p, state, resets)
 
+        monkeypatch.setattr(AgentCore, "encode_features", encode_spy)
         monkeypatch.setattr(AgentCore, "agent_step", spy)
         ppo_update(tr.agents[k], buf, k, tr.ppo, np.random.default_rng(seed))
         monkeypatch.undo()
+        assert len(frames) == len(calls)
 
         chunks = [(e, s) for e in range(buf.E) for s in range(0, buf.T, chunk)]
         per_batch = tr.ppo.batch_size // chunk
@@ -846,7 +857,7 @@ def sequential_episodes(agents, kind, variant, config, episodes, seed):
                 pose = pose_vector(state.x[:, k], state.y[:, k],
                                    state.direction[:, k])
                 logits, _, m, new_state = agent.core.agent_step(
-                    grid, pose, rec[k])
+                    agent.core.encode_features(grid), pose, rec[k])
                 rec[k] = new_state.detach()
                 joint[k] = act(logits, "greedy")[0][0]
                 if m is not None:
@@ -1005,6 +1016,73 @@ class TestEvaluate:
         p = hits / episodes
         sigma = np.sqrt(max(p * (1 - p), 1e-6) / episodes)
         assert abs(summary["success_rate"] - p) <= 3 * sigma + 1e-9
+
+
+class TestKeptFeatures:
+    """The acting loops encode a frame only where it changed, and what they
+    keep is what encoding every frame gives, bit for bit."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Spy on every ``KeptFeatures.update``: check each agent's kept
+        features against ``encode_features`` of every row, and that exactly
+        the rows whose ids changed (all of them on the first step) were
+        encoded. Returns the (rows, changed rows) of each step."""
+        encode = AgentCore.encode_features
+        encoded = [0]
+        steps = []
+
+        def counting(core, obs):
+            encoded[0] += len(obs)
+            return encode(core, obs)
+
+        update = training.KeptFeatures.update
+
+        def checked(kept, agents, ids):
+            before = kept.ids
+            encoded[0] = 0
+            features = update(kept, agents, ids)
+            changed = len(ids) if before is None else \
+                int((ids != before).reshape(len(ids), -1).any(axis=1).sum())
+            assert encoded[0] == changed * len(agents)
+            grids = observation_array(ids)
+            for agent, got in zip(agents, features):
+                assert np.array_equal(got, encode(agent.core, grids).data)
+            steps.append((len(ids), changed))
+            return features
+
+        monkeypatch.setattr(AgentCore, "encode_features", counting)
+        monkeypatch.setattr(training.KeptFeatures, "update", checked)
+        return steps
+
+    def test_collect_encodes_the_changed_rows(self, monkeypatch):
+        # a 4-step cap: episodes end and reset inside the segment, and the
+        # two arms keep features of different widths
+        tr = small_trainer(["joint_attention", "independent_ppo"], T=12,
+                           E=3, env_overrides={"interior": 5,
+                                               "episode_cap": 4})
+        steps = self._watch(monkeypatch)
+        tr.collect_segment()
+        assert len(steps) == tr.ppo.segment_length + 1      # and bootstrap
+        assert steps[0] == (3, 3)
+        assert any(0 < changed < rows for rows, changed in steps)
+        assert any(changed == 0 for _, changed in steps)
+
+    def test_lockstep_drops_ended_rows_from_the_record(self, monkeypatch):
+        # five landmarks on a 3x3 interior and sampled actions: episodes
+        # end at three different steps, so rows leave the batch while the
+        # others play on
+        tr = small_trainer(["joint_attention"] * 2, seed=24,
+                           env_variant="multi_target",
+                           env_overrides={"interior": 3, "episode_cap": 15})
+        steps = self._watch(monkeypatch)
+        live = [len(st.live) for st in lockstep_episodes(
+            tr.agents, "meetup", "multi_target", tr.env_config, 6, seed=2,
+            mode="sample")]
+        assert [rows for rows, _ in steps] == live
+        assert steps[0] == (6, 6)
+        assert sorted(set(live)) == [3, 4, 5, 6]
+        assert any(0 < changed < rows for rows, changed in steps[1:])
 
 
 class TestSocial:

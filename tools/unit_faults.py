@@ -14,11 +14,10 @@ process's peak resident size after it (``ru_maxrss`` in MB, as the
 benchmark reports ``peak_rss_mb``), so a memory change can be traced to
 the unit where the peak is reached, and the median over the warm units
 (every unit but the first). Last come the bytes each key of
-``jointattn.numerics.tensor``'s buffer pool and untaped scratch holds
-after the units, read off those two dicts, so a memory change can be
-traced to an array too. Nothing under ``perfbench/`` is changed, no
-allocator option is set and nothing is gated; the exit code is the
-benchmark's.
+``jointattn.numerics.tensor``'s buffer pool holds after the units, read
+off that dict, so a memory change can be traced to an array too. Nothing
+under ``perfbench/`` is changed, no allocator option is set and nothing is
+gated; the exit code is the benchmark's.
 """
 
 import argparse
@@ -82,17 +81,15 @@ def main(argv=None) -> int:
 
 
 def print_buffers(tensor) -> None:
-    """The bytes, dtype and shape of each array the numerics' pool and
-    scratch hold; the module is the one the benchmark imported, if any."""
+    """The bytes, dtype and shape of each array the numerics' pool holds;
+    the module is the one the benchmark imported, if any."""
     if tensor is None:
         return
-    held = [("pool", key, entry[0]) for key, entry in tensor._POOL.items()]
-    held += [("scratch", key, arr) for key, arr in tensor._SCRATCH.items()]
-    print("\nheld by    key                             bytes  dtype    shape")
-    for where, key, arr in sorted(held, key=lambda r: r[:2]):
-        print(f"{where:8s} {key:28s} {arr.nbytes:12d}  {arr.dtype!s:7s}  "
-              f"{arr.shape}")
-    print(f"total {sum(r[2].nbytes for r in held)} bytes")
+    held = sorted((key, entry[0]) for key, entry in tensor._POOL.items())
+    print("\npool key                         bytes  dtype    shape")
+    for key, arr in held:
+        print(f"{key:28s} {arr.nbytes:12d}  {arr.dtype!s:7s}  {arr.shape}")
+    print(f"total {sum(arr.nbytes for _, arr in held)} bytes")
 
 
 if __name__ == "__main__":
